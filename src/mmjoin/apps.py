@@ -12,7 +12,13 @@ import numpy as np
 
 from .joinproject import OutputSet, two_path_join
 from .optimizer import ThresholdPlan, estimate_output_size
-from .relation import IndexedRelation, Relation, build_indexed, semi_join_reduce
+from .relation import (
+    IndexedRelation,
+    ParseError,
+    Relation,
+    build_indexed,
+    semi_join_reduce,
+)
 
 
 class SubsetCapError(RuntimeError):
@@ -368,13 +374,23 @@ class BsiWorkload:
 
     @classmethod
     def from_file(cls, source, rate: float) -> "BsiWorkload":
+        """Parse `a b arrival_micros` lines; `#` comments and blank lines
+        are skipped. A malformed line raises ParseError with its number."""
         queries = []
-        for line in source:
+        for line_no, line in enumerate(source, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b, micros = line.split()
-            queries.append((a, b, int(micros) / 1e6))
+            toks = line.split()
+            if len(toks) != 3:
+                raise ParseError(line_no, f"expected 3 tokens, got {len(toks)}")
+            a, b, micros = toks
+            try:
+                arrival = int(micros)
+            except ValueError:
+                raise ParseError(line_no, f"arrival time {micros!r} is not "
+                                          "an integer") from None
+            queries.append((a, b, arrival / 1e6))
         return cls(queries, rate)
 
 

@@ -151,13 +151,12 @@ def cmd_star(inputs, delta1, delta2, counts):
         res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
     except (ValueError, joinproject.StarResourceError) as exc:
         raise click.ClickException(str(exc))
-    cnts = res.counts.tolist() if counts else None
-    rows = []
-    for pos, tup in enumerate(res.tuples().tolist()):
-        line = " ".join(str(rels[i].left_values[v]) for i, v in enumerate(tup))
-        if counts:
-            line += f" {cnts[pos]}"
-        rows.append(line)
+    tups = res.tuples()
+    cols = [list(map(str, map(rel.left_values.__getitem__, tups[:, i].tolist())))
+            for i, rel in enumerate(rels)]
+    if counts:
+        cols.append(list(map(str, res.counts.tolist())))
+    rows = list(map(" ".join, zip(*cols)))
     click.echo("\n".join(sorted(rows)))
 
 
@@ -217,8 +216,11 @@ def cmd_bsi(left, right, workload, rate, batch_size):
     """Batched boolean set intersection: answers plus simulated latency."""
     r = build_indexed(_read_relation(left, "R"))
     s = build_indexed(_read_relation(right, "S"))
-    with open(workload, encoding="utf-8") as f:
-        wl = apps.BsiWorkload.from_file(f, rate)
+    try:
+        with open(workload, encoding="utf-8") as f:
+            wl = apps.BsiWorkload.from_file(f, rate)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(str(exc))
     n = max(r.n, s.n)
     c = batch_size or apps.bsi_batch_size(rate, n)
     click.echo(f"batch_size={c}")

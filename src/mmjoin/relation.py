@@ -34,39 +34,10 @@ class Relation:
         self.right_ids = right_ids
 
     @classmethod
-    def from_raw_pairs(cls, name: str, raw_pairs: Iterable[tuple],
-                       right_values: Optional[list] = None,
-                       right_ids: Optional[dict] = None) -> "Relation":
-        """Encode raw (left, right) pairs. Duplicates are dropped.
-
-        A shared right dictionary may be injected (see semi_join_reduce); all
-        right values must then already be present in it.
-        """
-        shared_right = right_values is not None
-        if shared_right:
-            assert right_ids is not None
-        else:
-            right_values, right_ids = [], {}
-        left_values: list = []
-        left_ids: dict = {}
-        # dict preserves first-seen order, keeping id assignment deterministic
-        seen = dict.fromkeys(tuple(p) for p in raw_pairs)
-        enc = np.empty((len(seen), 2), dtype=np.int64)
-        for i, (a, b) in enumerate(seen):
-            ai = left_ids.get(a)
-            if ai is None:
-                ai = left_ids[a] = len(left_values)
-                left_values.append(a)
-            if shared_right:
-                bi = right_ids[b]
-            else:
-                bi = right_ids.get(b)
-                if bi is None:
-                    bi = right_ids[b] = len(right_values)
-                    right_values.append(b)
-            enc[i, 0] = ai
-            enc[i, 1] = bi
-        return cls(name, enc, left_values, left_ids, right_values, right_ids)
+    def from_raw_pairs(cls, name: str, raw_pairs: Iterable[tuple]) -> "Relation":
+        """Encode raw (left, right) pairs. Duplicates are dropped."""
+        raw = [tuple(p) for p in raw_pairs]
+        return _from_columns(name, [a for a, _ in raw], [b for _, b in raw])
 
     @classmethod
     def from_encoded(cls, name: str, pairs: np.ndarray, like: "Relation") -> "Relation":
@@ -97,18 +68,49 @@ class Relation:
         return f"Relation({self.name!r}, n={self.n}, dom={self.dom_left}x{self.dom_right})"
 
 
+def _encode_column(column: list) -> tuple[np.ndarray, list, dict]:
+    """(ids, values, value -> id) with ids numbered by first appearance."""
+    values = list(dict.fromkeys(column))
+    ids = {v: i for i, v in enumerate(values)}
+    codes = np.fromiter(map(ids.__getitem__, column), dtype=np.int64,
+                        count=len(column))
+    return codes, values, ids
+
+
+def _first_seen_unique(codes: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct code, in order."""
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    return first
+
+
+def _from_columns(name: str, left: list, right: list) -> Relation:
+    """Encode two equal-length value columns; duplicate pairs are dropped,
+    keeping first-seen order."""
+    lcodes, left_values, left_ids = _encode_column(left)
+    rcodes, right_values, right_ids = _encode_column(right)
+    keep = _first_seen_unique(lcodes * len(right_values) + rcodes)
+    pairs = np.column_stack((lcodes[keep], rcodes[keep]))
+    return Relation(name, pairs, left_values, left_ids, right_values, right_ids)
+
+
 def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
-    """Parse `left right` lines; `#` comments and blank lines are skipped."""
-    pairs = []
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Parse `left right` lines; `#` comments and blank lines are skipped.
+
+    The whole source is read at once. Lines are split on "\\n" only, as
+    iterating a text file does (str.splitlines would also split on form
+    feeds and other separators inside a line).
+    """
+    left, right = [], []
+    for line_no, line in enumerate(source.read().split("\n"), start=1):
         toks = line.split()
+        if not toks or toks[0][0] == "#":
+            continue
         if len(toks) != 2:
             raise ParseError(line_no, f"expected 2 tokens, got {len(toks)}")
-        pairs.append((toks[0], toks[1]))
-    return Relation.from_raw_pairs(name, pairs)
+        left.append(toks[0])
+        right.append(toks[1])
+    return _from_columns(name, left, right)
 
 
 def parse_set_family_file(source: TextIO, name: str = "sets") -> Relation:
@@ -128,15 +130,26 @@ def semi_join_reduce_many(relations: list) -> list:
     """Drop tuples whose right value is missing from any sibling relation.
 
     The returned relations share one right dictionary (identical objects), the
-    precondition for joining at the id level. Idempotent on tuple sets.
+    precondition for joining at the id level: the values present in every
+    input dictionary, sorted by repr. Left ids are renumbered by first
+    appearance among the kept tuples. Idempotent on tuple sets.
     """
     right_values, right_ids = _shared_right_dict(relations)
     out = []
     for rel in relations:
-        kept = [(a, b) for a, b in rel.raw_pairs() if b in right_ids]
-        out.append(Relation.from_raw_pairs(rel.name, kept,
-                                           right_values=right_values,
-                                           right_ids=right_ids))
+        remap = np.fromiter((right_ids.get(v, -1) for v in rel.right_values),
+                            dtype=np.int64, count=rel.dom_right)
+        right = remap[rel.pairs[:, 1]]
+        keep = right >= 0
+        left = rel.pairs[keep, 0]
+        old_left = left[_first_seen_unique(left)]
+        new_of_old = np.empty(rel.dom_left, dtype=np.int64)
+        new_of_old[old_left] = np.arange(len(old_left))
+        pairs = np.column_stack((new_of_old[left], right[keep]))
+        left_values = [rel.left_values[a] for a in old_left.tolist()]
+        left_ids = {v: i for i, v in enumerate(left_values)}
+        out.append(Relation(rel.name, pairs, left_values, left_ids,
+                            right_values, right_ids))
     return out
 
 
@@ -300,4 +313,4 @@ def generate_community_graph(num_nodes: int, num_communities: int,
                         axis=-1).reshape(-1, 2)
         pairs.append(grid[mask])
     edges = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-    return Relation.from_raw_pairs("community", map(tuple, edges.tolist()))
+    return _from_columns("community", edges[:, 0].tolist(), edges[:, 1].tolist())

@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from mmjoin.relation import Relation, build_indexed, semi_join_reduce
+from mmjoin.relation import ParseError, Relation, build_indexed, semi_join_reduce
 
 
 def random_pairs(rng, n, dom_left, dom_right):
@@ -81,6 +81,61 @@ def oracle_scj(fam):
         for b in fam:
             if a != b and set(fam[a]) <= set(fam[b]):
                 out.add((a, b))
+    return out
+
+
+def oracle_encode(name, raw_pairs, right_values=None, right_ids=None):
+    """Relation from raw pairs by a per-tuple dict loop: duplicates dropped,
+    ids by first appearance, or right ids taken from a shared dictionary."""
+    shared_right = right_values is not None
+    if not shared_right:
+        right_values, right_ids = [], {}
+    left_values, left_ids = [], {}
+    seen = dict.fromkeys(tuple(p) for p in raw_pairs)
+    enc = np.empty((len(seen), 2), dtype=np.int64)
+    for i, (a, b) in enumerate(seen):
+        ai = left_ids.get(a)
+        if ai is None:
+            ai = left_ids[a] = len(left_values)
+            left_values.append(a)
+        if shared_right:
+            bi = right_ids[b]
+        else:
+            bi = right_ids.get(b)
+            if bi is None:
+                bi = right_ids[b] = len(right_values)
+                right_values.append(b)
+        enc[i, 0] = ai
+        enc[i, 1] = bi
+    return Relation(name, enc, left_values, left_ids, right_values, right_ids)
+
+
+def oracle_parse_edge_list(source, name="R"):
+    """Edge-list parse by iterating the source line by line."""
+    pairs = []
+    for line_no, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            raise ParseError(line_no, f"expected 2 tokens, got {len(toks)}")
+        pairs.append((toks[0], toks[1]))
+    return oracle_encode(name, pairs)
+
+
+def oracle_semi_join_reduce_many(relations):
+    """Semi-join through raw pairs: keep tuples whose right value is in every
+    relation's dictionary, then re-encode against one shared dictionary."""
+    shared = set(relations[0].right_ids)
+    for rel in relations[1:]:
+        shared &= set(rel.right_ids)
+    right_values = sorted(shared, key=repr)
+    right_ids = {v: i for i, v in enumerate(right_values)}
+    out = []
+    for rel in relations:
+        kept = [(a, b) for a, b in rel.raw_pairs() if b in right_ids]
+        out.append(oracle_encode(rel.name, kept, right_values, right_ids))
     return out
 
 

@@ -184,6 +184,20 @@ def test_data_error_exit_code(tmp_path, runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("bad_line", ["1 3 x", "1 3", "1 3 5 7"])
+def test_bsi_workload_data_error_exit_code(tmp_path, runner, bad_line):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3 2\n")
+    wl = tmp_path / "wl.txt"
+    wl.write_text(f"# a b micros\n1 3 0\n{bad_line}\n")
+    res = runner.invoke(main, ["bsi", "--left", str(graph), "--right",
+                               str(graph), "--workload", str(wl),
+                               "--rate", "1000", "--batch-size", "2"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "line 3" in res.output
+
+
 def test_check_commands(tmp_path, runner):
     res = runner.invoke(main, ["check", "twopath", "--seed", "3",
                                "--n", "500"])

@@ -2,9 +2,15 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import EXAMPLE_R, random_pairs
+from conftest import (
+    EXAMPLE_R,
+    oracle_encode,
+    oracle_parse_edge_list,
+    oracle_semi_join_reduce_many,
+    random_pairs,
+)
 from mmjoin.relation import (
     DegreeStats,
     ParseError,
@@ -33,6 +39,101 @@ def test_parse_edge_list_errors():
     assert exc.value.line_no == 2
     with pytest.raises(ParseError):
         parse_edge_list(io.StringIO("a b c\n"))
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def assert_same_relation(got, want):
+    """Pairs and both dictionaries equal, in order and by value type."""
+    assert got.name == want.name
+    assert got.pairs.dtype == want.pairs.dtype
+    assert got.pairs.shape == want.pairs.shape
+    assert np.array_equal(got.pairs, want.pairs)
+    assert _typed(got.left_values) == _typed(want.left_values)
+    assert list(got.left_ids.items()) == list(want.left_ids.items())
+    assert _typed(got.right_values) == _typed(want.right_values)
+    assert list(got.right_ids.items()) == list(want.right_ids.items())
+
+
+# "a\x00" and "a" must stay distinct; \x0c, \x1c, \x85 and \u2028 are
+# whitespace inside a line but line breaks to str.splitlines
+_TOKENS = st.sampled_from(["a", "a\x00", "b", "1", "#a", "c#"])
+_SEPS = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", "\x85", "\u2028"])
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _edge_line(draw):
+    n = draw(st.sampled_from([2, 2, 2, 2, 0, 1, 3]))  # mostly valid lines
+    toks = draw(st.lists(_TOKENS, min_size=n, max_size=n))
+    seps = [draw(_SEPS) for _ in range(len(toks) + 1)]
+    lead = seps[0] if draw(st.booleans()) else ""
+    tail = seps[-1] if draw(st.booleans()) else ""
+    body = lead + "".join(t + s for t, s in zip(toks, seps[1:]))
+    return draw(st.sampled_from(["", "", "", "", "#", "# "])) + body.rstrip() + tail
+
+
+@st.composite
+def _edge_text(draw):
+    lines = draw(st.lists(_edge_line(), max_size=12))
+    text = "".join(line + draw(_ENDS) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return text
+
+
+def _sources(text):
+    """The text as an in-memory string and as a file with universal newlines."""
+    yield lambda: io.StringIO(text)
+    yield lambda: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                                   encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_text())
+@example("")
+@example("#a b c\n\n a\tb \r\nx y z\n")
+@example("a\x00 b\na b\nb\x0ca\n")
+@example("a b\x85c\n")
+@example("a x\nb y\na y\nb y\n")  # first-seen pair order, not sorted
+def test_parse_edge_list_matches_line_oracle(text):
+    for source in _sources(text):
+        try:
+            want = oracle_parse_edge_list(source(), name="E")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_edge_list(source(), name="E")
+            assert got.value.line_no == exc.line_no
+        else:
+            assert_same_relation(parse_edge_list(source(), name="E"), want)
+
+
+_VALUES = st.sampled_from([0, 1, 2, 1.0, "1", "a", "a\x00", "b"])
+_PAIR_LISTS = st.lists(st.tuples(_VALUES, _VALUES), max_size=15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PAIR_LISTS, min_size=2, max_size=4),
+       st.lists(st.booleans(), max_size=15))
+@example([[(1, "a")], [(2, "b")]], [])  # nothing survives
+@example([[], [(2, "b")]], [])
+def test_semi_join_reduce_many_matches_raw_pair_oracle(pair_lists, drop):
+    rels = [Relation.from_raw_pairs(f"R{i}", p) for i, p in enumerate(pair_lists)]
+    for i, (rel, p) in enumerate(zip(rels, pair_lists)):
+        assert_same_relation(rel, oracle_encode(f"R{i}", p))
+    # a sub-relation whose dictionaries hold values absent from its tuples
+    mask = np.array([not d for d in drop] + [True] * rels[0].n,
+                    dtype=bool)[:rels[0].n]
+    rels[0] = Relation.from_encoded("R0", rels[0].pairs[mask], rels[0])
+    got, want = semi_join_reduce_many(rels), oracle_semi_join_reduce_many(rels)
+    for _ in range(2):  # and again on the reduced, shared-dictionary output
+        for g, w in zip(got, want):
+            assert_same_relation(g, w)
+        assert all(g.right_values is got[0].right_values for g in got)
+        got = semi_join_reduce_many(got)
+        want = oracle_semi_join_reduce_many(want)
 
 
 def test_parse_set_family_alias():
