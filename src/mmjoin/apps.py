@@ -10,13 +10,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .joinproject import OutputSet, two_path_join
+from .joinproject import _dedup, two_path_join
 from .optimizer import ThresholdPlan, estimate_output_size
 from .relation import (
     IndexedRelation,
     ParseError,
     Relation,
     build_indexed,
+    gather_ranges,
     semi_join_reduce,
 )
 
@@ -60,12 +61,20 @@ def _canonical(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _pair_counts_from_join(family: SetFamily, res: OutputSet, c: int) -> dict:
-    out = {}
-    for (a, b), cnt in zip(res.tuples().tolist(), res.counts.tolist()):
-        if a < b and cnt >= c:
-            out[(a, b)] = cnt
-    return out
+def _join_pairs(r: IndexedRelation, s: IndexedRelation,
+                plan: Optional[ThresholdPlan] = None):
+    """(a, b, overlap) id arrays of the counted two-path join, sorted by
+    (a, b); r and s must share their right dictionary."""
+    res = two_path_join(r, s, plan=plan, want_counts=True)
+    a, b = np.divmod(res.codes, res.dims[1])
+    return a, b, res.counts
+
+
+def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelation:
+    """The family's rows of the sets where `mask` holds, keeping its ids."""
+    pairs = family.relation.pairs
+    return build_indexed(Relation.from_encoded(
+        name, pairs[mask[pairs[:, 0]]], family.relation))
 
 
 def ssj_mmjoin(family: SetFamily, c: int,
@@ -73,9 +82,10 @@ def ssj_mmjoin(family: SetFamily, c: int,
     """Unordered pairs {a < b: |a n b| >= c} with exact overlap counts."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    res = two_path_join(family.indexed, family.indexed, plan=plan,
-                        want_counts=True)
-    return _pair_counts_from_join(family, res, c)
+    a, b, cnt = _join_pairs(family.indexed, family.indexed, plan)
+    keep = (a < b) & (cnt >= c)
+    return dict(zip(zip(a[keep].tolist(), b[keep].tolist()),
+                    cnt[keep].tolist()))
 
 
 def get_size_boundary(family: SetFamily, c: int) -> int:
@@ -242,46 +252,35 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
     if c < 1:
         raise ValueError("c must be >= 1")
     x = get_size_boundary(family, c)
-    heavy = [a for a in family.sets if family.size(a) > x]
-    light = [a for a in family.sets if family.size(a) <= x]
+    heavy = family.indexed.left_deg > x
     out = set()
 
-    if heavy:
-        # join everyone against the heavy sets via the partitioned algorithm
-        heavy_pairs = [(family.raw_id(a), family.relation.right_values[e])
-                       for a in heavy for e in family.sets[a]]
-        ra, rh = semi_join_reduce(family.relation,
-                                  Relation.from_raw_pairs("heavy", heavy_pairs))
-        res = two_path_join(build_indexed(ra), build_indexed(rh),
-                            want_counts=True)
-        back = family.relation.left_ids
-        for (a, hb), cnt in zip(res.tuples().tolist(), res.counts.tolist()):
-            ai = back[ra.left_values[a]]
-            bi = back[rh.left_values[hb]]
-            if ai != bi and cnt >= c:
-                out.add(_canonical(ai, bi))
+    def add(a, b, keep):
+        out.update(zip(np.minimum(a, b)[keep].tolist(),
+                       np.maximum(a, b)[keep].tolist()))
 
+    if heavy.any():
+        # join everyone against the heavy sets via the partitioned algorithm
+        a, b, cnt = _join_pairs(family.indexed,
+                                _subfamily(family, "heavy", heavy))
+        add(a, b, (a != b) & (cnt >= c))
+
+    ops = 0
+    light = np.flatnonzero(~heavy).tolist()
     if light:
-        inverted: dict = {}
-        for a in light:
-            for e in family.sets[a].tolist():
-                inverted.setdefault(e, []).append(a)
-        j_light = sum(len(v) ** 2 for v in inverted.values())
+        light_idx = _subfamily(family, "light", ~heavy)
+        j_light = int(np.dot(light_idx.right_deg, light_idx.right_deg))
         out_est = estimate_output_size(len(light), max(j_light, 1),
-                                       max(sum(family.size(a) for a in light), 1))
+                                       max(light_idx.n, 1))
         if j_light > out_est:
             # high duplication: light pairs via the matrix-backed join
-            light_pairs = [(family.raw_id(a), family.relation.right_values[e])
-                           for a in light for e in family.sets[a]]
-            light_idx = build_indexed(Relation.from_raw_pairs("light", light_pairs))
-            res = two_path_join(light_idx, light_idx, want_counts=True)
-            ll = light_idx.rel.left_values
-            back = family.relation.left_ids
-            ops = 0
-            for (i, j), cnt in zip(res.tuples().tolist(), res.counts.tolist()):
-                if i < j and cnt >= c:
-                    out.add(_canonical(back[ll[i]], back[ll[j]]))
+            a, b, cnt = _join_pairs(light_idx, light_idx)
+            add(a, b, (a < b) & (cnt >= c))
         else:
+            inverted: dict = {}
+            for a in light:
+                for e in family.sets[a].tolist():
+                    inverted.setdefault(e, []).append(a)
             partners, ops = prefix_merge_partners(
                 {a: family.sets[a].tolist() for a in light}, inverted, c,
                 depth_cap=prefix_depth_cap)
@@ -289,8 +288,6 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
                 for b in ps:
                     if b != a:
                         out.add(_canonical(a, b))
-    else:
-        ops = 0
     return out, ops
 
 
@@ -302,12 +299,9 @@ def ssj_ordered(family: SetFamily, c: int) -> list:
 
 def scj_join_project(family: SetFamily) -> set:
     """Ordered containment pairs (a, b), a != b, elements(a) <= elements(b)."""
-    res = two_path_join(family.indexed, family.indexed, want_counts=True)
-    out = set()
-    for (a, b), cnt in zip(res.tuples().tolist(), res.counts.tolist()):
-        if a != b and cnt == family.size(a):
-            out.add((a, b))
-    return out
+    a, b, cnt = _join_pairs(family.indexed, family.indexed)
+    keep = (a != b) & (cnt == family.indexed.left_deg[a])
+    return set(zip(a[keep].tolist(), b[keep].tolist()))
 
 
 def bsi_batch_size(rate: float, n: int) -> int:
@@ -325,36 +319,61 @@ def bsi_answer_batch(r: IndexedRelation, s: IndexedRelation,
     the whole batch.
     """
     answers: list = [None] * len(batch)
-    known = []
-    for i, (a, b) in enumerate(batch):
-        ai = r.rel.left_ids.get(a)
-        bi = s.rel.left_ids.get(b)
-        if ai is None or bi is None:
-            continue
-        known.append((i, a, b))
-        answers[i] = False
-    if not known:
+    qa = np.fromiter((r.rel.left_ids.get(a, -1) for a, _ in batch),
+                     dtype=np.int64, count=len(batch))
+    qb = np.fromiter((s.rel.left_ids.get(b, -1) for _, b in batch),
+                     dtype=np.int64, count=len(batch))
+    known = np.flatnonzero((qa >= 0) & (qb >= 0))
+    if not len(known):
         return answers
-    r_pairs = []
-    s_pairs = []
-    want_a = {a for _, a, _ in known}
-    want_b = {b for _, _, b in known}
-    for a, y in r.rel.raw_pairs():
-        if a in want_a:
-            r_pairs.append((a, y))
-    for b, y in s.rel.raw_pairs():
-        if b in want_b:
-            s_pairs.append((b, y))
-    ra, sb = semi_join_reduce(Relation.from_raw_pairs("Rb", r_pairs),
-                              Relation.from_raw_pairs("Sb", s_pairs))
-    if ra.n == 0 or sb.n == 0:
-        return answers
-    res = two_path_join(build_indexed(ra), build_indexed(sb))
-    hits = {(ra.left_values[i], sb.left_values[j])
-            for i, j in res.tuples().tolist()}
-    for i, a, b in known:
-        answers[i] = (a, b) in hits
+    # the batch's distinct queried sets, renumbered densely from 0
+    ua, ub = _dedup(qa[known]), _dedup(qb[known])
+    qa, qb = np.searchsorted(ua, qa[known]), np.searchsorted(ub, qb[known])
+    shared = r.shares_right_dict(s)
+    ra = _gather_sets(r, ua, "Rb", compact=not shared)
+    sb = _gather_sets(s, ub, "Sb", compact=not shared)
+    if not shared:
+        red_a, red_b = semi_join_reduce(ra, sb)
+        qa = _left_remap(ra, red_a)[qa]
+        qb = _left_remap(sb, red_b)[qb]
+        ra, sb = red_a, red_b
+    hit = np.zeros(len(known), dtype=bool)
+    if ra.n and sb.n:
+        res = two_path_join(build_indexed(ra), build_indexed(sb))
+        code = qa * res.dims[1] + qb
+        pos = np.searchsorted(res.codes, code)
+        ok = (qa >= 0) & (qb >= 0) & (pos < len(res.codes))
+        hit[ok] = res.codes[pos[ok]] == code[ok]
+    for i, h in zip(known.tolist(), hit.tolist()):
+        answers[i] = h
     return answers
+
+
+def _gather_sets(idx: IndexedRelation, ids: np.ndarray, name: str,
+                 compact: bool) -> Relation:
+    """The rows of the sets `ids` (sorted, distinct) from idx's forward
+    index, with set ids[i] renumbered to i. With `compact` the right
+    dictionary holds only the values these rows use; otherwise it is idx's
+    own, so relations gathered from one dictionary still share it."""
+    rel = idx.rel
+    ys, lens = gather_ranges(idx.fwd_indptr, idx.fwd_indices, ids)
+    left_values = [rel.left_values[a] for a in ids.tolist()]
+    right_values, right_ids = rel.right_values, rel.right_ids
+    if compact:
+        used = _dedup(ys)
+        ys = np.searchsorted(used, ys)
+        right_values = [rel.right_values[y] for y in used.tolist()]
+        right_ids = {v: i for i, v in enumerate(right_values)}
+    pairs = np.column_stack((np.repeat(np.arange(len(ids)), lens), ys))
+    return Relation(name, pairs, left_values,
+                    {v: i for i, v in enumerate(left_values)},
+                    right_values, right_ids)
+
+
+def _left_remap(rel: Relation, reduced: Relation) -> np.ndarray:
+    """Left id in `reduced` of each left id of `rel`; -1 where dropped."""
+    return np.fromiter((reduced.left_ids.get(v, -1) for v in rel.left_values),
+                       dtype=np.int64, count=rel.dom_left)
 
 
 @dataclass

@@ -173,23 +173,24 @@ def _read_family(path: str) -> apps.SetFamily:
 def cmd_ssj(sets_path, threshold, method):
     """Set-similarity join; emits sorted `a b [count]` lines."""
     fam = _read_family(sets_path)
+    names = list(map(str, fam.relation.left_values))
     try:
         if method == "mmjoin":
             result = apps.ssj_mmjoin(fam, threshold)
-            rows = [f"{fam.raw_id(a)} {fam.raw_id(b)} {cnt}"
+            rows = [f"{names[a]} {names[b]} {cnt}"
                     for (a, b), cnt in result.items()]
         elif method == "ordered":
-            rows = [f"{fam.raw_id(a)} {fam.raw_id(b)} {cnt}"
+            rows = [f"{names[a]} {names[b]} {cnt}"
                     for (a, b), cnt in apps.ssj_ordered(fam, threshold)]
             click.echo("\n".join(rows))
             return
         elif method == "sizeaware":
             pairs = apps.ssj_size_aware(fam, threshold)
-            rows = [f"{fam.raw_id(a)} {fam.raw_id(b)}" for a, b in pairs]
+            rows = [f"{names[a]} {names[b]}" for a, b in pairs]
         else:
             pairs, ops = apps.ssj_size_aware_pp(fam, threshold)
             click.echo(f"# merge_ops={ops}")
-            rows = [f"{fam.raw_id(a)} {fam.raw_id(b)}" for a, b in pairs]
+            rows = [f"{names[a]} {names[b]}" for a, b in pairs]
     except (ValueError, apps.SubsetCapError) as exc:
         raise click.ClickException(str(exc))
     click.echo("\n".join(sorted(rows)))
@@ -200,9 +201,9 @@ def cmd_ssj(sets_path, threshold, method):
 def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
     fam = _read_family(sets_path)
+    names = list(map(str, fam.relation.left_values))
     pairs = apps.scj_join_project(fam)
-    click.echo("\n".join(sorted(f"{fam.raw_id(a)} {fam.raw_id(b)}"
-                                for a, b in pairs)))
+    click.echo("\n".join(sorted(f"{names[a]} {names[b]}" for a, b in pairs)))
 
 
 @main.command("bsi")

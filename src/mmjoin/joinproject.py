@@ -1,5 +1,5 @@
 """Join-project evaluation: two-path partitioned algorithm, star queries,
-full-join baseline, and the light-part deduplication strategies.
+full-join baseline, and the sort-based dedup they share.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -143,13 +143,32 @@ def heavy_matrices(r: IndexedRelation, s: IndexedRelation,
     return adj(r, heavy_a, False), adj(s, heavy_c, True)
 
 
-def _merge_counts(code_arrays: list, count_arrays: list):
-    codes = np.concatenate(code_arrays)
-    cnts = np.concatenate(count_arrays)
-    u, inv = np.unique(codes, return_inverse=True)
-    out = np.zeros(len(u), dtype=np.int64)
-    np.add.at(out, inv, cnts)
-    return u, out
+def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
+    """Sorted distinct `codes`, by one sort and an adjacent-difference mask
+    (np.unique without counts hashes in numpy 2, which is far slower here).
+
+    With want_counts, returns (codes, counts) where counts[i] is the number
+    of occurrences of codes[i]. `sorted_extra`, a (codes, counts) pair that
+    is already sorted and distinct, is merged in by binary search; its counts
+    add to those of equal codes and are ignored without want_counts.
+    """
+    s = np.sort(codes)
+    first = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    out = s[first]
+    counts = (np.diff(np.flatnonzero(np.append(first, True)))
+              if want_counts else None)
+    if sorted_extra is not None:
+        extra, extra_counts = sorted_extra
+        pos = np.searchsorted(out, extra)
+        hit = np.zeros(len(extra), dtype=bool)
+        inside = pos < len(out)
+        hit[inside] = out[pos[inside]] == extra[inside]
+        if want_counts:
+            counts[pos[hit]] += extra_counts[hit]
+            counts = np.insert(counts, pos[~hit], extra_counts[~hit])
+        out = np.insert(out, pos[~hit], extra[~hit])
+    return (out, counts) if want_counts else out
 
 
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
@@ -217,12 +236,12 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
 
     stats = {"light_intermediate": intermediate, "plan": plan,
              "heavy_pairs": len(heavy_codes)}
+    # heavy codes come out sorted and distinct: row-major over sorted keys
+    heavy = (heavy_codes, heavy_counts)
     if want_counts:
-        lc, lcnt = np.unique(light_codes, return_counts=True)
-        codes, counts = _merge_counts([lc, heavy_codes], [lcnt, heavy_counts])
+        codes, counts = _dedup(light_codes, True, heavy)
         return OutputSet(codes, dims, counts, stats)
-    codes = np.unique(np.concatenate([light_codes, heavy_codes]))
-    return OutputSet(codes, dims, None, stats)
+    return OutputSet(_dedup(light_codes, sorted_extra=heavy), dims, None, stats)
 
 
 def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
@@ -243,32 +262,9 @@ def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
     codes = np.concatenate(bufs)
     stats = {"intermediate": len(codes)}
     if want_counts:
-        u, cnt = np.unique(codes, return_counts=True)
+        u, cnt = _dedup(codes, True)
         return OutputSet(u, dims, cnt, stats)
-    return OutputSet(np.unique(codes), dims, None, stats)
-
-
-def dedup_light(fixed_left: int, light_ys: Sequence[int],
-                s_idx: IndexedRelation, strategy: Optional[str] = None,
-                cache_cap: int = 1 << 16) -> np.ndarray:
-    """Deduplicated z-partners of `fixed_left` reachable via `light_ys`.
-
-    Both strategies return the identical sorted id array; the heuristic picks
-    vector-reuse while the dedup vector fits the cache budget.
-    """
-    if strategy is None:
-        strategy = "vector-reuse" if s_idx.rel.dom_left <= cache_cap else "sort-based"
-    lists = [s_idx.rev(b) for b in light_ys]
-    if strategy == "vector-reuse":
-        flags = np.zeros(s_idx.rel.dom_left, dtype=bool)
-        for lst in lists:
-            flags[lst] = True
-        return np.nonzero(flags)[0]
-    if strategy == "sort-based":
-        if not lists:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(lists))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return OutputSet(_dedup(codes), dims, None, stats)
 
 
 def _cross_codes(lists: list, dims: Sequence[int]) -> np.ndarray:
@@ -364,7 +360,7 @@ def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
         cols += [heavy_left[i][cols2[p]] for p, i in enumerate(g2)]
         heavy_codes = _encode(cols, dims)
 
-    codes = np.unique(np.concatenate(code_arrays + [heavy_codes]))
+    codes = _dedup(np.concatenate(code_arrays + [heavy_codes]))
     stats = {"heavy_dims": heavy_rows}
     if not want_counts:
         return OutputSet(codes, dims, None, stats)
@@ -373,6 +369,6 @@ def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
     bufs = [np.empty(0, dtype=np.int64)]
     for b in np.nonzero(nonempty)[0]:
         bufs.append(_cross_codes([ri.rev(b) for ri in rels], dims))
-    u, cnt = np.unique(np.concatenate(bufs), return_counts=True)
+    u, cnt = _dedup(np.concatenate(bufs), True)
     assert np.array_equal(u, codes)
     return OutputSet(u, dims, cnt, stats)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     EXAMPLE_LISTS,
@@ -14,6 +15,11 @@ from conftest import (
 )
 from mmjoin import apps
 from mmjoin.relation import Relation, build_indexed
+
+_FAMILIES = st.dictionaries(
+    st.sampled_from([f"s{i}" for i in range(12)]),
+    st.lists(st.integers(0, 9), min_size=1, max_size=7),
+    max_size=12)
 
 
 def _raw_pairs(family, pairs):
@@ -129,6 +135,35 @@ def test_scj_matches_subset_oracle():
     assert got == oracle_scj(raw)
 
 
+def _check_ssj_scj(raw, c):
+    fam = apps.SetFamily.from_dict(raw)
+    mm = apps.ssj_mmjoin(fam, c)
+    assert all(a < b for a, b in mm)
+    got = {canon_pair(*fam.raw_pair(a, b)): cnt for (a, b), cnt in mm.items()}
+    assert got == oracle_ssj(raw, c)
+    pp, _ = apps.ssj_size_aware_pp(fam, c)
+    assert _raw_pairs(fam, pp) == set(got)
+    assert {fam.raw_pair(a, b) for a, b in apps.scj_join_project(fam)} == \
+        oracle_scj(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FAMILIES, st.integers(1, 8))
+def test_ssj_scj_property(raw, c):
+    _check_ssj_scj(raw, c)
+
+
+@pytest.mark.parametrize("raw", [
+    {},  # empty family
+    {"a": [1]},
+    {"a": [1], "b": [1], "c": [2]},  # singletons
+    {"a": [1, 2, 3], "b": [3, 2, 1], "c": [1, 2]},  # scj emits a b and b a
+])
+@pytest.mark.parametrize("c", [1, 2, 4])  # 4 exceeds every set size
+def test_ssj_scj_edge_families(raw, c):
+    _check_ssj_scj(raw, c)
+
+
 def test_bsi_batch_size():
     assert apps.bsi_batch_size(1000, 10 ** 6) == 251189
     assert apps.bsi_batch_size(1, 1) == 1
@@ -156,6 +191,79 @@ def test_bsi_answer_batch_oracle_and_markers():
             assert got is None
         else:
             assert got == bool(r_adj[a] & s_adj[b])
+
+
+def _adjacency(pairs):
+    adj = {}
+    for a, y in pairs:
+        adj.setdefault(a, set()).add(y)
+    return adj
+
+
+def _bsi_oracle(r, s, r_pairs, s_pairs, batch):
+    """None for an id unknown to its relation, else whether the sets meet."""
+    r_adj, s_adj = _adjacency(r_pairs), _adjacency(s_pairs)
+    return [None if a not in r.rel.left_ids or b not in s.rel.left_ids
+            else bool(r_adj.get(a, set()) & s_adj.get(b, set()))
+            for a, b in batch]
+
+
+def test_bsi_answer_batch_one_shared_index():
+    rng = np.random.default_rng(34)
+    pairs = random_pairs(rng, 300, 40, 30)
+    idx = build_indexed(Relation.from_raw_pairs("R", pairs))
+    batch = [(int(a), int(b)) for a, b in rng.integers(0, 42, (80, 2))]
+    assert apps.bsi_answer_batch(idx, idx, batch) == \
+        _bsi_oracle(idx, idx, pairs, pairs, batch)
+
+
+def test_bsi_known_set_without_shared_elements_is_false():
+    r = build_indexed(Relation.from_raw_pairs("R", [("a", 1), ("a", 2),
+                                                    ("c", 5)]))
+    s = build_indexed(Relation.from_raw_pairs("S", [("b", 3), ("d", 5)]))
+    assert apps.bsi_answer_batch(r, s, [("a", "b"), ("a", "d"), ("c", "d"),
+                                        ("x", "b")]) == \
+        [False, False, True, None]
+    idx = build_indexed(Relation.from_raw_pairs("F", [("a", 1), ("b", 2)]))
+    assert apps.bsi_answer_batch(idx, idx, [("a", "b"), ("a", "a")]) == \
+        [False, True]
+
+
+def test_bsi_empty_unknown_and_repeated_batches():
+    pairs = [("a", 1), ("a", 2), ("b", 2), ("c", 3)]
+    idx = build_indexed(Relation.from_raw_pairs("R", pairs))
+    assert apps.bsi_answer_batch(idx, idx, []) == []
+    assert apps.bsi_answer_batch(idx, idx, [("x", "y"), ("a", "y"),
+                                            ("x", "a")]) == [None] * 3
+    batch = [("a", "b"), ("c", "a"), ("a", "b"), ("c", "a"), ("a", "b")]
+    assert apps.bsi_answer_batch(idx, idx, batch) == \
+        [True, False, True, False, True]
+
+
+_BSI_PAIRS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BSI_PAIRS, _BSI_PAIRS,
+       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25),
+       st.sampled_from(["separate", "same", "split"]))
+def test_bsi_answer_batch_property(r_pairs, s_pairs, batch, layout):
+    if layout == "separate":  # own dictionaries: the batch is semi-joined
+        r = build_indexed(Relation.from_raw_pairs("R", r_pairs))
+        s = build_indexed(Relation.from_raw_pairs("S", s_pairs))
+    elif layout == "same":
+        r = s = build_indexed(Relation.from_raw_pairs("R", r_pairs))
+        s_pairs = r_pairs
+    else:  # two parts of one relation share both dictionaries
+        whole = Relation.from_raw_pairs("U", r_pairs + s_pairs)
+        mine = set(r_pairs)
+        in_r = np.array([p in mine for p in whole.raw_pairs()], dtype=bool)
+        r = build_indexed(Relation.from_encoded("R", whole.pairs[in_r], whole))
+        s = build_indexed(Relation.from_encoded("S", whole.pairs[~in_r], whole))
+        s_pairs = [p for p in whole.raw_pairs() if p not in mine]
+    assert apps.bsi_answer_batch(r, s, batch) == \
+        _bsi_oracle(r, s, r_pairs, s_pairs, batch)
 
 
 def test_bsi_workload_validation():

@@ -102,6 +102,16 @@ def test_ssj_methods_cli(tmp_path, runner):
     assert counts == sorted(counts, reverse=True)
 
 
+def test_ssj_mmjoin_cli_pairs_in_file_order(tmp_path, runner):
+    fam = {"zeta": [1, 2, 3], "alpha": [2, 3, 4], "mid": [3, 4, 1]}
+    _write_family(tmp_path / "f.txt", fam)
+    res = runner.invoke(main, ["ssj", "--sets", str(tmp_path / "f.txt"),
+                               "--c", "2", "--method", "mmjoin"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == ["alpha mid 2", "zeta alpha 2",
+                                       "zeta mid 2"]
+
+
 def test_scj_cli(tmp_path, runner):
     fam = {"a": [1, 2], "b": [1, 2, 3], "c": [9]}
     _write_family(tmp_path / "f.txt", fam)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -126,25 +128,52 @@ def test_full_join_plan_strategy():
                                                              EXAMPLE_S))
 
 
-def test_dedup_light_strategies_agree():
-    rng = np.random.default_rng(6)
-    s = build_indexed(Relation.from_raw_pairs(
-        "S", random_pairs(rng, 300, 30, 20)))
-    ys = [b for b in range(s.rel.dom_right) if s.right_deg[b] > 0][:6]
-    a = jp.dedup_light(0, ys, s, strategy="vector-reuse")
-    b = jp.dedup_light(0, ys, s, strategy="sort-based")
-    heuristic = jp.dedup_light(0, ys, s)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, heuristic)
-    with pytest.raises(ValueError):
-        jp.dedup_light(0, ys, s, strategy="bogus")
+I64 = np.iinfo(np.int64)
 
 
-def test_dedup_light_cache_heuristic():
-    s = build_indexed(Relation.from_raw_pairs("S", [(i, 0) for i in range(8)]))
-    small = jp.dedup_light(0, [0], s, cache_cap=100)
-    large = jp.dedup_light(0, [0], s, cache_cap=4)  # forces sort-based
-    assert np.array_equal(small, large)
+def _unique_oracle(codes, counts=False):
+    return np.unique(np.asarray(codes, dtype=np.int64), return_counts=counts)
+
+
+@pytest.mark.parametrize("codes", [
+    [],
+    [5],
+    [3, 3, 3, 3],
+    [I64.max, I64.min, 0, I64.max, -1, I64.min + 1, I64.max - 1, I64.min],
+    list(np.random.default_rng(8).integers(-50, 50, 400)),
+])
+def test_dedup_matches_np_unique(codes):
+    codes = np.asarray(codes, dtype=np.int64)
+    got = jp._dedup(codes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _unique_oracle(codes))
+    got_u, got_c = jp._dedup(codes, True)
+    want_u, want_c = _unique_oracle(codes, True)
+    assert np.array_equal(got_u, want_u)
+    assert np.array_equal(got_c, want_c)
+    assert got_c.dtype == np.int64
+
+
+def test_dedup_merges_sorted_extra():
+    light = np.array([9, 2, 2, I64.max, -4, 9, 9], dtype=np.int64)
+    extra = np.array([I64.min, -4, 3, 9, I64.max], dtype=np.int64)
+    extra_counts = np.array([5, 1, 2, 10, 7], dtype=np.int64)
+    want = Counter(light.tolist())
+    for code, cnt in zip(extra.tolist(), extra_counts.tolist()):
+        want[code] += cnt
+    codes, counts = jp._dedup(light, True, (extra, extra_counts))
+    assert codes.tolist() == sorted(want)
+    assert counts.tolist() == [want[c] for c in sorted(want)]
+    assert jp._dedup(light, sorted_extra=(extra, extra_counts)).tolist() \
+        == sorted(want)
+    # either side empty
+    empty = np.empty(0, dtype=np.int64)
+    codes, counts = jp._dedup(empty, True, (extra, extra_counts))
+    assert codes.tolist() == extra.tolist()
+    assert counts.tolist() == extra_counts.tolist()
+    codes, counts = jp._dedup(light, True, (empty, empty))
+    want_u, want_c = _unique_oracle(light, True)
+    assert np.array_equal(codes, want_u) and np.array_equal(counts, want_c)
 
 
 def test_star_fixture_heavy_matrix_rows():
