@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,23 +95,25 @@ def get_size_boundary(family: SetFamily, c: int) -> int:
     Heavy cost: sum over heavy h of sum over all r of min(|r|, |h|).
     Light cost: sum over light r of C(|r|, c). Candidates are the distinct
     set sizes (a set is heavy iff its size exceeds x); ties take the
-    smallest x.
+    smallest x. Prefix sums over the sorted sizes price every candidate in
+    one pass, in exact integers.
     """
     sizes = sorted(family.size(a) for a in family.sets)
     if not sizes:
         return 0
-    total = sum(sizes)
-    distinct = sorted(set(sizes))
+    n = len(sizes)
+    size_upto = list(accumulate(sizes, initial=0))
+    heavy_each = []
+    for h in sizes:
+        below = bisect_right(sizes, h)
+        heavy_each.append(size_upto[below] + (n - below) * h)
+    heavy_from = list(accumulate(reversed(heavy_each), initial=0))[::-1]
+    light_upto = list(accumulate((math.comb(sz, c) for sz in sizes),
+                                 initial=0))
     best_x, best_cost = None, None
-    for x in distinct:
+    for x in sorted(set(sizes)):
         split = bisect_right(sizes, x)
-        light, heavy = sizes[:split], sizes[split:]
-        heavy_cost = 0
-        for h in heavy:
-            below = bisect_right(sizes, h)
-            heavy_cost += sum(sizes[:below]) + (len(sizes) - below) * h
-        light_cost = sum(math.comb(sz, c) for sz in light)
-        cost = heavy_cost + light_cost
+        cost = heavy_from[split] + light_upto[split]
         if best_cost is None or cost < best_cost:
             best_x, best_cost = x, cost
     return best_x

@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 from typing import Optional
 
 import click
@@ -55,6 +56,90 @@ def _read_relation(path: str, name: str) -> Relation:
             return parse_edge_list(f, name=name)
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
+
+
+def _read_relations(paths: list, names: list) -> list:
+    """One Relation per path. A file named more than once (by the same real
+    path) is parsed once, and every repeat gets the same object."""
+    keys = [os.path.realpath(path) for path in paths]
+    read = {}
+    for key, path, name in zip(keys, paths, names):
+        if key not in read:
+            read[key] = _read_relation(path, name)
+    return [read[key] for key in keys]
+
+
+def _build_indexed_once(rels: list) -> list:
+    """build_indexed per distinct relation object, shared by its repeats."""
+    built = {}
+    for rel in rels:
+        if id(rel) not in built:
+            built[id(rel)] = build_indexed(rel)
+    return [built[id(rel)] for rel in rels]
+
+
+# combined row keys stay below this; past it the key so far is re-ranked
+_KEY_LIMIT = 2 ** 63
+
+
+def _rank(keys: list) -> np.ndarray:
+    """Each key's position among the distinct keys in code-point order."""
+    pos = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64,
+                       count=len(keys))
+
+
+def _row_keys(fields: list, ids: list) -> np.ndarray:
+    """One int64 per row, ordered as the rows' text: each field's code-point
+    rank, combined most significant first."""
+    key = np.zeros(len(ids[0]), dtype=np.int64)
+    bound = 1  # every key is below bound
+    for field, field_ids in zip(fields, ids):
+        if bound * len(field) > _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * len(field) + _rank(field)[field_ids]
+        bound *= len(field)
+    return key
+
+
+def _sorted_lines(columns: list, counts: Optional[np.ndarray] = None) -> str:
+    """Text rows sorted by code point and joined by newlines, each row being
+    its fields joined by spaces: one field per `(ids, values)` column (the
+    values at those ids) and, when given, a last field holding `counts`.
+
+    Rows are sorted before they are formatted. Tokens hold no whitespace, so
+    the text order of two rows is the order of their fields, each field
+    compared as its name plus the space after it (the last one without).
+    Each field's distinct names are ranked once, and the ranks make one sort
+    key per row.
+    """
+    ids = [col_ids for col_ids, _ in columns]
+    fields = [list(map(str, values)) for _, values in columns]
+    if counts is not None:
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        ids.append(inverse)
+        fields.append(list(map(str, distinct.tolist())))
+    fields[:-1] = [[name + " " for name in field] for field in fields[:-1]]
+    # stable: join results often arrive nearly in order
+    order = np.argsort(_row_keys(fields, ids), kind="stable")
+    if not len(order):
+        return ""
+    texts = [np.array(field, dtype=object)[i[order]].tolist()
+             for field, i in zip(fields, ids)]
+    lead, lead_ids = texts[0], ids[0][order]
+    rest = list(map("".join, zip(*texts[1:]))) if len(texts) > 2 else texts[1]
+    # one join per run of rows that share the first field
+    cuts = [0, *(np.flatnonzero(lead_ids[1:] != lead_ids[:-1]) + 1).tolist(),
+            len(lead)]
+    return "\n".join(lead[lo] + ("\n" + lead[lo]).join(rest[lo:hi])
+                     for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """An (n, 2) int64 array of the (a, b) id pairs in `pairs`."""
+    return np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                       count=2 * len(pairs)).reshape(-1, 2)
 
 
 def _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration, cores):
@@ -118,22 +203,18 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
 @click.option("--cores", type=int, default=1, show_default=True)
 def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration, cores):
     """Projected two-path join; emits sorted `a c [count]` lines."""
-    r, s = semi_join_reduce(_read_relation(left, "R"), _read_relation(right, "S"))
-    ridx, sidx = build_indexed(r), build_indexed(s)
+    r, s = semi_join_reduce(*_read_relations([left, right], ["R", "S"]))
+    ridx, sidx = _build_indexed_once([r, s])
     plan = _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration, cores)
     try:
         res = joinproject.two_path_join(ridx, sidx, plan=plan,
                                         want_counts=counts, cores=cores)
     except (optimizer.PlanError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    rows = []
-    cnts = res.counts.tolist() if counts else None
-    for pos, (a, c) in enumerate(res.tuples().tolist()):
-        line = f"{r.left_values[a]} {s.left_values[c]}"
-        if counts:
-            line += f" {cnts[pos]}"
-        rows.append(line)
-    click.echo("\n".join(sorted(rows)))
+    tups = res.tuples()
+    click.echo(_sorted_lines([(tups[:, 0], r.left_values),
+                              (tups[:, 1], s.left_values)],
+                             res.counts if counts else None))
 
 
 @main.command("star")
@@ -144,20 +225,17 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration, cor
 @click.option("--counts", is_flag=True)
 def cmd_star(inputs, delta1, delta2, counts):
     """Projected star join over 2..4 relations sharing the right column."""
-    rels = semi_join_reduce_many(
-        [_read_relation(p, f"R{i}") for i, p in enumerate(inputs)])
-    idxs = [build_indexed(r) for r in rels]
+    rels = semi_join_reduce_many(_read_relations(
+        inputs, [f"R{i}" for i in range(len(inputs))]))
+    idxs = _build_indexed_once(rels)
     try:
         res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
     except (ValueError, joinproject.StarResourceError) as exc:
         raise click.ClickException(str(exc))
     tups = res.tuples()
-    cols = [list(map(str, map(rel.left_values.__getitem__, tups[:, i].tolist())))
-            for i, rel in enumerate(rels)]
-    if counts:
-        cols.append(list(map(str, res.counts.tolist())))
-    rows = list(map(" ".join, zip(*cols)))
-    click.echo("\n".join(sorted(rows)))
+    click.echo(_sorted_lines([(tups[:, i], rel.left_values)
+                              for i, rel in enumerate(rels)],
+                             res.counts if counts else None))
 
 
 def _read_family(path: str) -> apps.SetFamily:
@@ -173,27 +251,35 @@ def _read_family(path: str) -> apps.SetFamily:
 def cmd_ssj(sets_path, threshold, method):
     """Set-similarity join; emits sorted `a b [count]` lines."""
     fam = _read_family(sets_path)
-    names = list(map(str, fam.relation.left_values))
+    values = fam.relation.left_values
+    counts = None
     try:
         if method == "mmjoin":
             result = apps.ssj_mmjoin(fam, threshold)
-            rows = [f"{names[a]} {names[b]} {cnt}"
-                    for (a, b), cnt in result.items()]
+            pairs = _pair_array(result)
+            counts = np.fromiter(result.values(), dtype=np.int64,
+                                 count=len(result))
         elif method == "ordered":
+            names = list(map(str, values))
             rows = [f"{names[a]} {names[b]} {cnt}"
                     for (a, b), cnt in apps.ssj_ordered(fam, threshold)]
             click.echo("\n".join(rows))
             return
         elif method == "sizeaware":
-            pairs = apps.ssj_size_aware(fam, threshold)
-            rows = [f"{names[a]} {names[b]}" for a, b in pairs]
+            pairs = _pair_array(apps.ssj_size_aware(fam, threshold))
         else:
-            pairs, ops = apps.ssj_size_aware_pp(fam, threshold)
+            found, ops = apps.ssj_size_aware_pp(fam, threshold)
             click.echo(f"# merge_ops={ops}")
-            rows = [f"{names[a]} {names[b]}" for a, b in pairs]
-    except (ValueError, apps.SubsetCapError) as exc:
+            pairs = _pair_array(found)
+    except apps.SubsetCapError:
+        raise click.ClickException(
+            f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
+            "--method sizeaware; run --method sizeaware-pp or "
+            "--method mmjoin instead")
+    except ValueError as exc:
         raise click.ClickException(str(exc))
-    click.echo("\n".join(sorted(rows)))
+    click.echo(_sorted_lines([(pairs[:, 0], values), (pairs[:, 1], values)],
+                             counts))
 
 
 @main.command("scj")
@@ -201,9 +287,9 @@ def cmd_ssj(sets_path, threshold, method):
 def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
     fam = _read_family(sets_path)
-    names = list(map(str, fam.relation.left_values))
-    pairs = apps.scj_join_project(fam)
-    click.echo("\n".join(sorted(f"{names[a]} {names[b]}" for a, b in pairs)))
+    values = fam.relation.left_values
+    pairs = _pair_array(apps.scj_join_project(fam))
+    click.echo(_sorted_lines([(pairs[:, 0], values), (pairs[:, 1], values)]))
 
 
 @main.command("bsi")

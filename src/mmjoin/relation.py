@@ -9,6 +9,7 @@ Everything is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -94,6 +95,60 @@ def _from_columns(name: str, left: list, right: list) -> Relation:
     return Relation(name, pairs, left_values, left_ids, right_values, right_ids)
 
 
+# str.isspace() of every code point up to U+3000, the largest whitespace
+# one, then a False entry that every larger code point is clipped to
+_SPACE = np.array([chr(cp).isspace() for cp in range(0x3001)] + [False])
+
+
+def _is_space(codes: np.ndarray) -> np.ndarray:
+    """str.isspace() of each uint32 code point."""
+    # clipped code points fit in uint16, half the size of the input
+    clipped = np.minimum(codes, len(_SPACE) - 1,
+                         out=np.empty(len(codes), dtype=np.uint16),
+                         casting="unsafe")
+    return _SPACE[clipped]
+
+
+def _token_marks(text: str) -> np.ndarray:
+    """The code points that start a `str.split()` token of `text`, and its
+    "\\n" code points, in text order."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32)
+    begins = ~_is_space(codes)
+    begins[1:] &= ~begins[:-1]
+    begins |= codes == 10
+    return codes[begins]
+
+
+def _edge_tokens(text: str) -> list:
+    """The tokens of `text`'s two-token lines, in order; `#` comments and
+    blank lines are skipped.
+
+    `str.split()` yields every token in one call. One pass over the code
+    points marks where tokens start and lines end, which gives the per-line
+    token counts and comment flags without a loop over lines.
+    """
+    tokens = text.split()
+    marks = _token_marks(text)
+    breaks = marks == 10
+    lead = marks[~breaks]
+    # a token is the first on its line when a line break (or nothing) is
+    # the mark before it
+    heads = np.flatnonzero(np.concatenate(([True], breaks))[:-1][~breaks])
+    per_line = np.diff(heads, append=len(lead))
+    comment = lead[heads] == ord("#")
+    bad = ~comment & (per_line != 2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = int(heads[i])
+        # marks before token t that are line breaks
+        line_no = int(np.flatnonzero(~breaks)[t]) - t + 1
+        raise ParseError(line_no, f"expected 2 tokens, got {int(per_line[i])}")
+    if comment.any():
+        return list(compress(tokens, np.repeat(~comment, per_line).tolist()))
+    return tokens
+
+
 def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
     """Parse `left right` lines; `#` comments and blank lines are skipped.
 
@@ -101,15 +156,9 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
     iterating a text file does (str.splitlines would also split on form
     feeds and other separators inside a line).
     """
-    left, right = [], []
-    for line_no, line in enumerate(source.read().split("\n"), start=1):
-        toks = line.split()
-        if not toks or toks[0][0] == "#":
-            continue
-        if len(toks) != 2:
-            raise ParseError(line_no, f"expected 2 tokens, got {len(toks)}")
-        left.append(toks[0])
-        right.append(toks[1])
+    tokens = _edge_tokens(source.read())
+    left, right = tokens[0::2], tokens[1::2]
+    del tokens
     return _from_columns(name, left, right)
 
 
@@ -132,11 +181,14 @@ def semi_join_reduce_many(relations: list) -> list:
     The returned relations share one right dictionary (identical objects), the
     precondition for joining at the id level: the values present in every
     input dictionary, sorted by repr. Left ids are renumbered by first
-    appearance among the kept tuples. Idempotent on tuple sets.
+    appearance among the kept tuples. Idempotent on tuple sets. An input
+    object given more than once is reduced once, and every repeat gets the
+    same reduced object.
     """
-    right_values, right_ids = _shared_right_dict(relations)
-    out = []
-    for rel in relations:
+    distinct = list({id(rel): rel for rel in relations}.values())
+    right_values, right_ids = _shared_right_dict(distinct)
+    reduced = {}
+    for rel in distinct:
         remap = np.fromiter((right_ids.get(v, -1) for v in rel.right_values),
                             dtype=np.int64, count=rel.dom_right)
         right = remap[rel.pairs[:, 1]]
@@ -148,9 +200,9 @@ def semi_join_reduce_many(relations: list) -> list:
         pairs = np.column_stack((new_of_old[left], right[keep]))
         left_values = [rel.left_values[a] for a in old_left.tolist()]
         left_ids = {v: i for i, v in enumerate(left_values)}
-        out.append(Relation(rel.name, pairs, left_values, left_ids,
-                            right_values, right_ids))
-    return out
+        reduced[id(rel)] = Relation(rel.name, pairs, left_values, left_ids,
+                                    right_values, right_ids)
+    return [reduced[id(rel)] for rel in relations]
 
 
 def semi_join_reduce(r: Relation, s: Relation) -> tuple[Relation, Relation]:
@@ -160,11 +212,9 @@ def semi_join_reduce(r: Relation, s: Relation) -> tuple[Relation, Relation]:
 
 def _csr(keys: np.ndarray, vals: np.ndarray, dom: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((vals, keys))
-    k, v = keys[order], vals[order]
     indptr = np.zeros(dom + 1, dtype=np.int64)
-    np.add.at(indptr, k + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, v
+    np.cumsum(np.bincount(keys, minlength=dom), out=indptr[1:])
+    return indptr, vals[order]
 
 
 class IndexedRelation:

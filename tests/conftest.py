@@ -4,6 +4,8 @@ The oracles deliberately avoid every code path under test: plain Python
 dicts, sets, and nested loops only.
 """
 
+import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import product
 
@@ -82,6 +84,33 @@ def oracle_scj(fam):
             if a != b and set(fam[a]) <= set(fam[b]):
                 out.add((a, b))
     return out
+
+
+def oracle_size_boundary(family, c):
+    """Size boundary by pricing every heavy set under every candidate
+    (quadratic); the cost model is `apps.get_size_boundary`'s.
+
+    Heavy cost: sum over heavy h of sum over all r of min(|r|, |h|).
+    Light cost: sum over light r of C(|r|, c). Candidates are the distinct
+    set sizes (a set is heavy iff its size exceeds x); ties take the
+    smallest x.
+    """
+    sizes = sorted(family.size(a) for a in family.sets)
+    if not sizes:
+        return 0
+    best_x, best_cost = None, None
+    for x in sorted(set(sizes)):
+        split = bisect_right(sizes, x)
+        light, heavy = sizes[:split], sizes[split:]
+        heavy_cost = 0
+        for h in heavy:
+            below = bisect_right(sizes, h)
+            heavy_cost += sum(sizes[:below]) + (len(sizes) - below) * h
+        light_cost = sum(math.comb(sz, c) for sz in light)
+        cost = heavy_cost + light_cost
+        if best_cost is None or cost < best_cost:
+            best_x, best_cost = x, cost
+    return best_x
 
 
 def oracle_encode(name, raw_pairs, right_values=None, right_ids=None):

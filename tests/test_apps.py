@@ -9,6 +9,7 @@ from conftest import (
     EXAMPLE_SETS,
     canon_pair,
     oracle_scj,
+    oracle_size_boundary,
     oracle_ssj,
     random_family,
     random_pairs,
@@ -86,6 +87,35 @@ def test_get_size_boundary_matches_exhaustive():
             if best is None or cost < best[1]:
                 best = (x, cost)
         assert apps.get_size_boundary(fam, c) == best[0]
+
+
+_SIZE_FAMILIES = st.one_of(
+    _FAMILIES,
+    # every set the same size
+    st.integers(1, 6).flatmap(lambda k: st.dictionaries(
+        st.sampled_from([f"s{i}" for i in range(12)]),
+        st.just(list(range(k))), max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SIZE_FAMILIES, st.integers(1, 9))
+def test_get_size_boundary_matches_quadratic_oracle(raw, c):
+    """c up to 9 goes past every size (sets hold at most 7 elements)."""
+    fam = apps.SetFamily.from_dict(raw)
+    assert apps.get_size_boundary(fam, c) == oracle_size_boundary(fam, c)
+
+
+def test_get_size_boundary_edge_families():
+    empty = apps.SetFamily.from_dict({})
+    assert apps.get_size_boundary(empty, 2) == 0 == oracle_size_boundary(empty, 2)
+    same = apps.SetFamily.from_dict({f"s{i}": [1, 2, 3] for i in range(5)})
+    assert apps.get_size_boundary(same, 2) == 3 == oracle_size_boundary(same, 2)
+    # sizes 2 and 4 with c=2 cost 7 at either boundary: the smaller wins
+    tie = apps.SetFamily.from_dict({"a": [1, 2], "b": [1, 2, 3, 4]})
+    assert apps.get_size_boundary(tie, 2) == 2 == oracle_size_boundary(tie, 2)
+    mixed = apps.SetFamily.from_dict({"a": [1], "b": [1, 2], "c": [1, 2, 3]})
+    for c in (1, 2, 3, 4, 10):
+        assert apps.get_size_boundary(mixed, c) == oracle_size_boundary(mixed, c)
 
 
 def test_subset_cap_error():

@@ -1,8 +1,11 @@
 import csv
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     canon_pair,
@@ -11,7 +14,9 @@ from conftest import (
     random_family,
     random_pairs,
 )
-from mmjoin.cli import CSV_HEADER, main
+from mmjoin import cli
+from mmjoin.cli import CSV_HEADER, _sorted_lines, main
+from mmjoin.relation import parse_edge_list
 
 
 @pytest.fixture
@@ -78,6 +83,82 @@ def test_star_cli(tmp_path, runner):
     assert len(res.output.splitlines()) == len(oracle_two_path(pairs, pairs))
 
 
+def test_repeated_input_matches_separate_copy(tmp_path, runner, monkeypatch):
+    """A file named twice, directly or through a symlink, is parsed once; the
+    output is byte-identical to naming a copy of it."""
+    rng = np.random.default_rng(5)
+    pairs = random_pairs(rng, 120, 12, 9)
+    g = tmp_path / "g.txt"
+    _write_pairs(g, pairs)
+    copy = tmp_path / "copy.txt"
+    shutil.copy(g, copy)
+    link = tmp_path / "link.txt"
+    link.symlink_to(g)
+    parsed = []
+
+    def counting_parse(source, name):
+        parsed.append(name)
+        return parse_edge_list(source, name=name)
+
+    monkeypatch.setattr(cli, "parse_edge_list", counting_parse)
+
+    def run(argv, files):
+        parsed.clear()
+        res = runner.invoke(main, argv + [arg for f in files for arg in f])
+        assert res.exit_code == 0
+        return res.output, len(parsed)
+
+    for counts in ([], ["--counts"]):
+        twopath = ["twopath", "--delta1", "2", "--delta2", "2"] + counts
+        left = ["--left", str(g)]
+        same = run(twopath, [left, ["--right", str(g)]])
+        linked = run(twopath, [left, ["--right", str(link)]])
+        apart = run(twopath, [left, ["--right", str(copy)]])
+        assert same == linked == (apart[0], 1) and apart[1] == 2
+        assert len(same[0].splitlines()) == len(oracle_two_path(pairs, pairs))
+        star = ["star", "--delta1", "2", "--delta2", "2"] + counts
+        same = run(star, [["--input", str(g)]] * 3)
+        apart = run(star, [["--input", str(g)], ["--input", str(copy)],
+                           ["--input", str(g)]])
+        assert same == (apart[0], 1) and apart[1] == 2
+
+
+# prefixes of each other, characters below the space, and digit names whose
+# text order differs from their numeric order
+_NAMES = ["a", "a\x00", "a\x1b", "ab", "9", "10", "b", "é"]
+
+
+@st.composite
+def _table(draw):
+    k = draw(st.integers(2, 4))
+    values = [draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True))
+              for _ in range(k)]
+    rows = draw(st.lists(st.tuples(*[st.integers(0, len(v) - 1)
+                                     for v in values]), max_size=30))
+    counts = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from([1, 2, 9, 10, 100]), min_size=len(rows),
+        max_size=len(rows))))
+    return values, rows, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table())
+def test_sorted_lines_matches_sorting_formatted_rows(table):
+    values, rows, counts = table
+    lines = [" ".join(v[i] for v, i in zip(values, row)) for row in rows]
+    if counts is not None:
+        lines = [f"{line} {cnt}" for line, cnt in zip(lines, counts)]
+    ids = np.array(rows, dtype=np.int64).reshape(len(rows), len(values))
+    columns = [(ids[:, j], v) for j, v in enumerate(values)]
+    if counts is not None:
+        counts = np.array(counts, dtype=np.int64)
+    want = "\n".join(sorted(lines))
+    assert _sorted_lines(columns, counts) == want
+    # a key limit this small re-ranks the combined row key at every field
+    with mock.patch.object(cli, "_KEY_LIMIT", 4):
+        assert _sorted_lines(columns, counts) == want
+
+
 def test_ssj_methods_cli(tmp_path, runner):
     rng = np.random.default_rng(3)
     fam = random_family(rng, 25, 20, 8)
@@ -110,6 +191,18 @@ def test_ssj_mmjoin_cli_pairs_in_file_order(tmp_path, runner):
     assert res.exit_code == 0
     assert res.output.splitlines() == ["alpha mid 2", "zeta alpha 2",
                                        "zeta mid 2"]
+
+
+def test_ssj_sizeaware_cap_names_other_methods(tmp_path, runner):
+    # two light 40-element sets give 2 * C(40, 5) c-subsets, over the cap
+    _write_family(tmp_path / "f.txt", {f"s{a}": range(40) for a in range(2)})
+    res = runner.invoke(main, ["ssj", "--sets", str(tmp_path / "f.txt"),
+                               "--c", "5", "--method", "sizeaware"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "--method sizeaware-pp" in res.output
+    assert "--method mmjoin" in res.output
+    assert "raise the cap" not in res.output
 
 
 def test_scj_cli(tmp_path, runner):

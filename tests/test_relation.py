@@ -15,6 +15,7 @@ from mmjoin.relation import (
     DegreeStats,
     ParseError,
     Relation,
+    _is_space,
     build_indexed,
     degree_stats,
     gather_ranges,
@@ -58,9 +59,11 @@ def assert_same_relation(got, want):
 
 
 # "a\x00" and "a" must stay distinct; \x0c, \x1c, \x85 and \u2028 are
-# whitespace inside a line but line breaks to str.splitlines
-_TOKENS = st.sampled_from(["a", "a\x00", "b", "1", "#a", "c#"])
-_SEPS = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", "\x85", "\u2028"])
+# whitespace inside a line but line breaks to str.splitlines; \xa0, \u1680,
+# \u205f and \u3000 are multi-byte whitespace, "é" a multi-byte token
+_TOKENS = st.sampled_from(["a", "a\x00", "b", "1", "#a", "c#", "é", "#é"])
+_SEPS = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", "\x85", "\u2028",
+                         "\xa0", "\u1680", "\u205f", "\u3000"])
 _ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -98,6 +101,8 @@ def _sources(text):
 @example("a\x00 b\na b\nb\x0ca\n")
 @example("a b\x85c\n")
 @example("a x\nb y\na y\nb y\n")  # first-seen pair order, not sorted
+@example("é\u3000b\n\xa0#é c d\nb\u205fé\u1680\n")
+@example("a b\n\u3000x\n")  # bad line after a multi-byte separator
 def test_parse_edge_list_matches_line_oracle(text):
     for source in _sources(text):
         try:
@@ -108,6 +113,24 @@ def test_parse_edge_list_matches_line_oracle(text):
             assert got.value.line_no == exc.line_no
         else:
             assert_same_relation(parse_edge_list(source(), name="E"), want)
+
+
+def test_parse_edge_list_lone_surrogate():
+    """A lone surrogate (possible in a str, not in a UTF-8 file) is an
+    ordinary token character."""
+    text = "\ud800 b\na \udfff\n# \ud800\n\ud800 b\n"
+    assert_same_relation(parse_edge_list(io.StringIO(text), name="E"),
+                         oracle_parse_edge_list(io.StringIO(text), name="E"))
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(io.StringIO("a b\n\ud800\n"))
+    assert exc.value.line_no == 2
+
+
+def test_whitespace_table_matches_str_split():
+    codes = np.arange(0x110000, dtype=np.uint32)
+    want = np.array([len(("a" + chr(cp) + "b").split()) == 2
+                     for cp in range(0x110000)])
+    assert np.array_equal(_is_space(codes), want)
 
 
 _VALUES = st.sampled_from([0, 1, 2, 1.0, "1", "a", "a\x00", "b"])
@@ -134,6 +157,18 @@ def test_semi_join_reduce_many_matches_raw_pair_oracle(pair_lists, drop):
         assert all(g.right_values is got[0].right_values for g in got)
         got = semi_join_reduce_many(got)
         want = oracle_semi_join_reduce_many(want)
+
+
+def test_semi_join_reduce_many_keeps_repeated_objects():
+    r = Relation.from_raw_pairs("R", [(1, 10), (2, 20), (1, 20)])
+    s = Relation.from_raw_pairs("S", [(7, 10), (8, 30)])
+    a, b = semi_join_reduce_many([r, r])
+    assert a is b
+    assert_same_relation(a, semi_join_reduce_many([r, Relation.from_raw_pairs(
+        "R", [(1, 10), (2, 20), (1, 20)])])[0])
+    x, y, z = semi_join_reduce_many([r, s, r])
+    assert x is z and x is not y
+    assert x.raw_pair_set() == {(1, 10)}
 
 
 def test_parse_set_family_alias():
