@@ -1,5 +1,6 @@
-"""Compare the int64 multiply backends (compiled kernel, blocked numpy, and
-the exact-safe float64 BLAS shortcut) on square 0/1 count matrices.
+"""Compare the multiply backends (compiled int64 kernel, blocked numpy int64,
+and BLAS in the narrowest exact float type) on square 0/1 uint8 count
+matrices, the format `calibrate` probes and the join operators pass.
 
 Usage: python benchmarks/bench_kernels.py [--dims 128,256,512] [--cores 1,2]
 """
@@ -42,8 +43,8 @@ def main():
 
     for p in dims:
         rng = np.random.default_rng(args.seed + p)
-        a = CountMatrix((rng.random((p, p)) < 0.5).astype(np.int64))
-        b = CountMatrix((rng.random((p, p)) < 0.5).astype(np.int64))
+        a = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
+        b = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
         ref = multiply_counts(a, b, backend="numpy").data
         for co in cores:
             row = []

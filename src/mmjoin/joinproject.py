@@ -134,7 +134,7 @@ def heavy_matrices(r: IndexedRelation, s: IndexedRelation,
         pos_l[heavy_left] = np.arange(len(heavy_left))
         left, right = idx.rel.pairs[:, 0], idx.rel.pairs[:, 1]
         sel = (pos_l[left] >= 0) & (pos_b[right] >= 0)
-        data = np.zeros((len(heavy_left), len(heavy_b)), dtype=np.int64)
+        data = np.zeros((len(heavy_left), len(heavy_b)), dtype=np.uint8)
         data[pos_l[left[sel]], pos_b[right[sel]]] = 1
         if transpose:
             return CountMatrix(data.T.copy(), row_keys=heavy_b, col_keys=heavy_left)
@@ -217,7 +217,7 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
     if sel.any():
         heavy_pairs = r.rel.pairs[~light_a[left]]
         hp_indptr, hp_indices = _csr(heavy_pairs[:, 1], heavy_pairs[:, 0],
-                                     r.rel.dom_right)
+                                     r.rel.dom_right, r.rel.dom_left)
         xs, lens = gather_ranges(hp_indptr, hp_indices, sright[sel])
         code_arrays.append(xs * dom_z + np.repeat(sleft[sel], lens))
 
@@ -335,7 +335,7 @@ def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
             pos_l[heavy_left[i]] = np.arange(len(heavy_left[i]))
             left, right = rels[i].rel.pairs[:, 0], rels[i].rel.pairs[:, 1]
             sel = (pos_l[left] >= 0) & (pos_y[right] >= 0)
-            a = np.zeros((len(heavy_left[i]), len(heavy_y)), dtype=np.int64)
+            a = np.zeros((len(heavy_left[i]), len(heavy_y)), dtype=np.uint8)
             a[pos_l[left[sel]], pos_y[right[sel]]] = 1
             return a
 
@@ -370,5 +370,7 @@ def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
     for b in np.nonzero(nonempty)[0]:
         bufs.append(_cross_codes([ri.rev(b) for ri in rels], dims))
     u, cnt = _dedup(np.concatenate(bufs), True)
-    assert np.array_equal(u, codes)
+    if not np.array_equal(u, codes):
+        raise RuntimeError("star_join: witness recount disagrees with the "
+                           "partitioned result")
     return OutputSet(u, dims, cnt, stats)

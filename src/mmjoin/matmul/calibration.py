@@ -68,16 +68,18 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
               runs: int = 3) -> CalibrationTable:
     """Time multiply_counts on random 0/1 square matrices per probe dim.
 
-    Matrices are deterministic per seed; the recorded time is the median of
-    `runs` >= 3 repetitions, then regularized to be monotone in p.
+    The probes are uint8, the format the join operators pass, so the table
+    times the multiply path those operators take. Matrices are deterministic
+    per seed; the recorded time is the median of `runs` >= 3 repetitions,
+    then regularized to be monotone in p.
     """
     runs = max(runs, 3)
     table = CalibrationTable()
     for p in probe_dims:
         rng = np.random.default_rng(seed + p)
         try:
-            a = CountMatrix((rng.random((p, p)) < 0.5).astype(np.int64))
-            b = CountMatrix((rng.random((p, p)) < 0.5).astype(np.int64))
+            a = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
+            b = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
         except MemoryError as exc:
             raise CalibrationError(f"cannot allocate {p}x{p} probes") from exc
         for co in cores:

@@ -1,10 +1,15 @@
-"""Exact count-matrix multiplication with a compiled core and numpy fallback.
+"""Exact count-matrix multiplication on the narrowest exact arithmetic.
 
-Backend selection happens once at import: the Cython kernel if it built, else
-a blocked numpy int64 path. Independently of that, products whose entries are
-provably exact in float64 (bound <= 2^53) are routed through BLAS, which is an
-order of magnitude faster and still bit-exact after rounding back to int64.
-Set MMJOIN_BACKEND=cython|numpy|blas to force a specific path.
+`multiply_counts` bounds the largest possible result entry by
+inner dimension * max(A) * max(B) and picks a precision ladder from it:
+
+- bound <= 2^24: float32 SGEMM;
+- bound <= 2^53: float64 DGEMM;
+- larger: an int64 backend, chosen once at import: the Cython kernel if it
+  built, else a blocked numpy path. MMJOIN_BACKEND=cython|numpy picks it.
+
+Every path returns the same int64 product. The 0/1 matrices the operators
+pass have a bound equal to their inner dimension, so they run in float32.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ try:
 except ImportError:  # pragma: no cover - depends on build environment
     _kernel_cy = None
 
-_FLOAT_EXACT_BOUND = 2 ** 53
+_SINGLE_EXACT_BOUND = 2 ** 24
+_DOUBLE_EXACT_BOUND = 2 ** 53
 _INT64_MAX = np.iinfo(np.int64).max
 
-# the int64 path used whenever the BLAS shortcut is not exact-safe
+# the int64 path used whenever no float type is exact-safe
 INT_BACKEND = "cython" if _kernel_cy is not None else "numpy"
 _env = os.environ.get("MMJOIN_BACKEND")
 if _env in ("cython", "numpy"):
@@ -35,13 +41,19 @@ class MatrixOverflowError(OverflowError):
 
 
 class CountMatrix:
-    """Dense nonnegative int64 counts with row/col keys back to value ids."""
+    """Dense nonnegative counts with row/col keys back to value ids.
+
+    uint8 data is kept as given (1 byte per 0/1 entry), bool becomes uint8,
+    and any other dtype is cast to int64.
+    """
 
     def __init__(self, data: np.ndarray, row_keys=None, col_keys=None):
-        data = np.ascontiguousarray(data, dtype=np.int64)
+        data = np.asarray(data)
+        dtype = np.uint8 if data.dtype in (np.bool_, np.uint8) else np.int64
+        data = np.ascontiguousarray(data, dtype=dtype)
         if data.ndim != 2:
             raise ValueError("CountMatrix needs a 2-d array")
-        if data.size and data.min() < 0:
+        if dtype == np.int64 and data.size and data.min() < 0:
             raise ValueError("counts must be nonnegative")
         self.data = data
         self.row_keys = row_keys
@@ -75,6 +87,10 @@ def _numpy_blocked(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def _int64_product(a: np.ndarray, b: np.ndarray, cores: int, backend: str) -> np.ndarray:
+    # uint8 operands would wrap mod 256 in numpy's `@`, and the kernel reads
+    # the buffers as long long
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if backend == "cython":
         kern = lambda r0, r1: _kernel_cy.matmul_int64(a, b, out, r0, r1)
@@ -94,7 +110,12 @@ def _int64_product(a: np.ndarray, b: np.ndarray, cores: int, backend: str) -> np
 
 def multiply_counts(a: CountMatrix, b: CountMatrix, cores: int = 1,
                     backend: Optional[str] = None) -> CountMatrix:
-    """Exact integer product A @ B; deterministic for any cores/backend."""
+    """Exact int64 product A @ B; deterministic for any cores/backend.
+
+    backend: "auto" (default) takes the precision ladder; "blas" forces the
+    narrowest exact float type and raises MatrixOverflowError when none is
+    exact; "cython" or "numpy" force that int64 backend.
+    """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     if backend is None:
@@ -106,14 +127,20 @@ def multiply_counts(a: CountMatrix, b: CountMatrix, cores: int = 1,
         raise MatrixOverflowError(
             f"worst-case entry {bound} exceeds int64 capacity")
     if backend == "auto":
-        backend = "blas" if bound <= _FLOAT_EXACT_BOUND else INT_BACKEND
+        backend = "blas" if bound <= _DOUBLE_EXACT_BOUND else INT_BACKEND
     if backend == "blas":
-        if bound > _FLOAT_EXACT_BOUND:
+        if bound > _DOUBLE_EXACT_BOUND:
             raise MatrixOverflowError(
                 f"worst-case entry {bound} is not exact in float64")
-        # every term and partial sum is <= 2^53, hence exact in float64
-        prod = a.data.astype(np.float64) @ b.data.astype(np.float64)
-        data = np.rint(prod).astype(np.int64)
+        # The entries are nonnegative integers, so every product and every
+        # partial sum, in any summation order, blocking or FMA, is an integer
+        # <= bound. float32 holds every integer <= 2^24 exactly and float64
+        # every integer <= 2^53, so no step rounds and the float result is
+        # the exact product. Like the float64 path before it, this relies on
+        # a BLAS that forms plain sums of products (no Strassen-like
+        # subtraction), as OpenBLAS does.
+        ftype = np.float32 if bound <= _SINGLE_EXACT_BOUND else np.float64
+        data = (a.data.astype(ftype) @ b.data.astype(ftype)).astype(np.int64)
     elif backend in ("cython", "numpy"):
         if backend == "cython" and _kernel_cy is None:
             backend = "numpy"

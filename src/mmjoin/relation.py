@@ -210,8 +210,13 @@ def semi_join_reduce(r: Relation, s: Relation) -> tuple[Relation, Relation]:
     return red[0], red[1]
 
 
-def _csr(keys: np.ndarray, vals: np.ndarray, dom: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((vals, keys))
+def _csr(keys: np.ndarray, vals: np.ndarray, dom: int,
+         dom_vals: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR over distinct (key, val) pairs, keys < dom and vals < dom_vals;
+    each row's values ascend."""
+    # the pairs are distinct, so the sort keys are too and any sort gives
+    # the one (key, val) order
+    order = np.argsort(keys * dom_vals + vals)
     indptr = np.zeros(dom + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=dom), out=indptr[1:])
     return indptr, vals[order]
@@ -223,8 +228,8 @@ class IndexedRelation:
     def __init__(self, rel: Relation):
         self.rel = rel
         a, b = rel.pairs[:, 0], rel.pairs[:, 1]
-        self.fwd_indptr, self.fwd_indices = _csr(a, b, rel.dom_left)
-        self.rev_indptr, self.rev_indices = _csr(b, a, rel.dom_right)
+        self.fwd_indptr, self.fwd_indices = _csr(a, b, rel.dom_left, rel.dom_right)
+        self.rev_indptr, self.rev_indices = _csr(b, a, rel.dom_right, rel.dom_left)
         self.left_deg = np.diff(self.fwd_indptr)
         self.right_deg = np.diff(self.rev_indptr)
 

@@ -225,6 +225,22 @@ def test_star_join_random_vs_oracle(k, seed):
         assert got == dict(oracle)
 
 
+def test_star_join_count_check_raises(monkeypatch):
+    # the recount check raises RuntimeError, which python -O keeps
+    rels = semi_join_reduce_many([Relation.from_raw_pairs("T", EXAMPLE_T),
+                                  Relation.from_raw_pairs("U", EXAMPLE_U)])
+    idxs = [build_indexed(r) for r in rels]
+    dedup = jp._dedup
+
+    def short_recount(codes, want_counts=False, sorted_extra=None):
+        out = dedup(codes, want_counts, sorted_extra)
+        return (out[0][:-1], out[1][:-1]) if want_counts else out
+
+    monkeypatch.setattr(jp, "_dedup", short_recount)
+    with pytest.raises(RuntimeError):
+        jp.star_join(idxs, 2, 2, want_counts=True)
+
+
 def test_star_join_k2_matches_two_path():
     rng = np.random.default_rng(10)
     r_pairs = random_pairs(rng, 150, 15, 12)

@@ -30,6 +30,42 @@ def test_product_matches_triple_loop(backend):
         a, b = _random_mats(rng, u, v, w)
         got = multiply_counts(a, b, backend=backend)
         assert np.array_equal(got.data, triple_loop_matmul(a.data, b.data))
+    # uint8 0/1 operands, the format the join operators pass
+    for _ in range(10):
+        u, v, w = rng.integers(1, 40, 3)
+        a = CountMatrix(rng.integers(0, 2, (u, v), dtype=np.uint8))
+        b = CountMatrix(rng.integers(0, 2, (v, w), dtype=np.uint8))
+        got = multiply_counts(a, b, backend=backend)
+        assert got.data.dtype == np.int64
+        assert np.array_equal(got.data, triple_loop_matmul(a.data, b.data))
+    # all ones over 300 inner values: a uint8 accumulator would give 44
+    a = CountMatrix(np.ones((2, 300), dtype=np.uint8))
+    b = CountMatrix(np.ones((300, 3), dtype=np.uint8))
+    got = multiply_counts(a, b, backend=backend)
+    assert np.array_equal(got.data, np.full((2, 3), 300))
+
+
+@pytest.mark.parametrize("backend", ["auto", "blas"])
+def test_float_ladder_boundaries(backend):
+    cases = [
+        ([[4096]], [[4096]], 2 ** 24),  # largest bound routed to float32
+        ([[4097]], [[4097]], 16_785_409),  # float32 would give 16,785,408
+        # odd sum crossing 2^24: exact in float64, rounded in float32
+        ([[4095, 4095, 1]], [[4097], [4097], [1]], 33_554_431),
+    ]
+    for a, b, want in cases:
+        got = multiply_counts(CountMatrix(np.array(a)), CountMatrix(np.array(b)),
+                              backend=backend)
+        assert got.data.dtype == np.int64
+        assert got.data.tolist() == [[want]]
+
+
+def test_count_matrix_operand_dtypes():
+    assert CountMatrix(np.ones((2, 2), dtype=np.uint8)).data.dtype == np.uint8
+    assert CountMatrix(np.ones((2, 2), dtype=bool)).data.dtype == np.uint8
+    assert CountMatrix(np.ones((2, 2), dtype=np.int32)).data.dtype == np.int64
+    with pytest.raises(ValueError):
+        CountMatrix(np.array([[1, -1]], dtype=np.int8))
 
 
 def test_backends_agree_on_large_entries():

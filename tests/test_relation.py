@@ -15,6 +15,7 @@ from mmjoin.relation import (
     DegreeStats,
     ParseError,
     Relation,
+    _csr,
     _is_space,
     build_indexed,
     degree_stats,
@@ -220,6 +221,15 @@ def test_indexed_adjacency_matches_brute_force():
     for b in range(rel.dom_right):
         assert set(idx.rev(b).tolist()) == rev.get(b, set())
         assert idx.right_deg[b] == len(rev.get(b, set()))
+
+
+def test_csr_rows_ascend_for_unsorted_pairs():
+    rng = np.random.default_rng(1)
+    codes = rng.choice(40 * 30, 300, replace=False)  # distinct, unsorted
+    keys, vals = codes // 30, codes % 30
+    indptr, indices = _csr(keys, vals, 40, 30)
+    assert np.array_equal(indices, vals[np.lexsort((vals, keys))])
+    assert np.array_equal(np.diff(indptr), np.bincount(keys, minlength=40))
 
 
 def test_example_reverse_index_and_count():
