@@ -78,15 +78,22 @@ def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelatio
         name, pairs[mask[pairs[:, 0]]], family.relation))
 
 
-def ssj_mmjoin(family: SetFamily, c: int,
-               plan: Optional[ThresholdPlan] = None) -> dict:
-    """Unordered pairs {a < b: |a n b| >= c} with exact overlap counts."""
+def _ssj_arrays(family: SetFamily, c: int,
+                plan: Optional[ThresholdPlan] = None):
+    """(a, b, overlap) id arrays of the pairs a < b with |a n b| >= c,
+    sorted by (a, b)."""
     if c < 1:
         raise ValueError("c must be >= 1")
     a, b, cnt = _join_pairs(family.indexed, family.indexed, plan)
     keep = (a < b) & (cnt >= c)
-    return dict(zip(zip(a[keep].tolist(), b[keep].tolist()),
-                    cnt[keep].tolist()))
+    return a[keep], b[keep], cnt[keep]
+
+
+def ssj_mmjoin(family: SetFamily, c: int,
+               plan: Optional[ThresholdPlan] = None) -> dict:
+    """Unordered pairs {a < b: |a n b| >= c} with exact overlap counts."""
+    a, b, cnt = _ssj_arrays(family, c, plan)
+    return dict(zip(zip(a.tolist(), b.tolist()), cnt.tolist()))
 
 
 def get_size_boundary(family: SetFamily, c: int) -> int:

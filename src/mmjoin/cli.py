@@ -255,10 +255,7 @@ def cmd_ssj(sets_path, threshold, method):
     counts = None
     try:
         if method == "mmjoin":
-            result = apps.ssj_mmjoin(fam, threshold)
-            pairs = _pair_array(result)
-            counts = np.fromiter(result.values(), dtype=np.int64,
-                                 count=len(result))
+            left, right, counts = apps._ssj_arrays(fam, threshold)
         elif method == "ordered":
             names = list(map(str, values))
             rows = [f"{names[a]} {names[b]} {cnt}"
@@ -266,11 +263,11 @@ def cmd_ssj(sets_path, threshold, method):
             click.echo("\n".join(rows))
             return
         elif method == "sizeaware":
-            pairs = _pair_array(apps.ssj_size_aware(fam, threshold))
+            left, right = _pair_array(apps.ssj_size_aware(fam, threshold)).T
         else:
             found, ops = apps.ssj_size_aware_pp(fam, threshold)
             click.echo(f"# merge_ops={ops}")
-            pairs = _pair_array(found)
+            left, right = _pair_array(found).T
     except apps.SubsetCapError:
         raise click.ClickException(
             f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
@@ -278,8 +275,7 @@ def cmd_ssj(sets_path, threshold, method):
             "--method mmjoin instead")
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    click.echo(_sorted_lines([(pairs[:, 0], values), (pairs[:, 1], values)],
-                             counts))
+    click.echo(_sorted_lines([(left, values), (right, values)], counts))
 
 
 @main.command("scj")

@@ -38,7 +38,8 @@ class Relation:
     def from_raw_pairs(cls, name: str, raw_pairs: Iterable[tuple]) -> "Relation":
         """Encode raw (left, right) pairs. Duplicates are dropped."""
         raw = [tuple(p) for p in raw_pairs]
-        return _from_columns(name, [a for a, _ in raw], [b for _, b in raw])
+        return _from_encoded_columns(name, _encode_column([a for a, _ in raw]),
+                                     _encode_column([b for _, b in raw]))
 
     @classmethod
     def from_encoded(cls, name: str, pairs: np.ndarray, like: "Relation") -> "Relation":
@@ -78,18 +79,50 @@ def _encode_column(column: list) -> tuple[np.ndarray, list, dict]:
     return codes, values, ids
 
 
-def _first_seen_unique(codes: np.ndarray) -> np.ndarray:
-    """Positions of the first occurrence of each distinct code, in order."""
-    _, first = np.unique(codes, return_index=True)
+def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, new, first): `order` sorts `keys`, `new` marks the sorted
+    positions that start a run of equal keys, and `first[g]` is where the
+    key of run g first appears in `keys`."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    del ranked
+    return order, new, np.minimum.reduceat(order, np.flatnonzero(new))
+
+
+def _first_seen_unique(keys: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct key, in order."""
+    first = _key_groups(keys)[2]
     first.sort()
     return first
 
 
-def _from_columns(name: str, left: list, right: list) -> Relation:
-    """Encode two equal-length value columns; duplicate pairs are dropped,
-    keeping first-seen order."""
-    lcodes, left_values, left_ids = _encode_column(left)
-    rcodes, right_values, right_ids = _encode_column(right)
+def _first_seen_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, first): `ids` numbers each key by its first appearance, and
+    `first[i]` is the position where id i first appears."""
+    order, new, first = _key_groups(keys)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, first[by_first]
+
+
+def _encode_ints(column: np.ndarray) -> tuple[np.ndarray, list, dict]:
+    """(ids, values, value -> id) of an int array by first appearance; the
+    values are Python ints."""
+    ids, first = _first_seen_ids(column)
+    values = column[first].tolist()
+    return ids, values, {v: i for i, v in enumerate(values)}
+
+
+def _from_encoded_columns(name: str, left: tuple, right: tuple) -> Relation:
+    """A Relation from two equal-length `(ids, values, value -> id)` columns;
+    duplicate pairs are dropped, keeping first-seen order."""
+    lcodes, left_values, left_ids = left
+    rcodes, right_values, right_ids = right
     keep = _first_seen_unique(lcodes * len(right_values) + rcodes)
     pairs = np.column_stack((lcodes[keep], rcodes[keep]))
     return Relation(name, pairs, left_values, left_ids, right_values, right_ids)
@@ -101,7 +134,11 @@ _SPACE = np.array([chr(cp).isspace() for cp in range(0x3001)] + [False])
 
 
 def _is_space(codes: np.ndarray) -> np.ndarray:
-    """str.isspace() of each uint32 code point."""
+    """str.isspace() of each code point, given as uint8 (ASCII) or uint32."""
+    if codes.dtype == np.uint8:
+        # ASCII whitespace is \t..\r (9-13) and \x1c..' ' (28-32); uint8
+        # subtraction wraps, so each range is one comparison
+        return ((codes - 9) < 5) | ((codes - 28) < 5)
     # clipped code points fit in uint16, half the size of the input
     clipped = np.minimum(codes, len(_SPACE) - 1,
                          out=np.empty(len(codes), dtype=np.uint16),
@@ -109,44 +146,97 @@ def _is_space(codes: np.ndarray) -> np.ndarray:
     return _SPACE[clipped]
 
 
-def _token_marks(text: str) -> np.ndarray:
-    """The code points that start a `str.split()` token of `text`, and its
-    "\\n" code points, in text order."""
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                          dtype=np.uint32)
-    begins = ~_is_space(codes)
-    begins[1:] &= ~begins[:-1]
-    begins |= codes == 10
-    return codes[begins]
+def _code_points(text: str) -> np.ndarray:
+    """The code points of `text` in the narrowest type: uint8 when it is
+    ASCII, else uint32 (lone surrogates kept as they are)."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype=np.uint32)
 
 
-def _edge_tokens(text: str) -> list:
-    """The tokens of `text`'s two-token lines, in order; `#` comments and
-    blank lines are skipped.
+def _edge_tokens(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                              Optional[np.ndarray]]:
+    """(starts, ends, keep): the code point spans of the `str.split()`
+    tokens, in order, and the mask of those on two-token lines (None when
+    no line is a `#` comment); blank lines have no tokens, and any other
+    line without two tokens raises ParseError.
 
-    `str.split()` yields every token in one call. One pass over the code
-    points marks where tokens start and lines end, which gives the per-line
-    token counts and comment flags without a loop over lines.
+    Tokens start and end where the word mask changes. The code points that
+    start a token or are a "\\n", kept in text order, give each line's
+    token count and first token, hence the comment flags and the first bad
+    line, without a loop over lines.
     """
-    tokens = text.split()
-    marks = _token_marks(text)
-    breaks = marks == 10
-    lead = marks[~breaks]
-    # a token is the first on its line when a line break (or nothing) is
-    # the mark before it
-    heads = np.flatnonzero(np.concatenate(([True], breaks))[:-1][~breaks])
-    per_line = np.diff(heads, append=len(lead))
-    comment = lead[heads] == ord("#")
-    bad = ~comment & (per_line != 2)
+    word = ~_is_space(codes)
+    # the changes alternate: a token's start, then its end
+    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    del word
+    starts, ends = edges.reshape(-1, 2).T.copy()
+    del edges
+    marked = codes == 10
+    marked[starts] = True
+    # and a line break that closes the last line
+    marks = np.append(codes[np.flatnonzero(marked)],
+                      np.array(10, dtype=codes.dtype))
+    del marked
+    # line i's marks follow its line break's predecessor; a blank line's
+    # lead mark is its own line break
+    breaks = np.flatnonzero(marks == 10)
+    per_line = np.diff(breaks, prepend=-1) - 1
+    comment = marks[breaks - per_line] == ord("#")
+    bad = ~comment & (per_line != 2) & (per_line != 0)
     if bad.any():
         i = int(np.argmax(bad))
-        t = int(heads[i])
-        # marks before token t that are line breaks
-        line_no = int(np.flatnonzero(~breaks)[t]) - t + 1
-        raise ParseError(line_no, f"expected 2 tokens, got {int(per_line[i])}")
-    if comment.any():
-        return list(compress(tokens, np.repeat(~comment, per_line).tolist()))
-    return tokens
+        raise ParseError(i + 1, f"expected 2 tokens, got {int(per_line[i])}")
+    keep = np.repeat(~comment, per_line) if comment.any() else None
+    return starts, ends, keep
+
+
+def _token_keys(text: str, codes: np.ndarray, starts: np.ndarray,
+                ends: np.ndarray) -> np.ndarray:
+    """One uint64 per token of `text`; two keys are equal iff their tokens
+    are.
+
+    A token of at most 64 // bits code points, bits being the bit length of
+    the largest code point plus one, packs into one key: code point j plus
+    one in slot j (bits * j upwards) and 0 in the empty slots, so "a" and
+    "a\\x00" differ. Longer tokens are numbered through a dict and keyed by
+    that number above an empty slot 0, which no packed key has.
+    """
+    bits = (int(codes.max(initial=0)) + 1).bit_length()
+    lengths = ends - starts
+    short = lengths <= 64 // bits
+    # every token has a slot 0
+    keys = codes.take(starts).astype(np.uint64)
+    keys += 1
+    slot = np.empty_like(keys)
+    # one O(tokens) pass per further slot; long tokens' keys are overwritten
+    for j in range(1, int(lengths.max(initial=0, where=short))):
+        chars = codes.take(starts + j, mode="clip")
+        chars += 1  # no overflow: uint8 code points are ASCII
+        chars *= lengths > j
+        keys |= np.left_shift(chars, np.uint64(bits * j), out=slot)
+    del slot
+    long = ~short
+    if long.any():
+        # one str.split() call makes every token's str faster than a
+        # Python loop slices out just the long ones
+        tokens = list(compress(text.split(), long.tolist()))
+        numbers = {v: i for i, v in enumerate(dict.fromkeys(tokens))}
+        keys[long] = np.fromiter(map(numbers.__getitem__, tokens),
+                                 dtype=np.uint64,
+                                 count=len(tokens)) << np.uint64(bits)
+    return keys
+
+
+def _encode_tokens(text: str, keys: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> tuple[np.ndarray, list, dict]:
+    """(ids, values, value -> id) of a token column by first appearance;
+    each value is one `text` slice."""
+    ids, first = _first_seen_ids(keys)
+    values = [text[s:e] for s, e in zip(starts[first].tolist(),
+                                        ends[first].tolist())]
+    return ids, values, {v: i for i, v in enumerate(values)}
 
 
 def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
@@ -154,12 +244,23 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
 
     The whole source is read at once. Lines are split on "\\n" only, as
     iterating a text file does (str.splitlines would also split on form
-    feeds and other separators inside a line).
+    feeds and other separators inside a line), and tokens on `str.split()`
+    whitespace. The text is read as one array of code points, one byte each
+    when it is ASCII, and each token becomes an integer key. The only
+    strings made are one slice per distinct value of each column, unless
+    some token is too long for a packed key: then `str.split()` makes one
+    per token, as it would without the keys.
     """
-    tokens = _edge_tokens(source.read())
-    left, right = tokens[0::2], tokens[1::2]
-    del tokens
-    return _from_columns(name, left, right)
+    text = source.read()
+    codes = _code_points(text)
+    starts, ends, keep = _edge_tokens(codes)
+    keys = _token_keys(text, codes, starts, ends)
+    del codes
+    if keep is not None:
+        starts, ends, keys = starts[keep], ends[keep], keys[keep]
+    return _from_encoded_columns(
+        name, _encode_tokens(text, keys[0::2], starts[0::2], ends[0::2]),
+        _encode_tokens(text, keys[1::2], starts[1::2], ends[1::2]))
 
 
 def parse_set_family_file(source: TextIO, name: str = "sets") -> Relation:
@@ -368,4 +469,5 @@ def generate_community_graph(num_nodes: int, num_communities: int,
                         axis=-1).reshape(-1, 2)
         pairs.append(grid[mask])
     edges = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-    return _from_columns("community", edges[:, 0].tolist(), edges[:, 1].tolist())
+    return _from_encoded_columns("community", _encode_ints(edges[:, 0]),
+                                 _encode_ints(edges[:, 1]))

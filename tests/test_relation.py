@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,8 +62,13 @@ def assert_same_relation(got, want):
 
 # "a\x00" and "a" must stay distinct; \x0c, \x1c, \x85 and \u2028 are
 # whitespace inside a line but line breaks to str.splitlines; \xa0, \u1680,
-# \u205f and \u3000 are multi-byte whitespace, "é" a multi-byte token
-_TOKENS = st.sampled_from(["a", "a\x00", "b", "1", "#a", "c#", "é", "#é"])
+# \u205f and \u3000 are multi-byte whitespace, "é" a multi-byte token. The
+# node_ pair is longer than one packed key and differs only at its end, as
+# does the 200-character token; four 17-bit code points overflow a key too
+_LONG = "x" * 199 + "y"
+_TOKENS = st.sampled_from(["a", "a\x00", "b", "1", "#a", "c#", "é", "#é",
+                           "node_000000001", "node_000000002", _LONG,
+                           "\U0001F600" * 4])
 _SEPS = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", "\x85", "\u2028",
                          "\xa0", "\u1680", "\u205f", "\u3000"])
 _ENDS = st.sampled_from(["\n", "\r\n", "\r"])
@@ -104,6 +110,15 @@ def _sources(text):
 @example("a x\nb y\na y\nb y\n")  # first-seen pair order, not sorted
 @example("é\u3000b\n\xa0#é c d\nb\u205fé\u1680\n")
 @example("a b\n\u3000x\n")  # bad line after a multi-byte separator
+@example("a b\nb c\n#x y\nc a\n")  # all ASCII: one byte per code point
+@example("a b\nb c\n#x y\nc é\n")  # the same with one wide code point
+@example(f"{_LONG} {_LONG}\na {_LONG}\n")  # a long token in both columns
+# only long tokens
+@example("node_000000001 node_000000002\nnode_000000002 node_000000001\n")
+# 7-bit code points: nine fill a key exactly, ten do not fit
+@example("node_0001 node_00001\nnode_0002 node_00003\n")
+# a token led by NUL next to a long token, whose key's slot 0 is empty
+@example(f"\x00 {_LONG}\n{_LONG} \x00\n")
 def test_parse_edge_list_matches_line_oracle(text):
     for source in _sources(text):
         try:
@@ -132,6 +147,27 @@ def test_whitespace_table_matches_str_split():
     want = np.array([len(("a" + chr(cp) + "b").split()) == 2
                      for cp in range(0x110000)])
     assert np.array_equal(_is_space(codes), want)
+    # the comparisons that serve ASCII text, one byte per code point
+    ascii_codes = np.arange(128, dtype=np.uint8)
+    assert np.array_equal(_is_space(ascii_codes), want[:128])
+
+
+def test_parse_edge_list_long_token_memory():
+    """A 1,000,000-character token is keyed without a (tokens x width)
+    array: the parse matches the oracle and its traced peak stays small."""
+    text = "x" * 1_000_000 + " a\n" + "".join(
+        f"{i} {i % 97}\n" for i in range(10_000))
+    source = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = parse_edge_list(source, name="E")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert_same_relation(got, oracle_parse_edge_list(io.StringIO(text),
+                                                     name="E"))
+    assert peak < 16 * 2 ** 20
 
 
 _VALUES = st.sampled_from([0, 1, 2, 1.0, "1", "a", "a\x00", "b"])
