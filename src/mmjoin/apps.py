@@ -54,9 +54,6 @@ class SetFamily:
     def raw_id(self, a: int):
         return self.relation.left_values[a]
 
-    def raw_pair(self, a: int, b: int) -> tuple:
-        return (self.raw_id(a), self.raw_id(b))
-
 
 def _canonical(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)

@@ -142,21 +142,35 @@ def _pair_array(pairs) -> np.ndarray:
                        count=2 * len(pairs)).reshape(-1, 2)
 
 
-def _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration, cores):
+def _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration):
     if delta1 is not None and delta2 is not None:
         return optimizer.ThresholdPlan(optimizer.PARTITIONED, delta1, delta2)
     if not auto_plan:
         return None
-    table = _load_calibration(calibration)
-    if table is None:
-        return optimizer.default_plan(ridx, sidx)
-    from .relation import degree_stats
-    stats_r = degree_stats(ridx, partner=sidx)
-    stats_s = degree_stats(sidx)
-    consts = optimizer.CostConstants(co=cores)
-    return optimizer.optimize_thresholds(
-        stats_r, stats_s, ridx.rel.dom_left, ridx.out_join_with(sidx),
-        consts=consts, table=table)
+    try:
+        table = _load_calibration(calibration)
+        if table is None:
+            return optimizer.default_plan(ridx, sidx)
+        from .relation import degree_stats
+        stats_r = degree_stats(ridx, partner=sidx)
+        stats_s = degree_stats(sidx)
+        return optimizer.optimize_thresholds(
+            stats_r, stats_s, ridx.rel.dom_left, ridx.out_join_with(sidx),
+            table=table)
+    except (OSError, matmul.CalibrationError) as exc:
+        raise click.ClickException(str(exc))
+
+
+def _probe_dims(ctx, param, value):
+    """--dims as a list of integers >= 1."""
+    try:
+        dims = [int(d) for d in value.split(",")]
+        if min(dims) >= 1:
+            return dims
+    except ValueError:
+        pass
+    raise click.BadParameter(
+        f"expected comma-separated integers >= 1, got {value!r}")
 
 
 @click.group()
@@ -200,15 +214,14 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
 @click.option("--auto-plan", is_flag=True)
 @click.option("--counts", is_flag=True)
 @click.option("--calibration", type=click.Path())
-@click.option("--cores", type=int, default=1, show_default=True)
-def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration, cores):
+def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
     """Projected two-path join; emits sorted `a c [count]` lines."""
     r, s = semi_join_reduce(*_read_relations([left, right], ["R", "S"]))
     ridx, sidx = _build_indexed_once([r, s])
-    plan = _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration, cores)
+    plan = _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration)
     try:
         res = joinproject.two_path_join(ridx, sidx, plan=plan,
-                                        want_counts=counts, cores=cores)
+                                        want_counts=counts)
     except (optimizer.PlanError, ValueError) as exc:
         raise click.ClickException(str(exc))
     tups = res.tuples()
@@ -320,17 +333,15 @@ def cmd_bsi(left, right, workload, rate, batch_size):
 
 
 @main.command("calibrate")
-@click.option("--dims", default="128,256,512,1024", show_default=True)
-@click.option("--cores", default="1", show_default=True)
+@click.option("--dims", default="128,256,512,1024", show_default=True,
+              callback=_probe_dims)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help=f"defaults to ${CALIBRATION_ENV} or ./calibration.tsv")
-def cmd_calibrate(dims, cores, seed, out):
+def cmd_calibrate(dims, seed, out):
     """Measure the multiply cost table and write calibration.tsv."""
     click.echo(f"seed={seed}")
-    probe = [int(d) for d in dims.split(",")]
-    core_list = [int(c) for c in cores.split(",")]
-    table = matmul.calibrate(probe, core_list, seed=seed)
+    table = matmul.calibrate(dims, seed=seed)
     out = out or os.environ.get(CALIBRATION_ENV) or "calibration.tsv"
     table.save(out)
     click.echo(f"wrote {len(table)} entries to {out}")
@@ -350,15 +361,14 @@ def _community_for_edges(target_edges: int, prob: float = 0.9,
 @click.option("--methods", default="mmjoin,fulljoin", show_default=True)
 @click.option("--csv", "csv_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--cores", type=int, default=1, show_default=True)
 @click.option("--calibration", type=click.Path())
-def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, cores, calibration):
+def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     """Benchmark methods on a synthetic dataset; emits CSV rows."""
     click.echo(f"seed={seed}")
     nodes = _community_for_edges(int(n_edges))
     rel = generate_community_graph(nodes, 3, 0.9, seed)
     idx = build_indexed(rel)
-    plan = _resolve_plan(idx, idx, None, None, True, calibration, cores)
+    plan = _resolve_plan(idx, idx, None, None, True, calibration)
     records = []
     for method in methods.split(","):
         if method == "mmjoin":
@@ -367,7 +377,7 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, cores, calibrati
                                         *optimizer.closed_form_thresholds(
                                             idx.n, max(1, idx.n)))
             res, nanos = _timed(lambda: joinproject.two_path_join(
-                idx, idx, plan=use, cores=cores))
+                idx, idx, plan=use))
             d1, d2, strat = use.delta1, use.delta2, use.strategy
         elif method == "fulljoin":
             res, nanos = _timed(lambda: joinproject.full_join_dedup(idx, idx))

@@ -8,7 +8,6 @@ the participating relations; OutputSet decodes on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ from .optimizer import FULL_JOIN, ThresholdPlan, default_plan
 from .relation import (
     IndexedRelation,
     _csr,
-    Relation,
     build_indexed,
     gather_ranges,
     semi_join_reduce_many,
@@ -27,14 +25,6 @@ from .relation import (
 
 class StarResourceError(RuntimeError):
     """Heavy cross product too large; retry with a larger delta2."""
-
-
-@dataclass
-class Partition:
-    light: Relation
-    heavy: Relation
-    delta1: int
-    delta2: int
 
 
 class OutputSet:
@@ -97,33 +87,29 @@ def _ensure_reduced_many(idxs: Sequence[IndexedRelation]) -> list:
     return [build_indexed(r) for r in red]
 
 
-def partition_two_path(r: IndexedRelation, s: IndexedRelation,
-                       delta1: int, delta2: int) -> tuple[Partition, Partition]:
-    """Split each relation: a tuple is light iff its own left value has
-    degree <= delta2, or its y value has degree <= delta1 in both relations."""
+def two_path_split(r: IndexedRelation, s: IndexedRelation,
+                   delta1: int, delta2: int):
+    """The two-path light/heavy rule, as (light_y, light_a, light_c) masks
+    over the shared y ids, R's left ids and S's left ids.
+
+    A y value is light iff its degree is <= delta1 in both relations, and a
+    left value iff its degree is <= delta2. A tuple is light iff its left
+    value or its y value is light; the rest form the heavy matrices.
+    """
     if delta1 < 1 or delta2 < 1:
         raise ValueError("thresholds must be >= 1")
-    r, s = _ensure_reduced_many([r, s])
     light_y = (r.right_deg <= delta1) & (s.right_deg <= delta1)
-    parts = []
-    for idx, name in ((r, "R"), (s, "S")):
-        left, right = idx.rel.pairs[:, 0], idx.rel.pairs[:, 1]
-        light = (idx.left_deg[left] <= delta2) | light_y[right]
-        parts.append(Partition(
-            Relation.from_encoded(name + "-", idx.rel.pairs[light], idx.rel),
-            Relation.from_encoded(name + "+", idx.rel.pairs[~light], idx.rel),
-            delta1, delta2))
-    return parts[0], parts[1]
+    return light_y, r.left_deg <= delta2, s.left_deg <= delta2
 
 
 def heavy_matrices(r: IndexedRelation, s: IndexedRelation,
                    delta1: int, delta2: int):
     """(M1, M2) adjacency matrices of the heavy partitions, or None if empty."""
     r, s = _ensure_reduced_many([r, s])
-    light_y = (r.right_deg <= delta1) & (s.right_deg <= delta1)
-    heavy_a = np.nonzero(r.left_deg > delta2)[0]
+    light_y, light_a, light_c = two_path_split(r, s, delta1, delta2)
+    heavy_a = np.nonzero(~light_a)[0]
     heavy_b = np.nonzero(~light_y)[0]
-    heavy_c = np.nonzero(s.left_deg > delta2)[0]
+    heavy_c = np.nonzero(~light_c)[0]
     if not (len(heavy_a) and len(heavy_b) and len(heavy_c)):
         return None
     pos_b = np.full(r.rel.dom_right, -1, dtype=np.int64)
@@ -173,7 +159,7 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
 
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
                   plan: Optional[ThresholdPlan] = None,
-                  want_counts: bool = False, cores: int = 1) -> OutputSet:
+                  want_counts: bool = False) -> OutputSet:
     """pi_{x,z}(R(x,y) join S(z,y)) via heavy/light partitioning.
 
     The light side is enumerated as three witness-disjoint passes (y light in
@@ -194,9 +180,7 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
     dims = (r.rel.dom_left, s.rel.dom_left)
     _check_code_space(dims)
     dom_z = dims[1]
-    light_y = (r.right_deg <= d1) & (s.right_deg <= d1)
-    light_a = r.left_deg <= d2
-    light_c = s.left_deg <= d2
+    light_y, light_a, light_c = two_path_split(r, s, d1, d2)
     code_arrays = [np.empty(0, dtype=np.int64)]
 
     # pass 1: witnesses light in both relations
@@ -226,7 +210,7 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
 
     mats = heavy_matrices(r, s, d1, d2)
     if mats is not None:
-        m = multiply_counts(mats[0], mats[1], cores=cores)
+        m = multiply_counts(mats[0], mats[1])
         hi, hj = np.nonzero(m.data)
         heavy_codes = m.row_keys[hi] * dom_z + m.col_keys[hj]
         heavy_counts = m.data[hi, hj]
@@ -275,8 +259,7 @@ def _cross_codes(lists: list, dims: Sequence[int]) -> np.ndarray:
 
 
 def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
-              want_counts: bool = False, cores: int = 1,
-              heavy_rows_cap: int = 1 << 22) -> OutputSet:
+              want_counts: bool = False, heavy_rows_cap: int = 1 << 22) -> OutputSet:
     """pi_{x1..xk} of k relations joined on the shared right column.
 
     Light parts run k sub-joins with one relation replaced by its light-x
@@ -348,8 +331,7 @@ def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
 
         v, w = grouped(g1), grouped(g2)
         m = multiply_counts(CountMatrix(v),
-                            CountMatrix(np.ascontiguousarray(w.T)),
-                            cores=cores)
+                            CountMatrix(np.ascontiguousarray(w.T)))
         heavy_rows = [v.shape[0], w.shape[0], len(heavy_y)]
         ri, ci = np.nonzero(m.data)
         shape1 = tuple(len(heavy_left[i]) for i in g1)

@@ -2,9 +2,7 @@ from .core import (
     INT_BACKEND,
     CountMatrix,
     MatrixOverflowError,
-    identity,
     multiply_counts,
-    theoretical_cost,
 )
 from .calibration import (
     CalibrationError,
@@ -18,9 +16,7 @@ __all__ = [
     "INT_BACKEND",
     "CountMatrix",
     "MatrixOverflowError",
-    "identity",
     "multiply_counts",
-    "theoretical_cost",
     "CalibrationError",
     "CalibrationTable",
     "DEFAULT_PROBE_DIMS",

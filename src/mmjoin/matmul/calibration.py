@@ -19,52 +19,59 @@ class CalibrationError(RuntimeError):
 
 
 class CalibrationTable:
-    """Maps (probe dim p, cores co) -> measured nanos for a p^3 multiply."""
+    """Maps probe dim p -> measured nanos for a p^3 multiply.
+
+    The file format keeps a core-count column between p and nanos. It is
+    written as 1; a file with several core counts is read at the smallest.
+    """
 
     def __init__(self, entries: Optional[dict] = None):
-        self.entries: dict[tuple[int, int], int] = dict(entries or {})
+        self.entries: dict[int, int] = dict(entries or {})
 
     def __len__(self):
         return len(self.entries)
 
-    def dims_for(self, co: int) -> list[int]:
-        return sorted(p for p, c in self.entries if c == co)
-
-    def cores_available(self) -> list[int]:
-        return sorted({c for _, c in self.entries})
-
     def regularize(self) -> None:
-        """Force nanos nondecreasing in p for every fixed core count."""
-        for co in self.cores_available():
-            best = 0
-            for p in self.dims_for(co):
-                best = max(best, self.entries[(p, co)])
-                self.entries[(p, co)] = best
+        """Force nanos nondecreasing in p."""
+        best = 0
+        for p in sorted(self.entries):
+            best = max(best, self.entries[p])
+            self.entries[p] = best
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# {FORMAT_VERSION}\n")
-            for (p, co), nanos in sorted(self.entries.items()):
-                f.write(f"{p}\t{co}\t{nanos}\n")
+            for p, nanos in sorted(self.entries.items()):
+                f.write(f"{p}\t1\t{nanos}\n")
 
     @classmethod
     def load(cls, path) -> "CalibrationTable":
-        entries = {}
-        with open(path, encoding="utf-8") as f:
+        by_co: dict[int, dict[int, int]] = {}
+        # undecodable bytes fail the header or row checks below
+        with open(path, encoding="utf-8", errors="replace") as f:
             header = f.readline().strip()
             if FORMAT_VERSION not in header:
                 raise CalibrationError(f"unrecognized calibration file {path}")
-            for line in f:
-                line = line.strip()
-                if not line:
+            for line_no, line in enumerate(f, start=2):
+                fields = line.strip().split("\t")
+                if fields == [""]:
                     continue
-                p, co, nanos = line.split("\t")
-                entries[(int(p), int(co))] = int(nanos)
-        return cls(entries)
+                where = f"{path}, line {line_no}"
+                try:
+                    p, co, nanos = map(int, fields)
+                except ValueError:
+                    raise CalibrationError(
+                        f"{where}: expected 3 tab-separated integers, "
+                        f"got {line.strip()!r}") from None
+                if p < 1:
+                    raise CalibrationError(f"{where}: probe dim {p} is below 1")
+                if nanos < 0:
+                    raise CalibrationError(f"{where}: negative nanos {nanos}")
+                by_co.setdefault(co, {})[p] = nanos
+        return cls(by_co[min(by_co)] if by_co else None)
 
 
-def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
-              cores: Sequence[int] = (1,), seed: int = 0,
+def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS, seed: int = 0,
               runs: int = 3) -> CalibrationTable:
     """Time multiply_counts on random 0/1 square matrices per probe dim.
 
@@ -82,25 +89,20 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
             b = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
         except MemoryError as exc:
             raise CalibrationError(f"cannot allocate {p}x{p} probes") from exc
-        for co in cores:
-            samples = []
-            for _ in range(runs):
-                t0 = time.perf_counter_ns()
-                multiply_counts(a, b, cores=co)
-                samples.append(time.perf_counter_ns() - t0)
-            table.entries[(p, co)] = int(statistics.median(samples))
+        samples = []
+        for _ in range(runs):
+            t0 = time.perf_counter_ns()
+            multiply_counts(a, b)
+            samples.append(time.perf_counter_ns() - t0)
+        table.entries[p] = int(statistics.median(samples))
     table.regularize()
     return table
 
 
-def estimate_runtime(table: CalibrationTable, u: int, v: int, w: int,
-                     co: int = 1) -> float:
+def estimate_runtime(table: CalibrationTable, u: int, v: int, w: int) -> float:
     """Nanos estimate: nearest probe entry scaled by the volume ratio u*v*w/p^3."""
     if not table.entries:
         raise CalibrationError("calibration table is empty; run calibrate first")
-    cores = table.cores_available()
-    co = min(cores, key=lambda c: (abs(c - co), c))
-    dims = table.dims_for(co)
     target = (u * v * w) ** (1.0 / 3.0)
-    p = min(dims, key=lambda d: (abs(d - target), d))
-    return table.entries[(p, co)] * (u * v * w) / (p ** 3)
+    p = min(table.entries, key=lambda d: (abs(d - target), d))
+    return table.entries[p] * (u * v * w) / (p ** 3)

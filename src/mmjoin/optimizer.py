@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,48 +54,17 @@ class ThresholdPlan:
 
 @dataclass
 class CostConstants:
-    """Per-operation nanos for the light-cost model; co is the core budget."""
+    """Per-operation nanos for the light-cost model."""
     T_s: float = 2.0
     T_m: float = 30.0
     T_I: float = 8.0
-    co: int = 1
 
     def validate(self) -> None:
-        if min(self.T_s, self.T_m, self.T_I) <= 0 or self.co < 1:
+        if min(self.T_s, self.T_m, self.T_I) <= 0:
             raise ValueError("cost constants must be strictly positive")
 
 
 DEFAULT_COSTS = CostConstants()
-
-
-def measure_cost_constants(n: int = 200_000, seed: int = 0,
-                           co: int = 1) -> CostConstants:
-    """Micro-benchmark T_s (scan), T_m (allocation), T_I (random insert)."""
-    rng = random.Random(seed)
-    data = list(range(n))
-
-    t0 = time.perf_counter_ns()
-    total = 0
-    for x in data:
-        total += x
-    t_s = (time.perf_counter_ns() - t0) / n
-
-    t0 = time.perf_counter_ns()
-    sink = [[0] * 4 for _ in range(n // 8)]
-    t_m = (time.perf_counter_ns() - t0) / (n // 8)
-
-    slots = [0] * n
-    positions = [rng.randrange(n) for _ in range(n // 4)]
-    t0 = time.perf_counter_ns()
-    for p in positions:
-        slots[p] = p
-        data.append(p)
-    t_i = (time.perf_counter_ns() - t0) / (2 * (n // 4))
-
-    del sink
-    consts = CostConstants(max(t_s, 0.1), max(t_m, 0.1), max(t_i, 0.1), co)
-    consts.validate()
-    return consts
 
 
 def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
@@ -155,7 +122,7 @@ def modeled_costs(stats_r: DegreeStats, stats_s: DegreeStats, dom_x: int,
     w = stats_s.dom_left - stats_s.count_left(delta2)
     if min(u, v, w) <= 0:
         return t_light, 0.0
-    t_heavy = (estimate_runtime(table, u, v, w, consts.co)
+    t_heavy = (estimate_runtime(table, u, v, w)
                + consts.T_m * (u * v + u * w))
     return t_light, float(t_heavy)
 

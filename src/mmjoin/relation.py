@@ -63,9 +63,6 @@ class Relation:
         for a, b in self.pairs:
             yield (self.left_values[a], self.right_values[b])
 
-    def raw_pair_set(self) -> set:
-        return set(self.raw_pairs())
-
     def __repr__(self):
         return f"Relation({self.name!r}, n={self.n}, dom={self.dom_left}x{self.dom_right})"
 

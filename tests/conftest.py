@@ -188,6 +188,21 @@ def reduced_indexed(r_pairs, s_pairs):
     return build_indexed(r), build_indexed(s)
 
 
+def split_pair_sets(idx, light_left, light_y):
+    """(light, heavy) raw pair sets of one relation under a two-path split:
+    a tuple is light iff its left value or its y value is light."""
+    parts = (set(), set())
+    for a, y in idx.rel.pairs.tolist():
+        heavy = not (light_left[a] or light_y[y])
+        parts[heavy].add((idx.rel.left_values[a], idx.rel.right_values[y]))
+    return parts
+
+
+def raw_pair(family, a, b):
+    """The raw set ids of a pair of SetFamily ids."""
+    return (family.raw_id(a), family.raw_id(b))
+
+
 def decode_two_path(res, r, s):
     """OutputSet -> set of raw (a, c) pairs via the relations' dictionaries."""
     return {(r.rel.left_values[a], s.rel.left_values[c])

@@ -16,7 +16,7 @@ from conftest import (
 )
 from mmjoin import cli
 from mmjoin.cli import CSV_HEADER, _sorted_lines, main
-from mmjoin.relation import parse_edge_list
+from mmjoin.relation import generate_community_graph, parse_edge_list
 
 
 @pytest.fixture
@@ -238,6 +238,60 @@ def test_calibrate_env_var(tmp_path, runner, monkeypatch):
     assert res.exit_code == 0
     assert "seed=0" in res.output
     assert target.read_text().startswith("# mmjoin-calibration v1")
+
+
+@pytest.mark.parametrize("dims", ["16,x", "", "-4", "0", "16,,32"])
+def test_calibrate_dims_usage_error(tmp_path, runner, dims):
+    out = tmp_path / "cal.tsv"
+    res = runner.invoke(main, ["calibrate", "--dims", dims, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--dims" in res.output
+    assert not out.exists()
+
+
+_HEADER = "# mmjoin-calibration v1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not a calibration file\n", "unrecognized calibration file"),
+    (_HEADER, "calibration table"),
+    (_HEADER + "16\t1\tabc\n", "line 2: expected 3 tab-separated integers"),
+    (_HEADER + "16\t1000\n", "line 2: expected 3 tab-separated integers"),
+    (_HEADER + "16\t1\t1000\n0\t1\t5\n", "line 3: probe dim 0"),
+    (_HEADER + "16\t1\t-5\n", "line 2: negative nanos"),
+], ids=["bad-header", "header-only", "non-integer", "two-fields", "dim-0",
+        "negative-nanos"])
+@pytest.mark.parametrize("command", ["twopath", "bench"])
+def test_calibration_error_exit_code(tmp_path, runner, text, message, command):
+    cal = tmp_path / "cal.tsv"
+    cal.write_text(text)
+    if command == "twopath":
+        graph = tmp_path / "g.txt"
+        _write_pairs(graph, generate_community_graph(120, 3, 0.9, 7).raw_pairs())
+        argv = ["twopath", "--left", str(graph), "--right", str(graph),
+                "--auto-plan"]
+    else:
+        argv = ["bench", "twopath", "--n", "1e4",
+                "--csv", str(tmp_path / "out.csv")]
+    res = runner.invoke(main, argv + ["--calibration", str(cal)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+
+
+def test_unreadable_calibration_exit_code(tmp_path, runner):
+    graph = tmp_path / "g.txt"
+    _write_pairs(graph, generate_community_graph(120, 3, 0.9, 7).raw_pairs())
+    binary = tmp_path / "binary.tsv"
+    binary.write_bytes(b"# mmjoin-calibration v1\n\xde\xad\tbe\xef\n")
+    for cal, message in ((tmp_path, "Is a directory"),
+                         (binary, "line 2: expected 3 tab-separated integers")):
+        res = runner.invoke(main, ["twopath", "--left", str(graph), "--right",
+                                   str(graph), "--auto-plan",
+                                   "--calibration", str(cal)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert message in res.output
 
 
 def test_bench_and_report(tmp_path, runner):

@@ -14,6 +14,7 @@ from conftest import (
     oracle_two_path,
     random_pairs,
     reduced_indexed,
+    split_pair_sets,
 )
 from mmjoin import joinproject as jp
 from mmjoin.matmul import multiply_counts
@@ -27,22 +28,24 @@ def _example_indexed():
 
 def test_partition_two_path_fixture():
     r, s = _example_indexed()
-    pr, ps = jp.partition_two_path(r, s, 2, 2)
-    assert pr.light.raw_pair_set() == {(1, 6), (2, 1), (2, 2), (3, 5), (3, 3),
-                                       (4, 1), (6, 2)}
-    assert pr.heavy.raw_pair_set() == {(4, 4), (4, 6), (5, 4), (5, 5), (5, 6),
-                                       (6, 4), (6, 5)}
-    assert ps.heavy.raw_pair_set() == {(4, 4), (4, 5), (5, 4), (5, 5), (5, 6),
-                                       (6, 5), (6, 6)}
+    light_y, light_a, light_c = jp.two_path_split(r, s, 2, 2)
+    r_light, r_heavy = split_pair_sets(r, light_a, light_y)
+    s_light, s_heavy = split_pair_sets(s, light_c, light_y)
+    assert r_light == {(1, 6), (2, 1), (2, 2), (3, 5), (3, 3), (4, 1), (6, 2)}
+    assert r_heavy == {(4, 4), (4, 6), (5, 4), (5, 5), (5, 6), (6, 4), (6, 5)}
+    assert s_heavy == {(4, 4), (4, 5), (5, 4), (5, 5), (5, 6), (6, 5), (6, 6)}
     # light/heavy cover each relation exactly
-    assert pr.light.n + pr.heavy.n == r.n
-    assert ps.light.n + ps.heavy.n == s.n
+    assert len(r_light) + len(r_heavy) == r.n
+    assert len(s_light) + len(s_heavy) == s.n
 
 
 def test_partition_thresholds_validated():
     r, s = _example_indexed()
-    with pytest.raises(ValueError):
-        jp.partition_two_path(r, s, 0, 2)
+    for d1, d2 in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            jp.two_path_split(r, s, d1, d2)
+        with pytest.raises(ValueError):
+            jp.heavy_matrices(r, s, d1, d2)
 
 
 def test_heavy_matrices_fixture():

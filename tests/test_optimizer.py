@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmjoin.matmul import CalibrationError, CalibrationTable
+from mmjoin.matmul import CalibrationError, CalibrationTable, estimate_runtime
 from mmjoin import optimizer as opt
 from mmjoin.relation import (
     build_indexed,
@@ -15,8 +15,7 @@ from conftest import random_pairs, reduced_indexed
 
 def _synthetic_table():
     # 1 us per 100^3 volume, monotone
-    return CalibrationTable({(100, 1): 1_000, (200, 1): 8_000,
-                             (400, 1): 64_000})
+    return CalibrationTable({100: 1_000, 200: 8_000, 400: 64_000})
 
 
 def test_estimate_output_size_zero_cases():
@@ -77,8 +76,7 @@ def test_threshold_plan_validation():
 
 
 def test_cost_constants():
-    consts = opt.measure_cost_constants(n=20_000)
-    assert consts.T_s > 0 and consts.T_m > 0 and consts.T_I > 0
+    opt.DEFAULT_COSTS.validate()
     with pytest.raises(ValueError):
         opt.CostConstants(T_s=0.0).validate()
 
@@ -161,3 +159,27 @@ def test_default_plan():
     plan = opt.default_plan(idx, idx)
     assert plan.strategy == opt.PARTITIONED
     assert 1 <= plan.delta1 <= idx.n and 1 <= plan.delta2 <= idx.n
+
+
+def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
+    # a file from when calibrate took several core counts: the co = 1 rows
+    # are read, the co = 2 rows (and the probe dim only they have) ignored
+    path = tmp_path / "old.tsv"
+    path.write_text("# mmjoin-calibration v1\n"
+                    "50\t2\t10\n100\t2\t600\n100\t1\t100000\n"
+                    "200\t1\t800000\n200\t2\t5000\n400\t2\t40000\n"
+                    "400\t1\t6400000\n")
+    table = CalibrationTable.load(path)
+    assert table.entries == {100: 100_000, 200: 800_000, 400: 6_400_000}
+    # frozen from the co = 1 column of the same file
+    for uvw, nanos in [((50, 50, 50), 12_500.0), ((100, 100, 100), 100_000.0),
+                       ((150, 150, 150), 337_500.0), ((30, 200, 900), 540_000.0),
+                       ((400, 400, 400), 6_400_000.0)]:
+        assert estimate_runtime(table, *uvw) == nanos
+    rel = generate_community_graph(210, 3, 0.85, seed=4)
+    idx = build_indexed(rel)
+    plan = opt.optimize_thresholds(
+        degree_stats(idx, partner=idx), degree_stats(idx), rel.dom_left,
+        idx.out_join_with(idx), table=table)
+    assert plan == opt.ThresholdPlan(opt.PARTITIONED, 51, 51, 78588.0,
+                                     3489399.0, 105)

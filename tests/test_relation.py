@@ -33,7 +33,7 @@ def test_parse_edge_list_basic():
     src = io.StringIO("# header\n a b \n\nc d\na b\n")
     rel = parse_edge_list(src)
     assert rel.n == 2  # duplicate (a, b) dropped, comment/blank skipped
-    assert rel.raw_pair_set() == {("a", "b"), ("c", "d")}
+    assert set(rel.raw_pairs()) == {("a", "b"), ("c", "d")}
 
 
 def test_parse_edge_list_errors():
@@ -205,7 +205,7 @@ def test_semi_join_reduce_many_keeps_repeated_objects():
         "R", [(1, 10), (2, 20), (1, 20)])])[0])
     x, y, z = semi_join_reduce_many([r, s, r])
     assert x is z and x is not y
-    assert x.raw_pair_set() == {(1, 10)}
+    assert set(x.raw_pairs()) == {(1, 10)}
 
 
 def test_parse_set_family_alias():
@@ -218,19 +218,19 @@ def test_relation_encoding_first_seen_order():
     assert rel.left_values == ["x", "y"]
     assert rel.right_values == [1, 2]
     assert rel.left_ids == {"x": 0, "y": 1}
-    assert rel.raw_pair_set() == {("x", 1), ("y", 2), ("x", 2)}
+    assert set(rel.raw_pairs()) == {("x", 1), ("y", 2), ("x", 2)}
 
 
 def test_semi_join_reduce_filters_and_shares_dict():
     r = Relation.from_raw_pairs("R", [(1, 10), (2, 20), (3, 30)])
     s = Relation.from_raw_pairs("S", [(7, 10), (8, 30), (9, 99)])
     rr, ss = semi_join_reduce(r, s)
-    assert rr.raw_pair_set() == {(1, 10), (3, 30)}
-    assert ss.raw_pair_set() == {(7, 10), (8, 30)}
+    assert set(rr.raw_pairs()) == {(1, 10), (3, 30)}
+    assert set(ss.raw_pairs()) == {(7, 10), (8, 30)}
     assert rr.right_values is ss.right_values
     # idempotent on tuple sets
     r2, s2 = semi_join_reduce(rr, ss)
-    assert r2.raw_pair_set() == rr.raw_pair_set()
+    assert set(r2.raw_pairs()) == set(rr.raw_pairs())
 
 
 def test_semi_join_reduce_many_three_way():
@@ -353,7 +353,7 @@ def test_degree_stats_max_degrees():
 def test_generate_community_graph():
     rel = generate_community_graph(60, 3, 0.8, seed=11)
     again = generate_community_graph(60, 3, 0.8, seed=11)
-    assert rel.raw_pair_set() == again.raw_pair_set()
+    assert set(rel.raw_pairs()) == set(again.raw_pairs())
     for a, b in rel.raw_pairs():
         assert a // 20 == b // 20  # edges stay inside a community
     dense = generate_community_graph(30, 3, 1.0, seed=0)
