@@ -59,13 +59,26 @@ def _canonical(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _join_pairs(r: IndexedRelation, s: IndexedRelation,
+def _kept_pairs(r: IndexedRelation, s: IndexedRelation, keep,
                 plan: Optional[ThresholdPlan] = None):
-    """(a, b, overlap) id arrays of the counted two-path join, sorted by
-    (a, b); r and s must share their right dictionary."""
+    """(a, b, overlap) id arrays of the counted two-path join's pairs where
+    `keep(a, b, overlap)` holds, sorted by (a, b); r and s must share their
+    right dictionary.
+
+    `keep` must broadcast and must reject overlap 0. On a densely counted
+    join it gets an id column, an id row and the whole count grid, so the
+    kept pairs are one mask over the buffer and only they are decoded.
+    """
     res = two_path_join(r, s, plan=plan, want_counts=True)
-    a, b = np.divmod(res.codes, res.dims[1])
-    return a, b, res.counts
+    dom_b = res.dims[1]
+    if res.buffer is None:
+        a, b = np.divmod(res.codes, dom_b)
+        kept = keep(a, b, res.counts)
+        return a[kept], b[kept], res.counts[kept]
+    a, b = np.ogrid[:res.dims[0], :dom_b]
+    codes = np.flatnonzero(keep(a, b, res.buffer.reshape(res.dims)))
+    a, b = np.divmod(codes, dom_b)
+    return a, b, res.buffer[codes]
 
 
 def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelation:
@@ -81,9 +94,8 @@ def _ssj_arrays(family: SetFamily, c: int,
     sorted by (a, b)."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    a, b, cnt = _join_pairs(family.indexed, family.indexed, plan)
-    keep = (a < b) & (cnt >= c)
-    return a[keep], b[keep], cnt[keep]
+    return _kept_pairs(family.indexed, family.indexed,
+                       lambda a, b, cnt: (a < b) & (cnt >= c), plan)
 
 
 def ssj_mmjoin(family: SetFamily, c: int,
@@ -91,6 +103,15 @@ def ssj_mmjoin(family: SetFamily, c: int,
     """Unordered pairs {a < b: |a n b| >= c} with exact overlap counts."""
     a, b, cnt = _ssj_arrays(family, c, plan)
     return dict(zip(zip(a.tolist(), b.tolist()), cnt.tolist()))
+
+
+def _scj_arrays(family: SetFamily):
+    """(a, b) id arrays of the pairs a != b with elements(a) <= elements(b),
+    sorted by (a, b)."""
+    size = family.indexed.left_deg
+    a, b, _ = _kept_pairs(family.indexed, family.indexed,
+                          lambda a, b, cnt: (a != b) & (cnt == size[a]))
+    return a, b
 
 
 def get_size_boundary(family: SetFamily, c: int) -> int:
@@ -123,6 +144,12 @@ def get_size_boundary(family: SetFamily, c: int) -> int:
     return best_x
 
 
+def _heavy_sets(family: SetFamily, c: int) -> np.ndarray:
+    """Mask over set ids of the sets larger than get_size_boundary, the
+    heavy side of both size-aware methods."""
+    return family.indexed.left_deg > get_size_boundary(family, c)
+
+
 def _merge_overlap(x: np.ndarray, y: np.ndarray) -> int:
     return len(np.intersect1d(x, y, assume_unique=True))
 
@@ -133,11 +160,9 @@ def ssj_size_aware(family: SetFamily, c: int,
     through the c-subset inverted index."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    x = get_size_boundary(family, c)
-    heavy = [a for a in family.sets if family.size(a) > x]
-    light = [a for a in family.sets if family.size(a) <= x]
+    heavy = _heavy_sets(family, c)
     out = set()
-    for h in heavy:
+    for h in np.flatnonzero(heavy).tolist():
         for r in family.sets:
             if r == h:
                 continue
@@ -146,7 +171,7 @@ def ssj_size_aware(family: SetFamily, c: int,
     inverted: dict = {}
     generated = 0
     from itertools import combinations
-    for r in light:
+    for r in np.flatnonzero(~heavy).tolist():
         elems = family.sets[r].tolist()
         for sub in combinations(elems, c):
             generated += 1
@@ -258,19 +283,18 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    x = get_size_boundary(family, c)
-    heavy = family.indexed.left_deg > x
+    heavy = _heavy_sets(family, c)
     out = set()
 
-    def add(a, b, keep):
-        out.update(zip(np.minimum(a, b)[keep].tolist(),
-                       np.maximum(a, b)[keep].tolist()))
+    def add(a, b):
+        out.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
     if heavy.any():
         # join everyone against the heavy sets via the partitioned algorithm
-        a, b, cnt = _join_pairs(family.indexed,
-                                _subfamily(family, "heavy", heavy))
-        add(a, b, (a != b) & (cnt >= c))
+        a, b, _ = _kept_pairs(family.indexed,
+                              _subfamily(family, "heavy", heavy),
+                              lambda a, b, cnt: (a != b) & (cnt >= c))
+        add(a, b)
 
     ops = 0
     light = np.flatnonzero(~heavy).tolist()
@@ -281,8 +305,9 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
                                        max(light_idx.n, 1))
         if j_light > out_est:
             # high duplication: light pairs via the matrix-backed join
-            a, b, cnt = _join_pairs(light_idx, light_idx)
-            add(a, b, (a < b) & (cnt >= c))
+            a, b, _ = _kept_pairs(light_idx, light_idx,
+                                  lambda a, b, cnt: (a < b) & (cnt >= c))
+            add(a, b)
         else:
             inverted: dict = {}
             for a in light:
@@ -306,9 +331,8 @@ def ssj_ordered(family: SetFamily, c: int) -> list:
 
 def scj_join_project(family: SetFamily) -> set:
     """Ordered containment pairs (a, b), a != b, elements(a) <= elements(b)."""
-    a, b, cnt = _join_pairs(family.indexed, family.indexed)
-    keep = (a != b) & (cnt == family.indexed.left_deg[a])
-    return set(zip(a[keep].tolist(), b[keep].tolist()))
+    a, b = _scj_arrays(family)
+    return set(zip(a.tolist(), b.tolist()))
 
 
 def bsi_batch_size(rate: float, n: int) -> int:

@@ -44,10 +44,10 @@ def _timed(fn, runs: int = 5):
 
 
 def _load_calibration(path: Optional[str]) -> Optional[matmul.CalibrationTable]:
+    """The table named by `path` or $MMJOIN_CALIBRATION, None if neither is
+    set. A named table that is missing raises OSError."""
     path = path or os.environ.get(CALIBRATION_ENV)
-    if path and os.path.exists(path):
-        return matmul.CalibrationTable.load(path)
-    return None
+    return matmul.CalibrationTable.load(path) if path else None
 
 
 def _read_relation(path: str, name: str) -> Relation:
@@ -297,8 +297,8 @@ def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
     fam = _read_family(sets_path)
     values = fam.relation.left_values
-    pairs = _pair_array(apps.scj_join_project(fam))
-    click.echo(_sorted_lines([(pairs[:, 0], values), (pairs[:, 1], values)]))
+    left, right = apps._scj_arrays(fam)
+    click.echo(_sorted_lines([(left, values), (right, values)]))
 
 
 @main.command("bsi")

@@ -1,5 +1,5 @@
 """Join-project evaluation: two-path partitioned algorithm, star queries,
-full-join baseline, and the sort-based dedup they share.
+full-join baseline, and the dedup they share.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -7,6 +7,7 @@ the participating relations; OutputSet decodes on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -28,7 +29,13 @@ class StarResourceError(RuntimeError):
 
 
 class OutputSet:
-    """Deduplicated projected tuples, optionally with witness counts."""
+    """Deduplicated projected tuples, optionally with witness counts.
+
+    `buffer` is None here; a result counted densely (_DenseOutputSet) holds
+    the count of every code of its space there.
+    """
+
+    buffer = None
 
     def __init__(self, codes: np.ndarray, dims: Sequence[int],
                  counts: Optional[np.ndarray] = None,
@@ -65,6 +72,28 @@ class OutputSet:
         if self.counts is None:
             raise ValueError("counts were not requested")
         return int(self.counts.sum())
+
+
+class _DenseOutputSet(OutputSet):
+    """An OutputSet counted in a dense buffer over its whole code space:
+    buffer[code] is the count of `code`. Codes and counts are read off the
+    buffer on first use, so a caller that filters on the buffer itself
+    never materializes the rows it drops."""
+
+    def __init__(self, buffer: np.ndarray, dims: Sequence[int],
+                 want_counts: bool):
+        self.buffer = buffer
+        self.dims = tuple(int(d) for d in dims)
+        self.stats = {}
+        self._want_counts = want_counts
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        return np.flatnonzero(self.buffer)
+
+    @functools.cached_property
+    def counts(self) -> Optional[np.ndarray]:
+        return self.buffer[self.codes] if self._want_counts else None
 
 
 def _encode(columns: list, dims: Sequence[int]) -> np.ndarray:
@@ -157,6 +186,58 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
     return (out, counts) if want_counts else out
 
 
+# Counting in a buffer over the whole code space beats the sort path while
+# the space is at most this many times the codes that path touches (see
+# _dedup_output); measured break-even.
+_DENSE_SPACE_PER_CODE = 1.5
+
+
+def _as_run(keys: np.ndarray):
+    """Sorted distinct `keys` as a slice when they are one run of
+    consecutive ids (a slice indexes far faster than the keys)."""
+    if len(keys) and keys[-1] - keys[0] == len(keys) - 1:
+        return slice(int(keys[0]), int(keys[-1]) + 1)
+    return keys
+
+
+def _dedup_output(codes: np.ndarray, dims: Sequence[int],
+                  want_counts: bool = False, heavy=None) -> OutputSet:
+    """The distinct `codes` of the space `dims` as an OutputSet, with their
+    counts if want_counts.
+
+    `heavy`, a product CountMatrix over a two-dimensional space, adds its
+    entry (i, j) to the count of code row_keys[i] * dims[1] + col_keys[j].
+
+    The sort path (_dedup) touches every code once to sort it and, when a
+    block merges in, every code and block entry once more. While the space
+    is at most _DENSE_SPACE_PER_CODE times those touches, one bincount over
+    the whole space holds every count instead and the block is added into
+    it in place.
+    """
+    space = math.prod(dims)
+    touched = len(codes)
+    if heavy is not None:
+        touched += len(codes) + heavy.data.size
+    if space <= _DENSE_SPACE_PER_CODE * touched:
+        buf = np.bincount(codes, minlength=space)
+        if heavy is not None:
+            rows, cols = _as_run(heavy.row_keys), _as_run(heavy.col_keys)
+            if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+                rows, cols = np.ix_(rows, cols)
+            buf.reshape(dims)[rows, cols] += heavy.data
+        return _DenseOutputSet(buf, dims, want_counts)
+    extra = None
+    if heavy is not None:
+        hi, hj = np.nonzero(heavy.data)
+        # row-major over sorted keys: sorted and distinct
+        extra = (heavy.row_keys[hi] * dims[1] + heavy.col_keys[hj],
+                 heavy.data[hi, hj])
+    if want_counts:
+        out, counts = _dedup(codes, True, extra)
+        return OutputSet(out, dims, counts)
+    return OutputSet(_dedup(codes, sorted_extra=extra), dims)
+
+
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
                   plan: Optional[ThresholdPlan] = None,
                   want_counts: bool = False) -> OutputSet:
@@ -209,23 +290,11 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
     intermediate = len(light_codes)
 
     mats = heavy_matrices(r, s, d1, d2)
-    if mats is not None:
-        m = multiply_counts(mats[0], mats[1])
-        hi, hj = np.nonzero(m.data)
-        heavy_codes = m.row_keys[hi] * dom_z + m.col_keys[hj]
-        heavy_counts = m.data[hi, hj]
-    else:
-        heavy_codes = np.empty(0, dtype=np.int64)
-        heavy_counts = np.empty(0, dtype=np.int64)
-
-    stats = {"light_intermediate": intermediate, "plan": plan,
-             "heavy_pairs": len(heavy_codes)}
-    # heavy codes come out sorted and distinct: row-major over sorted keys
-    heavy = (heavy_codes, heavy_counts)
-    if want_counts:
-        codes, counts = _dedup(light_codes, True, heavy)
-        return OutputSet(codes, dims, counts, stats)
-    return OutputSet(_dedup(light_codes, sorted_extra=heavy), dims, None, stats)
+    m = multiply_counts(*mats) if mats is not None else None
+    out = _dedup_output(light_codes, dims, want_counts, m)
+    out.stats = {"light_intermediate": intermediate, "plan": plan,
+                 "heavy_pairs": 0 if m is None else np.count_nonzero(m.data)}
+    return out
 
 
 def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
@@ -244,11 +313,9 @@ def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
         if len(lr) and len(ls):
             bufs.append((lr[:, None] * dom_z + ls[None, :]).ravel())
     codes = np.concatenate(bufs)
-    stats = {"intermediate": len(codes)}
-    if want_counts:
-        u, cnt = _dedup(codes, True)
-        return OutputSet(u, dims, cnt, stats)
-    return OutputSet(_dedup(codes), dims, None, stats)
+    out = _dedup_output(codes, dims, want_counts)
+    out.stats = {"intermediate": len(codes)}
+    return out
 
 
 def _cross_codes(lists: list, dims: Sequence[int]) -> np.ndarray:

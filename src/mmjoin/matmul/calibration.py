@@ -68,7 +68,9 @@ class CalibrationTable:
                 if nanos < 0:
                     raise CalibrationError(f"{where}: negative nanos {nanos}")
                 by_co.setdefault(co, {})[p] = nanos
-        return cls(by_co[min(by_co)] if by_co else None)
+        if not by_co:
+            raise CalibrationError(f"{path}: no rows in calibration table")
+        return cls(by_co[min(by_co)])
 
 
 def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS, seed: int = 0,

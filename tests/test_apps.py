@@ -16,6 +16,8 @@ from conftest import (
     raw_pair,
 )
 from mmjoin import apps
+from mmjoin.joinproject import two_path_join
+from mmjoin.optimizer import PARTITIONED, ThresholdPlan
 from mmjoin.relation import Relation, build_indexed
 
 _FAMILIES = st.dictionaries(
@@ -175,6 +177,33 @@ def _check_ssj_scj(raw, c):
     assert _raw_pairs(fam, pp) == set(got)
     assert {raw_pair(fam, a, b) for a, b in apps.scj_join_project(fam)} == \
         oracle_scj(raw)
+
+
+@pytest.mark.parametrize("shape, dense", [
+    ((60, 5, 5), True),     # overlaps fill the pair space: counted densely
+    ((60, 400, 3), False),  # few overlaps in a large pair space: sorted
+])
+@pytest.mark.parametrize("plan", [None, ThresholdPlan(PARTITIONED, 2, 2)])
+def test_ssj_scj_on_either_side_of_the_size_rule(shape, dense, plan):
+    raw = random_family(np.random.default_rng(sum(shape)), *shape)
+    fam = apps.SetFamily.from_dict(raw)
+    res = two_path_join(fam.indexed, fam.indexed, plan=plan, want_counts=True)
+    assert (res.buffer is not None) == dense
+    if dense:
+        assert res.stats["heavy_pairs"] > 0
+    for c in (1, 2, 3):
+        a, b, cnt = apps._ssj_arrays(fam, c, plan)
+        assert list(zip(a.tolist(), b.tolist())) == sorted(zip(a.tolist(),
+                                                              b.tolist()))
+        got = {canon_pair(*raw_pair(fam, x, y)): n
+               for x, y, n in zip(a.tolist(), b.tolist(), cnt.tolist())}
+        assert got == oracle_ssj(raw, c)
+        pp, _ = apps.ssj_size_aware_pp(fam, c)
+        assert _raw_pairs(fam, pp) == set(got)
+        assert _raw_pairs(fam, apps.ssj_size_aware(fam, c)) == set(got)
+    a, b = apps._scj_arrays(fam)
+    assert {raw_pair(fam, x, y) for x, y in zip(a.tolist(), b.tolist())} \
+        == oracle_scj(raw)
 
 
 @settings(max_examples=150, deadline=None)

@@ -279,6 +279,52 @@ def test_calibration_error_exit_code(tmp_path, runner, text, message, command):
     assert message in res.output
 
 
+def _auto_plan_argv(tmp_path, sparse=False):
+    """twopath --auto-plan argv on a graph under (sparse) or over the
+    full-join cutoff."""
+    graph = tmp_path / "g.txt"
+    if sparse:
+        _write_pairs(graph, random_pairs(np.random.default_rng(6), 100, 50, 50))
+    else:
+        _write_pairs(graph, generate_community_graph(120, 3, 0.9, 7).raw_pairs())
+    return ["twopath", "--left", str(graph), "--right", str(graph),
+            "--auto-plan"]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_missing_calibration_is_a_data_error(tmp_path, runner, monkeypatch,
+                                             sparse):
+    missing = tmp_path / "nope.tsv"
+    argv = _auto_plan_argv(tmp_path, sparse)
+    res = runner.invoke(main, argv + ["--calibration", str(missing)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert str(missing) in res.output
+    assert res.output.startswith("Error:")
+    monkeypatch.setenv("MMJOIN_CALIBRATION", str(missing))
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert str(missing) in res.output
+    res = runner.invoke(main, ["bench", "twopath", "--n", "1e4",
+                               "--csv", str(tmp_path / "out.csv")])
+    assert res.exit_code == 1
+    assert str(missing) in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_header_only_calibration_names_the_file(tmp_path, runner, sparse):
+    # the plan that follows (full join when sparse) does not matter
+    cal = tmp_path / "cal.tsv"
+    cal.write_text(_HEADER)
+    res = runner.invoke(main, _auto_plan_argv(tmp_path, sparse)
+                        + ["--calibration", str(cal)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"{cal}: no rows" in res.output
+
+
 def test_unreadable_calibration_exit_code(tmp_path, runner):
     graph = tmp_path / "g.txt"
     _write_pairs(graph, generate_community_graph(120, 3, 0.9, 7).raw_pairs())

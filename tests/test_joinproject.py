@@ -1,7 +1,10 @@
+import math
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     EXAMPLE_R,
@@ -17,7 +20,7 @@ from conftest import (
     split_pair_sets,
 )
 from mmjoin import joinproject as jp
-from mmjoin.matmul import multiply_counts
+from mmjoin.matmul import CountMatrix, multiply_counts
 from mmjoin.optimizer import FULL_JOIN, PARTITIONED, ThresholdPlan
 from mmjoin.relation import Relation, build_indexed, semi_join_reduce_many
 
@@ -177,6 +180,112 @@ def test_dedup_merges_sorted_extra():
     codes, counts = jp._dedup(light, True, (empty, empty))
     want_u, want_c = _unique_oracle(light, True)
     assert np.array_equal(codes, want_u) and np.array_equal(counts, want_c)
+
+
+# a size rule under which any space takes the dense path
+_ALWAYS = 1e18
+
+
+@contextmanager
+def _size_rule(value):
+    saved = jp._DENSE_SPACE_PER_CODE
+    jp._DENSE_SPACE_PER_CODE = value
+    try:
+        yield
+    finally:
+        jp._DENSE_SPACE_PER_CODE = saved
+
+
+def _on_path(dense, codes, dims, want_counts, heavy):
+    """_dedup_output with the size rule forced to the dense or sort path."""
+    with _size_rule(_ALWAYS if dense else 0.0):
+        out = jp._dedup_output(codes, dims, want_counts, heavy)
+    # with nothing to place the sort path runs either way
+    placed = len(codes) > 0 or heavy is not None
+    assert (out.buffer is not None) == (dense and placed)
+    return out
+
+
+@st.composite
+def _coded(draw):
+    """(codes, dims, heavy): light codes of a 2-d space and an optional
+    heavy block over sorted distinct rows and columns of it."""
+    dims = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    space = math.prod(dims)
+    codes = draw(st.lists(st.integers(0, space - 1), max_size=60))
+    heavy = None
+    if draw(st.booleans()):
+        rows = sorted(draw(st.sets(st.integers(0, dims[0] - 1), min_size=1)))
+        cols = sorted(draw(st.sets(st.integers(0, dims[1] - 1), min_size=1)))
+        data = draw(st.lists(st.integers(0, 4), min_size=len(rows) * len(cols),
+                             max_size=len(rows) * len(cols)))
+        heavy = CountMatrix(np.array(data, dtype=np.int64).reshape(
+            len(rows), len(cols)), row_keys=np.array(rows, dtype=np.int64),
+            col_keys=np.array(cols, dtype=np.int64))
+    return np.array(codes, dtype=np.int64), dims, heavy
+
+
+_FULL_BLOCK = CountMatrix(np.array([[0, 2, 1], [3, 0, 1]], dtype=np.int64),
+                          row_keys=np.arange(2), col_keys=np.arange(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coded())
+@example((np.empty(0, dtype=np.int64), (3, 4), None))         # empty
+@example((np.empty(0, dtype=np.int64), (1, 1), None))         # empty, D = 1
+@example((np.zeros(5, dtype=np.int64), (1, 1), None))         # D = 1
+@example((np.array([0, 11, 11, 0, 5]), (3, 4), None))         # 0 and D - 1
+@example((np.full(7, 4, dtype=np.int64), (3, 4), None))       # all duplicates
+@example((np.array([5, 0, 5]), (2, 3), _FULL_BLOCK))          # block = space
+@example((np.empty(0, dtype=np.int64), (2, 3), _FULL_BLOCK))  # heavy only
+def test_dedup_output_dense_and_sort_paths_agree(case):
+    codes, dims, heavy = case
+    want = Counter(codes.tolist())
+    if heavy is not None:
+        for i, a in enumerate(heavy.row_keys.tolist()):
+            for j, b in enumerate(heavy.col_keys.tolist()):
+                if heavy.data[i, j]:
+                    want[a * dims[1] + b] += int(heavy.data[i, j])
+    dense = _on_path(True, codes, dims, True, heavy)
+    sort = _on_path(False, codes, dims, True, heavy)
+    for out in (dense, sort):
+        assert out.codes.dtype == np.int64 and out.counts.dtype == np.int64
+        assert out.codes.tolist() == sorted(want)
+        assert out.counts.tolist() == [want[c] for c in sorted(want)]
+        assert out.dims == dims
+    for dense_first in (True, False):
+        plain = _on_path(dense_first, codes, dims, False, heavy)
+        assert plain.counts is None
+        assert np.array_equal(plain.codes, dense.codes)
+
+
+def test_dedup_output_size_rule():
+    # without a block the sort path touches each code once; with one, each
+    # code and block entry once more
+    codes = np.arange(40, dtype=np.int64) % 30
+    assert jp._dedup_output(codes, (6, 10)).buffer is not None      # 60 <= 60
+    assert jp._dedup_output(codes, (61, 1)).buffer is None
+    block = CountMatrix(np.ones((2, 2), dtype=np.int64),
+                        row_keys=np.array([0, 3]), col_keys=np.array([1, 2]))
+    # 1.5 * (40 + 40 + 4) = 126
+    assert jp._dedup_output(codes, (9, 14), heavy=block).buffer is not None
+    assert jp._dedup_output(codes, (9, 15), heavy=block).buffer is None
+
+
+def test_two_path_join_counts_on_either_path():
+    rng = np.random.default_rng(12)
+    r_pairs = random_pairs(rng, 300, 20, 15)
+    s_pairs = random_pairs(rng, 300, 20, 15)
+    r, s = reduced_indexed(r_pairs, s_pairs)
+    want = oracle_two_path(r_pairs, s_pairs)
+    plans = [ThresholdPlan(PARTITIONED, d1, d2)
+             for d1, d2 in [(1, 1), (3, 3), (8, 2), (100, 100)]]
+    for plan in plans + [ThresholdPlan(FULL_JOIN, 1, 1)]:
+        for rule in (_ALWAYS, 0.0):
+            with _size_rule(rule):
+                res = jp.two_path_join(r, s, plan=plan, want_counts=True)
+            assert (res.buffer is not None) == (rule == _ALWAYS)
+            assert decode_two_path_counts(res, r, s) == dict(want)
 
 
 def test_star_fixture_heavy_matrix_rows():
