@@ -78,29 +78,119 @@ def _build_indexed_once(rels: list) -> list:
     return [built[id(rel)] for rel in rels]
 
 
-# combined row keys stay below this; past it the key so far is re-ranked
+# combined suffix keys stay below this; past it the key so far is re-ranked
 _KEY_LIMIT = 2 ** 63
 
-
-def _rank(keys: list) -> np.ndarray:
-    """Each key's position among the distinct keys in code-point order."""
-    pos = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return np.fromiter(map(pos.__getitem__, keys), dtype=np.int64,
-                       count=len(keys))
+# a key space at most this many times the keys is ranked with a bitmap over
+# the whole space; a larger one with a sort (np.unique)
+_BITMAP_SPACE_PER_KEY = 4
 
 
-def _row_keys(fields: list, ids: list) -> np.ndarray:
-    """One int64 per row, ordered as the rows' text: each field's code-point
-    rank, combined most significant first."""
-    key = np.zeros(len(ids[0]), dtype=np.int64)
-    bound = 1  # every key is below bound
-    for field, field_ids in zip(fields, ids):
-        if bound * len(field) > _KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = len(distinct)
-        key = key * len(field) + _rank(field)[field_ids]
-        bound *= len(field)
-    return key
+def _dense_rank(keys: np.ndarray, space: int):
+    """The distinct `keys` (all in [0, space)) ascending, and each key's
+    position among them."""
+    if space > _BITMAP_SPACE_PER_KEY * len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    # each distinct key's rank, written at the key's place in the space
+    rank = np.empty(space, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[keys]
+
+
+def _names(texts: list):
+    """The distinct `texts` in code-point order (an object array), and each
+    text's position among them."""
+    names = sorted(set(texts))
+    pos = {name: i for i, name in enumerate(names)}
+    return (np.array(names, dtype=object),
+            np.fromiter(map(pos.__getitem__, texts), dtype=np.int64,
+                        count=len(texts)))
+
+
+def _suffixes(fields: list):
+    """Each row's suffix id and the suffix texts, one per distinct suffix in
+    code-point order. A row's suffix is its fields' names concatenated; a
+    field is `(names, rank)`, its names in code-point order and each row's
+    position among them.
+
+    The fields' ranks combine into one key per row, most significant first,
+    and the distinct keys are ranked once; each distinct suffix's text is
+    built once, by one object-array concatenation per field.
+    """
+    key = np.zeros(len(fields[0][1]), dtype=np.int64)
+    space = 1  # every key is below space
+    texts = None  # the text of each distinct key, before `pending` fields
+    pending = []
+    for names, rank in fields:
+        if pending and space * len(names) > _KEY_LIMIT:
+            key, texts = _suffix_texts(key, space, texts, pending)
+            space, pending = len(texts), []
+        key = key * len(names) + rank
+        space *= len(names)
+        pending.append(names)
+    return _suffix_texts(key, space, texts, pending)
+
+
+def _suffix_texts(key, space, texts, pending):
+    """Densely re-ranked `key` and the text of each distinct key: the text
+    of its prefix (`texts`, None for none) plus the `pending` fields' names,
+    whose ranks make up the key's low digits."""
+    distinct, key = _dense_rank(key, space)
+    parts = []
+    for names in reversed(pending):
+        distinct, rank = np.divmod(distinct, len(names))
+        parts.append(names[rank])
+    parts.reverse()
+    out = parts[0] if texts is None else texts[distinct] + parts[0]
+    for part in parts[1:]:
+        out = out + part
+    return key, out
+
+
+def _line_fields(columns: list, counts: Optional[np.ndarray]):
+    """The parts of the text rows of `columns` (one `(ids, values)` pair per
+    field: the values at those ids) and, when given, a last field holding
+    `counts` (nonnegative). Fields are joined by spaces, and every row is
+    its first field's name (a lead) followed by the rest of the row (a
+    suffix).
+
+    Returns the leads (an object array in code-point order), each row's
+    lead rank, the suffixes (an object array in code-point order) and each
+    row's suffix id.
+    """
+    # every field but the last is followed by a space
+    seps = [" "] * len(columns)
+    if counts is None:
+        seps[-1] = ""
+    fields = []
+    for (col_ids, values), sep in zip(columns, seps):
+        names, rank = _names([str(value) + sep for value in values])
+        fields.append((names, rank[col_ids]))
+    if counts is not None:
+        distinct, inverse = _dense_rank(counts,
+                                        int(counts.max(initial=0)) + 1)
+        names, rank = _names(list(map(str, distinct.tolist())))
+        fields.append((names, rank[inverse]))
+    (leads, lead), rest = fields[0], fields[1:]
+    suffix, suffixes = _suffixes(rest)
+    return leads, lead, suffixes, suffix
+
+
+def _join_lines(leads, lead, suffixes, suffix) -> str:
+    """Rows `leads[lead[i]] + suffixes[suffix[i]]` in the given order, joined
+    by newlines."""
+    if not len(lead):
+        return ""
+    rest = suffixes[suffix].tolist()
+    # one join per run of rows that share the first field
+    cuts = [0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(),
+            len(lead)]
+    heads = leads[lead[cuts[:-1]]].tolist()
+    return "\n".join(head + ("\n" + head).join(rest[lo:hi])
+                     for head, lo, hi in zip(heads, cuts, cuts[1:]))
 
 
 def _sorted_lines(columns: list, counts: Optional[np.ndarray] = None) -> str:
@@ -108,32 +198,23 @@ def _sorted_lines(columns: list, counts: Optional[np.ndarray] = None) -> str:
     its fields joined by spaces: one field per `(ids, values)` column (the
     values at those ids) and, when given, a last field holding `counts`.
 
-    Rows are sorted before they are formatted. Tokens hold no whitespace, so
-    the text order of two rows is the order of their fields, each field
-    compared as its name plus the space after it (the last one without).
-    Each field's distinct names are ranked once, and the ranks make one sort
-    key per row.
+    Names and suffixes are formatted once per distinct value; rows are only
+    sorted, gathered and joined. Tokens hold no whitespace, so the text
+    order of two rows is the order of their fields, each field compared as
+    its name plus the space after it (the last one without). A row's lead
+    rank and suffix id therefore make one sort key.
     """
-    ids = [col_ids for col_ids, _ in columns]
-    fields = [list(map(str, values)) for _, values in columns]
-    if counts is not None:
-        distinct, inverse = np.unique(counts, return_inverse=True)
-        ids.append(inverse)
-        fields.append(list(map(str, distinct.tolist())))
-    fields[:-1] = [[name + " " for name in field] for field in fields[:-1]]
-    # stable: join results often arrive nearly in order
-    order = np.argsort(_row_keys(fields, ids), kind="stable")
-    if not len(order):
-        return ""
-    texts = [np.array(field, dtype=object)[i[order]].tolist()
-             for field, i in zip(fields, ids)]
-    lead, lead_ids = texts[0], ids[0][order]
-    rest = list(map("".join, zip(*texts[1:]))) if len(texts) > 2 else texts[1]
-    # one join per run of rows that share the first field
-    cuts = [0, *(np.flatnonzero(lead_ids[1:] != lead_ids[:-1]) + 1).tolist(),
-            len(lead)]
-    return "\n".join(lead[lo] + ("\n" + lead[lo]).join(rest[lo:hi])
-                     for lo, hi in zip(cuts, cuts[1:]))
+    leads, lead, suffixes, suffix = _line_fields(columns, counts)
+    n = max(len(suffixes), 1)
+    lead, suffix = np.divmod(np.sort(lead * n + suffix), n)
+    return _join_lines(leads, lead, suffixes, suffix)
+
+
+def _ordered_lines(columns: list, counts: Optional[np.ndarray],
+                   order: np.ndarray) -> str:
+    """The rows of _sorted_lines, in `order` (row indices) instead."""
+    leads, lead, suffixes, suffix = _line_fields(columns, counts)
+    return _join_lines(leads, lead[order], suffixes, suffix[order])
 
 
 def _pair_array(pairs) -> np.ndarray:
@@ -270,10 +351,11 @@ def cmd_ssj(sets_path, threshold, method):
         if method == "mmjoin":
             left, right, counts = apps._ssj_arrays(fam, threshold)
         elif method == "ordered":
-            names = list(map(str, values))
-            rows = [f"{names[a]} {names[b]} {cnt}"
-                    for (a, b), cnt in apps.ssj_ordered(fam, threshold)]
-            click.echo("\n".join(rows))
+            # overlap descending, then the (a, b) ids, as apps.ssj_ordered
+            left, right, counts = apps._ssj_arrays(fam, threshold)
+            order = np.lexsort((right, left, -counts))
+            click.echo(_ordered_lines([(left, values), (right, values)],
+                                      counts, order))
             return
         elif method == "sizeaware":
             left, right = _pair_array(apps.ssj_size_aware(fam, threshold)).T

@@ -292,8 +292,9 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
     mats = heavy_matrices(r, s, d1, d2)
     m = multiply_counts(*mats) if mats is not None else None
     out = _dedup_output(light_codes, dims, want_counts, m)
+    heavy_pairs = 0 if m is None else int(np.count_nonzero(m.data))
     out.stats = {"light_intermediate": intermediate, "plan": plan,
-                 "heavy_pairs": 0 if m is None else np.count_nonzero(m.data)}
+                 "heavy_pairs": heavy_pairs}
     return out
 
 

@@ -14,7 +14,7 @@ from conftest import (
     random_family,
     random_pairs,
 )
-from mmjoin import cli
+from mmjoin import apps, cli
 from mmjoin.cli import CSV_HEADER, _sorted_lines, main
 from mmjoin.relation import generate_community_graph, parse_edge_list
 
@@ -159,6 +159,43 @@ def test_sorted_lines_matches_sorting_formatted_rows(table):
         assert _sorted_lines(columns, counts) == want
 
 
+# unused names past the bitmap's reach for any drawn number of rows
+_PAD = [f"pad{i}" for i in range(cli._BITMAP_SPACE_PER_KEY * 2000 + 1)]
+
+
+@st.composite
+def _repetitive_table(draw):
+    k = draw(st.integers(2, 4))
+    values = [draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4,
+                            unique=True)) for _ in range(k)]
+    n = draw(st.integers(200, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ids = np.stack([rng.integers(0, len(v), n) for v in values], axis=1)
+    counts = rng.choice([1, 2, 9, 10, 100, 10 ** 12], n)
+    return values, ids, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repetitive_table())
+def test_sorted_lines_with_repeated_suffixes(table):
+    # few names per field: every suffix text stands for many rows
+    values, ids, counts = table
+    columns = [(ids[:, j], v) for j, v in enumerate(values)]
+    rows = [" ".join(v[i] for v, i in zip(values, row))
+            for row in ids.tolist()]
+    for cnt in (None, counts):
+        lines = rows if cnt is None else [
+            f"{row} {c}" for row, c in zip(rows, cnt.tolist())]
+        want = "\n".join(sorted(lines))
+        assert _sorted_lines(columns, cnt) == want
+        with mock.patch.object(cli, "_KEY_LIMIT", 4):
+            assert _sorted_lines(columns, cnt) == want
+        wide = [(col_ids, v + _PAD) for col_ids, v in columns]
+        with mock.patch.object(cli.np, "unique", wraps=np.unique) as unique:
+            assert _sorted_lines(wide, cnt) == want
+        assert unique.called
+
+
 def test_ssj_methods_cli(tmp_path, runner):
     rng = np.random.default_rng(3)
     fam = random_family(rng, 25, 20, 8)
@@ -181,6 +218,23 @@ def test_ssj_methods_cli(tmp_path, runner):
     res = runner.invoke(main, base + ["--method", "ordered"])
     counts = [int(line.split()[2]) for line in res.output.splitlines()]
     assert counts == sorted(counts, reverse=True)
+
+
+def test_ssj_ordered_cli_prints_apps_ssj_ordered(tmp_path, runner):
+    # many overlap ties, broken by id order, which is not the text order of
+    # the names s0..s39
+    rng = np.random.default_rng(8)
+    path = tmp_path / "f.txt"
+    _write_family(path, random_family(rng, 40, 25, 10))
+    fam = cli._read_family(str(path))
+    names = list(map(str, fam.relation.left_values))
+    for c in (1, 2, 3, 30):
+        res = runner.invoke(main, ["ssj", "--sets", str(path), "--c", str(c),
+                                   "--method", "ordered"])
+        assert res.exit_code == 0
+        want = [f"{names[a]} {names[b]} {cnt}"
+                for (a, b), cnt in apps.ssj_ordered(fam, c)]
+        assert res.output == "\n".join(want) + "\n"
 
 
 def test_ssj_mmjoin_cli_pairs_in_file_order(tmp_path, runner):

@@ -288,6 +288,23 @@ def test_two_path_join_counts_on_either_path():
             assert decode_two_path_counts(res, r, s) == dict(want)
 
 
+def test_output_stats_counts_are_python_ints():
+    # the stats go into JSON reports, which take no numpy scalars
+    rng = np.random.default_rng(12)
+    r, s = reduced_indexed(random_pairs(rng, 300, 20, 15),
+                           random_pairs(rng, 300, 20, 15))
+    results = [jp.full_join_dedup(r, s, want_counts=True)]
+    for d1, d2 in [(1, 1), (3, 3), (100, 100)]:
+        for rule in (_ALWAYS, 0.0):
+            with _size_rule(rule):
+                results.append(jp.two_path_join(
+                    r, s, plan=ThresholdPlan(PARTITIONED, d1, d2)))
+    assert any(res.stats["heavy_pairs"] > 0 for res in results[1:])
+    for res in results:
+        counts = {k: v for k, v in res.stats.items() if k != "plan"}
+        assert counts and all(type(v) is int for v in counts.values()), counts
+
+
 def test_star_fixture_heavy_matrix_rows():
     # four-relation star over the frozen example tables; group (x1, x2)
     rels = semi_join_reduce_many([Relation.from_raw_pairs("R", EXAMPLE_R),
