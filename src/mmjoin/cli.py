@@ -303,7 +303,8 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
     try:
         res = joinproject.two_path_join(ridx, sidx, plan=plan,
                                         want_counts=counts)
-    except (optimizer.PlanError, ValueError) as exc:
+    except (optimizer.PlanError, ValueError,
+            joinproject.StarResourceError) as exc:
         raise click.ClickException(str(exc))
     tups = res.tuples()
     click.echo(_sorted_lines([(tups[:, 0], r.left_values),

@@ -1,5 +1,6 @@
-"""Join-project evaluation: two-path partitioned algorithm, star queries,
-full-join baseline, and the dedup they share.
+"""Join-project evaluation: the two-path join, star queries and the
+full-join baseline, all three through one witness-disjoint partitioned join
+(_partitioned) and one dedup (_dedup_output).
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -15,17 +16,11 @@ import numpy as np
 
 from .matmul import CountMatrix, multiply_counts
 from .optimizer import FULL_JOIN, ThresholdPlan, default_plan
-from .relation import (
-    IndexedRelation,
-    _csr,
-    build_indexed,
-    gather_ranges,
-    semi_join_reduce_many,
-)
+from .relation import IndexedRelation, build_indexed, semi_join_reduce_many
 
 
 class StarResourceError(RuntimeError):
-    """Heavy cross product too large; retry with a larger delta2."""
+    """A join would allocate past its budget; retry with other thresholds."""
 
 
 class OutputSet:
@@ -96,13 +91,6 @@ class _DenseOutputSet(OutputSet):
         return self.buffer[self.codes] if self._want_counts else None
 
 
-def _encode(columns: list, dims: Sequence[int]) -> np.ndarray:
-    code = np.zeros_like(columns[0])
-    for col, d in zip(columns, dims):
-        code = code * d + col
-    return code
-
-
 def _check_code_space(dims: Sequence[int]) -> None:
     if math.prod(max(d, 1) for d in dims) >= 2 ** 62:
         raise StarResourceError("combined domain too large to encode")
@@ -136,26 +124,60 @@ def heavy_matrices(r: IndexedRelation, s: IndexedRelation,
     """(M1, M2) adjacency matrices of the heavy partitions, or None if empty."""
     r, s = _ensure_reduced_many([r, s])
     light_y, light_a, light_c = two_path_split(r, s, delta1, delta2)
-    heavy_a = np.nonzero(~light_a)[0]
-    heavy_b = np.nonzero(~light_y)[0]
-    heavy_c = np.nonzero(~light_c)[0]
+    heavy_a, heavy_c = np.flatnonzero(~light_a), np.flatnonzero(~light_c)
+    heavy_b = np.flatnonzero(~light_y)
     if not (len(heavy_a) and len(heavy_b) and len(heavy_c)):
         return None
-    pos_b = np.full(r.rel.dom_right, -1, dtype=np.int64)
-    pos_b[heavy_b] = np.arange(len(heavy_b))
+    return _heavy_factors([r, s], [heavy_a, heavy_c], heavy_b)
 
-    def adj(idx, heavy_left, transpose):
-        pos_l = np.full(idx.rel.dom_left, -1, dtype=np.int64)
-        pos_l[heavy_left] = np.arange(len(heavy_left))
-        left, right = idx.rel.pairs[:, 0], idx.rel.pairs[:, 1]
-        sel = (pos_l[left] >= 0) & (pos_b[right] >= 0)
-        data = np.zeros((len(heavy_left), len(heavy_b)), dtype=np.uint8)
-        data[pos_l[left[sel]], pos_b[right[sel]]] = 1
-        if transpose:
-            return CountMatrix(data.T.copy(), row_keys=heavy_b, col_keys=heavy_left)
-        return CountMatrix(data, row_keys=heavy_left, col_keys=heavy_b)
 
-    return adj(r, heavy_a, False), adj(s, heavy_c, True)
+def _membership(idx: IndexedRelation, heavy_left: np.ndarray,
+                heavy_y: np.ndarray) -> np.ndarray:
+    """0/1 uint8 matrix over heavy_left x heavy_y: 1 where the pair is a
+    tuple of idx."""
+    pos_l = np.full(idx.rel.dom_left, -1, dtype=np.int64)
+    pos_l[heavy_left] = np.arange(len(heavy_left))
+    pos_y = np.full(idx.rel.dom_right, -1, dtype=np.int64)
+    pos_y[heavy_y] = np.arange(len(heavy_y))
+    left, right = idx.rel.pairs[:, 0], idx.rel.pairs[:, 1]
+    sel = (pos_l[left] >= 0) & (pos_y[right] >= 0)
+    data = np.zeros((len(heavy_left), len(heavy_y)), dtype=np.uint8)
+    data[pos_l[left[sel]], pos_y[right[sel]]] = 1
+    return data
+
+
+def _strides(dims: Sequence[int]) -> list:
+    """What each position's value is multiplied by in a row-major code."""
+    return [math.prod(dims[i + 1:]) for i in range(len(dims))]
+
+
+def _cross_codes(parts: list) -> np.ndarray:
+    """Codes of the cross product of `parts`, row-major; each part holds its
+    values already multiplied by their stride (_strides)."""
+    return functools.reduce(np.add.outer, parts).ravel()
+
+
+def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
+                   heavy_y: np.ndarray):
+    """(V, W^T) over the heavy witnesses heavy_y. V's rows are the
+    combinations of heavy left values of the first ceil(k/2) relations and
+    W's of the rest; a row is 1 at a witness every value in it joins. Row
+    keys are the combinations' codes, so V @ W^T is keyed by the output
+    space viewed as two dimensions (see _partitioned)."""
+    half = (len(rels) + 1) // 2
+
+    def grouped(idxs, lefts):
+        data = _membership(idxs[0], lefts[0], heavy_y)
+        for idx, hl in zip(idxs[1:], lefts[1:]):
+            data = (data[:, None, :] * _membership(idx, hl, heavy_y)[None]
+                    ).reshape(-1, len(heavy_y))
+        strides = _strides([i.rel.dom_left for i in idxs])
+        return data, _cross_codes([hl * st for hl, st in zip(lefts, strides)])
+
+    v, v_keys = grouped(rels[:half], heavy_left[:half])
+    w, w_keys = grouped(rels[half:], heavy_left[half:])
+    return (CountMatrix(v, row_keys=v_keys, col_keys=heavy_y),
+            CountMatrix(w.T, row_keys=heavy_y, col_keys=w_keys))
 
 
 def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
@@ -212,13 +234,19 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int],
     block merges in, every code and block entry once more. While the space
     is at most _DENSE_SPACE_PER_CODE times those touches, one bincount over
     the whole space holds every count instead and the block is added into
-    it in place.
+    it in place; a block that is the whole space and has no codes beside it
+    is that buffer already.
     """
     space = math.prod(dims)
     touched = len(codes)
     if heavy is not None:
         touched += len(codes) + heavy.data.size
     if space <= _DENSE_SPACE_PER_CODE * touched:
+        if (heavy is not None and not len(codes)
+                and heavy.data.shape == tuple(dims)):
+            return _DenseOutputSet(
+                heavy.data.astype(np.int64, copy=False).ravel(), dims,
+                want_counts)
         buf = np.bincount(codes, minlength=space)
         if heavy is not None:
             rows, cols = _as_run(heavy.row_keys), _as_run(heavy.col_keys)
@@ -238,15 +266,109 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int],
     return OutputSet(_dedup(codes, sorted_extra=extra), dims)
 
 
+# A join allocates at most this many array entries across its light codes,
+# V, W and V @ W^T, and raises StarResourceError before allocating any of
+# them past it. The all-heavy k=4 star on a 120-node 3-community graph needs
+# 2.1e8 (its product); a hub of degree 1500 in a k=3 star needs 3.4e9.
+_ENTRY_BUDGET = 1 << 28
+
+
+def _runs(values: np.ndarray, lens: np.ndarray):
+    """`values` cut into consecutive runs of lengths `lens`, as (values,
+    starts, ends) with the bounds as Python lists."""
+    ends = np.cumsum(lens)
+    return values, (ends - lens).tolist(), ends.tolist()
+
+
+def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
+                 light_left: list, want_counts: bool) -> OutputSet:
+    """pi_{x1..xk} of relations sharing their right column y, each witness
+    (a y and one left value per relation) handled exactly once, so counts
+    add up without a recount.
+
+    A light y (light_y) enumerates its full cross product. A heavy y
+    enumerates, for each position j, the combinations whose first light left
+    value (light_left[j]) is at j: heavy lists before j, the light list at j
+    and full lists after it. The rest, heavy left values at a heavy y in
+    every relation, is the product of _heavy_factors.
+    """
+    k = len(rels)
+    dims = [ri.rel.dom_left for ri in rels]
+    _check_code_space(dims)
+    deg = np.stack([ri.right_deg for ri in rels])
+    # light[i, y]: tuples of relation i at y taken as light; at a light y,
+    # all of them
+    light = np.stack([np.bincount(ri.rel.pairs[ll[ri.rel.pairs[:, 0]], 1],
+                                  minlength=len(light_y))
+                      for ri, ll in zip(rels, light_left)])
+    light = np.where(light_y, deg, light)
+    heavy = deg - light
+    # sizes[j, y]: codes of witness y whose first light position is j,
+    # prod_{i<j} heavy_i(y) * light_j(y) * prod_{i>j} deg_i(y), in float64:
+    # a size past 2^53 is over the budget anyway
+    ones = np.ones((1, len(light_y)))
+    before = np.cumprod(np.vstack([ones, heavy]), axis=0)
+    after = np.cumprod(np.vstack([deg[1:], ones])[::-1], axis=0)[::-1]
+    sizes = before[:-1] * light * after
+    n_light = sizes.sum()
+
+    heavy_left = [np.flatnonzero(~ll) for ll in light_left]
+    heavy_y = np.flatnonzero(~light_y)
+    half = (k + 1) // 2
+    n_heavy = 0
+    if before[-1].any():  # some heavy y joins heavy left values everywhere
+        rows = math.prod(len(h) for h in heavy_left[:half])
+        cols = math.prod(len(h) for h in heavy_left[half:])
+        n_heavy = (rows + cols) * len(heavy_y) + rows * cols
+    if n_light + n_heavy > _ENTRY_BUDGET:
+        raise StarResourceError(
+            f"the join needs {int(n_light)} light codes and {n_heavy} heavy "
+            f"matrix entries, over the budget of {_ENTRY_BUDGET}; "
+            "change delta1/delta2")
+
+    sizes = sizes.astype(np.int64)
+    pos_j, pos_y = np.nonzero(sizes)
+    codes = np.empty(int(sizes.sum()), dtype=np.int64)
+    if len(codes):
+        # per relation, its left values by witness: the heavy ones, the ones
+        # taken as light, and all of them
+        runs = []
+        for ri, ll, stride, lens_light, lens_heavy in zip(
+                rels, light_left, _strides(dims), light, heavy):
+            taken = ll[ri.rev_indices] | np.repeat(light_y, ri.right_deg)
+            xs = ri.rev_indices * stride
+            runs.append((_runs(xs[~taken], lens_heavy),
+                         _runs(xs[taken], lens_light), _runs(xs, ri.right_deg)))
+        # piece j: heavy lists before j, the light list at j, full after j
+        pieces = [[runs[i][0 if i < j else 1 if i == j else 2]
+                   for i in range(k)] for j in range(k)]
+        at = 0
+        for j, y, n in zip(pos_j.tolist(), pos_y.tolist(),
+                           sizes[pos_j, pos_y].tolist()):
+            codes[at:at + n] = _cross_codes([xs[lo[y]:hi[y]]
+                                             for xs, lo, hi in pieces[j]])
+            at += n
+
+    m = (multiply_counts(*_heavy_factors(rels, heavy_left, heavy_y))
+         if n_heavy else None)
+    # the output space viewed as two dimensions, V's keys by W's; a code is
+    # the same integer in both views
+    out = _dedup_output(codes, (math.prod(dims[:half]), math.prod(dims[half:])),
+                        want_counts, m)
+    out.dims = tuple(int(d) for d in dims)
+    out.stats = {"light_intermediate": len(codes),
+                 "heavy_pairs": 0 if m is None else int(np.count_nonzero(m.data))}
+    return out
+
+
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
                   plan: Optional[ThresholdPlan] = None,
                   want_counts: bool = False) -> OutputSet:
     """pi_{x,z}(R(x,y) join S(z,y)) via heavy/light partitioning.
 
-    The light side is enumerated as three witness-disjoint passes (y light in
-    both; x light with y heavy; z light with x and y heavy) and the heavy side
-    as a count-matrix product, so per-pair counts add up exactly without a
-    recount.
+    two_path_split decides light and heavy; _partitioned handles every
+    witness once, by a light pass or the heavy count-matrix product, so
+    per-pair counts add up exactly without a recount.
     """
     r, s = _ensure_reduced_many([r, s])
     if plan is None:
@@ -254,47 +376,11 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
     plan.validate()
     if plan.strategy == FULL_JOIN:
         out = full_join_dedup(r, s, want_counts=want_counts)
-        out.stats["plan"] = plan
-        return out
-
-    d1, d2 = plan.delta1, plan.delta2
-    dims = (r.rel.dom_left, s.rel.dom_left)
-    _check_code_space(dims)
-    dom_z = dims[1]
-    light_y, light_a, light_c = two_path_split(r, s, d1, d2)
-    code_arrays = [np.empty(0, dtype=np.int64)]
-
-    # pass 1: witnesses light in both relations
-    for b in np.nonzero(light_y & (r.right_deg > 0) & (s.right_deg > 0))[0]:
-        code_arrays.append(
-            (r.rev(b)[:, None] * dom_z + s.rev(b)[None, :]).ravel())
-
-    # pass 2: light x, heavy witness
-    left, right = r.rel.pairs[:, 0], r.rel.pairs[:, 1]
-    sel = light_a[left] & ~light_y[right]
-    if sel.any():
-        zs, lens = gather_ranges(s.rev_indptr, s.rev_indices, right[sel])
-        code_arrays.append(np.repeat(left[sel], lens) * dom_z + zs)
-
-    # pass 3: light z, heavy witness, heavy x
-    sleft, sright = s.rel.pairs[:, 0], s.rel.pairs[:, 1]
-    sel = light_c[sleft] & ~light_y[sright]
-    if sel.any():
-        heavy_pairs = r.rel.pairs[~light_a[left]]
-        hp_indptr, hp_indices = _csr(heavy_pairs[:, 1], heavy_pairs[:, 0],
-                                     r.rel.dom_right, r.rel.dom_left)
-        xs, lens = gather_ranges(hp_indptr, hp_indices, sright[sel])
-        code_arrays.append(xs * dom_z + np.repeat(sleft[sel], lens))
-
-    light_codes = np.concatenate(code_arrays)
-    intermediate = len(light_codes)
-
-    mats = heavy_matrices(r, s, d1, d2)
-    m = multiply_counts(*mats) if mats is not None else None
-    out = _dedup_output(light_codes, dims, want_counts, m)
-    heavy_pairs = 0 if m is None else int(np.count_nonzero(m.data))
-    out.stats = {"light_intermediate": intermediate, "plan": plan,
-                 "heavy_pairs": heavy_pairs}
+    else:
+        light_y, light_a, light_c = two_path_split(r, s, plan.delta1,
+                                                   plan.delta2)
+        out = _partitioned([r, s], light_y, [light_a, light_c], want_counts)
+    out.stats["plan"] = plan
     return out
 
 
@@ -302,37 +388,24 @@ def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
                     want_counts: bool = False) -> OutputSet:
     """Enumerate the full join through the y-index, then deduplicate.
 
-    Reference semantics for every join-project operation here.
+    Reference semantics for every join-project operation here: every
+    witness is light, so nothing is multiplied.
     """
     r, s = _ensure_reduced_many([r, s])
-    dims = (r.rel.dom_left, s.rel.dom_left)
-    _check_code_space(dims)
-    dom_z = dims[1]
-    bufs = [np.empty(0, dtype=np.int64)]
-    for b in range(r.rel.dom_right):
-        lr, ls = r.rev(b), s.rev(b)
-        if len(lr) and len(ls):
-            bufs.append((lr[:, None] * dom_z + ls[None, :]).ravel())
-    codes = np.concatenate(bufs)
-    out = _dedup_output(codes, dims, want_counts)
-    out.stats = {"intermediate": len(codes)}
+    every = [np.ones(i.rel.dom_left, dtype=bool) for i in (r, s)]
+    out = _partitioned([r, s], np.ones(r.rel.dom_right, dtype=bool), every,
+                       want_counts)
+    out.stats = {"intermediate": out.stats["light_intermediate"]}
     return out
 
 
-def _cross_codes(lists: list, dims: Sequence[int]) -> np.ndarray:
-    codes = lists[0].astype(np.int64)
-    for lst, d in zip(lists[1:], dims[1:]):
-        codes = (codes[:, None] * d + lst[None, :]).ravel()
-    return codes
-
-
 def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
-              want_counts: bool = False, heavy_rows_cap: int = 1 << 22) -> OutputSet:
+              want_counts: bool = False) -> OutputSet:
     """pi_{x1..xk} of k relations joined on the shared right column.
 
-    Light parts run k sub-joins with one relation replaced by its light-x
-    part, then by its light-everywhere-else-y part; the heavy part multiplies
-    the grouped matrices V and W^T over composite heavy-value keys.
+    A witness is light iff its degree is <= delta1 in at least k - 1
+    relations, and a left value iff its degree is <= delta2; _partitioned
+    does the rest.
     """
     k = len(relations)
     if not 2 <= k <= 4:
@@ -340,87 +413,7 @@ def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
     if delta1 < 1 or delta2 < 1:
         raise ValueError("thresholds must be >= 1")
     rels = _ensure_reduced_many(relations)
-    dims = [ri.rel.dom_left for ri in rels]
-    _check_code_space(dims)
-    dom_y = len(rels[0].rel.right_values)
     deg = np.stack([ri.right_deg for ri in rels])
-    light_left = [ri.left_deg <= delta2 for ri in rels]
-
-    code_arrays = [np.empty(0, dtype=np.int64)]
-    nonempty = (deg > 0).all(axis=0)
-
-    # sub-joins with one relation restricted to light-x tuples
-    for j in range(k):
-        for b in np.nonzero(nonempty)[0]:
-            lists = [ri.rev(b) for ri in rels]
-            lj = lists[j][light_left[j][lists[j]]]
-            if len(lj) == 0:
-                continue
-            lists[j] = lj
-            code_arrays.append(_cross_codes(lists, dims))
-
-    # sub-joins over witnesses light in all relations but at most one
-    diamond = (deg <= delta1).sum(axis=0) >= k - 1
-    for b in np.nonzero(diamond & nonempty)[0]:
-        code_arrays.append(_cross_codes([ri.rev(b) for ri in rels], dims))
-
-    # heavy part: composite-key matrices V x W^T
-    heavy_left = [np.nonzero(ri.left_deg > delta2)[0] for ri in rels]
-    heavy_y = np.nonzero((deg > delta1).sum(axis=0) >= 2)[0]
-    g1 = list(range(math.ceil(k / 2)))
-    g2 = list(range(math.ceil(k / 2), k))
-    heavy_codes = np.empty(0, dtype=np.int64)
-    heavy_rows = []
-    if len(heavy_y) and all(len(heavy_left[i]) for i in range(k)):
-        for grp in (g1, g2):
-            n_rows = math.prod(len(heavy_left[i]) for i in grp)
-            if n_rows > heavy_rows_cap:
-                raise StarResourceError(
-                    f"{n_rows} heavy combinations exceed the cap; "
-                    "increase delta2")
-        pos_y = np.full(dom_y, -1, dtype=np.int64)
-        pos_y[heavy_y] = np.arange(len(heavy_y))
-
-        def membership(i):
-            pos_l = np.full(dims[i], -1, dtype=np.int64)
-            pos_l[heavy_left[i]] = np.arange(len(heavy_left[i]))
-            left, right = rels[i].rel.pairs[:, 0], rels[i].rel.pairs[:, 1]
-            sel = (pos_l[left] >= 0) & (pos_y[right] >= 0)
-            a = np.zeros((len(heavy_left[i]), len(heavy_y)), dtype=np.uint8)
-            a[pos_l[left[sel]], pos_y[right[sel]]] = 1
-            return a
-
-        def grouped(grp):
-            v = membership(grp[0])
-            for i in grp[1:]:
-                v = (v[:, None, :] * membership(i)[None, :, :]).reshape(
-                    -1, len(heavy_y))
-            return v
-
-        v, w = grouped(g1), grouped(g2)
-        m = multiply_counts(CountMatrix(v),
-                            CountMatrix(np.ascontiguousarray(w.T)))
-        heavy_rows = [v.shape[0], w.shape[0], len(heavy_y)]
-        ri, ci = np.nonzero(m.data)
-        shape1 = tuple(len(heavy_left[i]) for i in g1)
-        shape2 = tuple(len(heavy_left[i]) for i in g2)
-        cols1 = np.unravel_index(ri, shape1)
-        cols2 = np.unravel_index(ci, shape2)
-        cols = [heavy_left[i][cols1[p]] for p, i in enumerate(g1)]
-        cols += [heavy_left[i][cols2[p]] for p, i in enumerate(g2)]
-        heavy_codes = _encode(cols, dims)
-
-    codes = _dedup(np.concatenate(code_arrays + [heavy_codes]))
-    stats = {"heavy_dims": heavy_rows}
-    if not want_counts:
-        return OutputSet(codes, dims, None, stats)
-
-    # exact witness counts by full per-witness enumeration at desk scale
-    bufs = [np.empty(0, dtype=np.int64)]
-    for b in np.nonzero(nonempty)[0]:
-        bufs.append(_cross_codes([ri.rev(b) for ri in rels], dims))
-    u, cnt = _dedup(np.concatenate(bufs), True)
-    if not np.array_equal(u, codes):
-        raise RuntimeError("star_join: witness recount disagrees with the "
-                           "partitioned result")
-    return OutputSet(u, dims, cnt, stats)
+    light_y = (deg <= delta1).sum(axis=0) >= k - 1
+    return _partitioned(rels, light_y, [ri.left_deg <= delta2 for ri in rels],
+                        want_counts)

@@ -14,7 +14,7 @@ from conftest import (
     random_family,
     random_pairs,
 )
-from mmjoin import apps, cli
+from mmjoin import apps, cli, joinproject
 from mmjoin.cli import CSV_HEADER, _sorted_lines, main
 from mmjoin.relation import generate_community_graph, parse_edge_list
 
@@ -81,6 +81,23 @@ def test_star_cli(tmp_path, runner):
                                "--delta1", "2", "--delta2", "2"])
     assert res.exit_code == 0
     assert len(res.output.splitlines()) == len(oracle_two_path(pairs, pairs))
+
+
+@pytest.mark.parametrize("deltas", [[], ["--delta1", "1", "--delta2", "1"],
+                                    ["--delta1", "99", "--delta2", "99"]])
+def test_join_over_budget_is_a_data_error(tmp_path, runner, monkeypatch,
+                                          deltas):
+    # the default twopath plan, all heavy and all light
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
+    _write_pairs(tmp_path / "g.txt",
+                 random_pairs(np.random.default_rng(2), 80, 10, 8))
+    g = str(tmp_path / "g.txt")
+    for cmd in (["twopath", "--left", g, "--right", g],
+                ["star", "--input", g, "--input", g, "--input", g]):
+        res = runner.invoke(main, cmd + deltas)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error:") and "budget of 10" in res.output
 
 
 def test_repeated_input_matches_separate_copy(tmp_path, runner, monkeypatch):

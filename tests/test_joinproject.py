@@ -1,6 +1,9 @@
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, defaultdict
 from contextlib import contextmanager
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,22 +357,6 @@ def test_star_join_random_vs_oracle(k, seed):
         assert got == dict(oracle)
 
 
-def test_star_join_count_check_raises(monkeypatch):
-    # the recount check raises RuntimeError, which python -O keeps
-    rels = semi_join_reduce_many([Relation.from_raw_pairs("T", EXAMPLE_T),
-                                  Relation.from_raw_pairs("U", EXAMPLE_U)])
-    idxs = [build_indexed(r) for r in rels]
-    dedup = jp._dedup
-
-    def short_recount(codes, want_counts=False, sorted_extra=None):
-        out = dedup(codes, want_counts, sorted_extra)
-        return (out[0][:-1], out[1][:-1]) if want_counts else out
-
-    monkeypatch.setattr(jp, "_dedup", short_recount)
-    with pytest.raises(RuntimeError):
-        jp.star_join(idxs, 2, 2, want_counts=True)
-
-
 def test_star_join_k2_matches_two_path():
     rng = np.random.default_rng(10)
     r_pairs = random_pairs(rng, 150, 15, 12)
@@ -388,14 +375,108 @@ def test_star_join_validation():
         jp.star_join([r, s], 0, 2)
 
 
-def test_star_resource_cap():
+def test_star_resource_cap(monkeypatch):
     rng = np.random.default_rng(11)
     rel_pairs = [random_pairs(rng, 200, 12, 6) for _ in range(3)]
     rels = semi_join_reduce_many(
         [Relation.from_raw_pairs(f"R{i}", p) for i, p in enumerate(rel_pairs)])
     idxs = [build_indexed(r) for r in rels]
+    monkeypatch.setattr(jp, "_ENTRY_BUDGET", 2)
     with pytest.raises(jp.StarResourceError):
-        jp.star_join(idxs, 1, 1, heavy_rows_cap=2)
+        jp.star_join(idxs, 1, 1)
+
+
+def test_star_skewed_hub_raises_before_allocating():
+    # three relations of 4,700 drawn tuples each whose witnesses follow
+    # Zipf(1.5), so one hub joins about a third of every relation: its
+    # 3.2e9 witness combinations are light codes or heavy matrix entries at
+    # any thresholds
+    rng = np.random.default_rng(2020)
+    rel_pairs = [list(zip(rng.integers(0, 5000, 4700).tolist(),
+                          np.minimum(rng.zipf(1.5, 4700), 2000).tolist()))
+                 for _ in range(3)]
+    rels = semi_join_reduce_many(
+        [Relation.from_raw_pairs(f"R{i}", p) for i, p in enumerate(rel_pairs)])
+    idxs = [build_indexed(r) for r in rels]
+    for d1, d2 in [(1, 1), (40, 1), (10 ** 6, 10 ** 6)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(jp.StarResourceError, match="budget"):
+                jp.star_join(idxs, d1, d2, want_counts=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (d1, d2, peak)
+
+
+def _light_combos(rel_pairs, delta1, delta2):
+    """Witness combinations (y, x1..xk) the star's light passes handle: y
+    light (degree <= delta1 in k - 1 relations) or some xi light (degree
+    <= delta2), degrees taken after the semi-join, by nested loops."""
+    shared = set.intersection(*[{y for _, y in p} for p in rel_pairs])
+    adj = [defaultdict(list) for _ in rel_pairs]
+    left_deg = [Counter() for _ in rel_pairs]
+    for i, pairs in enumerate(rel_pairs):
+        for x, y in pairs:
+            if y in shared:
+                adj[i][y].append(x)
+                left_deg[i][x] += 1
+    n = 0
+    for y in shared:
+        light_y = sum(len(a[y]) <= delta1 for a in adj) >= len(adj) - 1
+        for combo in product(*[a[y] for a in adj]):
+            n += light_y or any(left_deg[i][x] <= delta2
+                                for i, x in enumerate(combo))
+    return n
+
+
+@st.composite
+def _star_case(draw):
+    """k relations over small domains, and deltas from 1 to past the largest
+    degree in them."""
+    k = draw(st.integers(2, 4))
+    pair = st.tuples(st.integers(0, 5), st.integers(0, 4))
+    rel_pairs = [sorted(draw(st.sets(pair, min_size=1, max_size=20)))
+                 for _ in range(k)]
+    top = max(max(Counter(p[side] for p in pairs).values())
+              for pairs in rel_pairs for side in (0, 1)) + 2
+    return rel_pairs, draw(st.integers(1, top)), draw(st.integers(1, top))
+
+
+_DENSE = sorted(product(range(6), range(5)))
+_HUB = [(x, 0) for x in range(6)] + [(0, 1), (1, 2), (2, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_star_case(), st.sampled_from([_ALWAYS, 0.0]))
+@example(([_DENSE] * 4, 1, 1), 0.0)                        # all heavy
+@example(([_DENSE] * 2, 100, 100), _ALWAYS)                # all light
+@example(([_HUB, _HUB, [(x, 0) for x in range(5)] + [(5, 2)]], 2, 2),
+         _ALWAYS)                                          # one hub
+@example(([[(0, 0), (1, 1)], [(0, 2)], [(1, 3)]], 1, 1), 0.0)  # empty
+def test_star_counts_each_witness_once(case, rule):
+    rel_pairs, d1, d2 = case
+    rels = semi_join_reduce_many(
+        [Relation.from_raw_pairs(f"R{i}", p) for i, p in enumerate(rel_pairs)])
+    idxs = [build_indexed(r) for r in rels]
+    enumerated = []
+    dedup_output = jp._dedup_output
+
+    def spy(codes, *args):
+        enumerated.append(len(codes))
+        return dedup_output(codes, *args)
+
+    with _size_rule(rule), mock.patch.object(jp, "_dedup_output", spy):
+        res = jp.star_join(idxs, d1, d2, want_counts=True)
+    got = {tuple(rels[i].left_values[v] for i, v in enumerate(t)): int(c)
+           for t, c in zip(res.tuples().tolist(), res.counts.tolist())}
+    assert got == dict(oracle_star(rel_pairs))
+    # every witness counted once: sum over y of prod_i deg_i(y)
+    deg = [Counter(y for _, y in pairs) for pairs in rel_pairs]
+    assert int(res.counts.sum()) == sum(math.prod(d[y] for d in deg)
+                                        for y in deg[0])
+    assert enumerated == [res.stats["light_intermediate"]]
+    assert res.stats["light_intermediate"] == _light_combos(rel_pairs, d1, d2)
 
 
 def test_output_set_decode_roundtrip():
