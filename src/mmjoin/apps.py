@@ -3,6 +3,7 @@ boolean set intersection on top of the two-path join core."""
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,13 +33,20 @@ DEFAULT_PREFIX_DEPTH = 8
 
 
 class SetFamily:
-    """A family of non-empty sets stored as a (set-id, element-id) relation."""
+    """A family of non-empty sets stored as a (set-id, element-id) relation.
+
+    A pair of sets is reported as (a, b) with a the set that appears first
+    in the input (`relation.left_first`), whatever the id order.
+    """
 
     def __init__(self, relation: Relation):
         self.relation = relation
         self.indexed = build_indexed(relation)
-        self.sets = {a: self.indexed.fwd(a)
-                     for a in range(relation.dom_left)}
+
+    @functools.cached_property
+    def sets(self) -> dict:
+        """{set id: its element ids, ascending}, for the size-aware methods."""
+        return {a: self.indexed.fwd(a) for a in range(self.relation.dom_left)}
 
     @classmethod
     def from_dict(cls, sets: dict) -> "SetFamily":
@@ -46,13 +54,26 @@ class SetFamily:
         return cls(Relation.from_raw_pairs("sets", pairs))
 
     def __len__(self):
-        return len(self.sets)
+        return self.relation.dom_left
 
     def size(self, a: int) -> int:
-        return len(self.sets[a])
+        return int(self.indexed.left_deg[a])
 
     def raw_id(self, a: int):
         return self.relation.left_values[a]
+
+    def first_seen(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Where set a appears before set b in the input, elementwise."""
+        first = self.relation.left_first
+        return first[a] < first[b]
+
+
+def _oriented(family: SetFamily, pairs) -> set:
+    """The (a, b) id pairs as a set, each turned so that a appears first in
+    the input."""
+    a, b = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    keep = family.first_seen(a, b)
+    return set(zip(np.where(keep, a, b).tolist(), np.where(keep, b, a).tolist()))
 
 
 def _canonical(a: int, b: int) -> tuple[int, int]:
@@ -90,17 +111,19 @@ def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelatio
 
 def _ssj_arrays(family: SetFamily, c: int,
                 plan: Optional[ThresholdPlan] = None):
-    """(a, b, overlap) id arrays of the pairs a < b with |a n b| >= c,
-    sorted by (a, b)."""
+    """(a, b, overlap) id arrays of the pairs of sets with |a n b| >= c, a
+    appearing before b in the input, sorted by (a, b)."""
     if c < 1:
         raise ValueError("c must be >= 1")
     return _kept_pairs(family.indexed, family.indexed,
-                       lambda a, b, cnt: (a < b) & (cnt >= c), plan)
+                       lambda a, b, cnt: family.first_seen(a, b) & (cnt >= c),
+                       plan)
 
 
 def ssj_mmjoin(family: SetFamily, c: int,
                plan: Optional[ThresholdPlan] = None) -> dict:
-    """Unordered pairs {a < b: |a n b| >= c} with exact overlap counts."""
+    """Unordered pairs {(a, b): |a n b| >= c}, a appearing before b in the
+    input, with exact overlap counts."""
     a, b, cnt = _ssj_arrays(family, c, plan)
     return dict(zip(zip(a.tolist(), b.tolist()), cnt.tolist()))
 
@@ -123,7 +146,7 @@ def get_size_boundary(family: SetFamily, c: int) -> int:
     smallest x. Prefix sums over the sorted sizes price every candidate in
     one pass, in exact integers.
     """
-    sizes = sorted(family.size(a) for a in family.sets)
+    sizes = sorted(family.indexed.left_deg.tolist())
     if not sizes:
         return 0
     n = len(sizes)
@@ -157,7 +180,7 @@ def _merge_overlap(x: np.ndarray, y: np.ndarray) -> int:
 def ssj_size_aware(family: SetFamily, c: int,
                    subset_cap: int = DEFAULT_SUBSET_CAP) -> set:
     """Size-aware SSJ: heavy sets by merge join against everyone, light sets
-    through the c-subset inverted index."""
+    through the c-subset inverted index. Pairs are oriented as ssj_mmjoin's."""
     if c < 1:
         raise ValueError("c must be >= 1")
     heavy = _heavy_sets(family, c)
@@ -184,7 +207,7 @@ def ssj_size_aware(family: SetFamily, c: int,
         for i in range(len(bucket)):
             for j in range(i + 1, len(bucket)):
                 out.add(_canonical(bucket[i], bucket[j]))
-    return out
+    return _oriented(family, out)
 
 
 @dataclass
@@ -320,13 +343,16 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
                 for b in ps:
                     if b != a:
                         out.add(_canonical(a, b))
-    return out, ops
+    return _oriented(family, out), ops
 
 
 def ssj_ordered(family: SetFamily, c: int) -> list:
-    """ssj_mmjoin result sorted by overlap descending, pair ascending."""
+    """ssj_mmjoin result sorted by overlap descending, then by the pair's
+    sets in input order."""
+    first = family.relation.left_first.tolist()
     counts = ssj_mmjoin(family, c)
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return sorted(counts.items(),
+                  key=lambda kv: (-kv[1], first[kv[0][0]], first[kv[0][1]]))
 
 
 def scj_join_project(family: SetFamily) -> set:

@@ -4,6 +4,7 @@ benchmarks, and oracle cross-checks."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import sys
@@ -102,28 +103,34 @@ def _dense_rank(keys: np.ndarray, space: int):
 
 def _names(texts: list):
     """The distinct `texts` in code-point order (an object array), and each
-    text's position among them."""
+    text's position among them; None for the positions when the texts are
+    that order already (distinct and ascending), each its own position."""
     names = sorted(set(texts))
+    if names == texts:
+        return np.array(names, dtype=object), None
     pos = {name: i for i, name in enumerate(names)}
     return (np.array(names, dtype=object),
             np.fromiter(map(pos.__getitem__, texts), dtype=np.int64,
                         count=len(texts)))
 
 
-def _suffixes(fields: list):
+def _suffixes(fields: list, key=None, space: int = 1, pending=()):
     """Each row's suffix id and the suffix texts, one per distinct suffix in
     code-point order. A row's suffix is its fields' names concatenated; a
     field is `(names, rank)`, its names in code-point order and each row's
-    position among them.
+    position among them. `key`, when given, is each row's key over fields
+    that come before `fields`, their ranks as digits, most significant
+    first: `pending` holds their names and `space` is the product of their
+    lengths.
 
     The fields' ranks combine into one key per row, most significant first,
     and the distinct keys are ranked once; each distinct suffix's text is
     built once, by one object-array concatenation per field.
     """
-    key = np.zeros(len(fields[0][1]), dtype=np.int64)
-    space = 1  # every key is below space
+    if key is None:
+        key = np.zeros(len(fields[0][1]), dtype=np.int64)
     texts = None  # the text of each distinct key, before `pending` fields
-    pending = []
+    pending = list(pending)
     for names, rank in fields:
         if pending and space * len(names) > _KEY_LIMIT:
             key, texts = _suffix_texts(key, space, texts, pending)
@@ -150,6 +157,24 @@ def _suffix_texts(key, space, texts, pending):
     return key, out
 
 
+def _field_names(values: list, counts: Optional[np.ndarray]) -> list:
+    """`_names` of each field's values, one list of values per field: every
+    field but the last is followed by a space, and the last one too when a
+    count field follows."""
+    seps = [" "] * len(values)
+    if counts is None:
+        seps[-1] = ""
+    return [_names([str(value) + sep for value in field])
+            for field, sep in zip(values, seps)]
+
+
+def _count_field(counts: np.ndarray):
+    """The field `(names, rank)` of `counts` (nonnegative)."""
+    distinct, inverse = _dense_rank(counts, int(counts.max(initial=0)) + 1)
+    names, rank = _names(list(map(str, distinct.tolist())))
+    return names, inverse if rank is None else rank[inverse]
+
+
 def _line_fields(columns: list, counts: Optional[np.ndarray]):
     """The parts of the text rows of `columns` (one `(ids, values)` pair per
     field: the values at those ids) and, when given, a last field holding
@@ -161,19 +186,11 @@ def _line_fields(columns: list, counts: Optional[np.ndarray]):
     lead rank, the suffixes (an object array in code-point order) and each
     row's suffix id.
     """
-    # every field but the last is followed by a space
-    seps = [" "] * len(columns)
-    if counts is None:
-        seps[-1] = ""
-    fields = []
-    for (col_ids, values), sep in zip(columns, seps):
-        names, rank = _names([str(value) + sep for value in values])
-        fields.append((names, rank[col_ids]))
+    fields = [(names, ids if rank is None else rank[ids])
+              for (ids, _), (names, rank)
+              in zip(columns, _field_names([v for _, v in columns], counts))]
     if counts is not None:
-        distinct, inverse = _dense_rank(counts,
-                                        int(counts.max(initial=0)) + 1)
-        names, rank = _names(list(map(str, distinct.tolist())))
-        fields.append((names, rank[inverse]))
+        fields.append(_count_field(counts))
     (leads, lead), rest = fields[0], fields[1:]
     suffix, suffixes = _suffixes(rest)
     return leads, lead, suffixes, suffix
@@ -202,11 +219,14 @@ def _sorted_lines(columns: list, counts: Optional[np.ndarray] = None) -> str:
     sorted, gathered and joined. Tokens hold no whitespace, so the text
     order of two rows is the order of their fields, each field compared as
     its name plus the space after it (the last one without). A row's lead
-    rank and suffix id therefore make one sort key.
+    rank and suffix id therefore make one sort key, and rows already in
+    its order are not sorted again.
     """
     leads, lead, suffixes, suffix = _line_fields(columns, counts)
     n = max(len(suffixes), 1)
-    lead, suffix = np.divmod(np.sort(lead * n + suffix), n)
+    key = lead * n + suffix
+    if (key[1:] < key[:-1]).any():
+        lead, suffix = np.divmod(np.sort(key), n)
     return _join_lines(leads, lead, suffixes, suffix)
 
 
@@ -215,6 +235,40 @@ def _ordered_lines(columns: list, counts: Optional[np.ndarray],
     """The rows of _sorted_lines, in `order` (row indices) instead."""
     leads, lead, suffixes, suffix = _line_fields(columns, counts)
     return _join_lines(leads, lead[order], suffixes, suffix[order])
+
+
+def _result_lines(res: joinproject.OutputSet, values: list,
+                  counts: bool) -> str:
+    """The rows of a join result as _sorted_lines prints them: field i holds
+    `values[i]` at the row's i-th id, and a last field the row's count when
+    `counts`.
+
+    When every field's ids are in the text order of their values, as a
+    parsed relation's are, a code's leading id is its row's lead rank and
+    the rest of the code its suffix key, and the codes, which ascend, are
+    the rows in text order: the rows are neither decoded field by field nor
+    sorted. Otherwise the rows are decoded and sorted (_sorted_lines).
+    """
+    cnt = res.counts if counts else None
+    named = _field_names(values, cnt)
+    if any(rank is not None for _, rank in named):
+        tups = res.tuples()
+        return _sorted_lines([(tups[:, i], field)
+                              for i, field in enumerate(values)], cnt)
+    if not len(res):
+        return ""
+    space = math.prod(res.dims[1:])
+    lead, key = np.divmod(res.codes, space)
+    rest = [] if cnt is None else [_count_field(cnt)]
+    suffix, suffixes = _suffixes(rest, key, space,
+                                 [names for names, _ in named[1:]])
+    return _join_lines(named[0][0], lead, suffixes, suffix)
+
+
+def _echo(text: str) -> None:
+    """Write query output as it is: click.echo strips ANSI escape sequences
+    when stdout is not a terminal, and ids may hold them."""
+    click.echo(text, color=True)
 
 
 def _pair_array(pairs) -> np.ndarray:
@@ -306,10 +360,7 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
     except (optimizer.PlanError, ValueError,
             joinproject.StarResourceError) as exc:
         raise click.ClickException(str(exc))
-    tups = res.tuples()
-    click.echo(_sorted_lines([(tups[:, 0], r.left_values),
-                              (tups[:, 1], s.left_values)],
-                             res.counts if counts else None))
+    _echo(_result_lines(res, [r.left_values, s.left_values], counts))
 
 
 @main.command("star")
@@ -327,10 +378,7 @@ def cmd_star(inputs, delta1, delta2, counts):
         res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
     except (ValueError, joinproject.StarResourceError) as exc:
         raise click.ClickException(str(exc))
-    tups = res.tuples()
-    click.echo(_sorted_lines([(tups[:, i], rel.left_values)
-                              for i, rel in enumerate(rels)],
-                             res.counts if counts else None))
+    _echo(_result_lines(res, [rel.left_values for rel in rels], counts))
 
 
 def _read_family(path: str) -> apps.SetFamily:
@@ -352,11 +400,13 @@ def cmd_ssj(sets_path, threshold, method):
         if method == "mmjoin":
             left, right, counts = apps._ssj_arrays(fam, threshold)
         elif method == "ordered":
-            # overlap descending, then the (a, b) ids, as apps.ssj_ordered
+            # overlap descending, then the sets in input order, as
+            # apps.ssj_ordered
             left, right, counts = apps._ssj_arrays(fam, threshold)
-            order = np.lexsort((right, left, -counts))
-            click.echo(_ordered_lines([(left, values), (right, values)],
-                                      counts, order))
+            first = fam.relation.left_first
+            order = np.lexsort((first[right], first[left], -counts))
+            _echo(_ordered_lines([(left, values), (right, values)], counts,
+                                 order))
             return
         elif method == "sizeaware":
             left, right = _pair_array(apps.ssj_size_aware(fam, threshold)).T
@@ -371,7 +421,7 @@ def cmd_ssj(sets_path, threshold, method):
             "--method mmjoin instead")
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    click.echo(_sorted_lines([(left, values), (right, values)], counts))
+    _echo(_sorted_lines([(left, values), (right, values)], counts))
 
 
 @main.command("scj")
@@ -381,7 +431,7 @@ def cmd_scj(sets_path):
     fam = _read_family(sets_path)
     values = fam.relation.left_values
     left, right = apps._scj_arrays(fam)
-    click.echo(_sorted_lines([(left, values), (right, values)]))
+    _echo(_sorted_lines([(left, values), (right, values)]))
 
 
 @main.command("bsi")
@@ -459,15 +509,19 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
                 optimizer.ThresholdPlan(optimizer.PARTITIONED,
                                         *optimizer.closed_form_thresholds(
                                             idx.n, max(1, idx.n)))
-            res, nanos = _timed(lambda: joinproject.two_path_join(
-                idx, idx, plan=use))
+            join = functools.partial(joinproject.two_path_join, idx, idx,
+                                     plan=use)
             d1, d2, strat = use.delta1, use.delta2, use.strategy
         elif method == "fulljoin":
-            res, nanos = _timed(lambda: joinproject.full_join_dedup(idx, idx))
+            join = functools.partial(joinproject.full_join_dedup, idx, idx)
             d1 = d2 = idx.n
             strat = optimizer.FULL_JOIN
         else:
             raise click.ClickException(f"unknown method {method!r}")
+        try:
+            res, nanos = _timed(join)
+        except joinproject.StarResourceError as exc:
+            raise click.ClickException(str(exc))
         records.append([dataset, query, method, nanos, len(res), d1, d2, strat])
     sizes = {r[4] for r in records}
     if len(sizes) > 1:

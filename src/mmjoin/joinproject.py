@@ -26,8 +26,9 @@ class StarResourceError(RuntimeError):
 class OutputSet:
     """Deduplicated projected tuples, optionally with witness counts.
 
-    `buffer` is None here; a result counted densely (_DenseOutputSet) holds
-    the count of every code of its space there.
+    `codes` ascend, so the tuples come sorted by their ids. `buffer` is None
+    here; a result counted densely (_DenseOutputSet) holds the count of
+    every code of its space there.
     """
 
     buffer = None

@@ -22,21 +22,30 @@ class ParseError(ValueError):
 
 
 class Relation:
-    """A deduplicated binary relation over dense value ids."""
+    """A deduplicated binary relation over dense value ids.
+
+    `left_first[a]` is the rank of left value a in the order the left values
+    first appear in the input; it defaults to the ids themselves, for ids
+    numbered by first appearance. SSJ orients its pairs by it.
+    """
 
     def __init__(self, name: str, pairs: np.ndarray,
                  left_values: list, left_ids: dict,
-                 right_values: list, right_ids: dict):
+                 right_values: list, right_ids: dict,
+                 left_first: Optional[np.ndarray] = None):
         self.name = name
         self.pairs = pairs
         self.left_values = left_values
         self.left_ids = left_ids
         self.right_values = right_values
         self.right_ids = right_ids
+        self.left_first = (np.arange(len(left_values)) if left_first is None
+                           else left_first)
 
     @classmethod
     def from_raw_pairs(cls, name: str, raw_pairs: Iterable[tuple]) -> "Relation":
-        """Encode raw (left, right) pairs. Duplicates are dropped."""
+        """Encode raw (left, right) pairs. Duplicates are dropped; ids number
+        the values by first appearance, and tuples keep that order."""
         raw = [tuple(p) for p in raw_pairs]
         return _from_encoded_columns(name, _encode_column([a for a, _ in raw]),
                                      _encode_column([b for _, b in raw]))
@@ -45,7 +54,7 @@ class Relation:
     def from_encoded(cls, name: str, pairs: np.ndarray, like: "Relation") -> "Relation":
         """A sub-relation reusing the dictionaries of `like`."""
         return cls(name, pairs, like.left_values, like.left_ids,
-                   like.right_values, like.right_ids)
+                   like.right_values, like.right_ids, like.left_first)
 
     @property
     def n(self) -> int:
@@ -190,29 +199,34 @@ def _edge_tokens(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def _token_keys(text: str, codes: np.ndarray, starts: np.ndarray,
-                ends: np.ndarray) -> np.ndarray:
-    """One uint64 per token of `text`; two keys are equal iff their tokens
-    are.
+                ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, long): one uint64 per token of `text`, two keys being equal iff
+    their tokens are, and the mask of the tokens too long to pack.
 
     A token of at most 64 // bits code points, bits being the bit length of
-    the largest code point plus one, packs into one key: code point j plus
-    one in slot j (bits * j upwards) and 0 in the empty slots, so "a" and
-    "a\\x00" differ. Longer tokens are numbered through a dict and keyed by
-    that number above an empty slot 0, which no packed key has.
+    the largest code point plus one, packs into one key big-endian: code
+    point j plus one in slot j, counted from the top (bits * (width - 1 - j)
+    upwards), and 0 in the empty slots. So "a" sorts before "a\\x00", and
+    key order is code-point order. Longer tokens are numbered through a dict
+    and keyed by that number below an empty top slot, which no packed key
+    has; their keys sort below every packed key, in no text order.
     """
     bits = (int(codes.max(initial=0)) + 1).bit_length()
+    width = 64 // bits
     lengths = ends - starts
-    short = lengths <= 64 // bits
+    short = lengths <= width
     # every token has a slot 0
     keys = codes.take(starts).astype(np.uint64)
     keys += 1
+    keys <<= np.uint64(bits * (width - 1))
     slot = np.empty_like(keys)
     # one O(tokens) pass per further slot; long tokens' keys are overwritten
     for j in range(1, int(lengths.max(initial=0, where=short))):
         chars = codes.take(starts + j, mode="clip")
         chars += 1  # no overflow: uint8 code points are ASCII
         chars *= lengths > j
-        keys |= np.left_shift(chars, np.uint64(bits * j), out=slot)
+        keys |= np.left_shift(chars, np.uint64(bits * (width - 1 - j)),
+                              out=slot)
     del slot
     long = ~short
     if long.any():
@@ -221,23 +235,50 @@ def _token_keys(text: str, codes: np.ndarray, starts: np.ndarray,
         tokens = list(compress(text.split(), long.tolist()))
         numbers = {v: i for i, v in enumerate(dict.fromkeys(tokens))}
         keys[long] = np.fromiter(map(numbers.__getitem__, tokens),
-                                 dtype=np.uint64,
-                                 count=len(tokens)) << np.uint64(bits)
-    return keys
+                                 dtype=np.uint64, count=len(tokens))
+    return keys, long
 
 
-def _encode_tokens(text: str, keys: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, list, dict]:
-    """(ids, values, value -> id) of a token column by first appearance;
-    each value is one `text` slice."""
-    ids, first = _first_seen_ids(keys)
+def _encode_tokens(text: str, keys: np.ndarray, long: np.ndarray,
+                   starts: np.ndarray, ends: np.ndarray):
+    """(ids, values, value -> id, first) of a token column, its ids being the
+    code-point ranks of the distinct values; each value is one `text` slice.
+    `first[i]` is the position where the value of id i first appears.
+
+    One sort groups the keys, whose order is the values' order unless some
+    token is `long`: then one sort of the distinct values orders them. The
+    sort takes only the first key of each run of equal keys, so a file
+    grouped by the column, as an adjacency list is by its left column,
+    sorts one key per group.
+    """
+    run = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run[1:])
+    heads = np.flatnonzero(run)
+    order, new, first = _key_groups(keys[heads])
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(new) - 1
+    ids = np.repeat(ids, np.diff(heads, append=len(keys)))
+    # runs are in file order, so a value's first run starts where it first
+    # appears
+    first = heads[first]
     values = [text[s:e] for s, e in zip(starts[first].tolist(),
                                         ends[first].tolist())]
-    return ids, values, {v: i for i, v in enumerate(values)}
+    if long.any():
+        by_text = np.array(sorted(range(len(values)),
+                                  key=values.__getitem__), dtype=np.int64)
+        rank = np.empty_like(by_text)
+        rank[by_text] = np.arange(len(by_text))
+        ids, first = rank[ids], first[by_text]
+        values = [values[i] for i in by_text.tolist()]
+    return ids, values, {v: i for i, v in enumerate(values)}, first
 
 
 def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
     """Parse `left right` lines; `#` comments and blank lines are skipped.
+
+    Each column's ids are the code-point ranks of its distinct values, and
+    the pairs come deduplicated and sorted by (left, right); `left_first`
+    ranks the left values by first appearance in the file.
 
     The whole source is read at once. Lines are split on "\\n" only, as
     iterating a text file does (str.splitlines would also split on form
@@ -251,13 +292,25 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
     text = source.read()
     codes = _code_points(text)
     starts, ends, keep = _edge_tokens(codes)
-    keys = _token_keys(text, codes, starts, ends)
+    keys, long = _token_keys(text, codes, starts, ends)
     del codes
     if keep is not None:
-        starts, ends, keys = starts[keep], ends[keep], keys[keep]
-    return _from_encoded_columns(
-        name, _encode_tokens(text, keys[0::2], starts[0::2], ends[0::2]),
-        _encode_tokens(text, keys[1::2], starts[1::2], ends[1::2]))
+        starts, ends = starts[keep], ends[keep]
+        keys, long = keys[keep], long[keep]
+    lcodes, left_values, left_ids, first = _encode_tokens(
+        text, keys[0::2], long[0::2], starts[0::2], ends[0::2])
+    rcodes, right_values, right_ids, _ = _encode_tokens(
+        text, keys[1::2], long[1::2], starts[1::2], ends[1::2])
+    # one sort of the pair codes dedups the pairs and orders them
+    dom_right = len(right_values)
+    codes = np.sort(lcodes * dom_right + rcodes)
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    pairs = np.column_stack(np.divmod(codes[new], max(dom_right, 1)))
+    left_first = np.empty_like(first)
+    left_first[np.argsort(first)] = np.arange(len(first))
+    return Relation(name, pairs, left_values, left_ids, right_values,
+                    right_ids, left_first)
 
 
 def parse_set_family_file(source: TextIO, name: str = "sets") -> Relation:
@@ -279,11 +332,15 @@ def semi_join_reduce_many(relations: list) -> list:
     The returned relations share one right dictionary (identical objects), the
     precondition for joining at the id level: the values present in every
     input dictionary, sorted by repr. Left ids are renumbered by first
-    appearance among the kept tuples. Idempotent on tuple sets. An input
-    object given more than once is reduced once, and every repeat gets the
-    same reduced object.
+    appearance among the kept tuples, which keeps their order when the
+    tuples are sorted by left id. Idempotent on tuple sets. An input object
+    given more than once is reduced once, and every repeat gets the same
+    reduced object; a single distinct input (a self-join) already shares its
+    dictionary and is returned as it is.
     """
     distinct = list({id(rel): rel for rel in relations}.values())
+    if len(distinct) == 1:
+        return list(relations)
     right_values, right_ids = _shared_right_dict(distinct)
     reduced = {}
     for rel in distinct:
@@ -311,13 +368,16 @@ def semi_join_reduce(r: Relation, s: Relation) -> tuple[Relation, Relation]:
 def _csr(keys: np.ndarray, vals: np.ndarray, dom: int,
          dom_vals: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR over distinct (key, val) pairs, keys < dom and vals < dom_vals;
-    each row's values ascend."""
-    # the pairs are distinct, so the sort keys are too and any sort gives
-    # the one (key, val) order
-    order = np.argsort(keys * dom_vals + vals)
+    each row's values ascend. Pairs already sorted by (key, val), as a
+    parsed relation's are, are not sorted again."""
+    codes = keys * dom_vals + vals
+    if (codes[1:] < codes[:-1]).any():
+        # the pairs are distinct, so the codes are too and one sort of them
+        # gives the one (key, val) order
+        vals = np.sort(codes) % dom_vals
     indptr = np.zeros(dom + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=dom), out=indptr[1:])
-    return indptr, vals[order]
+    return indptr, vals
 
 
 class IndexedRelation:

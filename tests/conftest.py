@@ -140,7 +140,10 @@ def oracle_encode(name, raw_pairs, right_values=None, right_ids=None):
 
 
 def oracle_parse_edge_list(source, name="R"):
-    """Edge-list parse by iterating the source line by line."""
+    """Edge-list parse by iterating the source line by line. Each column's
+    ids are the ranks of its distinct values in Python's str order (code
+    point order), the pairs are distinct and sorted by (left, right), and
+    `left_first` ranks the left values by first appearance."""
     pairs = []
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
@@ -150,7 +153,15 @@ def oracle_parse_edge_list(source, name="R"):
         if len(toks) != 2:
             raise ParseError(line_no, f"expected 2 tokens, got {len(toks)}")
         pairs.append((toks[0], toks[1]))
-    return oracle_encode(name, pairs)
+    left_values = sorted({a for a, _ in pairs})
+    right_values = sorted({b for _, b in pairs})
+    left_ids = {v: i for i, v in enumerate(left_values)}
+    right_ids = {v: i for i, v in enumerate(right_values)}
+    enc = sorted({(left_ids[a], right_ids[b]) for a, b in pairs})
+    seen = {v: i for i, v in enumerate(dict.fromkeys(a for a, _ in pairs))}
+    return Relation(name, np.array(enc, dtype=np.int64).reshape(-1, 2),
+                    left_values, left_ids, right_values, right_ids,
+                    np.array([seen[v] for v in left_values], dtype=np.int64))
 
 
 def oracle_semi_join_reduce_many(relations):

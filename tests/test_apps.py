@@ -38,6 +38,13 @@ def test_set_family_basics():
     assert fam.raw_id(0) == "a"
 
 
+def test_set_family_builds_sets_on_first_use():
+    fam = apps.SetFamily.from_dict({"a": [1, 2], "b": [2]})
+    assert len(fam) == 2 and fam.size(1) == 1
+    assert "sets" not in vars(fam)
+    assert fam.sets[0].tolist() == [0, 1] and fam.sets is fam.sets
+
+
 @pytest.mark.parametrize("c", [1, 2, 3])
 def test_ssj_methods_agree_with_oracle(c):
     rng = np.random.default_rng(20 + c)

@@ -15,7 +15,7 @@ from conftest import (
     random_pairs,
 )
 from mmjoin import apps, cli, joinproject
-from mmjoin.cli import CSV_HEADER, _sorted_lines, main
+from mmjoin.cli import CSV_HEADER, _result_lines, _sorted_lines, main
 from mmjoin.relation import generate_community_graph, parse_edge_list
 
 
@@ -100,6 +100,41 @@ def test_join_over_budget_is_a_data_error(tmp_path, runner, monkeypatch,
         assert res.output.startswith("Error:") and "budget of 10" in res.output
 
 
+def test_bench_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
+    out = tmp_path / "out.csv"
+    for methods in ("mmjoin,fulljoin", "fulljoin"):
+        res = runner.invoke(main, ["bench", "twopath", "--n", "1e4",
+                                   "--methods", methods, "--csv", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error:" in res.output and "budget of 10" in res.output
+        assert not out.exists()
+
+
+def test_ids_with_escape_sequences_print_unchanged(tmp_path, runner):
+    """An id holding an ANSI escape sequence is printed as it is, although
+    the output is not a terminal."""
+    g = tmp_path / "g.txt"
+    g.write_text("x\x1b[1m y\nz y\n")
+    x = "x\x1b[1m"
+    want = [f"{x} {x}", f"{x} z", f"z {x}", "z z"]
+    res = runner.invoke(main, ["twopath", "--left", str(g), "--right", str(g)])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == want
+    res = runner.invoke(main, ["star", "--input", str(g), "--input", str(g),
+                               "--counts"])
+    assert res.output.splitlines() == [f"{line} 1" for line in want]
+    sets = tmp_path / "sets.txt"
+    sets.write_text(f"{x} 1\n{x} 2\nz 1\n")
+    for method in ("mmjoin", "ordered"):
+        res = runner.invoke(main, ["ssj", "--sets", str(sets), "--method",
+                                   method])
+        assert res.output == f"{x} z 1\n"
+    res = runner.invoke(main, ["scj", "--sets", str(sets)])
+    assert res.output == f"z {x}\n"
+
+
 def test_repeated_input_matches_separate_copy(tmp_path, runner, monkeypatch):
     """A file named twice, directly or through a symlink, is parsed once; the
     output is byte-identical to naming a copy of it."""
@@ -174,6 +209,50 @@ def test_sorted_lines_matches_sorting_formatted_rows(table):
     # a key limit this small re-ranks the combined row key at every field
     with mock.patch.object(cli, "_KEY_LIMIT", 4):
         assert _sorted_lines(columns, counts) == want
+    _check_rows_in_text_order(values, rows, counts)
+
+
+def _check_rows_in_text_order(values, rows, counts):
+    """The rows again with each field's ids in the text order of its names
+    (a name plus the space after it, the last field's without one unless a
+    count follows), distinct and sorted by id, as a join over parsed
+    relations gives them: _sorted_lines and _result_lines take them as they
+    come, and must print what sorting the formatted rows prints."""
+    seps = [" "] * len(values)
+    if counts is None:
+        seps[-1] = ""
+    ordered = [sorted(v, key=lambda name, sep=sep: name + sep)
+               for v, sep in zip(values, seps)]
+    new_id = [[o.index(name) for name in v] for v, o in zip(values, ordered)]
+    by_row = {}
+    for i, row in enumerate(rows):
+        by_row.setdefault(tuple(m[r] for m, r in zip(new_id, row)),
+                          None if counts is None else int(counts[i]))
+    kept = sorted(by_row)
+    cnt = None if counts is None else np.array([by_row[row] for row in kept],
+                                               dtype=np.int64)
+
+    def sorted_text(fields):
+        lines = [" ".join(f[i] for f, i in zip(fields, row)) for row in kept]
+        if cnt is not None:
+            lines = [f"{line} {c}" for line, c in zip(lines, cnt.tolist())]
+        return "\n".join(sorted(lines))
+
+    want = sorted_text(ordered)
+    ids = np.array(kept, dtype=np.int64).reshape(len(kept), len(values))
+    assert _sorted_lines([(ids[:, j], o) for j, o in enumerate(ordered)],
+                         cnt) == want
+    dims = [len(o) for o in ordered]
+    codes = np.zeros(len(kept), dtype=np.int64)
+    for j, dim in enumerate(dims):
+        codes = codes * dim + ids[:, j]
+    res = joinproject.OutputSet(codes, dims, cnt)
+    assert _result_lines(res, ordered, cnt is not None) == want
+    with mock.patch.object(cli, "_KEY_LIMIT", 4):
+        assert _result_lines(res, ordered, cnt is not None) == want
+    # a field out of text order (the first, reversed): decoded and sorted
+    flipped = [ordered[0][::-1]] + ordered[1:]
+    assert _result_lines(res, flipped, cnt is not None) == sorted_text(flipped)
 
 
 # unused names past the bitmap's reach for any drawn number of rows
@@ -262,6 +341,38 @@ def test_ssj_mmjoin_cli_pairs_in_file_order(tmp_path, runner):
     assert res.exit_code == 0
     assert res.output.splitlines() == ["alpha mid 2", "zeta alpha 2",
                                        "zeta mid 2"]
+
+
+def test_ssj_methods_orient_pairs_in_file_order(tmp_path, runner):
+    """Every method prints a pair's set that comes first in the file first,
+    where file order and code-point order disagree; `ordered` breaks overlap
+    ties in file order too."""
+    rng = np.random.default_rng(9)
+    names = [f"s{i}" for i in range(30)] + ["zeta", "alpha", "Z", "a\x01"]
+    order = rng.permutation(len(names))
+    fam = {names[i]: sorted({int(e) for e in rng.integers(0, 12, 5)})
+           for i in order}
+    path = tmp_path / "f.txt"
+    _write_family(path, fam)
+    pos = {name: i for i, name in enumerate(fam)}
+    assert list(fam) != sorted(fam)
+    for c in (1, 2, 3):
+        found = {(a, b) if pos[a] < pos[b] else (b, a): cnt
+                 for (a, b), cnt in oracle_ssj(fam, c).items()}
+        base = ["ssj", "--sets", str(path), "--c", str(c), "--method"]
+        res = runner.invoke(main, base + ["mmjoin"])
+        assert res.output.splitlines() == sorted(
+            f"{a} {b} {cnt}" for (a, b), cnt in found.items())
+        pairs = sorted(f"{a} {b}" for a, b in found)
+        res = runner.invoke(main, base + ["sizeaware"])
+        assert res.output.splitlines() == pairs
+        res = runner.invoke(main, base + ["sizeaware-pp"])
+        assert res.output.splitlines()[1:] == pairs
+        res = runner.invoke(main, base + ["ordered"])
+        ranked = sorted(found.items(),
+                        key=lambda kv: (-kv[1], pos[kv[0][0]], pos[kv[0][1]]))
+        assert res.output.splitlines() == [f"{a} {b} {cnt}"
+                                           for (a, b), cnt in ranked]
 
 
 def test_ssj_sizeaware_cap_names_other_methods(tmp_path, runner):

@@ -56,17 +56,21 @@ def assert_same_relation(got, want):
     assert np.array_equal(got.pairs, want.pairs)
     assert _typed(got.left_values) == _typed(want.left_values)
     assert list(got.left_ids.items()) == list(want.left_ids.items())
+    assert got.left_first.tolist() == want.left_first.tolist()
     assert _typed(got.right_values) == _typed(want.right_values)
     assert list(got.right_ids.items()) == list(want.right_ids.items())
 
 
-# "a\x00" and "a" must stay distinct; \x0c, \x1c, \x85 and \u2028 are
-# whitespace inside a line but line breaks to str.splitlines; \xa0, \u1680,
-# \u205f and \u3000 are multi-byte whitespace, "é" a multi-byte token. The
-# node_ pair is longer than one packed key and differs only at its end, as
-# does the 200-character token; four 17-bit code points overflow a key too
+# "a\x00" and "a" must stay distinct, and "a" < "a\x00" < "a\x01" < "a!"
+# hold in code-point order, as "10" < "9" does; \x0c, \x1c, \x85 and \u2028
+# are whitespace inside a line but line breaks to str.splitlines; \xa0,
+# \u1680, \u205f and \u3000 are multi-byte whitespace, "é" a multi-byte
+# token. The node_ pair is longer than one packed key and differs only at
+# its end, as does the 200-character token; four 17-bit code points
+# overflow a key too
 _LONG = "x" * 199 + "y"
-_TOKENS = st.sampled_from(["a", "a\x00", "b", "1", "#a", "c#", "é", "#é",
+_TOKENS = st.sampled_from(["a", "a\x00", "a\x01", "a!", "b", "1", "10", "9",
+                           "#a", "c#", "é", "#é",
                            "node_000000001", "node_000000002", _LONG,
                            "\U0001F600" * 4])
 _SEPS = st.sampled_from([" ", "\t", "  ", "\x0c", "\x1c", "\x85", "\u2028",
@@ -107,7 +111,10 @@ def _sources(text):
 @example("#a b c\n\n a\tb \r\nx y z\n")
 @example("a\x00 b\na b\nb\x0ca\n")
 @example("a b\x85c\n")
-@example("a x\nb y\na y\nb y\n")  # first-seen pair order, not sorted
+@example("a x\nb y\na y\nb y\n")  # pairs sorted, not in first-seen order
+@example("b a\x01\na! 9\na\x00 10\na a!\nb a\n")  # first seen is not first
+# a long token among packed ones: its column is ordered by its strings
+@example(f"9 {_LONG}\n{_LONG} a\n10 é\na\x01 x\n")
 @example("é\u3000b\n\xa0#é c d\nb\u205fé\u1680\n")
 @example("a b\n\u3000x\n")  # bad line after a multi-byte separator
 @example("a b\nb c\n#x y\nc a\n")  # all ASCII: one byte per code point
@@ -266,6 +273,29 @@ def test_csr_rows_ascend_for_unsorted_pairs():
     indptr, indices = _csr(keys, vals, 40, 30)
     assert np.array_equal(indices, vals[np.lexsort((vals, keys))])
     assert np.array_equal(np.diff(indptr), np.bincount(keys, minlength=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9)), max_size=60),
+       st.randoms(use_true_random=False))
+def test_indexed_relation_of_shuffled_pairs_equals_sorted(pairs, random):
+    """The index of a relation whose pairs are already sorted, as a parsed
+    relation's are, equals the index of the same pairs in any order."""
+    text = "".join(f"{a} {b}\n" for a, b in pairs)
+    rel = parse_edge_list(io.StringIO(text))
+    shuffled = rel.pairs.tolist()
+    random.shuffle(shuffled)
+    other = Relation.from_encoded(
+        "R", np.array(shuffled, dtype=np.int64).reshape(-1, 2), rel)
+    got, want = build_indexed(other), build_indexed(rel)
+    for name in ("fwd_indptr", "fwd_indices", "rev_indptr", "rev_indices",
+                 "left_deg", "right_deg"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    # rows ascend both ways
+    for a in range(rel.dom_left):
+        assert sorted(want.fwd(a).tolist()) == want.fwd(a).tolist()
+    for b in range(rel.dom_right):
+        assert sorted(want.rev(b).tolist()) == want.rev(b).tolist()
 
 
 def test_example_reverse_index_and_count():
