@@ -277,23 +277,23 @@ def _pair_array(pairs) -> np.ndarray:
                        count=2 * len(pairs)).reshape(-1, 2)
 
 
+def _calibration_table(path: Optional[str]):
+    """_load_calibration with a missing or malformed table as a data error."""
+    try:
+        return _load_calibration(path)
+    except (OSError, matmul.CalibrationError) as exc:
+        raise click.ClickException(str(exc))
+
+
 def _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration):
     if delta1 is not None and delta2 is not None:
         return optimizer.ThresholdPlan(optimizer.PARTITIONED, delta1, delta2)
     if not auto_plan:
         return None
-    try:
-        table = _load_calibration(calibration)
-        if table is None:
-            return optimizer.default_plan(ridx, sidx)
-        from .relation import degree_stats
-        stats_r = degree_stats(ridx, partner=sidx)
-        stats_s = degree_stats(sidx)
-        return optimizer.optimize_thresholds(
-            stats_r, stats_s, ridx.rel.dom_left, ridx.out_join_with(sidx),
-            table=table)
-    except (OSError, matmul.CalibrationError) as exc:
-        raise click.ClickException(str(exc))
+    table = _calibration_table(calibration)
+    if table is None:
+        return optimizer.default_plan(ridx, sidx)
+    return optimizer.optimize_thresholds(ridx, sidx, table)
 
 
 def _probe_dims(ctx, param, value):
@@ -466,17 +466,20 @@ def cmd_bsi(left, right, workload, rate, batch_size):
 
 
 @main.command("calibrate")
-@click.option("--dims", default="128,256,512,1024", show_default=True,
-              callback=_probe_dims)
+@click.option("--dims", default=",".join(map(str, matmul.DEFAULT_PROBE_DIMS)),
+              show_default=True, callback=_probe_dims)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help=f"defaults to ${CALIBRATION_ENV} or ./calibration.tsv")
 def cmd_calibrate(dims, seed, out):
     """Measure the multiply cost table and write calibration.tsv."""
     click.echo(f"seed={seed}")
-    table = matmul.calibrate(dims, seed=seed)
     out = out or os.environ.get(CALIBRATION_ENV) or "calibration.tsv"
-    table.save(out)
+    try:
+        table = matmul.calibrate(dims, seed=seed)
+        table.save(out)
+    except (OSError, matmul.CalibrationError) as exc:
+        raise click.ClickException(str(exc))
     click.echo(f"wrote {len(table)} entries to {out}")
 
 
@@ -501,14 +504,12 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     nodes = _community_for_edges(int(n_edges))
     rel = generate_community_graph(nodes, 3, 0.9, seed)
     idx = build_indexed(rel)
-    plan = _resolve_plan(idx, idx, None, None, True, calibration)
+    # the mmjoin row runs the cheapest plan with a heavy part
+    use = optimizer.price_two_path(idx, idx, _calibration_table(calibration)
+                                   ).plan(partitioned=True)
     records = []
     for method in methods.split(","):
         if method == "mmjoin":
-            use = plan if plan.strategy == optimizer.PARTITIONED else \
-                optimizer.ThresholdPlan(optimizer.PARTITIONED,
-                                        *optimizer.closed_form_thresholds(
-                                            idx.n, max(1, idx.n)))
             join = functools.partial(joinproject.two_path_join, idx, idx,
                                      plan=use)
             d1, d2, strat = use.delta1, use.delta2, use.strategy
@@ -539,23 +540,33 @@ def cmd_report(csv_path):
     """Summarize a bench CSV as fulljoin/mmjoin speedup ratios."""
     try:
         with open(csv_path, newline="", encoding="utf-8") as f:
-            rows = list(csv.DictReader(f))
+            reader = csv.DictReader(f)
+            rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise click.ClickException(str(exc))
     if not rows:
         click.echo("no records")
         return
-    if set(rows[0]) != set(CSV_HEADER):
+    if set(rows[0][1]) != set(CSV_HEADER):
         raise click.ClickException("malformed CSV: unexpected columns")
     by_query: dict = {}
-    for row in rows:
+    for line, row in rows:
+        try:
+            nanos = int(row["wall_nanos"])
+        except (TypeError, ValueError):
+            raise click.ClickException(
+                f"{csv_path}, line {line}: wall_nanos "
+                f"{row['wall_nanos']!r} is not an integer")
         key = (row["dataset"], row["query"])
-        by_query.setdefault(key, {})[row["method"]] = int(row["wall_nanos"])
+        by_query.setdefault(key, {})[row["method"]] = (nanos, line)
     for (dataset, query), times in sorted(by_query.items()):
         base = times.get("fulljoin", times.get("mmjoin"))
         mm = times.get("mmjoin", base)
-        click.echo(f"{dataset}/{query}: speedup={base / mm:.2f} "
-                   f"(fulljoin={base}ns mmjoin={mm}ns)")
+        if mm[0] == 0:
+            raise click.ClickException(
+                f"{csv_path}, line {mm[1]}: wall_nanos 0 leaves no speedup")
+        click.echo(f"{dataset}/{query}: speedup={base[0] / mm[0]:.2f} "
+                   f"(fulljoin={base[0]}ns mmjoin={mm[0]}ns)")
 
 
 def _random_instance(rng, n, dom_x, dom_y, name="R"):

@@ -15,7 +15,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matmul import CountMatrix, multiply_counts
-from .optimizer import FULL_JOIN, ThresholdPlan, default_plan
+from .optimizer import (
+    FULL_JOIN,
+    ThresholdPlan,
+    counts_densely,
+    default_plan,
+    join_sizes,
+    piece_sizes,
+)
 from .relation import IndexedRelation, build_indexed, semi_join_reduce_many
 
 
@@ -209,12 +216,6 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
     return (out, counts) if want_counts else out
 
 
-# Counting in a buffer over the whole code space beats the sort path while
-# the space is at most this many times the codes that path touches (see
-# _dedup_output); measured break-even.
-_DENSE_SPACE_PER_CODE = 1.5
-
-
 def _as_run(keys: np.ndarray):
     """Sorted distinct `keys` as a slice when they are one run of
     consecutive ids (a slice indexes far faster than the keys)."""
@@ -233,16 +234,14 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int],
 
     The sort path (_dedup) touches every code once to sort it and, when a
     block merges in, every code and block entry once more. While the space
-    is at most _DENSE_SPACE_PER_CODE times those touches, one bincount over
-    the whole space holds every count instead and the block is added into
-    it in place; a block that is the whole space and has no codes beside it
-    is that buffer already.
+    is small next to those touches (optimizer.counts_densely), one bincount
+    over the whole space holds every count instead and the block is added
+    into it in place; a block that is the whole space and has no codes
+    beside it is that buffer already.
     """
     space = math.prod(dims)
-    touched = len(codes)
-    if heavy is not None:
-        touched += len(codes) + heavy.data.size
-    if space <= _DENSE_SPACE_PER_CODE * touched:
+    if counts_densely(space, len(codes),
+                      0 if heavy is None else heavy.data.size):
         if (heavy is not None and not len(codes)
                 and heavy.data.shape == tuple(dims)):
             return _DenseOutputSet(
@@ -297,37 +296,31 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
     dims = [ri.rel.dom_left for ri in rels]
     _check_code_space(dims)
     deg = np.stack([ri.right_deg for ri in rels])
-    # light[i, y]: tuples of relation i at y taken as light; at a light y,
-    # all of them
-    light = np.stack([np.bincount(ri.rel.pairs[ll[ri.rel.pairs[:, 0]], 1],
-                                  minlength=len(light_y))
-                      for ri, ll in zip(rels, light_left)])
-    light = np.where(light_y, deg, light)
-    heavy = deg - light
-    # sizes[j, y]: codes of witness y whose first light position is j,
-    # prod_{i<j} heavy_i(y) * light_j(y) * prod_{i>j} deg_i(y), in float64:
-    # a size past 2^53 is over the budget anyway
-    ones = np.ones((1, len(light_y)))
-    before = np.cumprod(np.vstack([ones, heavy]), axis=0)
-    after = np.cumprod(np.vstack([deg[1:], ones])[::-1], axis=0)[::-1]
-    sizes = before[:-1] * light * after
-    n_light = sizes.sum()
+    # heavy[i, y]: tuples of relation i at y with a heavy left value; at a
+    # light y, none: all of them are taken as light
+    heavy = deg - np.stack([
+        np.bincount(ri.rel.pairs[ll[ri.rel.pairs[:, 0]], 1],
+                    minlength=len(light_y))
+        for ri, ll in zip(rels, light_left)])
+    heavy[:, light_y] = 0
+    light = deg - heavy
 
     heavy_left = [np.flatnonzero(~ll) for ll in light_left]
     heavy_y = np.flatnonzero(~light_y)
     half = (k + 1) // 2
-    n_heavy = 0
-    if before[-1].any():  # some heavy y joins heavy left values everywhere
-        rows = math.prod(len(h) for h in heavy_left[:half])
-        cols = math.prod(len(h) for h in heavy_left[half:])
-        n_heavy = (rows + cols) * len(heavy_y) + rows * cols
+    # the sizes the planner prices, for this one split
+    planned = join_sizes(deg, ~light_y[None], heavy[None],
+                         [[len(h) for h in heavy_left]])
+    n_light = int(planned.light[0, 0])
+    n_heavy = int(planned.heavy_entries[0, 0])
     if n_light + n_heavy > _ENTRY_BUDGET:
         raise StarResourceError(
-            f"the join needs {int(n_light)} light codes and {n_heavy} heavy "
+            f"the join needs {n_light} light codes and {n_heavy} heavy "
             f"matrix entries, over the budget of {_ENTRY_BUDGET}; "
             "change delta1/delta2")
 
-    sizes = sizes.astype(np.int64)
+    # sizes[j, y]: codes of witness y whose first light position is j
+    sizes = piece_sizes(deg, heavy).astype(np.int64)
     pos_j, pos_y = np.nonzero(sizes)
     codes = np.empty(int(sizes.sum()), dtype=np.int64)
     if len(codes):

@@ -11,7 +11,7 @@ import numpy as np
 from .core import CountMatrix, multiply_counts
 
 FORMAT_VERSION = "mmjoin-calibration v1"
-DEFAULT_PROBE_DIMS = (128, 256, 512, 1024)
+DEFAULT_PROBE_DIMS = (128, 256, 512)
 
 
 class CalibrationError(RuntimeError):

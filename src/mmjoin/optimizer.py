@@ -1,4 +1,6 @@
-"""Output-size estimation, analytic thresholds, and the cost-based sweep."""
+"""Plans for the two-path join: the exact sizes of the partitioned join at
+every threshold pair of a grid, priced by measured per-operation costs, and
+the output-size estimate."""
 
 from __future__ import annotations
 
@@ -6,14 +8,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .matmul import CalibrationError, CalibrationTable, estimate_runtime
-from .relation import DegreeStats, IndexedRelation
+from .relation import IndexedRelation
 
 FULL_JOIN = "fulljoin"
 PARTITIONED = "partitioned"
-
-# full join wins while OUT_join stays within this multiple of the input size
-FULL_JOIN_CUTOFF = 20
 
 
 class PlanError(ValueError):
@@ -22,6 +23,8 @@ class PlanError(ValueError):
 
 @dataclass
 class ThresholdPlan:
+    """A strategy and its thresholds; the costs are the planner's modeled
+    nanos and `iterations` the number of candidates it priced."""
     strategy: str
     delta1: int
     delta2: int
@@ -52,21 +55,6 @@ class ThresholdPlan:
         return plan
 
 
-@dataclass
-class CostConstants:
-    """Per-operation nanos for the light-cost model."""
-    T_s: float = 2.0
-    T_m: float = 30.0
-    T_I: float = 8.0
-
-    def validate(self) -> None:
-        if min(self.T_s, self.T_m, self.T_I) <= 0:
-            raise ValueError("cost constants must be strictly positive")
-
-
-DEFAULT_COSTS = CostConstants()
-
-
 def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
     """Geometric mean of the analytic lower and upper |OUT| bounds."""
     if out_join < 0 or n < 1:
@@ -81,95 +69,267 @@ def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
     return int(est)
 
 
-def _ceil_cbrt_ratio(num: int, den: int) -> int:
-    """Smallest integer k with k^3 * den >= num; float-roundoff safe."""
-    k = max(1, round((num / den) ** (1.0 / 3.0)))
-    while k ** 3 * den < num:
-        k += 1
-    while k > 1 and (k - 1) ** 3 * den >= num:
-        k -= 1
-    return k
+# Counting in a buffer over the whole code space beats the sort path while
+# the space is at most this many times the codes that path touches (see
+# counts_densely); measured break-even.
+_DENSE_SPACE_PER_CODE = 1.5
 
 
-def closed_form_thresholds(n: int, out_est: int) -> tuple[int, int]:
-    """Analytic minimizers of the omega=2 cost; clamped to [1, n]."""
-    if n < 1 or out_est < 1:
-        raise ValueError("n >= 1 and out_est >= 1 required")
-    if out_est <= n:
-        d1 = _ceil_cbrt_ratio(out_est, 1)
-        # ceil(n / out_est^(2/3)) as the smallest d with d^3*out^2 >= n^3
-        d2 = _ceil_cbrt_ratio(n ** 3, out_est ** 2)
-    else:
-        d1 = d2 = _ceil_cbrt_ratio(2 * n * n, n + out_est)
-    clamp = lambda d: max(1, min(d, n))
-    return clamp(d1), clamp(d2)
+def counts_densely(space, light, block):
+    """Whether joinproject._dedup_output counts `light` codes and a heavy
+    product block of `block` entries (0 for none) in a buffer over the
+    whole `space` rather than sorting them. The sort path touches every code
+    once and, when a block merges in, every code and block entry once more.
+    Takes scalars or arrays that broadcast."""
+    touched = light + (block > 0) * (light + block)
+    return space <= _DENSE_SPACE_PER_CODE * touched
 
 
-def modeled_costs(stats_r: DegreeStats, stats_s: DegreeStats, dom_x: int,
-                  delta1: int, delta2: int, consts: CostConstants,
-                  table: CalibrationTable) -> tuple[float, float]:
-    """(t_light, t_heavy) for a candidate threshold pair.
+def piece_sizes(deg: np.ndarray, heavy: np.ndarray) -> np.ndarray:
+    """Codes of the light pieces of a partitioned join, in float64 (a size
+    past 2^53 is over any entry budget anyway).
 
-    stats_r must be built with the join partner so sum_x reflects the partner
-    list lengths; stats_s is the partner's own stats.
+    `deg[i, y]` is relation i's degree at witness y and `heavy[..., i, y]`
+    its tuples at y whose left value is heavy (0 at a light witness). The
+    piece (j, y) holds the combinations whose first light left value is at
+    position j: sizes[..., j, y] = prod_{i<j} heavy_i(y) * light_j(y) *
+    prod_{i>j} deg_i(y). At a light witness that is its full cross product
+    at j = 0 and nothing after.
     """
-    t_light = (consts.T_I * stats_s.sum_y(delta1)
-               + consts.T_I * stats_r.sum_x(delta2)
-               + consts.T_m * dom_x
-               + consts.T_s * stats_s.cdfx(delta1) * dom_x)
-    u = dom_x - stats_r.count_left(delta2)
-    v = stats_s.dom_right - stats_s.count_right(delta1)
-    w = stats_s.dom_left - stats_s.count_left(delta2)
-    if min(u, v, w) <= 0:
-        return t_light, 0.0
-    t_heavy = (estimate_runtime(table, u, v, w)
-               + consts.T_m * (u * v + u * w))
-    return t_light, float(t_heavy)
+    deg = np.asarray(deg, dtype=np.float64)
+    heavy = np.asarray(heavy, dtype=np.float64)
+    sizes = np.empty(heavy.shape)
+    before = 1.0
+    for j in range(len(deg)):
+        sizes[..., j, :] = (before * (deg[j] - heavy[..., j, :])
+                            * deg[j + 1:].prod(axis=0))
+        before = before * heavy[..., j, :]
+    return sizes
 
 
-def optimize_thresholds(stats_r: DegreeStats, stats_s: DegreeStats,
-                        dom_x: int, out_join: int,
-                        consts: CostConstants = DEFAULT_COSTS,
-                        table: Optional[CalibrationTable] = None,
-                        step: float = 0.05) -> ThresholdPlan:
-    """Geometric delta1 sweep, stopping at the first modeled-cost increase."""
-    if not 0 < step < 1:
-        raise ValueError("step must be in (0, 1)")
-    n = max(stats_r.n_tuples, stats_s.n_tuples)
-    if out_join <= FULL_JOIN_CUTOFF * n:
-        return ThresholdPlan(FULL_JOIN, n, n, float(out_join), 0.0, 0)
-    if table is None or not table.entries:
-        raise CalibrationError("optimizer needs a calibration table; run calibrate")
+@dataclass
+class JoinSizes:
+    """What joinproject._partitioned allocates and loops over, per candidate
+    split: rows are witness splits, columns left-value splits.
 
-    out_est = max(1, estimate_output_size(dom_x, out_join, n))
-    # the first modeled candidate is always accepted; comparisons are between
-    # successive modeled costs only
-    d1, d2 = n, n
-    t_light, t_heavy = math.inf, 0.0
-    iterations = 0
-    while True:
-        prev_light, prev_heavy = t_light, t_heavy
-        prev_d1, prev_d2 = d1, d2
-        d1 = max(1, math.floor((1 - step) * d1))
-        d2 = max(1, min(n, round(n * d1 / out_est)))
-        t_light, t_heavy = modeled_costs(stats_r, stats_s, dom_x, d1, d2,
-                                         consts, table)
-        iterations += 1
-        # stop on the first strict increase; plateaus keep sweeping
-        if t_light + t_heavy > prev_light + prev_heavy:
-            return ThresholdPlan(PARTITIONED, prev_d1, prev_d2,
-                                 prev_light, prev_heavy, iterations)
-        if d1 == 1:
-            return ThresholdPlan(PARTITIONED, d1, d2, t_light, t_heavy,
-                                 iterations)
+    `light` is the light codes, `pieces` the iterations of the loop over
+    (witness, first light position), `product` whether the heavy product
+    runs, and `rows`, `inner`, `cols` the dims u, v, w of V (u x v) and
+    W^T (v x w).
+    """
+    light: np.ndarray
+    pieces: np.ndarray
+    product: np.ndarray
+    rows: np.ndarray
+    inner: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def heavy_entries(self) -> np.ndarray:
+        """Entries of V, W and V @ W^T where the product runs."""
+        return self.product * ((self.rows + self.cols) * self.inner
+                               + self.rows * self.cols)
+
+
+def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, heavy: np.ndarray,
+               heavy_left: np.ndarray) -> JoinSizes:
+    """Exact sizes of the partitioned join of k relations for G1 witness
+    splits by G2 left-value splits.
+
+    `deg` (k, Y) holds each relation's degree at each witness, `heavy_y`
+    (G1, Y) each witness split's heavy witnesses, `heavy` (G2, k, Y) each
+    left split's tuples at each witness whose left value is heavy, and
+    `heavy_left` (G2, k) each left split's heavy left values per relation.
+    A light witness enumerates its full cross product; a heavy one its
+    piece_sizes. V's rows are the heavy left combinations of the first
+    ceil(k/2) relations and W's of the rest.
+    """
+    k, g = len(deg), len(heavy)
+    half = (k + 1) // 2
+    deg = np.asarray(deg, dtype=np.float64)
+    heavy = np.asarray(heavy, dtype=np.float64)
+    sizes = piece_sizes(deg, heavy)
+    full = deg.prod(axis=0)
+    # every total is a sum over the witnesses, so one matrix product gives
+    # them for every pair of splits: each witness's full cross product,
+    # changed at a heavy witness into its pieces, and whether the product
+    # sees the witness
+    at_heavy = np.asarray(heavy_y, dtype=np.float64)
+    per = at_heavy @ np.concatenate([
+        sizes.sum(axis=1) - full,
+        np.count_nonzero(sizes, axis=1) - (full > 0),
+        heavy.min(axis=1) > 0]).T
+    heavy_left = np.asarray(heavy_left, dtype=np.float64)
+    return JoinSizes(per[:, :g] + full.sum(),
+                     per[:, g:2 * g] + np.count_nonzero(full),
+                     per[:, 2 * g:] > 0,
+                     heavy_left[:, :half].prod(axis=1)[None],
+                     at_heavy.sum(axis=1)[:, None],
+                     heavy_left[:, half:].prod(axis=1)[None])
+
+
+# Nanos per unit of work of a two-path join, measured on one core of a
+# 2-vCPU x86-64 VM (numpy 2.4, OpenBLAS on one thread), each the median of
+# 21 timings of one joinproject step in isolation over its count:
+# - _NS_PER_PIECE: the light loop over 2,000 pieces of 2 codes;
+# - _NS_PER_CODE: the loop writing 10^6 codes in pieces of 20 x 20 to
+#   40 x 40 (2.0-2.9, less the per-piece part);
+# - _NS_PER_SLOT, _NS_PER_COUNTED: np.bincount over a 10^6-slot space, per
+#   slot with 100 codes and per code with the 840k codes of a 1000-set
+#   family's full join;
+# - _NS_PER_SORTED, _NS_PER_MERGED: the sort path of _dedup_output per code
+#   (11-28 from 10^4 to 10^6 random codes) and per entry of a product
+#   merged into the sorted codes (87-124 for squares of 100 to 1000 entries
+#   a side);
+# - _NS_PER_BLOCK: _dedup_output adding a product into a buffer by np.ix_
+#   (its keys are not one run), per product entry (12-15 for squares of 200
+#   to 1000 entries a side);
+# - _NS_PER_TUPLE, _NS_PER_ENTRY: _membership on the 108k-tuple benchmark
+#   community graph, per tuple (4.9 to scan it, 7.5 more to write it into
+#   V), and np.zeros per uint8 entry of V or W;
+# - _NS_PER_MADD: multiply_counts on 0/1 uint8 squares of 512 to 1000, per
+#   multiply-add; used unless a calibration table prices the multiply.
+# With them the modeled cost of 293 grid candidates on six inputs (the
+# benchmark community, star and sets files, 40% of the sets, a sparse and a
+# Zipf graph) was 0.90 of the measured join time in the median, 0.45 to 1.31
+# from the 10th to the 90th percentile; the low end is joins of a few
+# milliseconds, whose fixed numpy overheads are not modeled.
+_NS_PER_PIECE = 5000.0
+_NS_PER_CODE = 2.5
+_NS_PER_SLOT = 0.35
+_NS_PER_COUNTED = 4.2
+_NS_PER_SORTED = 20.0
+_NS_PER_MERGED = 95.0
+_NS_PER_BLOCK = 13.0
+_NS_PER_TUPLE = 12.0
+_NS_PER_ENTRY = 0.05
+_NS_PER_MADD = 0.021
+
+
+def _split_grid(top: int) -> np.ndarray:
+    """Thresholds 1, 2, 4, ... up to the first power of two past `top`."""
+    return 2 ** np.arange(int(top).bit_length() + 1, dtype=np.int64)
+
+
+def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray):
+    """For each left split delta2s[g]: idx's tuples at each witness whose
+    left value has degree past it, (G2, Y), and the number of such left
+    values, (G2,). One bincount over (splits below the left degree, y)."""
+    g, dom_y = len(delta2s), idx.rel.dom_right
+    below = np.searchsorted(delta2s, idx.left_deg)
+    # the forward index's tuples, keyed by their left value's splits below
+    # and their witness
+    keys = np.repeat(below * dom_y, idx.left_deg) + idx.fwd_indices
+    tuples = np.bincount(keys, minlength=(g + 1) * dom_y).reshape(g + 1, dom_y)
+    # past split g are the left values with more than g splits below
+    lefts = np.bincount(below, minlength=g + 1)
+    return tuples[:0:-1].cumsum(axis=0)[::-1], lefts[:0:-1].cumsum()[::-1]
+
+
+@dataclass
+class PlanGrid:
+    """Every two-path candidate (delta1s[i], delta2s[j]) with its exact
+    sizes and modeled nanos. On the default grid the last delta1 is past
+    every witness degree: that row is all light, the full join."""
+    delta1s: np.ndarray
+    delta2s: np.ndarray
+    sizes: JoinSizes
+    light_cost: np.ndarray
+    heavy_cost: np.ndarray
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self.light_cost + self.heavy_cost
+
+    def plan(self, partitioned: bool = False) -> ThresholdPlan:
+        """The cheapest candidate, the all-light corner (the full join) on
+        a tie; with `partitioned`, the cheapest one with heavy witnesses
+        and heavy left values, if the grid has one."""
+        cost = self.cost
+        if partitioned and min(cost.shape) > 1:
+            # past every witness or every left degree, everything is light
+            cost = cost[:-1, :-1]
+        i, j = np.unravel_index(np.argmin(cost), cost.shape)
+        strategy = PARTITIONED
+        if (not partitioned and not self.sizes.inner[-1, 0]
+                and cost[-1, -1] <= cost[i, j]):
+            strategy, i, j = FULL_JOIN, len(cost) - 1, cost.shape[1] - 1
+        return ThresholdPlan(strategy, int(self.delta1s[i]),
+                             int(self.delta2s[j]),
+                             float(self.light_cost[i, j]),
+                             float(self.heavy_cost[i, j]),
+                             self.light_cost.size)
+
+
+def price_two_path(r: IndexedRelation, s: IndexedRelation,
+                   table: Optional[CalibrationTable] = None,
+                   delta1s: Optional[np.ndarray] = None,
+                   delta2s: Optional[np.ndarray] = None) -> PlanGrid:
+    """Price every candidate (delta1, delta2) of the ascending `delta1s` by
+    `delta2s` on the exact sizes joinproject._partitioned would allocate;
+    by default both are powers of two up to the first past every degree.
+
+    The cost is per piece, per light code, the dedup (by counts_densely:
+    slots and counted codes plus the product added in, or the codes sorted
+    and the product merged in), the heavy build (each relation's tuples
+    scanned and V's and W's entries) and the multiply: from `table` by
+    estimate_runtime when given, else per multiply-add.
+    """
+    if not r.shares_right_dict(s):
+        raise ValueError("relations do not share a right dictionary; "
+                         "run semi_join_reduce first")
+    deg = np.array([r.right_deg, s.right_deg])
+    # a witness is light iff its degree is <= delta1 in both relations
+    witness = deg.max(axis=0, initial=0)
+    if delta1s is None:
+        delta1s = _split_grid(witness.max(initial=0))
+    if delta2s is None:
+        delta2s = _split_grid(max(r.left_deg.max(initial=0),
+                                  s.left_deg.max(initial=0)))
+    # per distinct relation: a self-join counts once
+    split_r = _heavy_by_split(r, delta2s)
+    split_s = split_r if s is r else _heavy_by_split(s, delta2s)
+    heavy = np.array([split_r[0], split_s[0]]).swapaxes(0, 1)
+    heavy_left = np.array([split_r[1], split_s[1]]).T
+    sizes = join_sizes(deg, witness > delta1s[:, None], heavy, heavy_left)
+
+    light = sizes.light
+    u, v, w = sizes.rows, sizes.inner, sizes.cols
+    block = sizes.product * u * w
+    space = r.rel.dom_left * s.rel.dom_left
+    dense = (_NS_PER_SLOT * space + _NS_PER_COUNTED * light
+             + _NS_PER_BLOCK * block)
+    # a block that is the whole space and has no codes beside it is the
+    # buffer already
+    dense[(light == 0) & (block == space)] = 0.0
+    dedup = np.where(counts_densely(space, light, block), dense,
+                     _NS_PER_SORTED * light + _NS_PER_MERGED * block)
+    light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
+    if table is None:
+        multiply = _NS_PER_MADD * u * v * w
+    else:
+        # one estimate per distinct product shape
+        shapes = list(zip(*(x.ravel().tolist() for x in
+                            np.broadcast_arrays(u, v, w))))
+        price = {uvw: estimate_runtime(table, *map(int, uvw)) if min(uvw)
+                 else 0.0 for uvw in set(shapes)}
+        multiply = np.reshape([price[uvw] for uvw in shapes], light.shape)
+    build = _NS_PER_TUPLE * (r.n + s.n) + _NS_PER_ENTRY * (u + w) * v
+    heavy_cost = sizes.product * (build + multiply)
+    return PlanGrid(np.asarray(delta1s), np.asarray(delta2s), sizes,
+                    light_cost, heavy_cost)
 
 
 def default_plan(r: IndexedRelation, s: IndexedRelation) -> ThresholdPlan:
-    """Calibration-free plan: full-join cutoff, then closed-form thresholds."""
-    n = max(r.n, s.n)
-    out_join = r.out_join_with(s)
-    if out_join <= FULL_JOIN_CUTOFF * n or n == 0:
-        return ThresholdPlan(FULL_JOIN, max(n, 1), max(n, 1), float(out_join), 0.0, 0)
-    out_est = max(1, estimate_output_size(r.rel.dom_left, out_join, n))
-    d1, d2 = closed_form_thresholds(n, out_est)
-    return ThresholdPlan(PARTITIONED, d1, d2, 0.0, 0.0, 0)
+    """The cheapest two-path plan of price_two_path, the multiply priced
+    per multiply-add."""
+    return price_two_path(r, s).plan()
+
+
+def optimize_thresholds(r: IndexedRelation, s: IndexedRelation,
+                        table: CalibrationTable) -> ThresholdPlan:
+    """The cheapest two-path plan of price_two_path, the multiply priced
+    by the calibration table."""
+    if table is None or not table.entries:
+        raise CalibrationError("optimizer needs a calibration table; run calibrate")
+    return price_two_path(r, s, table).plan()

@@ -1,14 +1,12 @@
-"""Binary relations: ingestion, dictionary encoding, indexes, degree stats.
+"""Binary relations: ingestion, dictionary encoding, indexes and degrees.
 
 A Relation stores dictionary-encoded tuples as a dense (n, 2) int64 array.
-IndexedRelation adds CSR adjacency in both directions; DegreeStats adds the
-sorted degree vectors and prefix sums that back all threshold queries.
-Everything is immutable after construction.
+IndexedRelation adds CSR adjacency in both directions and the degrees of
+every value. Everything is immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -428,79 +426,6 @@ def gather_ranges(indptr: np.ndarray, indices: np.ndarray,
     seg_off = np.concatenate(([0], np.cumsum(lens)[:-1]))
     idx = np.repeat(starts - seg_off, lens) + np.arange(total, dtype=np.int64)
     return indices[idx], lens
-
-
-@dataclass
-class DegreeStats:
-    """Sorted degree vectors with prefix sums; all queries binary-search.
-
-    sum_x uses the partner relation's right degrees (|L[b]| is the partner's
-    adjacency list length); lightness is always judged by this relation's own
-    degrees.
-    """
-    n_tuples: int
-    dom_left: int
-    dom_right: int
-    left_sorted: np.ndarray
-    right_sorted: np.ndarray
-    _cdfx_prefix: np.ndarray = field(repr=False, default=None)
-    _sumy_prefix: np.ndarray = field(repr=False, default=None)
-    _sumx_prefix: np.ndarray = field(repr=False, default=None)
-
-    def _pos(self, sorted_vec: np.ndarray, delta) -> int:
-        return int(np.searchsorted(sorted_vec, delta, side="right"))
-
-    def count_left(self, delta) -> int:
-        return self._pos(self.left_sorted, delta)
-
-    def count_right(self, delta) -> int:
-        return self._pos(self.right_sorted, delta)
-
-    def cdfx(self, delta) -> int:
-        p = self._pos(self.right_sorted, delta)
-        return int(self._cdfx_prefix[p])
-
-    def sum_y(self, delta) -> int:
-        p = self._pos(self.right_sorted, delta)
-        return int(self._sumy_prefix[p])
-
-    def sum_x(self, delta) -> int:
-        p = self._pos(self.left_sorted, delta)
-        return int(self._sumx_prefix[p])
-
-    @property
-    def max_left_deg(self) -> int:
-        return int(self.left_sorted[-1]) if len(self.left_sorted) else 0
-
-    @property
-    def max_right_deg(self) -> int:
-        return int(self.right_sorted[-1]) if len(self.right_sorted) else 0
-
-
-def degree_stats(idx: IndexedRelation,
-                 partner: Optional[IndexedRelation] = None) -> DegreeStats:
-    if partner is None:
-        partner = idx
-    if not idx.shares_right_dict(partner):
-        raise ValueError("partner must share the right dictionary")
-    pref0 = np.zeros(1, dtype=np.int64)
-
-    order_l = np.argsort(idx.left_deg, kind="stable")
-    left_sorted = idx.left_deg[order_l]
-    # per-left dedup effort: sum of partner list lengths over the fwd range
-    csum = np.concatenate((pref0, np.cumsum(partner.right_deg[idx.fwd_indices])))
-    eff = csum[idx.fwd_indptr[1:]] - csum[idx.fwd_indptr[:-1]]
-    sumx_prefix = np.concatenate((pref0, np.cumsum(eff[order_l])))
-
-    order_r = np.argsort(idx.right_deg, kind="stable")
-    right_sorted = idx.right_deg[order_r]
-    cdfx_prefix = np.concatenate((pref0, np.cumsum(right_sorted)))
-    part = partner.right_deg[order_r].astype(np.int64)
-    sumy_prefix = np.concatenate((pref0, np.cumsum(part * part)))
-
-    return DegreeStats(idx.n, idx.rel.dom_left, idx.rel.dom_right,
-                       left_sorted, right_sorted,
-                       cdfx_prefix, sumy_prefix, sumx_prefix)
 
 
 def generate_community_graph(num_nodes: int, num_communities: int,

@@ -38,7 +38,6 @@ from mmjoin.optimizer import PARTITIONED, ThresholdPlan
 from mmjoin.relation import (
     Relation,
     build_indexed,
-    degree_stats,
     generate_community_graph,
     semi_join_reduce_many,
 )
@@ -220,7 +219,8 @@ def test_criterion_07_estimator():
         assert lower <= est <= upper or est == math.ceil(lower)
 
 
-@criterion(8, "optimizer within 1.5x of the threshold grid, 20 graphs", 300.0)
+@criterion(8, "planner within 1.5x of a 50 x 50 threshold grid, 20 graphs",
+           300.0)
 def test_criterion_08_optimizer_quality():
     table = calibrate([64, 128, 256], seed=0)
     configs = [(300, 3, 0.5), (360, 4, 0.6), (420, 3, 0.35), (500, 5, 0.7),
@@ -230,22 +230,22 @@ def test_criterion_08_optimizer_quality():
     for nodes, k, p, seed in instances:
         rel = generate_community_graph(nodes, k, p, seed=seed)
         idx = build_indexed(rel)
-        n, out_join = idx.n, idx.out_join_with(idx)
+        n = idx.n
         assert 10 ** 4 <= n <= 10 ** 5, (nodes, k, p, n)
-        stats_r = degree_stats(idx, partner=idx)
-        stats_s = degree_stats(idx)
-        plan = opt.optimize_thresholds(stats_r, stats_s, rel.dom_left,
-                                       out_join, table=table)
-        assert plan.strategy == PARTITIONED, (nodes, k, p)
+        plan = opt.optimize_thresholds(idx, idx, table)
         bound = math.ceil(math.log(n) / math.log(1 / 0.95)) + 1
         assert plan.iterations <= bound
-        out_est = max(1, opt.estimate_output_size(rel.dom_left, out_join, n))
-        grid = sorted({int(d) for d in np.geomspace(1, n, 50)})
-        best = min(sum(opt.modeled_costs(
-            stats_r, stats_s, rel.dom_left, d1,
-            max(1, min(n, round(n * d1 / out_est))), opt.DEFAULT_COSTS,
-            table)) for d1 in grid)
-        assert plan.total_cost <= 1.5 * best, (nodes, k, p, seed)
+        deltas = np.array(sorted({int(d) for d in np.geomspace(1, n, 50)}))
+        fine = opt.price_two_path(idx, idx, table, deltas, deltas)
+        # partitioned wherever a plan with a heavy part is the cheapest of
+        # the grid; (n, n) is past every degree, the full join
+        heavy_wins = fine.cost.min() < fine.cost[-1, -1]
+        assert (plan.strategy == PARTITIONED) == heavy_wins, (nodes, k, p)
+        assert plan.total_cost <= 1.5 * fine.cost.min(), (nodes, k, p, seed)
+        # the plan's cost is its price on the same sizes
+        own = opt.price_two_path(idx, idx, table, np.array([plan.delta1]),
+                                 np.array([plan.delta2]))
+        assert own.cost[0, 0] == plan.total_cost, (nodes, k, p, seed)
 
 
 def _trimmed_wall(fn, runs=5):

@@ -14,7 +14,7 @@ from conftest import (
     random_family,
     random_pairs,
 )
-from mmjoin import apps, cli, joinproject
+from mmjoin import apps, cli, joinproject, matmul
 from mmjoin.cli import CSV_HEADER, _result_lines, _sorted_lines, main
 from mmjoin.relation import generate_community_graph, parse_edge_list
 
@@ -431,6 +431,36 @@ def test_calibrate_dims_usage_error(tmp_path, runner, dims):
     assert not out.exists()
 
 
+def test_calibrate_unwritable_out_is_a_data_error(tmp_path, runner):
+    out = tmp_path / "missing" / "cal.tsv"
+    res = runner.invoke(main, ["calibrate", "--dims", "16", "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1].startswith("Error:")
+    assert str(out) in res.output
+
+
+def test_calibrate_failure_is_a_data_error(tmp_path, runner, monkeypatch):
+    def fail(dims, seed):
+        raise matmul.CalibrationError("cannot allocate 16x16 probes")
+
+    monkeypatch.setattr(matmul, "calibrate", fail)
+    out = tmp_path / "cal.tsv"
+    res = runner.invoke(main, ["calibrate", "--dims", "16", "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: cannot allocate 16x16 probes" in res.output
+    assert not out.exists()
+
+
+def test_calibrate_dims_default_is_the_probe_dims(runner):
+    res = runner.invoke(main, ["calibrate", "--help"])
+    assert res.exit_code == 0
+    default = ",".join(map(str, matmul.DEFAULT_PROBE_DIMS))
+    assert f"[default: {default}]" in res.output
+    assert 1024 not in matmul.DEFAULT_PROBE_DIMS
+
+
 _HEADER = "# mmjoin-calibration v1\n"
 
 
@@ -462,8 +492,8 @@ def test_calibration_error_exit_code(tmp_path, runner, text, message, command):
 
 
 def _auto_plan_argv(tmp_path, sparse=False):
-    """twopath --auto-plan argv on a graph under (sparse) or over the
-    full-join cutoff."""
+    """twopath --auto-plan argv on a sparse random graph or a dense
+    community graph."""
     graph = tmp_path / "g.txt"
     if sparse:
         _write_pairs(graph, random_pairs(np.random.default_rng(6), 100, 50, 50))
@@ -552,6 +582,40 @@ def test_report_malformed_csv(tmp_path, runner):
     bad.write_text("just,some,columns\n1,2,3\n")
     res = runner.invoke(main, ["report", "--csv", str(bad)])
     assert res.exit_code == 1
+
+
+def _report_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(CSV_HEADER)
+        w.writerows(rows)
+
+
+@pytest.mark.parametrize("nanos, message", [
+    ("12.5", "line 3: wall_nanos '12.5' is not an integer"),
+    ("fast", "line 3: wall_nanos 'fast' is not an integer"),
+    ("0", "line 3: wall_nanos 0 leaves no speedup"),
+])
+def test_report_bad_wall_nanos_is_a_data_error(tmp_path, runner, nanos,
+                                               message):
+    path = tmp_path / "bench.csv"
+    _report_csv(path, [
+        ["community", "twopath", "fulljoin", "900", "10", "9", "9", "fulljoin"],
+        ["community", "twopath", "mmjoin", nanos, "10", "1", "1",
+         "partitioned"]])
+    res = runner.invoke(main, ["report", "--csv", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {path}, {message}" in res.output
+
+
+def test_report_short_row_is_a_data_error(tmp_path, runner):
+    path = tmp_path / "bench.csv"
+    _report_csv(path, [["community", "twopath", "mmjoin"]])
+    res = runner.invoke(main, ["report", "--csv", str(path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"{path}, line 2: wall_nanos None is not an integer" in res.output
 
 
 def test_usage_error_exit_code(runner):

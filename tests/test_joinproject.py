@@ -23,6 +23,7 @@ from conftest import (
     split_pair_sets,
 )
 from mmjoin import joinproject as jp
+from mmjoin import optimizer as opt
 from mmjoin.matmul import CountMatrix, multiply_counts
 from mmjoin.optimizer import FULL_JOIN, PARTITIONED, ThresholdPlan
 from mmjoin.relation import Relation, build_indexed, semi_join_reduce_many
@@ -191,12 +192,12 @@ _ALWAYS = 1e18
 
 @contextmanager
 def _size_rule(value):
-    saved = jp._DENSE_SPACE_PER_CODE
-    jp._DENSE_SPACE_PER_CODE = value
+    saved = opt._DENSE_SPACE_PER_CODE
+    opt._DENSE_SPACE_PER_CODE = value
     try:
         yield
     finally:
-        jp._DENSE_SPACE_PER_CODE = saved
+        opt._DENSE_SPACE_PER_CODE = saved
 
 
 def _on_path(dense, codes, dims, want_counts, heavy):
@@ -477,6 +478,55 @@ def test_star_counts_each_witness_once(case, rule):
                                         for y in deg[0])
     assert enumerated == [res.stats["light_intermediate"]]
     assert res.stats["light_intermediate"] == _light_combos(rel_pairs, d1, d2)
+
+
+@st.composite
+def _two_path_case(draw):
+    """Two relations over small domains, and deltas from 1 to past the
+    largest degree in them."""
+    pair = st.tuples(st.integers(0, 6), st.integers(0, 4))
+    r_pairs, s_pairs = (sorted(draw(st.sets(pair, min_size=1, max_size=25)))
+                        for _ in range(2))
+    top = max(max(Counter(p[side] for p in pairs).values())
+              for pairs in (r_pairs, s_pairs) for side in (0, 1)) + 2
+    return r_pairs, s_pairs, draw(st.integers(1, top)), draw(st.integers(1, top))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_path_case())
+@example((_DENSE, _DENSE, 1, 1))                           # all heavy
+@example((_DENSE, _HUB, 2, 2))                             # mixed
+@example((_DENSE, _DENSE, 100, 1))                         # all light
+def test_join_sizes_are_what_partitioned_allocates(case):
+    r_pairs, s_pairs, d1, d2 = case
+    r, s = reduced_indexed(r_pairs, s_pairs)
+    planned = opt.price_two_path(r, s, None, np.array([d1]),
+                                 np.array([d2])).sizes
+    factors, crossed = [], []
+    heavy_factors, cross_codes = jp._heavy_factors, jp._cross_codes
+
+    def spy_factors(*args):
+        factors.append(heavy_factors(*args))
+        return factors[-1]
+
+    def spy_cross(parts):
+        crossed.append(len(parts))
+        return cross_codes(parts)
+
+    with mock.patch.object(jp, "_heavy_factors", spy_factors), \
+            mock.patch.object(jp, "_cross_codes", spy_cross):
+        res = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2))
+    assert res.stats["light_intermediate"] == planned.light[0, 0]
+    ran = bool(planned.product[0, 0])
+    assert len(factors) == ran
+    # one _cross_codes per light piece, and one per factor for its row keys
+    assert len(crossed) - 2 * ran == planned.pieces[0, 0]
+    if ran:
+        v, wt = factors[0]
+        u, inner, w = (int(x[0, 0]) for x in (planned.rows, planned.inner,
+                                              planned.cols))
+        assert v.data.shape == (u, inner) and wt.data.shape == (inner, w)
+        assert planned.heavy_entries[0, 0] == (u + w) * inner + u * w
 
 
 def test_output_set_decode_roundtrip():

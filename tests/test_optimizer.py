@@ -1,4 +1,4 @@
-import math
+import io
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from mmjoin.matmul import CalibrationError, CalibrationTable, estimate_runtime
 from mmjoin import optimizer as opt
 from mmjoin.relation import (
     build_indexed,
-    degree_stats,
     generate_community_graph,
+    parse_edge_list,
 )
 from conftest import random_pairs, reduced_indexed
 
@@ -45,21 +45,6 @@ def test_estimate_output_size_validation():
         opt.estimate_output_size(10, 5, 0)
 
 
-def test_closed_form_thresholds_boundary_case():
-    # out_est == n sits on the case boundary and gives (10, 10) at n=1000
-    assert opt.closed_form_thresholds(1000, 1000) == (10, 10)
-
-
-def test_closed_form_thresholds_large_output():
-    n = 1000
-    out = 10 ** 6
-    d1, d2 = opt.closed_form_thresholds(n, out)
-    expected = math.ceil((2 * n * n / (n + out)) ** (1 / 3))
-    assert d1 == d2 == max(1, min(expected, n))
-    with pytest.raises(ValueError):
-        opt.closed_form_thresholds(0, 5)
-
-
 def test_threshold_plan_tsv_roundtrip():
     plan = opt.ThresholdPlan(opt.PARTITIONED, 7, 9, 12.5, 3.5, 4)
     again = opt.ThresholdPlan.from_tsv_line(plan.to_tsv_line())
@@ -75,77 +60,94 @@ def test_threshold_plan_validation():
     opt.ThresholdPlan(opt.FULL_JOIN, 1, 1).validate()
 
 
-def test_cost_constants():
-    opt.DEFAULT_COSTS.validate()
-    with pytest.raises(ValueError):
-        opt.CostConstants(T_s=0.0).validate()
+def _sets_family(n_sets, universe, max_size, seed):
+    """The set family `mmjoin gen --kind sets` writes, indexed."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for a in range(n_sets):
+        size = int(rng.integers(1, max_size + 1))
+        elems = rng.choice(universe, size=min(size, universe), replace=False)
+        lines.extend(f"s{a} e{e}" for e in elems)
+    return build_indexed(parse_edge_list(io.StringIO("\n".join(lines))))
 
 
-def test_full_join_cutoff():
-    rng = np.random.default_rng(1)
-    r, s = reduced_indexed(random_pairs(rng, 200, 50, 50),
-                           random_pairs(rng, 200, 50, 50))
-    stats_r = degree_stats(r, partner=s)
-    stats_s = degree_stats(s)
-    n = max(r.n, s.n)
-    plan = opt.optimize_thresholds(stats_r, stats_s, r.rel.dom_left, 15 * n)
+def test_sets_family_plans_all_light():
+    # 1000 sets of 1-40 over 500 elements: every heavy plan multiplies a
+    # ~1000 x 500 V by its transpose for output the full join writes anyway
+    idx = _sets_family(1000, 500, 40, 7)
+    plan = opt.default_plan(idx, idx)
     assert plan.strategy == opt.FULL_JOIN
-    assert plan.iterations == 0
+    assert plan.heavy_cost == 0.0
+    assert plan.delta1 > idx.right_deg.max()
 
 
-def test_optimize_requires_table_beyond_cutoff():
+def test_community_plans_all_heavy():
+    # 600 nodes in 3 communities of 200: the full join writes ~160 codes
+    # per output pair, the all-heavy product none
+    idx = build_indexed(generate_community_graph(600, 3, 0.9, seed=1))
+    for plan in (opt.default_plan(idx, idx),
+                 opt.optimize_thresholds(idx, idx, _synthetic_table())):
+        assert plan.strategy == opt.PARTITIONED
+        assert plan.delta1 < idx.right_deg.min()
+        assert plan.delta2 < idx.left_deg.min()
+        assert plan.light_cost == 0.0 and plan.heavy_cost > 0
+
+
+def test_optimize_requires_a_table():
     rng = np.random.default_rng(2)
     r, s = reduced_indexed(random_pairs(rng, 200, 20, 10),
                            random_pairs(rng, 200, 20, 10))
-    stats_r = degree_stats(r, partner=s)
-    stats_s = degree_stats(s)
-    with pytest.raises(CalibrationError):
-        opt.optimize_thresholds(stats_r, stats_s, r.rel.dom_left,
-                                100 * max(r.n, s.n))
+    for table in (None, CalibrationTable()):
+        with pytest.raises(CalibrationError):
+            opt.optimize_thresholds(r, s, table)
+
+
+def _assert_argmin_of_grid(idx, table):
+    grid = opt.price_two_path(idx, idx, table)
+    # powers of two up to the first past every degree
+    for deltas, deg in ((grid.delta1s, idx.right_deg),
+                        (grid.delta2s, idx.left_deg)):
+        assert deltas.tolist() == [2 ** e for e in range(len(deltas))]
+        assert deltas[-2] <= deg.max() < deltas[-1]
+    plan = (opt.default_plan(idx, idx) if table is None
+            else opt.optimize_thresholds(idx, idx, table))
+    i = grid.delta1s.tolist().index(plan.delta1)
+    j = grid.delta2s.tolist().index(plan.delta2)
+    assert plan.total_cost == grid.cost[i, j] == grid.cost.min()
+    # priced again on its own, the plan costs what the grid said
+    again = opt.price_two_path(idx, idx, table, np.array([plan.delta1]),
+                               np.array([plan.delta2]))
+    assert again.cost[0, 0] == plan.total_cost
+    return plan, grid
 
 
 def test_optimize_thresholds_iteration_bound_and_quality():
     rel = generate_community_graph(210, 3, 0.85, seed=4)
     idx = build_indexed(rel)
-    n, out_join = idx.n, idx.out_join_with(idx)
-    assert out_join > 20 * n
-    stats_r = degree_stats(idx, partner=idx)
-    stats_s = degree_stats(idx)
-    table = _synthetic_table()
-    plan = opt.optimize_thresholds(stats_r, stats_s, rel.dom_left, out_join,
-                                   table=table)
+    plan, grid = _assert_argmin_of_grid(idx, _synthetic_table())
     assert plan.strategy == opt.PARTITIONED
-    assert plan.iterations <= math.ceil(math.log(n) / math.log(1 / 0.95)) + 1
-    out_est = max(1, opt.estimate_output_size(rel.dom_left, out_join, n))
-    grid = sorted({int(d) for d in np.geomspace(1, n, 50)})
-    best = min(sum(opt.modeled_costs(
-        stats_r, stats_s, rel.dom_left, d1,
-        max(1, min(n, round(n * d1 / out_est))), opt.DEFAULT_COSTS, table))
-        for d1 in grid)
-    assert plan.total_cost <= 1.5 * best
+    # one candidate per pair of powers of two up to the largest degree
+    top = int(max(idx.left_deg.max(), idx.right_deg.max()))
+    assert plan.iterations == grid.cost.size <= (top.bit_length() + 1) ** 2
 
 
-def test_modeled_costs_zero_heavy():
+def test_default_plan_is_the_argmin_of_its_grid():
+    rng = np.random.default_rng(8)
+    r, _ = reduced_indexed(random_pairs(rng, 400, 40, 30),
+                           random_pairs(rng, 400, 40, 30))
+    for idx in (r, build_indexed(generate_community_graph(210, 3, 0.85, 4))):
+        _assert_argmin_of_grid(idx, None)
+
+
+def test_all_light_row_has_no_heavy_cost():
     rng = np.random.default_rng(3)
     r, s = reduced_indexed(random_pairs(rng, 100, 20, 10),
                            random_pairs(rng, 100, 20, 10))
-    stats_r = degree_stats(r, partner=s)
-    stats_s = degree_stats(s)
-    big = max(r.n, s.n)
-    light, heavy = opt.modeled_costs(stats_r, stats_s, r.rel.dom_left,
-                                     big, big, opt.DEFAULT_COSTS,
-                                     _synthetic_table())
-    assert heavy == 0.0 and light > 0
-
-
-def test_optimize_step_validation():
-    rng = np.random.default_rng(4)
-    r, s = reduced_indexed(random_pairs(rng, 50, 10, 5),
-                           random_pairs(rng, 50, 10, 5))
-    stats = degree_stats(r, partner=s)
-    with pytest.raises(ValueError):
-        opt.optimize_thresholds(stats, degree_stats(s), r.rel.dom_left, 10,
-                                step=1.5)
+    grid = opt.price_two_path(r, s, _synthetic_table())
+    assert (grid.heavy_cost[-1] == 0.0).all()
+    assert (grid.sizes.light[-1] == r.out_join_with(s)).all()
+    assert (grid.light_cost[-1] > 0).all()
+    assert grid.plan(partitioned=True).strategy == opt.PARTITIONED
 
 
 def test_default_plan():
@@ -178,8 +180,9 @@ def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
         assert estimate_runtime(table, *uvw) == nanos
     rel = generate_community_graph(210, 3, 0.85, seed=4)
     idx = build_indexed(rel)
-    plan = opt.optimize_thresholds(
-        degree_stats(idx, partner=idx), degree_stats(idx), rel.dom_left,
-        idx.out_join_with(idx), table=table)
-    assert plan == opt.ThresholdPlan(opt.PARTITIONED, 51, 51, 78588.0,
-                                     3489399.0, 105)
+    plan = opt.optimize_thresholds(idx, idx, table)
+    assert plan == opt.optimize_thresholds(idx, idx, CalibrationTable(
+        {100: 100_000, 200: 800_000, 400: 6_400_000}))
+    assert (plan.strategy, plan.delta1, plan.delta2) == (opt.PARTITIONED, 1, 1)
+    co2 = CalibrationTable({50: 10, 100: 600, 200: 5000, 400: 40000})
+    assert opt.optimize_thresholds(idx, idx, co2).heavy_cost < plan.heavy_cost

@@ -13,13 +13,11 @@ from conftest import (
     random_pairs,
 )
 from mmjoin.relation import (
-    DegreeStats,
     ParseError,
     Relation,
     _csr,
     _is_space,
     build_indexed,
-    degree_stats,
     gather_ranges,
     generate_community_graph,
     parse_edge_list,
@@ -304,9 +302,8 @@ def test_example_reverse_index_and_count():
     y4 = rel.right_ids[4]
     partners = sorted(rel.left_values[a] for a in idx.rev(y4))
     assert partners == [4, 5, 6]
-    stats = degree_stats(idx)
     # x values with degree <= 2: x=1 (1), x=2 (2), x=3 (2)
-    assert stats.count_left(2) == 3
+    assert int((idx.left_deg <= 2).sum()) == 3
 
 
 def test_out_join_with():
@@ -343,41 +340,6 @@ def test_gather_ranges_property(pairs, keys):
     expected = np.concatenate([idx.fwd(k) for k in keys])
     assert np.array_equal(vals, expected)
     assert lens.tolist() == [len(idx.fwd(k)) for k in keys]
-
-
-def test_degree_stats_against_brute_force():
-    rng = np.random.default_rng(2)
-    r_pairs = random_pairs(rng, 400, 30, 25)
-    s_pairs = random_pairs(rng, 400, 30, 25)
-    r, s = semi_join_reduce(Relation.from_raw_pairs("R", r_pairs),
-                            Relation.from_raw_pairs("S", s_pairs))
-    ri, si = build_indexed(r), build_indexed(s)
-    stats_r = degree_stats(ri, partner=si)
-    stats_s = degree_stats(si)
-
-    for delta in [0, 1, 2, 3, 5, 100]:
-        assert stats_r.count_left(delta) == int(np.sum(ri.left_deg <= delta))
-        assert stats_s.count_right(delta) == int(np.sum(si.right_deg <= delta))
-        # cdfx: total degree mass of light-right values
-        assert stats_s.cdfx(delta) == int(
-            si.right_deg[si.right_deg <= delta].sum())
-        # sum_y: partner-squared work per light witness (self partner here)
-        mask = si.right_deg <= delta
-        assert stats_s.sum_y(delta) == int((si.right_deg[mask] ** 2).sum())
-        # sum_x: dedup effort = sum of partner list lengths over fwd ranges
-        expected = 0
-        for a in range(r.dom_left):
-            if ri.left_deg[a] <= delta:
-                expected += int(si.right_deg[ri.fwd(a)].sum())
-        assert stats_r.sum_x(delta) == expected
-
-
-def test_degree_stats_max_degrees():
-    idx = build_indexed(Relation.from_raw_pairs("R", [(1, 1), (1, 2), (2, 1)]))
-    stats = degree_stats(idx)
-    assert stats.max_left_deg == 2
-    assert stats.max_right_deg == 2
-    assert isinstance(stats, DegreeStats)
 
 
 def test_generate_community_graph():
