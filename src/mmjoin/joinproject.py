@@ -23,7 +23,14 @@ from .optimizer import (
     join_sizes,
     piece_sizes,
 )
-from .relation import IndexedRelation, build_indexed, semi_join_reduce_many
+from .relation import (
+    IndexedRelation,
+    build_indexed,
+    gather_ranges,
+    left_components,
+    semi_join_reduce_many,
+    witness_components,
+)
 
 
 class StarResourceError(RuntimeError):
@@ -136,22 +143,11 @@ def heavy_matrices(r: IndexedRelation, s: IndexedRelation,
     heavy_b = np.flatnonzero(~light_y)
     if not (len(heavy_a) and len(heavy_b) and len(heavy_c)):
         return None
-    return _heavy_factors([r, s], [heavy_a, heavy_c], heavy_b)
-
-
-def _membership(idx: IndexedRelation, heavy_left: np.ndarray,
-                heavy_y: np.ndarray) -> np.ndarray:
-    """0/1 uint8 matrix over heavy_left x heavy_y: 1 where the pair is a
-    tuple of idx."""
-    pos_l = np.full(idx.rel.dom_left, -1, dtype=np.int64)
-    pos_l[heavy_left] = np.arange(len(heavy_left))
-    pos_y = np.full(idx.rel.dom_right, -1, dtype=np.int64)
-    pos_y[heavy_y] = np.arange(len(heavy_y))
-    left, right = idx.rel.pairs[:, 0], idx.rel.pairs[:, 1]
-    sel = (pos_l[left] >= 0) & (pos_y[right] >= 0)
-    data = np.zeros((len(heavy_left), len(heavy_y)), dtype=np.uint8)
-    data[pos_l[left[sel]], pos_y[right[sel]]] = 1
-    return data
+    # everything as one component: the whole heavy partition
+    one = np.zeros(r.rel.dom_right, dtype=np.int64)
+    return _heavy_factors([r, s], [heavy_a, heavy_c], heavy_b, one,
+                          [np.zeros(i.rel.dom_left, dtype=np.int64)
+                           for i in (r, s)])[0]
 
 
 def _strides(dims: Sequence[int]) -> list:
@@ -165,27 +161,86 @@ def _cross_codes(parts: list) -> np.ndarray:
     return functools.reduce(np.add.outer, parts).ravel()
 
 
+def _by_component(values: np.ndarray, of: np.ndarray, n_comp: int,
+                  dom: int):
+    """Sorted ids `values` grouped by their component `of`: the ids in that
+    order, each component's count and start, and each id's position within
+    its component, over 0..dom-1 (-1 where not a value)."""
+    order = np.argsort(of, kind="stable")
+    counts = np.bincount(of, minlength=n_comp)
+    starts = np.cumsum(counts) - counts
+    grouped = values[order]
+    pos = np.full(dom, -1, dtype=np.int64)
+    pos[grouped] = np.arange(len(values)) - starts[of[order]]
+    return grouped, counts, starts, pos
+
+
 def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
-                   heavy_y: np.ndarray):
-    """(V, W^T) over the heavy witnesses heavy_y. V's rows are the
-    combinations of heavy left values of the first ceil(k/2) relations and
-    W's of the rest; a row is 1 at a witness every value in it joins. Row
-    keys are the combinations' codes, so V @ W^T is keyed by the output
-    space viewed as two dimensions (see _partitioned)."""
-    half = (len(rels) + 1) // 2
+                   heavy_y: np.ndarray, comp: np.ndarray, comp_left: list):
+    """(V, W^T) for each component of the witnesses (`comp`, and each left
+    value's in `comp_left`) with heavy witnesses and heavy left values in
+    every relation, over that component's heavy witnesses. V's rows are the
+    combinations of the component's heavy left values of the first
+    ceil(k/2) relations and W's of the rest; a row is 1 at a witness every
+    value in it joins. No left value joins witnesses of two components, so
+    the products of the pairs hold every nonzero entry of the product over
+    all components. Row keys are the combinations' codes, so V @ W^T is
+    keyed by the output space viewed as two dimensions (see _partitioned)."""
+    k, half = len(rels), (len(rels) + 1) // 2
+    n_comp = int(comp.max(initial=-1)) + 1
+    ys, y_count, y_start, pos_y = _by_component(heavy_y, comp[heavy_y],
+                                                n_comp, len(comp))
+    # a relation passed again with the same heavy left values (a self-join)
+    # reuses the first one's groups and blocks
+    first = [next(j for j in range(i + 1) if rels[j] is rels[i]
+                  and np.array_equal(heavy_left[j], heavy_left[i]))
+             for i in range(k)]
+    lefts, members = {}, {}
+    for i in sorted(set(first)):
+        idx, cl = rels[i], comp_left[i]
+        lefts[i] = _by_component(heavy_left[i], cl[heavy_left[i]], n_comp,
+                                 len(cl))
+        # the relation's tuples at the heavy witnesses, which come grouped
+        # by component, and the heavy left values among them, at their
+        # positions in their component's block
+        values, lens = gather_ranges(idx.rev_indptr, idx.rev_indices, ys)
+        rows = lefts[i][3][values]
+        keep = rows >= 0
+        cols = np.repeat(pos_y[ys], lens)[keep]
+        ends = np.cumsum(np.bincount(np.repeat(comp[ys], lens)[keep],
+                                     minlength=n_comp)).tolist()
+        members[i] = (rows[keep], cols, [0] + ends)
+    runs = np.flatnonzero(np.min([y_count] + [lefts[i][1] for i in lefts],
+                                 axis=0) > 0).tolist()
 
-    def grouped(idxs, lefts):
-        data = _membership(idxs[0], lefts[0], heavy_y)
-        for idx, hl in zip(idxs[1:], lefts[1:]):
-            data = (data[:, None, :] * _membership(idx, hl, heavy_y)[None]
-                    ).reshape(-1, len(heavy_y))
-        strides = _strides([i.rel.dom_left for i in idxs])
-        return data, _cross_codes([hl * st for hl, st in zip(lefts, strides)])
+    def block(i, c):
+        rows, cols, bounds = members[i]
+        lo, hi = bounds[c], bounds[c + 1]
+        m = np.zeros((lefts[i][1][c], y_count[c]), dtype=np.uint8)
+        m[rows[lo:hi], cols[lo:hi]] = 1
+        return m
 
-    v, v_keys = grouped(rels[:half], heavy_left[:half])
-    w, w_keys = grouped(rels[half:], heavy_left[half:])
-    return (CountMatrix(v, row_keys=v_keys, col_keys=heavy_y),
-            CountMatrix(w.T, row_keys=heavy_y, col_keys=w_keys))
+    def grouped(c, at, blocks):
+        data = None
+        for i in at:
+            m = blocks[first[i]]
+            data = m if data is None else (
+                data[:, None, :] * m[None]).reshape(-1, y_count[c])
+        strides = _strides([rels[i].rel.dom_left for i in at])
+        keys = _cross_codes([
+            lefts[first[i]][0][lefts[first[i]][2][c]:][:lefts[first[i]][1][c]]
+            * st for i, st in zip(at, strides)])
+        return data, keys
+
+    factors = []
+    for c in runs:
+        blocks = {i: block(i, c) for i in lefts}
+        v, v_keys = grouped(c, range(half), blocks)
+        w, w_keys = grouped(c, range(half, k), blocks)
+        witnesses = ys[y_start[c]:y_start[c] + y_count[c]]
+        factors.append((CountMatrix(v, row_keys=v_keys, col_keys=witnesses),
+                        CountMatrix(w.T, row_keys=witnesses, col_keys=w_keys)))
+    return factors
 
 
 def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
@@ -197,6 +252,8 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
     is already sorted and distinct, is merged in by binary search; its counts
     add to those of equal codes and are ignored without want_counts.
     """
+    if sorted_extra is not None and not len(codes):
+        return sorted_extra if want_counts else sorted_extra[0]
     s = np.sort(codes)
     first = np.ones(len(s), dtype=bool)
     np.not_equal(s[1:], s[:-1], out=first[1:])
@@ -225,41 +282,48 @@ def _as_run(keys: np.ndarray):
 
 
 def _dedup_output(codes: np.ndarray, dims: Sequence[int],
-                  want_counts: bool = False, heavy=None) -> OutputSet:
+                  want_counts: bool = False, heavy=()) -> OutputSet:
     """The distinct `codes` of the space `dims` as an OutputSet, with their
     counts if want_counts.
 
-    `heavy`, a product CountMatrix over a two-dimensional space, adds its
-    entry (i, j) to the count of code row_keys[i] * dims[1] + col_keys[j].
+    Each of `heavy`, product CountMatrix blocks over a two-dimensional space
+    whose keys no two of them share, adds its entry (i, j) to the count of
+    code row_keys[i] * dims[1] + col_keys[j].
 
-    The sort path (_dedup) touches every code once to sort it and, when a
-    block merges in, every code and block entry once more. While the space
+    The sort path (_dedup) touches every code once to sort it and, when
+    blocks merge in, every code and block entry once more. While the space
     is small next to those touches (optimizer.counts_densely), one bincount
-    over the whole space holds every count instead and the block is added
-    into it in place; a block that is the whole space and has no codes
-    beside it is that buffer already.
+    over the whole space holds every count instead and the blocks are added
+    into it in place; a single block that is the whole space and has no
+    codes beside it is that buffer already.
     """
     space = math.prod(dims)
-    if counts_densely(space, len(codes),
-                      0 if heavy is None else heavy.data.size):
-        if (heavy is not None and not len(codes)
-                and heavy.data.shape == tuple(dims)):
+    if counts_densely(space, len(codes), sum(m.data.size for m in heavy)):
+        if (len(heavy) == 1 and not len(codes)
+                and heavy[0].data.shape == tuple(dims)):
             return _DenseOutputSet(
-                heavy.data.astype(np.int64, copy=False).ravel(), dims,
+                heavy[0].data.astype(np.int64, copy=False).ravel(), dims,
                 want_counts)
         buf = np.bincount(codes, minlength=space)
-        if heavy is not None:
-            rows, cols = _as_run(heavy.row_keys), _as_run(heavy.col_keys)
+        for m in heavy:
+            rows, cols = _as_run(m.row_keys), _as_run(m.col_keys)
             if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
                 rows, cols = np.ix_(rows, cols)
-            buf.reshape(dims)[rows, cols] += heavy.data
+            buf.reshape(dims)[rows, cols] += m.data
         return _DenseOutputSet(buf, dims, want_counts)
     extra = None
-    if heavy is not None:
-        hi, hj = np.nonzero(heavy.data)
-        # row-major over sorted keys: sorted and distinct
-        extra = (heavy.row_keys[hi] * dims[1] + heavy.col_keys[hj],
-                 heavy.data[hi, hj])
+    if heavy:
+        entries = [m.data.ravel() for m in heavy]
+        kept = [e > 0 for e in entries]
+        # row-major over sorted keys: each block's codes are sorted and
+        # distinct, and the blocks' keys are disjoint
+        extra = (np.concatenate([
+            np.add.outer(m.row_keys * dims[1], m.col_keys).ravel()[keep]
+            for m, keep in zip(heavy, kept)]),
+            np.concatenate([e[keep] for e, keep in zip(entries, kept)]))
+        if len(heavy) > 1:
+            order = np.argsort(extra[0])
+            extra = (extra[0][order], extra[1][order])
     if want_counts:
         out, counts = _dedup(codes, True, extra)
         return OutputSet(out, dims, counts)
@@ -290,7 +354,8 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
     enumerates, for each position j, the combinations whose first light left
     value (light_left[j]) is at j: heavy lists before j, the light list at j
     and full lists after it. The rest, heavy left values at a heavy y in
-    every relation, is the product of _heavy_factors.
+    every relation, is the products of _heavy_factors, one per component of
+    the witnesses.
     """
     k = len(rels)
     dims = [ri.rel.dom_left for ri in rels]
@@ -308,9 +373,20 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
     heavy_left = [np.flatnonzero(~ll) for ll in light_left]
     heavy_y = np.flatnonzero(~light_y)
     half = (k + 1) // 2
+    # the heavy part is one product per component of the witnesses, if it
+    # has heavy witnesses and heavy left values at all
+    comp = (witness_components(rels)
+            if len(heavy_y) and all(len(h) for h in heavy_left)
+            else np.zeros(len(light_y), dtype=np.int64))
+    n_comp = int(comp.max(initial=-1)) + 1
+    comp_left = [left_components(ri, comp) for ri in rels]
+    # sizes[j, y]: codes of witness y whose first light position is j
+    sizes = piece_sizes(deg, heavy)
     # the sizes the planner prices, for this one split
-    planned = join_sizes(deg, ~light_y[None], heavy[None],
-                         [[len(h) for h in heavy_left]])
+    planned = join_sizes(deg, ~light_y[None], sizes[None],
+                         np.array([[np.bincount(cl[h], minlength=n_comp)
+                                    for cl, h in zip(comp_left, heavy_left)]]),
+                         comp)
     n_light = int(planned.light[0, 0])
     n_heavy = int(planned.heavy_entries[0, 0])
     if n_light + n_heavy > _ENTRY_BUDGET:
@@ -319,8 +395,7 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
             f"matrix entries, over the budget of {_ENTRY_BUDGET}; "
             "change delta1/delta2")
 
-    # sizes[j, y]: codes of witness y whose first light position is j
-    sizes = piece_sizes(deg, heavy).astype(np.int64)
+    sizes = sizes.astype(np.int64)
     pos_j, pos_y = np.nonzero(sizes)
     codes = np.empty(int(sizes.sum()), dtype=np.int64)
     if len(codes):
@@ -343,15 +418,16 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
                                              for xs, lo, hi in pieces[j]])
             at += n
 
-    m = (multiply_counts(*_heavy_factors(rels, heavy_left, heavy_y))
-         if n_heavy else None)
+    products = [multiply_counts(v, wt) for v, wt in _heavy_factors(
+        rels, heavy_left, heavy_y, comp, comp_left)] if n_heavy else []
     # the output space viewed as two dimensions, V's keys by W's; a code is
     # the same integer in both views
     out = _dedup_output(codes, (math.prod(dims[:half]), math.prod(dims[half:])),
-                        want_counts, m)
+                        want_counts, products)
     out.dims = tuple(int(d) for d in dims)
     out.stats = {"light_intermediate": len(codes),
-                 "heavy_pairs": 0 if m is None else int(np.count_nonzero(m.data))}
+                 "heavy_pairs": sum(int(np.count_nonzero(m.data))
+                                    for m in products)}
     return out
 
 

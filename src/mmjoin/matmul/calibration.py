@@ -101,10 +101,17 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS, seed: int = 0,
     return table
 
 
-def estimate_runtime(table: CalibrationTable, u: int, v: int, w: int) -> float:
-    """Nanos estimate: nearest probe entry scaled by the volume ratio u*v*w/p^3."""
+def estimate_runtime(table: CalibrationTable, u, v, w):
+    """Nanos estimate: nearest probe entry scaled by the volume ratio
+    u*v*w/p^3, the smaller probe on a tie. u, v and w may be arrays that
+    broadcast; the estimate then has their shape."""
     if not table.entries:
         raise CalibrationError("calibration table is empty; run calibrate first")
-    target = (u * v * w) ** (1.0 / 3.0)
-    p = min(table.entries, key=lambda d: (abs(d - target), d))
-    return table.entries[p] * (u * v * w) / (p ** 3)
+    probes = np.array(sorted(table.entries), dtype=np.float64)
+    nanos = np.array([table.entries[p] for p in sorted(table.entries)],
+                     dtype=np.float64)
+    volume = np.multiply(np.multiply(u, v, dtype=np.float64), w)
+    target = volume ** (1.0 / 3.0)
+    p = np.argmin(np.abs(probes - target[..., None]), axis=-1)
+    est = nanos[p] * volume / probes[p] ** 3
+    return float(est) if est.ndim == 0 else est

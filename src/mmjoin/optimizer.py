@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .matmul import CalibrationError, CalibrationTable, estimate_runtime
-from .relation import IndexedRelation
+from .relation import IndexedRelation, left_components, witness_components
 
 FULL_JOIN = "fulljoin"
 PARTITIONED = "partitioned"
@@ -107,65 +107,87 @@ def piece_sizes(deg: np.ndarray, heavy: np.ndarray) -> np.ndarray:
     return sizes
 
 
+def _runs(dims: np.ndarray) -> np.ndarray:
+    return (dims > 0).astype(np.float64)
+
+
 @dataclass
 class JoinSizes:
     """What joinproject._partitioned allocates and loops over, per candidate
-    split: rows are witness splits, columns left-value splits.
+    split: G1 witness splits by G2 left-value splits.
 
-    `light` is the light codes, `pieces` the iterations of the loop over
-    (witness, first light position), `product` whether the heavy product
-    runs, and `rows`, `inner`, `cols` the dims u, v, w of V (u x v) and
-    W^T (v x w).
+    `light` (G1, G2) is the light codes and `pieces` (G1, G2) the iterations
+    of the loop over (witness, first light position). The heavy part is one
+    product V @ W^T per component of the witnesses
+    (relation.witness_components) with heavy witnesses and heavy left values
+    in every relation: `rows` (G2, C) and `cols` (G2, C) are the dims u and w
+    of V (u x v) and W^T (v x w) per component and `inner` (G1, C) their v.
+    The properties sum over the components whose product runs.
     """
     light: np.ndarray
     pieces: np.ndarray
-    product: np.ndarray
     rows: np.ndarray
     inner: np.ndarray
     cols: np.ndarray
 
     @property
+    def blocks(self) -> np.ndarray:
+        """Products that run."""
+        return _runs(self.inner) @ _runs(self.rows * self.cols).T
+
+    @property
+    def product_entries(self) -> np.ndarray:
+        """Entries of the products V @ W^T."""
+        return _runs(self.inner) @ (self.rows * self.cols).T
+
+    @property
+    def factor_entries(self) -> np.ndarray:
+        """Entries of the factors V and W."""
+        return self.inner @ ((self.rows + self.cols)
+                             * _runs(self.rows * self.cols)).T
+
+    @property
     def heavy_entries(self) -> np.ndarray:
-        """Entries of V, W and V @ W^T where the product runs."""
-        return self.product * ((self.rows + self.cols) * self.inner
-                               + self.rows * self.cols)
+        return self.factor_entries + self.product_entries
+
+    @property
+    def madds(self) -> np.ndarray:
+        """Multiply-adds of the products, u * v * w each."""
+        return self.inner @ (self.rows * self.cols).T
 
 
-def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, heavy: np.ndarray,
-               heavy_left: np.ndarray) -> JoinSizes:
+def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
+               heavy_left: np.ndarray, comp: np.ndarray) -> JoinSizes:
     """Exact sizes of the partitioned join of k relations for G1 witness
     splits by G2 left-value splits.
 
     `deg` (k, Y) holds each relation's degree at each witness, `heavy_y`
-    (G1, Y) each witness split's heavy witnesses, `heavy` (G2, k, Y) each
-    left split's tuples at each witness whose left value is heavy, and
-    `heavy_left` (G2, k) each left split's heavy left values per relation.
-    A light witness enumerates its full cross product; a heavy one its
-    piece_sizes. V's rows are the heavy left combinations of the first
-    ceil(k/2) relations and W's of the rest.
+    (G1, Y) each witness split's heavy witnesses, `pieces` (G2, k, Y) each
+    left split's piece_sizes, `heavy_left` (G2, k, C) each left split's heavy
+    left values per relation and component and `comp` (Y,) each witness's
+    component. A light witness enumerates its full cross product; a heavy
+    one its pieces. V's rows are the heavy left combinations of the first
+    ceil(k/2) relations within a component and W's of the rest.
     """
-    k, g = len(deg), len(heavy)
+    k, g1, g2 = len(deg), len(heavy_y), len(pieces)
     half = (k + 1) // 2
-    deg = np.asarray(deg, dtype=np.float64)
-    heavy = np.asarray(heavy, dtype=np.float64)
-    sizes = piece_sizes(deg, heavy)
-    full = deg.prod(axis=0)
+    full = np.asarray(deg, dtype=np.float64).prod(axis=0)
     # every total is a sum over the witnesses, so one matrix product gives
     # them for every pair of splits: each witness's full cross product,
-    # changed at a heavy witness into its pieces, and whether the product
-    # sees the witness
+    # changed at a heavy witness into its pieces
     at_heavy = np.asarray(heavy_y, dtype=np.float64)
-    per = at_heavy @ np.concatenate([
-        sizes.sum(axis=1) - full,
-        np.count_nonzero(sizes, axis=1) - (full > 0),
-        heavy.min(axis=1) > 0]).T
+    per = at_heavy @ np.concatenate([pieces.sum(axis=1) - full,
+                                     np.count_nonzero(pieces, axis=1)
+                                     - (full > 0)]).T
+    n_comp = heavy_left.shape[-1]
+    inner = np.bincount((np.arange(g1)[:, None] * n_comp + comp).ravel(),
+                        weights=at_heavy.ravel(),
+                        minlength=g1 * n_comp).reshape(g1, n_comp)
     heavy_left = np.asarray(heavy_left, dtype=np.float64)
-    return JoinSizes(per[:, :g] + full.sum(),
-                     per[:, g:2 * g] + np.count_nonzero(full),
-                     per[:, 2 * g:] > 0,
-                     heavy_left[:, :half].prod(axis=1)[None],
-                     at_heavy.sum(axis=1)[:, None],
-                     heavy_left[:, half:].prod(axis=1)[None])
+    return JoinSizes(per[:, :g2] + full.sum(),
+                     per[:, g2:] + np.count_nonzero(full),
+                     heavy_left[:, :half].prod(axis=1), inner,
+                     heavy_left[:, half:].prod(axis=1))
 
 
 # Nanos per unit of work of a two-path join, measured on one core of a
@@ -202,6 +224,7 @@ _NS_PER_SORTED = 20.0
 _NS_PER_MERGED = 95.0
 _NS_PER_BLOCK = 13.0
 _NS_PER_TUPLE = 12.0
+_NS_PER_PRODUCT = 30000.0
 _NS_PER_ENTRY = 0.05
 _NS_PER_MADD = 0.021
 
@@ -211,10 +234,12 @@ def _split_grid(top: int) -> np.ndarray:
     return 2 ** np.arange(int(top).bit_length() + 1, dtype=np.int64)
 
 
-def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray):
+def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray,
+                    comp_left: np.ndarray, n_comp: int):
     """For each left split delta2s[g]: idx's tuples at each witness whose
     left value has degree past it, (G2, Y), and the number of such left
-    values, (G2,). One bincount over (splits below the left degree, y)."""
+    values per component, (G2, C). One bincount each over (splits below the
+    left degree, witness or component)."""
     g, dom_y = len(delta2s), idx.rel.dom_right
     below = np.searchsorted(delta2s, idx.left_deg)
     # the forward index's tuples, keyed by their left value's splits below
@@ -222,8 +247,10 @@ def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray):
     keys = np.repeat(below * dom_y, idx.left_deg) + idx.fwd_indices
     tuples = np.bincount(keys, minlength=(g + 1) * dom_y).reshape(g + 1, dom_y)
     # past split g are the left values with more than g splits below
-    lefts = np.bincount(below, minlength=g + 1)
-    return tuples[:0:-1].cumsum(axis=0)[::-1], lefts[:0:-1].cumsum()[::-1]
+    lefts = np.bincount(below * n_comp + comp_left,
+                        minlength=(g + 1) * n_comp).reshape(g + 1, n_comp)
+    return (tuples[:0:-1].cumsum(axis=0)[::-1],
+            lefts[:0:-1].cumsum(axis=0)[::-1])
 
 
 @dataclass
@@ -251,7 +278,7 @@ class PlanGrid:
             cost = cost[:-1, :-1]
         i, j = np.unravel_index(np.argmin(cost), cost.shape)
         strategy = PARTITIONED
-        if (not partitioned and not self.sizes.inner[-1, 0]
+        if (not partitioned and not self.sizes.inner[-1].any()
                 and cost[-1, -1] <= cost[i, j]):
             strategy, i, j = FULL_JOIN, len(cost) - 1, cost.shape[1] - 1
         return ThresholdPlan(strategy, int(self.delta1s[i]),
@@ -261,19 +288,35 @@ class PlanGrid:
                              self.light_cost.size)
 
 
-def price_two_path(r: IndexedRelation, s: IndexedRelation,
-                   table: Optional[CalibrationTable] = None,
-                   delta1s: Optional[np.ndarray] = None,
-                   delta2s: Optional[np.ndarray] = None) -> PlanGrid:
+def _multiply_by_table(table: CalibrationTable, sizes: JoinSizes) -> np.ndarray:
+    """Sum over the products of estimate_runtime, (G1, G2). Thresholds
+    ascend, so a component whose product runs at any split runs at the
+    first; the (G1, G2, components) estimates go a bounded chunk at a time."""
+    g1, g2 = len(sizes.inner), len(sizes.rows)
+    runs = np.flatnonzero((sizes.inner[0] > 0)
+                          & (sizes.rows[0] * sizes.cols[0] > 0))
+    total = np.zeros((g1, g2))
+    step = max(1, (1 << 16) // (g1 * g2))
+    for lo in range(0, len(runs), step):
+        c = runs[lo:lo + step]
+        total += estimate_runtime(table, sizes.rows[None][..., c],
+                                  sizes.inner[:, None][..., c],
+                                  sizes.cols[None][..., c]).sum(axis=-1)
+    return total
+
+
+def _price_grid(r: IndexedRelation, s: IndexedRelation,
+                table: Optional[CalibrationTable], delta1s: np.ndarray,
+                delta2s: np.ndarray) -> PlanGrid:
     """Price every candidate (delta1, delta2) of the ascending `delta1s` by
-    `delta2s` on the exact sizes joinproject._partitioned would allocate;
-    by default both are powers of two up to the first past every degree.
+    `delta2s` on the exact sizes joinproject._partitioned would allocate.
 
     The cost is per piece, per light code, the dedup (by counts_densely:
-    slots and counted codes plus the product added in, or the codes sorted
-    and the product merged in), the heavy build (each relation's tuples
-    scanned and V's and W's entries) and the multiply: from `table` by
-    estimate_runtime when given, else per multiply-add.
+    slots and counted codes plus the products added in, or the codes sorted
+    and the products merged in), the heavy build (each relation's tuples
+    scanned, V's and W's entries and a fixed part per product) and the
+    multiply: from `table` by estimate_runtime when given, else per
+    multiply-add.
     """
     if not r.shares_right_dict(s):
         raise ValueError("relations do not share a right dictionary; "
@@ -281,43 +324,51 @@ def price_two_path(r: IndexedRelation, s: IndexedRelation,
     deg = np.array([r.right_deg, s.right_deg])
     # a witness is light iff its degree is <= delta1 in both relations
     witness = deg.max(axis=0, initial=0)
-    if delta1s is None:
-        delta1s = _split_grid(witness.max(initial=0))
-    if delta2s is None:
-        delta2s = _split_grid(max(r.left_deg.max(initial=0),
-                                  s.left_deg.max(initial=0)))
+    comp = witness_components([r, s])
+    n_comp = int(comp.max(initial=-1)) + 1
     # per distinct relation: a self-join counts once
-    split_r = _heavy_by_split(r, delta2s)
-    split_s = split_r if s is r else _heavy_by_split(s, delta2s)
+    split_r = _heavy_by_split(r, delta2s, left_components(r, comp), n_comp)
+    split_s = (split_r if s is r else
+               _heavy_by_split(s, delta2s, left_components(s, comp), n_comp))
     heavy = np.array([split_r[0], split_s[0]]).swapaxes(0, 1)
-    heavy_left = np.array([split_r[1], split_s[1]]).T
-    sizes = join_sizes(deg, witness > delta1s[:, None], heavy, heavy_left)
+    heavy_left = np.array([split_r[1], split_s[1]]).swapaxes(0, 1)
+    sizes = join_sizes(deg, witness > delta1s[:, None],
+                       piece_sizes(deg, heavy), heavy_left, comp)
 
     light = sizes.light
-    u, v, w = sizes.rows, sizes.inner, sizes.cols
-    block = sizes.product * u * w
+    block = sizes.product_entries
     space = r.rel.dom_left * s.rel.dom_left
     dense = (_NS_PER_SLOT * space + _NS_PER_COUNTED * light
              + _NS_PER_BLOCK * block)
     # a block that is the whole space and has no codes beside it is the
     # buffer already
-    dense[(light == 0) & (block == space)] = 0.0
+    dense[(light == 0) & (block == space) & (sizes.blocks == 1)] = 0.0
+    # with no codes to merge into, the products' codes are only sorted
+    merge = np.where(light > 0, _NS_PER_MERGED, _NS_PER_SORTED)
     dedup = np.where(counts_densely(space, light, block), dense,
-                     _NS_PER_SORTED * light + _NS_PER_MERGED * block)
+                     _NS_PER_SORTED * light + merge * block)
     light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
     if table is None:
-        multiply = _NS_PER_MADD * u * v * w
+        multiply = _NS_PER_MADD * sizes.madds
     else:
-        # one estimate per distinct product shape
-        shapes = list(zip(*(x.ravel().tolist() for x in
-                            np.broadcast_arrays(u, v, w))))
-        price = {uvw: estimate_runtime(table, *map(int, uvw)) if min(uvw)
-                 else 0.0 for uvw in set(shapes)}
-        multiply = np.reshape([price[uvw] for uvw in shapes], light.shape)
-    build = _NS_PER_TUPLE * (r.n + s.n) + _NS_PER_ENTRY * (u + w) * v
-    heavy_cost = sizes.product * (build + multiply)
+        multiply = _multiply_by_table(table, sizes)
+    blocks = sizes.blocks
+    heavy_cost = (_NS_PER_TUPLE * (r.n + s.n) * (blocks > 0)
+                  + _NS_PER_PRODUCT * blocks
+                  + _NS_PER_ENTRY * sizes.factor_entries + multiply)
     return PlanGrid(np.asarray(delta1s), np.asarray(delta2s), sizes,
                     light_cost, heavy_cost)
+
+
+def price_two_path(r: IndexedRelation, s: IndexedRelation,
+                   table: Optional[CalibrationTable] = None) -> PlanGrid:
+    """Every candidate of a grid of both thresholds, priced by _price_grid:
+    powers of two up to the first past every degree, whose last row is the
+    full join."""
+    witness = np.maximum(r.right_deg, s.right_deg)
+    return _price_grid(r, s, table, _split_grid(witness.max(initial=0)),
+                       _split_grid(max(r.left_deg.max(initial=0),
+                                       s.left_deg.max(initial=0))))
 
 
 def default_plan(r: IndexedRelation, s: IndexedRelation) -> ThresholdPlan:

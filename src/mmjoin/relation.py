@@ -7,8 +7,9 @@ every value. Everything is immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from itertools import compress
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -399,6 +400,11 @@ class IndexedRelation:
     def n(self) -> int:
         return self.rel.n
 
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """witness_components of this relation alone."""
+        return _components([self])
+
     def shares_right_dict(self, other: "IndexedRelation") -> bool:
         return self.rel.right_values is other.rel.right_values
 
@@ -412,6 +418,69 @@ class IndexedRelation:
 
 def build_indexed(rel: Relation) -> IndexedRelation:
     return IndexedRelation(rel)
+
+
+def witness_components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
+    """Component of each witness (right id) of relations sharing their right
+    dictionary, numbered 0, 1, ... in the order of each component's smallest
+    witness. Two witnesses are in one component when a chain of left values,
+    of any of the relations, links them, so each left value of each relation
+    joins witnesses of one component only. A relation passed twice counts
+    once; a single relation keeps its components."""
+    distinct = list({id(i): i for i in idxs}.values())
+    if len(distinct) == 1:
+        return distinct[0].components
+    return _components(distinct)
+
+
+def _components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
+    """Min-label propagation: each round every left value takes the smallest
+    label of its witnesses and every witness the smallest of its left
+    values, then each label is replaced by its own label until it is a root
+    (pointer jumping). Labels only fall and never leave a component, so at
+    the fixed point every witness carries its component's smallest one."""
+    dom_y = idxs[0].rel.dom_right
+    label = np.arange(dom_y, dtype=np.int64)
+    links = []
+    for ri in idxs:
+        # a left value of degree 1 links nothing
+        linking = ri.left_deg >= 2
+        if not linking.any():
+            continue
+        lens = ri.left_deg[linking]
+        fwd = ri.fwd_indices[np.repeat(linking, ri.left_deg)]
+        keep = linking[ri.rev_indices]
+        rev = ri.rev_indices[keep]
+        per_y = np.bincount(np.repeat(np.arange(dom_y), ri.right_deg)[keep],
+                            minlength=dom_y)
+        has = per_y > 0
+        links.append((linking, fwd, np.cumsum(lens) - lens, rev,
+                      (np.cumsum(per_y) - per_y)[has], has,
+                      np.full(ri.rel.dom_left, dom_y, dtype=np.int64)))
+    while True:
+        new = label.copy()
+        for linking, fwd, x_starts, rev, y_starts, has, by_left in links:
+            by_left[linking] = np.minimum.reduceat(new[fwd], x_starts)
+            new[has] = np.minimum(new[has], np.minimum.reduceat(by_left[rev],
+                                                                y_starts))
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    return np.cumsum(label == np.arange(dom_y))[label] - 1
+
+
+def left_components(idx: IndexedRelation, comp: np.ndarray) -> np.ndarray:
+    """Component (of `comp`, one per witness) of each left value of idx; 0
+    for a value without witnesses."""
+    if not idx.n:
+        return np.zeros(idx.rel.dom_left, dtype=np.int64)
+    first = idx.fwd_indices[np.minimum(idx.fwd_indptr[:-1], idx.n - 1)]
+    return np.where(idx.left_deg > 0, comp[first], 0)
 
 
 def gather_ranges(indptr: np.ndarray, indices: np.ndarray,

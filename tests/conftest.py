@@ -9,6 +9,9 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import product
 
+# mmjoin first: it sets the BLAS thread count the suite's timed criteria
+# run under before numpy loads OpenBLAS
+import mmjoin  # noqa: F401
 import numpy as np
 
 from mmjoin.relation import ParseError, Relation, build_indexed, semi_join_reduce

@@ -235,16 +235,13 @@ def test_criterion_08_optimizer_quality():
         plan = opt.optimize_thresholds(idx, idx, table)
         bound = math.ceil(math.log(n) / math.log(1 / 0.95)) + 1
         assert plan.iterations <= bound
+        assert plan.strategy == PARTITIONED, (nodes, k, p, seed)
         deltas = np.array(sorted({int(d) for d in np.geomspace(1, n, 50)}))
-        fine = opt.price_two_path(idx, idx, table, deltas, deltas)
-        # partitioned wherever a plan with a heavy part is the cheapest of
-        # the grid; (n, n) is past every degree, the full join
-        heavy_wins = fine.cost.min() < fine.cost[-1, -1]
-        assert (plan.strategy == PARTITIONED) == heavy_wins, (nodes, k, p)
+        fine = opt._price_grid(idx, idx, table, deltas, deltas)
         assert plan.total_cost <= 1.5 * fine.cost.min(), (nodes, k, p, seed)
         # the plan's cost is its price on the same sizes
-        own = opt.price_two_path(idx, idx, table, np.array([plan.delta1]),
-                                 np.array([plan.delta2]))
+        own = opt._price_grid(idx, idx, table, np.array([plan.delta1]),
+                              np.array([plan.delta2]))
         assert own.cost[0, 0] == plan.total_cost, (nodes, k, p, seed)
 
 

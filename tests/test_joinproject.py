@@ -205,51 +205,70 @@ def _on_path(dense, codes, dims, want_counts, heavy):
     with _size_rule(_ALWAYS if dense else 0.0):
         out = jp._dedup_output(codes, dims, want_counts, heavy)
     # with nothing to place the sort path runs either way
-    placed = len(codes) > 0 or heavy is not None
+    placed = len(codes) > 0 or len(heavy) > 0
     assert (out.buffer is not None) == (dense and placed)
     return out
 
 
 @st.composite
 def _coded(draw):
-    """(codes, dims, heavy): light codes of a 2-d space and an optional
-    heavy block over sorted distinct rows and columns of it."""
+    """(codes, dims, heavy): light codes of a 2-d space and up to three
+    heavy blocks over sorted distinct rows and columns of it, no row or
+    column in two blocks."""
     dims = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     space = math.prod(dims)
     codes = draw(st.lists(st.integers(0, space - 1), max_size=60))
-    heavy = None
+    heavy = []
     if draw(st.booleans()):
         rows = sorted(draw(st.sets(st.integers(0, dims[0] - 1), min_size=1)))
         cols = sorted(draw(st.sets(st.integers(0, dims[1] - 1), min_size=1)))
-        data = draw(st.lists(st.integers(0, 4), min_size=len(rows) * len(cols),
-                             max_size=len(rows) * len(cols)))
-        heavy = CountMatrix(np.array(data, dtype=np.int64).reshape(
-            len(rows), len(cols)), row_keys=np.array(rows, dtype=np.int64),
-            col_keys=np.array(cols, dtype=np.int64))
+        n = draw(st.integers(1, 3))
+        row_of = draw(st.lists(st.integers(0, n - 1), min_size=len(rows),
+                               max_size=len(rows)))
+        col_of = draw(st.lists(st.integers(0, n - 1), min_size=len(cols),
+                               max_size=len(cols)))
+        for b in range(n):
+            rb = [x for x, o in zip(rows, row_of) if o == b]
+            cb = [x for x, o in zip(cols, col_of) if o == b]
+            if not (rb and cb):
+                continue
+            data = draw(st.lists(st.integers(0, 4), min_size=len(rb) * len(cb),
+                                 max_size=len(rb) * len(cb)))
+            heavy.append(CountMatrix(
+                np.array(data, dtype=np.int64).reshape(len(rb), len(cb)),
+                row_keys=np.array(rb, dtype=np.int64),
+                col_keys=np.array(cb, dtype=np.int64)))
     return np.array(codes, dtype=np.int64), dims, heavy
 
 
 _FULL_BLOCK = CountMatrix(np.array([[0, 2, 1], [3, 0, 1]], dtype=np.int64),
                           row_keys=np.arange(2), col_keys=np.arange(3))
+# the later rows first: the blocks' codes are not in order across them
+_TWO_BLOCKS = [CountMatrix(np.array([[1, 0]], dtype=np.int64),
+                           row_keys=np.array([2]), col_keys=np.array([1, 3])),
+               CountMatrix(np.array([[2], [1]], dtype=np.int64),
+                           row_keys=np.array([0, 1]), col_keys=np.array([0]))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_coded())
-@example((np.empty(0, dtype=np.int64), (3, 4), None))         # empty
-@example((np.empty(0, dtype=np.int64), (1, 1), None))         # empty, D = 1
-@example((np.zeros(5, dtype=np.int64), (1, 1), None))         # D = 1
-@example((np.array([0, 11, 11, 0, 5]), (3, 4), None))         # 0 and D - 1
-@example((np.full(7, 4, dtype=np.int64), (3, 4), None))       # all duplicates
-@example((np.array([5, 0, 5]), (2, 3), _FULL_BLOCK))          # block = space
-@example((np.empty(0, dtype=np.int64), (2, 3), _FULL_BLOCK))  # heavy only
+@example((np.empty(0, dtype=np.int64), (3, 4), []))           # empty
+@example((np.empty(0, dtype=np.int64), (1, 1), []))           # empty, D = 1
+@example((np.zeros(5, dtype=np.int64), (1, 1), []))           # D = 1
+@example((np.array([0, 11, 11, 0, 5]), (3, 4), []))           # 0 and D - 1
+@example((np.full(7, 4, dtype=np.int64), (3, 4), []))         # all duplicates
+@example((np.array([5, 0, 5]), (2, 3), [_FULL_BLOCK]))        # block = space
+@example((np.empty(0, dtype=np.int64), (2, 3), [_FULL_BLOCK]))  # heavy only
+@example((np.empty(0, dtype=np.int64), (3, 4), _TWO_BLOCKS))  # two blocks
+@example((np.array([1, 11, 4]), (3, 4), _TWO_BLOCKS))         # and codes
 def test_dedup_output_dense_and_sort_paths_agree(case):
     codes, dims, heavy = case
     want = Counter(codes.tolist())
-    if heavy is not None:
-        for i, a in enumerate(heavy.row_keys.tolist()):
-            for j, b in enumerate(heavy.col_keys.tolist()):
-                if heavy.data[i, j]:
-                    want[a * dims[1] + b] += int(heavy.data[i, j])
+    for block in heavy:
+        for i, a in enumerate(block.row_keys.tolist()):
+            for j, b in enumerate(block.col_keys.tolist()):
+                if block.data[i, j]:
+                    want[a * dims[1] + b] += int(block.data[i, j])
     dense = _on_path(True, codes, dims, True, heavy)
     sort = _on_path(False, codes, dims, True, heavy)
     for out in (dense, sort):
@@ -272,8 +291,8 @@ def test_dedup_output_size_rule():
     block = CountMatrix(np.ones((2, 2), dtype=np.int64),
                         row_keys=np.array([0, 3]), col_keys=np.array([1, 2]))
     # 1.5 * (40 + 40 + 4) = 126
-    assert jp._dedup_output(codes, (9, 14), heavy=block).buffer is not None
-    assert jp._dedup_output(codes, (9, 15), heavy=block).buffer is None
+    assert jp._dedup_output(codes, (9, 14), heavy=[block]).buffer is not None
+    assert jp._dedup_output(codes, (9, 15), heavy=[block]).buffer is None
 
 
 def test_two_path_join_counts_on_either_path():
@@ -492,22 +511,27 @@ def _two_path_case(draw):
     return r_pairs, s_pairs, draw(st.integers(1, top)), draw(st.integers(1, top))
 
 
+_TWO_SQUARES = [(x, y) for x in range(2) for y in range(2)] + [
+    (x, y) for x in range(2, 5) for y in range(2, 5)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_two_path_case())
 @example((_DENSE, _DENSE, 1, 1))                           # all heavy
 @example((_DENSE, _HUB, 2, 2))                             # mixed
 @example((_DENSE, _DENSE, 100, 1))                         # all light
+@example((_TWO_SQUARES, _TWO_SQUARES, 1, 1))               # two components
 def test_join_sizes_are_what_partitioned_allocates(case):
     r_pairs, s_pairs, d1, d2 = case
     r, s = reduced_indexed(r_pairs, s_pairs)
-    planned = opt.price_two_path(r, s, None, np.array([d1]),
-                                 np.array([d2])).sizes
+    planned = opt._price_grid(r, s, None, np.array([d1]),
+                              np.array([d2])).sizes
     factors, crossed = [], []
     heavy_factors, cross_codes = jp._heavy_factors, jp._cross_codes
 
     def spy_factors(*args):
-        factors.append(heavy_factors(*args))
-        return factors[-1]
+        factors.extend(heavy_factors(*args))
+        return factors
 
     def spy_cross(parts):
         crossed.append(len(parts))
@@ -517,16 +541,22 @@ def test_join_sizes_are_what_partitioned_allocates(case):
             mock.patch.object(jp, "_cross_codes", spy_cross):
         res = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2))
     assert res.stats["light_intermediate"] == planned.light[0, 0]
-    ran = bool(planned.product[0, 0])
-    assert len(factors) == ran
+    # one product per component with heavy witnesses and left values
+    assert len(factors) == planned.blocks[0, 0]
     # one _cross_codes per light piece, and one per factor for its row keys
-    assert len(crossed) - 2 * ran == planned.pieces[0, 0]
-    if ran:
-        v, wt = factors[0]
-        u, inner, w = (int(x[0, 0]) for x in (planned.rows, planned.inner,
+    assert len(crossed) - 2 * len(factors) == planned.pieces[0, 0]
+    runs = np.flatnonzero(planned.inner[0] * planned.rows[0]
+                          * planned.cols[0] > 0)
+    for (v, wt), c in zip(factors, runs):
+        u, inner, w = (int(x[0, c]) for x in (planned.rows, planned.inner,
                                               planned.cols))
         assert v.data.shape == (u, inner) and wt.data.shape == (inner, w)
-        assert planned.heavy_entries[0, 0] == (u + w) * inner + u * w
+    assert planned.heavy_entries[0, 0] == sum(
+        v.data.size + wt.data.size + v.rows * wt.cols for v, wt in factors)
+    assert planned.madds[0, 0] == sum(v.data.size * wt.cols
+                                      for v, wt in factors)
+    if r_pairs == _TWO_SQUARES:
+        assert len(factors) == 2
 
 
 def test_output_set_decode_roundtrip():

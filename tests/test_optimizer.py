@@ -83,14 +83,16 @@ def test_sets_family_plans_all_light():
 
 def test_community_plans_all_heavy():
     # 600 nodes in 3 communities of 200: the full join writes ~160 codes
-    # per output pair, the all-heavy product none
+    # per output pair, the all-heavy products none, one per community
     idx = build_indexed(generate_community_graph(600, 3, 0.9, seed=1))
     for plan in (opt.default_plan(idx, idx),
                  opt.optimize_thresholds(idx, idx, _synthetic_table())):
         assert plan.strategy == opt.PARTITIONED
         assert plan.delta1 < idx.right_deg.min()
         assert plan.delta2 < idx.left_deg.min()
-        assert plan.light_cost == 0.0 and plan.heavy_cost > 0
+        sizes = opt._price_grid(idx, idx, None, np.array([plan.delta1]),
+                                np.array([plan.delta2])).sizes
+        assert sizes.light[0, 0] == 0 and sizes.blocks[0, 0] == 3
 
 
 def test_optimize_requires_a_table():
@@ -115,8 +117,8 @@ def _assert_argmin_of_grid(idx, table):
     j = grid.delta2s.tolist().index(plan.delta2)
     assert plan.total_cost == grid.cost[i, j] == grid.cost.min()
     # priced again on its own, the plan costs what the grid said
-    again = opt.price_two_path(idx, idx, table, np.array([plan.delta1]),
-                               np.array([plan.delta2]))
+    again = opt._price_grid(idx, idx, table, np.array([plan.delta1]),
+                            np.array([plan.delta2]))
     assert again.cost[0, 0] == plan.total_cost
     return plan, grid
 
