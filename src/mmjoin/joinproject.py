@@ -220,16 +220,18 @@ def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
         m[rows[lo:hi], cols[lo:hi]] = 1
         return m
 
+    strides = (_strides([ri.rel.dom_left for ri in rels[:half]])
+               + _strides([ri.rel.dom_left for ri in rels[half:]]))
+
     def grouped(c, at, blocks):
         data = None
         for i in at:
             m = blocks[first[i]]
             data = m if data is None else (
                 data[:, None, :] * m[None]).reshape(-1, y_count[c])
-        strides = _strides([rels[i].rel.dom_left for i in at])
         keys = _cross_codes([
             lefts[first[i]][0][lefts[first[i]][2][c]:][:lefts[first[i]][1][c]]
-            * st for i, st in zip(at, strides)])
+            * strides[i] for i in at])
         return data, keys
 
     factors = []
@@ -281,6 +283,12 @@ def _as_run(keys: np.ndarray):
     return keys
 
 
+def _kept(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """values[keep], without the copy when every entry is kept (a product
+    within a component is often dense)."""
+    return values if keep.all() else values[keep]
+
+
 def _dedup_output(codes: np.ndarray, dims: Sequence[int],
                   want_counts: bool = False, heavy=()) -> OutputSet:
     """The distinct `codes` of the space `dims` as an OutputSet, with their
@@ -318,12 +326,20 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int],
         # row-major over sorted keys: each block's codes are sorted and
         # distinct, and the blocks' keys are disjoint
         extra = (np.concatenate([
-            np.add.outer(m.row_keys * dims[1], m.col_keys).ravel()[keep]
-            for m, keep in zip(heavy, kept)]),
-            np.concatenate([e[keep] for e, keep in zip(entries, kept)]))
+            _kept(np.add.outer(m.row_keys * dims[1], m.col_keys).ravel(),
+                  keep) for m, keep in zip(heavy, kept)]),
+            np.concatenate([_kept(e, keep) for e, keep in zip(entries, kept)]))
         if len(heavy) > 1:
-            order = np.argsort(extra[0])
-            extra = (extra[0][order], extra[1][order])
+            # every row's codes are one run, in order: the runs go in the
+            # order of their row keys
+            lens = np.concatenate([keep.reshape(m.data.shape).sum(axis=1)
+                                   for m, keep in zip(heavy, kept)])
+            order = np.argsort(np.concatenate([m.row_keys for m in heavy]))
+            starts = (np.cumsum(lens) - lens)[order]
+            lens = lens[order]
+            at = (np.repeat(starts - (np.cumsum(lens) - lens), lens)
+                  + np.arange(len(extra[0])))
+            extra = (extra[0][at], extra[1][at])
     if want_counts:
         out, counts = _dedup(codes, True, extra)
         return OutputSet(out, dims, counts)

@@ -203,28 +203,33 @@ def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
 #   (11-28 from 10^4 to 10^6 random codes) and per entry of a product
 #   merged into the sorted codes (87-124 for squares of 100 to 1000 entries
 #   a side);
+# - _NS_PER_PLACED: the same path with no codes, per entry of the products
+#   put in order (11 on the three of the benchmark community graph);
 # - _NS_PER_BLOCK: _dedup_output adding a product into a buffer by np.ix_
 #   (its keys are not one run), per product entry (12-15 for squares of 200
 #   to 1000 entries a side);
-# - _NS_PER_TUPLE, _NS_PER_ENTRY: _membership on the 108k-tuple benchmark
-#   community graph, per tuple (4.9 to scan it, 7.5 more to write it into
-#   V), and np.zeros per uint8 entry of V or W;
+# - _NS_PER_TUPLE, _NS_PER_ENTRY, _NS_PER_PRODUCT: _heavy_factors per tuple
+#   of both relations (12.1 on the 108k-tuple benchmark community graph and
+#   on an 8-community one, less the other two parts), np.zeros per uint8
+#   entry of V or W, and the fixed part of one product, from its factors to
+#   its dedup (42-45 us on graphs of 100 to 400 components of 4 nodes);
 # - _NS_PER_MADD: multiply_counts on 0/1 uint8 squares of 512 to 1000, per
 #   multiply-add; used unless a calibration table prices the multiply.
-# With them the modeled cost of 293 grid candidates on six inputs (the
+# With them the modeled cost of 358 grid candidates on eight inputs (the
 # benchmark community, star and sets files, 40% of the sets, a sparse and a
-# Zipf graph) was 0.90 of the measured join time in the median, 0.45 to 1.31
-# from the 10th to the 90th percentile; the low end is joins of a few
-# milliseconds, whose fixed numpy overheads are not modeled.
+# Zipf graph, 800 nodes in 8 and in 200 communities) was 0.91 of the
+# measured join time in the median, 0.65 to 1.35 from the 10th to the 90th
+# percentile.
 _NS_PER_PIECE = 5000.0
 _NS_PER_CODE = 2.5
 _NS_PER_SLOT = 0.35
 _NS_PER_COUNTED = 4.2
 _NS_PER_SORTED = 20.0
 _NS_PER_MERGED = 95.0
+_NS_PER_PLACED = 12.0
 _NS_PER_BLOCK = 13.0
 _NS_PER_TUPLE = 12.0
-_NS_PER_PRODUCT = 30000.0
+_NS_PER_PRODUCT = 40000.0
 _NS_PER_ENTRY = 0.05
 _NS_PER_MADD = 0.021
 
@@ -335,16 +340,16 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
     sizes = join_sizes(deg, witness > delta1s[:, None],
                        piece_sizes(deg, heavy), heavy_left, comp)
 
-    light = sizes.light
+    light, blocks = sizes.light, sizes.blocks
     block = sizes.product_entries
     space = r.rel.dom_left * s.rel.dom_left
     dense = (_NS_PER_SLOT * space + _NS_PER_COUNTED * light
              + _NS_PER_BLOCK * block)
-    # a block that is the whole space and has no codes beside it is the
-    # buffer already
-    dense[(light == 0) & (block == space) & (sizes.blocks == 1)] = 0.0
-    # with no codes to merge into, the products' codes are only sorted
-    merge = np.where(light > 0, _NS_PER_MERGED, _NS_PER_SORTED)
+    # a single block that is the whole space and has no codes beside it is
+    # the buffer already
+    dense[(light == 0) & (block == space) & (blocks == 1)] = 0.0
+    # with no codes to merge into, the products' codes are only put in order
+    merge = np.where(light > 0, _NS_PER_MERGED, _NS_PER_PLACED)
     dedup = np.where(counts_densely(space, light, block), dense,
                      _NS_PER_SORTED * light + merge * block)
     light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
@@ -352,7 +357,6 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
         multiply = _NS_PER_MADD * sizes.madds
     else:
         multiply = _multiply_by_table(table, sizes)
-    blocks = sizes.blocks
     heavy_cost = (_NS_PER_TUPLE * (r.n + s.n) * (blocks > 0)
                   + _NS_PER_PRODUCT * blocks
                   + _NS_PER_ENTRY * sizes.factor_entries + multiply)

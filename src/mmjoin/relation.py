@@ -426,11 +426,12 @@ def witness_components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
     witness. Two witnesses are in one component when a chain of left values,
     of any of the relations, links them, so each left value of each relation
     joins witnesses of one component only. A relation passed twice counts
-    once; a single relation keeps its components."""
-    distinct = list({id(i): i for i in idxs}.values())
+    once; a single relation keeps its components, and the last set of
+    several is kept too: a plan and the join it plans ask for the same."""
+    distinct = tuple({id(i): i for i in idxs}.values())
     if len(distinct) == 1:
         return distinct[0].components
-    return _components(distinct)
+    return _last_components(distinct)
 
 
 def _components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
@@ -441,28 +442,17 @@ def _components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
     the fixed point every witness carries its component's smallest one."""
     dom_y = idxs[0].rel.dom_right
     label = np.arange(dom_y, dtype=np.int64)
-    links = []
-    for ri in idxs:
-        # a left value of degree 1 links nothing
-        linking = ri.left_deg >= 2
-        if not linking.any():
-            continue
-        lens = ri.left_deg[linking]
-        fwd = ri.fwd_indices[np.repeat(linking, ri.left_deg)]
-        keep = linking[ri.rev_indices]
-        rev = ri.rev_indices[keep]
-        per_y = np.bincount(np.repeat(np.arange(dom_y), ri.right_deg)[keep],
-                            minlength=dom_y)
-        has = per_y > 0
-        links.append((linking, fwd, np.cumsum(lens) - lens, rev,
-                      (np.cumsum(per_y) - per_y)[has], has,
-                      np.full(ri.rel.dom_left, dom_y, dtype=np.int64)))
+    links = [(ri.fwd_indices, ri.left_deg > 0,
+              ri.fwd_indptr[:-1][ri.left_deg > 0], ri.rev_indices, ri.right_deg > 0,
+              ri.rev_indptr[:-1][ri.right_deg > 0],
+              np.zeros(ri.rel.dom_left, dtype=np.int64))
+             for ri in idxs if ri.n]
     while True:
         new = label.copy()
-        for linking, fwd, x_starts, rev, y_starts, has, by_left in links:
-            by_left[linking] = np.minimum.reduceat(new[fwd], x_starts)
-            new[has] = np.minimum(new[has], np.minimum.reduceat(by_left[rev],
-                                                                y_starts))
+        for fwd, x_has, x_starts, rev, y_has, y_starts, by_left in links:
+            by_left[x_has] = np.minimum.reduceat(new[fwd], x_starts)
+            new[y_has] = np.minimum(new[y_has], np.minimum.reduceat(
+                by_left[rev], y_starts))
         while True:
             jumped = new[new]
             if np.array_equal(jumped, new):
@@ -472,6 +462,9 @@ def _components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
             break
         label = new
     return np.cumsum(label == np.arange(dom_y))[label] - 1
+
+
+_last_components = functools.lru_cache(maxsize=1)(_components)
 
 
 def left_components(idx: IndexedRelation, comp: np.ndarray) -> np.ndarray:
