@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,18 +161,29 @@ def _cross_codes(parts: list) -> np.ndarray:
     return functools.reduce(np.add.outer, parts).ravel()
 
 
+class _Groups(NamedTuple):
+    """Sorted ids grouped by component: `values` in that order, each
+    component's `counts` and `starts` in it, and each id's position within
+    its component, over all ids (-1 where not a value)."""
+    values: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    pos: np.ndarray
+
+    def of(self, c: int) -> np.ndarray:
+        return self.values[self.starts[c]:self.starts[c] + self.counts[c]]
+
+
 def _by_component(values: np.ndarray, of: np.ndarray, n_comp: int,
-                  dom: int):
-    """Sorted ids `values` grouped by their component `of`: the ids in that
-    order, each component's count and start, and each id's position within
-    its component, over 0..dom-1 (-1 where not a value)."""
+                  dom: int) -> _Groups:
+    """The sorted ids `values` of 0..dom-1 grouped by their components `of`."""
     order = np.argsort(of, kind="stable")
     counts = np.bincount(of, minlength=n_comp)
     starts = np.cumsum(counts) - counts
     grouped = values[order]
     pos = np.full(dom, -1, dtype=np.int64)
     pos[grouped] = np.arange(len(values)) - starts[of[order]]
-    return grouped, counts, starts, pos
+    return _Groups(grouped, counts, starts, pos)
 
 
 def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
@@ -188,8 +199,7 @@ def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
     keyed by the output space viewed as two dimensions (see _partitioned)."""
     k, half = len(rels), (len(rels) + 1) // 2
     n_comp = int(comp.max(initial=-1)) + 1
-    ys, y_count, y_start, pos_y = _by_component(heavy_y, comp[heavy_y],
-                                                n_comp, len(comp))
+    ys = _by_component(heavy_y, comp[heavy_y], n_comp, len(comp))
     # a relation passed again with the same heavy left values (a self-join)
     # reuses the first one's groups and blocks
     first = [next(j for j in range(i + 1) if rels[j] is rels[i]
@@ -203,20 +213,22 @@ def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
         # the relation's tuples at the heavy witnesses, which come grouped
         # by component, and the heavy left values among them, at their
         # positions in their component's block
-        values, lens = gather_ranges(idx.rev_indptr, idx.rev_indices, ys)
-        rows = lefts[i][3][values]
+        values, lens = gather_ranges(idx.rev_indptr, idx.rev_indices,
+                                     ys.values)
+        rows = lefts[i].pos[values]
         keep = rows >= 0
-        cols = np.repeat(pos_y[ys], lens)[keep]
-        ends = np.cumsum(np.bincount(np.repeat(comp[ys], lens)[keep],
+        cols = np.repeat(ys.pos[ys.values], lens)[keep]
+        ends = np.cumsum(np.bincount(np.repeat(comp[ys.values], lens)[keep],
                                      minlength=n_comp)).tolist()
         members[i] = (rows[keep], cols, [0] + ends)
-    runs = np.flatnonzero(np.min([y_count] + [lefts[i][1] for i in lefts],
+    runs = np.flatnonzero(np.min([ys.counts] + [g.counts for g in
+                                                lefts.values()],
                                  axis=0) > 0).tolist()
 
     def block(i, c):
         rows, cols, bounds = members[i]
         lo, hi = bounds[c], bounds[c + 1]
-        m = np.zeros((lefts[i][1][c], y_count[c]), dtype=np.uint8)
+        m = np.zeros((lefts[i].counts[c], ys.counts[c]), dtype=np.uint8)
         m[rows[lo:hi], cols[lo:hi]] = 1
         return m
 
@@ -228,10 +240,8 @@ def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
         for i in at:
             m = blocks[first[i]]
             data = m if data is None else (
-                data[:, None, :] * m[None]).reshape(-1, y_count[c])
-        keys = _cross_codes([
-            lefts[first[i]][0][lefts[first[i]][2][c]:][:lefts[first[i]][1][c]]
-            * strides[i] for i in at])
+                data[:, None, :] * m[None]).reshape(-1, ys.counts[c])
+        keys = _cross_codes([lefts[first[i]].of(c) * strides[i] for i in at])
         return data, keys
 
     factors = []
@@ -239,7 +249,7 @@ def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
         blocks = {i: block(i, c) for i in lefts}
         v, v_keys = grouped(c, range(half), blocks)
         w, w_keys = grouped(c, range(half, k), blocks)
-        witnesses = ys[y_start[c]:y_start[c] + y_count[c]]
+        witnesses = ys.of(c)
         factors.append((CountMatrix(v, row_keys=v_keys, col_keys=witnesses),
                         CountMatrix(w.T, row_keys=witnesses, col_keys=w_keys)))
     return factors

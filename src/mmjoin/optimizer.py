@@ -107,7 +107,7 @@ def piece_sizes(deg: np.ndarray, heavy: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def _runs(dims: np.ndarray) -> np.ndarray:
+def _positive(dims: np.ndarray) -> np.ndarray:
     return (dims > 0).astype(np.float64)
 
 
@@ -133,18 +133,18 @@ class JoinSizes:
     @property
     def blocks(self) -> np.ndarray:
         """Products that run."""
-        return _runs(self.inner) @ _runs(self.rows * self.cols).T
+        return _positive(self.inner) @ _positive(self.rows * self.cols).T
 
     @property
     def product_entries(self) -> np.ndarray:
         """Entries of the products V @ W^T."""
-        return _runs(self.inner) @ (self.rows * self.cols).T
+        return _positive(self.inner) @ (self.rows * self.cols).T
 
     @property
     def factor_entries(self) -> np.ndarray:
         """Entries of the factors V and W."""
         return self.inner @ ((self.rows + self.cols)
-                             * _runs(self.rows * self.cols)).T
+                             * _positive(self.rows * self.cols)).T
 
     @property
     def heavy_entries(self) -> np.ndarray:

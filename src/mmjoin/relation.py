@@ -461,7 +461,10 @@ def _components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
         if np.array_equal(new, label):
             break
         label = new
-    return np.cumsum(label == np.arange(dom_y))[label] - 1
+    comp = np.cumsum(label == np.arange(dom_y))[label] - 1
+    # kept and handed to every caller
+    comp.flags.writeable = False
+    return comp
 
 
 _last_components = functools.lru_cache(maxsize=1)(_components)

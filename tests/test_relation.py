@@ -20,10 +20,12 @@ from mmjoin.relation import (
     build_indexed,
     gather_ranges,
     generate_community_graph,
+    left_components,
     parse_edge_list,
     parse_set_family_file,
     semi_join_reduce,
     semi_join_reduce_many,
+    witness_components,
 )
 
 
@@ -354,3 +356,45 @@ def test_generate_community_graph():
         generate_community_graph(10, 0, 0.5, seed=0)
     with pytest.raises(ValueError):
         generate_community_graph(10, 2, 1.5, seed=0)
+
+
+def _oracle_components(rels):
+    """Witness -> smallest witness of its component, by union-find over
+    each left value's witness lists."""
+    parent = {y: y for rel in rels for _, y in rel.pairs.tolist()}
+
+    def find(y):
+        while parent[y] != y:
+            y = parent[y]
+        return y
+
+    for rel in rels:
+        by_left = {}
+        for x, y in rel.pairs.tolist():
+            by_left.setdefault(x, []).append(y)
+        for ys in by_left.values():
+            for y in ys[1:]:
+                a, b = find(ys[0]), find(y)
+                parent[max(a, b)] = min(a, b)
+    return {y: find(y) for y in parent}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 15)),
+                        min_size=1, max_size=25), min_size=1, max_size=3))
+@example([{(0, 0), (0, 1), (1, 1), (2, 3), (3, 2), (3, 4), (4, 4)}])
+def test_witness_components(rel_pairs):
+    rels = semi_join_reduce_many([Relation.from_raw_pairs(f"R{i}", sorted(p))
+                                  for i, p in enumerate(rel_pairs)])
+    idxs = [build_indexed(r) for r in rels]
+    comp = witness_components(idxs + idxs[:1])
+    root = _oracle_components(rels)
+    ys = sorted(root)
+    # one id per component, numbered by their smallest witnesses
+    assert comp[ys].tolist() == [sorted(set(root.values())).index(root[y])
+                                 for y in ys]
+    assert not comp.flags.writeable
+    for idx in idxs:
+        lc = left_components(idx, comp)
+        assert (lc[idx.rel.pairs[:, 0]] == comp[idx.rel.pairs[:, 1]]).all()
+    assert witness_components(idxs[:1]) is idxs[0].components
