@@ -443,7 +443,8 @@ def _components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
     dom_y = idxs[0].rel.dom_right
     label = np.arange(dom_y, dtype=np.int64)
     links = [(ri.fwd_indices, ri.left_deg > 0,
-              ri.fwd_indptr[:-1][ri.left_deg > 0], ri.rev_indices, ri.right_deg > 0,
+              ri.fwd_indptr[:-1][ri.left_deg > 0],
+              ri.rev_indices, ri.right_deg > 0,
               ri.rev_indptr[:-1][ri.right_deg > 0],
               np.zeros(ri.rel.dom_left, dtype=np.int64))
              for ri in idxs if ri.n]
