@@ -93,6 +93,7 @@ def test_community_plans_all_heavy():
         sizes = opt._price_grid(idx, idx, None, np.array([plan.delta1]),
                                 np.array([plan.delta2])).sizes
         assert sizes.light[0, 0] == 0 and sizes.blocks[0, 0] == 3
+        assert plan.heavy_cost > 0
 
 
 def test_optimize_requires_a_table():
