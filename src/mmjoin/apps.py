@@ -363,8 +363,8 @@ def scj_join_project(family: SetFamily) -> set:
 
 def bsi_batch_size(rate: float, n: int) -> int:
     """Latency-optimal batch size ceil((B*N)^(3/5))."""
-    if rate < 1 or n < 1:
-        raise ValueError("rate and n must be >= 1")
+    if not rate > 0 or n < 1:
+        raise ValueError("rate must be > 0 and n >= 1")
     return math.ceil((rate * n) ** 0.6)
 
 
@@ -373,8 +373,12 @@ def bsi_answer_batch(r: IndexedRelation, s: IndexedRelation,
     """answer[i] True iff sets a_i (in R) and b_i (in S) intersect.
 
     Unknown set ids yield a None marker for that query instead of failing
-    the whole batch.
+    the whole batch. Relations that do not share a right dictionary are
+    aligned first (semi_join_reduce, which keeps their set ids), once per
+    call: pass aligned relations to answer many batches.
     """
+    if not r.shares_right_dict(s):
+        r, s = map(build_indexed, semi_join_reduce(r.rel, s.rel))
     answers: list = [None] * len(batch)
     qa = np.fromiter((r.rel.left_ids.get(a, -1) for a, _ in batch),
                      dtype=np.int64, count=len(batch))
@@ -386,51 +390,30 @@ def bsi_answer_batch(r: IndexedRelation, s: IndexedRelation,
     # the batch's distinct queried sets, renumbered densely from 0
     ua, ub = _dedup(qa[known]), _dedup(qb[known])
     qa, qb = np.searchsorted(ua, qa[known]), np.searchsorted(ub, qb[known])
-    shared = r.shares_right_dict(s)
-    ra = _gather_sets(r, ua, "Rb", compact=not shared)
-    sb = _gather_sets(s, ub, "Sb", compact=not shared)
-    if not shared:
-        red_a, red_b = semi_join_reduce(ra, sb)
-        qa = _left_remap(ra, red_a)[qa]
-        qb = _left_remap(sb, red_b)[qb]
-        ra, sb = red_a, red_b
+    ra, sb = _gather_sets(r, ua, "Rb"), _gather_sets(s, ub, "Sb")
     hit = np.zeros(len(known), dtype=bool)
     if ra.n and sb.n:
         res = two_path_join(build_indexed(ra), build_indexed(sb))
         code = qa * res.dims[1] + qb
         pos = np.searchsorted(res.codes, code)
-        ok = (qa >= 0) & (qb >= 0) & (pos < len(res.codes))
+        ok = pos < len(res.codes)
         hit[ok] = res.codes[pos[ok]] == code[ok]
     for i, h in zip(known.tolist(), hit.tolist()):
         answers[i] = h
     return answers
 
 
-def _gather_sets(idx: IndexedRelation, ids: np.ndarray, name: str,
-                 compact: bool) -> Relation:
+def _gather_sets(idx: IndexedRelation, ids: np.ndarray, name: str) -> Relation:
     """The rows of the sets `ids` (sorted, distinct) from idx's forward
-    index, with set ids[i] renumbered to i. With `compact` the right
-    dictionary holds only the values these rows use; otherwise it is idx's
-    own, so relations gathered from one dictionary still share it."""
+    index, with set ids[i] renumbered to i and idx's own right dictionary,
+    so relations gathered from one dictionary still share it."""
     rel = idx.rel
     ys, lens = gather_ranges(idx.fwd_indptr, idx.fwd_indices, ids)
     left_values = [rel.left_values[a] for a in ids.tolist()]
-    right_values, right_ids = rel.right_values, rel.right_ids
-    if compact:
-        used = _dedup(ys)
-        ys = np.searchsorted(used, ys)
-        right_values = [rel.right_values[y] for y in used.tolist()]
-        right_ids = {v: i for i, v in enumerate(right_values)}
     pairs = np.column_stack((np.repeat(np.arange(len(ids)), lens), ys))
     return Relation(name, pairs, left_values,
                     {v: i for i, v in enumerate(left_values)},
-                    right_values, right_ids)
-
-
-def _left_remap(rel: Relation, reduced: Relation) -> np.ndarray:
-    """Left id in `reduced` of each left id of `rel`; -1 where dropped."""
-    return np.fromiter((reduced.left_ids.get(v, -1) for v in rel.left_values),
-                       dtype=np.int64, count=rel.dom_left)
+                    rel.right_values, rel.right_ids)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from .relation import (
     build_indexed,
     generate_community_graph,
     parse_edge_list,
-    semi_join_reduce,
     semi_join_reduce_many,
 )
 
@@ -70,13 +69,18 @@ def _read_relations(paths: list, names: list) -> list:
     return [read[key] for key in keys]
 
 
-def _build_indexed_once(rels: list) -> list:
-    """build_indexed per distinct relation object, shared by its repeats."""
+def _aligned_indexes(paths: list, names: list) -> tuple[list, list]:
+    """(read, indexed): the relations read from `paths` (_read_relations)
+    and their indexes after one semi-join (semi_join_reduce_many), one
+    index per distinct relation, shared by its repeats. Aligned relations
+    keep the left ids and dictionaries they were read with."""
+    read = _read_relations(paths, names)
+    aligned = semi_join_reduce_many(read)
     built = {}
-    for rel in rels:
+    for rel in aligned:
         if id(rel) not in built:
             built[id(rel)] = build_indexed(rel)
-    return [built[id(rel)] for rel in rels]
+    return read, [built[id(rel)] for rel in aligned]
 
 
 # combined suffix keys stay below this; past it the key so far is re-ranked
@@ -286,7 +290,7 @@ def _calibration_table(path: Optional[str]):
 
 
 def _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration):
-    if delta1 is not None and delta2 is not None:
+    if delta1 is not None:
         return optimizer.ThresholdPlan(optimizer.PARTITIONED, delta1, delta2)
     if not auto_plan:
         return None
@@ -351,8 +355,11 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
 @click.option("--calibration", type=click.Path())
 def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
     """Projected two-path join; emits sorted `a c [count]` lines."""
-    r, s = semi_join_reduce(*_read_relations([left, right], ["R", "S"]))
-    ridx, sidx = _build_indexed_once([r, s])
+    if (delta1 is None) != (delta2 is None):
+        raise click.UsageError("--delta1 and --delta2 go together")
+    if calibration is not None and not auto_plan:
+        raise click.UsageError("--calibration needs --auto-plan")
+    (r, s), (ridx, sidx) = _aligned_indexes([left, right], ["R", "S"])
     plan = _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration)
     try:
         res = joinproject.two_path_join(ridx, sidx, plan=plan,
@@ -371,9 +378,8 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
 @click.option("--counts", is_flag=True)
 def cmd_star(inputs, delta1, delta2, counts):
     """Projected star join over 2..4 relations sharing the right column."""
-    rels = semi_join_reduce_many(_read_relations(
-        inputs, [f"R{i}" for i in range(len(inputs))]))
-    idxs = _build_indexed_once(rels)
+    rels, idxs = _aligned_indexes(inputs,
+                                  [f"R{i}" for i in range(len(inputs))])
     try:
         res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
     except (ValueError, joinproject.StarResourceError) as exc:
@@ -438,20 +444,22 @@ def cmd_scj(sets_path):
 @click.option("--left", required=True, type=click.Path(exists=True))
 @click.option("--right", required=True, type=click.Path(exists=True))
 @click.option("--workload", required=True, type=click.Path(exists=True))
-@click.option("--rate", type=float, required=True)
-@click.option("--batch-size", type=int, default=None,
+@click.option("--rate", type=click.FloatRange(0, math.inf, min_open=True,
+                                              max_open=True), required=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=None,
               help="defaults to ceil((rate*N)^(3/5))")
 def cmd_bsi(left, right, workload, rate, batch_size):
     """Batched boolean set intersection: answers plus simulated latency."""
-    r = build_indexed(_read_relation(left, "R"))
-    s = build_indexed(_read_relation(right, "S"))
+    if math.isnan(rate):  # passes every range check
+        raise click.BadParameter("nan is not a rate", param_hint="'--rate'")
+    (rr, sr), (r, s) = _aligned_indexes([left, right], ["R", "S"])
     try:
         with open(workload, encoding="utf-8") as f:
             wl = apps.BsiWorkload.from_file(f, rate)
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    n = max(r.n, s.n)
-    c = batch_size or apps.bsi_batch_size(rate, n)
+    # N is the size of the relations as read, before the semi-join
+    c = batch_size or apps.bsi_batch_size(rate, max(rr.n, sr.n, 1))
     click.echo(f"batch_size={c}")
 
     def cost(batch):
@@ -602,7 +610,7 @@ def check_twopath(seed, n):
     r = _random_instance(rng, n, dom, dom, "R")
     s = _random_instance(rng, n, dom, dom, "S")
     expected = _oracle_twopath(r, s)
-    rr, ss = semi_join_reduce(r, s)
+    rr, ss = semi_join_reduce_many([r, s])
     res = joinproject.two_path_join(build_indexed(rr), build_indexed(ss))
     got = {(rr.left_values[a], ss.left_values[c])
            for a, c in res.tuples().tolist()}

@@ -72,12 +72,6 @@ class OutputSet:
     def as_set(self) -> set:
         return set(map(tuple, self.tuples().tolist()))
 
-    def counts_dict(self) -> dict:
-        if self.counts is None:
-            raise ValueError("counts were not requested")
-        return dict(zip(map(tuple, self.tuples().tolist()),
-                        self.counts.tolist()))
-
     def total_count(self) -> int:
         if self.counts is None:
             raise ValueError("counts were not requested")
@@ -112,6 +106,8 @@ def _check_code_space(dims: Sequence[int]) -> None:
 
 
 def _ensure_reduced_many(idxs: Sequence[IndexedRelation]) -> list:
+    """`idxs` aligned on one right dictionary (semi_join_reduce_many), with
+    their left ids kept, so the result's codes are in the callers' ids."""
     first = idxs[0]
     if all(first.shares_right_dict(o) for o in idxs[1:]):
         return list(idxs)

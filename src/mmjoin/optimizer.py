@@ -42,18 +42,6 @@ class ThresholdPlan:
     def total_cost(self) -> float:
         return self.light_cost + self.heavy_cost
 
-    def to_tsv_line(self) -> str:
-        return "\t".join(str(x) for x in (
-            self.strategy, self.delta1, self.delta2,
-            self.light_cost, self.heavy_cost, self.iterations))
-
-    @classmethod
-    def from_tsv_line(cls, line: str) -> "ThresholdPlan":
-        s, d1, d2, cl, ch, it = line.rstrip("\n").split("\t")
-        plan = cls(s, int(d1), int(d2), float(cl), float(ch), int(it))
-        plan.validate()
-        return plan
-
 
 def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
     """Geometric mean of the analytic lower and upper |OUT| bounds."""
@@ -251,8 +239,10 @@ def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray,
     # and their witness
     keys = np.repeat(below * dom_y, idx.left_deg) + idx.fwd_indices
     tuples = np.bincount(keys, minlength=(g + 1) * dom_y).reshape(g + 1, dom_y)
-    # past split g are the left values with more than g splits below
-    lefts = np.bincount(below * n_comp + comp_left,
+    # past split g are the left values with more than g splits below; a
+    # value without tuples has none, and no component
+    has = idx.left_deg > 0
+    lefts = np.bincount(below[has] * n_comp + comp_left[has],
                         minlength=(g + 1) * n_comp).reshape(g + 1, n_comp)
     return (tuples[:0:-1].cumsum(axis=0)[::-1],
             lefts[:0:-1].cumsum(axis=0)[::-1])

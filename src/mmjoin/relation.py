@@ -312,50 +312,37 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
                     right_ids, left_first)
 
 
-def parse_set_family_file(source: TextIO, name: str = "sets") -> Relation:
-    """Set-family files share the edge-list format: `set_id item_id` lines."""
-    return parse_edge_list(source, name=name)
-
-
-def _shared_right_dict(relations: list) -> tuple[list, dict]:
-    shared = set(relations[0].right_ids)
-    for rel in relations[1:]:
-        shared &= set(rel.right_ids)
-    values = sorted(shared, key=repr)
-    return values, {v: i for i, v in enumerate(values)}
-
-
 def semi_join_reduce_many(relations: list) -> list:
     """Drop tuples whose right value is missing from any sibling relation.
 
     The returned relations share one right dictionary (identical objects), the
-    precondition for joining at the id level: the values present in every
-    input dictionary, sorted by repr. Left ids are renumbered by first
-    appearance among the kept tuples, which keeps their order when the
-    tuples are sorted by left id. Idempotent on tuple sets. An input object
-    given more than once is reduced once, and every repeat gets the same
-    reduced object; a single distinct input (a self-join) already shares its
-    dictionary and is returned as it is.
+    precondition for joining at the id level: the first relation's values
+    that every other dictionary holds, in the first relation's order, so the
+    first relation's tuples keep their order. Each relation keeps its left
+    ids, left dictionary and `left_first`; a left value whose every tuple is
+    dropped stays, with degree 0. Idempotent. An input object given more
+    than once is reduced once, and every repeat gets the same reduced
+    object; inputs that already share one right dictionary, a single
+    distinct input (a self-join) among them, are returned as they are.
     """
     distinct = list({id(rel): rel for rel in relations}.values())
-    if len(distinct) == 1:
+    first = distinct[0]
+    if all(rel.right_values is first.right_values for rel in distinct):
         return list(relations)
-    right_values, right_ids = _shared_right_dict(distinct)
+    shared = [all(v in rel.right_ids for rel in distinct[1:])
+              for v in first.right_values]
+    right_values = list(compress(first.right_values, shared))
+    right_ids = {v: i for i, v in enumerate(right_values)}
     reduced = {}
     for rel in distinct:
         remap = np.fromiter((right_ids.get(v, -1) for v in rel.right_values),
                             dtype=np.int64, count=rel.dom_right)
         right = remap[rel.pairs[:, 1]]
         keep = right >= 0
-        left = rel.pairs[keep, 0]
-        old_left = left[_first_seen_unique(left)]
-        new_of_old = np.empty(rel.dom_left, dtype=np.int64)
-        new_of_old[old_left] = np.arange(len(old_left))
-        pairs = np.column_stack((new_of_old[left], right[keep]))
-        left_values = [rel.left_values[a] for a in old_left.tolist()]
-        left_ids = {v: i for i, v in enumerate(left_values)}
-        reduced[id(rel)] = Relation(rel.name, pairs, left_values, left_ids,
-                                    right_values, right_ids)
+        pairs = np.column_stack((rel.pairs[keep, 0], right[keep]))
+        reduced[id(rel)] = Relation(rel.name, pairs, rel.left_values,
+                                    rel.left_ids, right_values, right_ids,
+                                    rel.left_first)
     return [reduced[id(rel)] for rel in relations]
 
 

@@ -116,12 +116,10 @@ def oracle_size_boundary(family, c):
     return best_x
 
 
-def oracle_encode(name, raw_pairs, right_values=None, right_ids=None):
+def oracle_encode(name, raw_pairs):
     """Relation from raw pairs by a per-tuple dict loop: duplicates dropped,
-    ids by first appearance, or right ids taken from a shared dictionary."""
-    shared_right = right_values is not None
-    if not shared_right:
-        right_values, right_ids = [], {}
+    ids by first appearance."""
+    right_values, right_ids = [], {}
     left_values, left_ids = [], {}
     seen = dict.fromkeys(tuple(p) for p in raw_pairs)
     enc = np.empty((len(seen), 2), dtype=np.int64)
@@ -130,13 +128,10 @@ def oracle_encode(name, raw_pairs, right_values=None, right_ids=None):
         if ai is None:
             ai = left_ids[a] = len(left_values)
             left_values.append(a)
-        if shared_right:
-            bi = right_ids[b]
-        else:
-            bi = right_ids.get(b)
-            if bi is None:
-                bi = right_ids[b] = len(right_values)
-                right_values.append(b)
+        bi = right_ids.get(b)
+        if bi is None:
+            bi = right_ids[b] = len(right_values)
+            right_values.append(b)
         enc[i, 0] = ai
         enc[i, 1] = bi
     return Relation(name, enc, left_values, left_ids, right_values, right_ids)
@@ -168,17 +163,23 @@ def oracle_parse_edge_list(source, name="R"):
 
 
 def oracle_semi_join_reduce_many(relations):
-    """Semi-join through raw pairs: keep tuples whose right value is in every
-    relation's dictionary, then re-encode against one shared dictionary."""
-    shared = set(relations[0].right_ids)
-    for rel in relations[1:]:
-        shared &= set(rel.right_ids)
-    right_values = sorted(shared, key=repr)
+    """Semi-join by a per-tuple loop: the shared right dictionary is the
+    first relation's values that every relation's dictionary holds, in the
+    first relation's order; each relation keeps its tuples, in order, whose
+    right value is shared, and its left ids, dictionary and first-seen
+    ranks."""
+    right_values = [v for v in relations[0].right_values
+                    if all(v in rel.right_ids for rel in relations)]
     right_ids = {v: i for i, v in enumerate(right_values)}
     out = []
     for rel in relations:
-        kept = [(a, b) for a, b in rel.raw_pairs() if b in right_ids]
-        out.append(oracle_encode(rel.name, kept, right_values, right_ids))
+        kept = [(a, right_ids[rel.right_values[b]])
+                for a, b in rel.pairs.tolist()
+                if rel.right_values[b] in right_ids]
+        out.append(Relation(rel.name,
+                            np.array(kept, dtype=np.int64).reshape(-1, 2),
+                            rel.left_values, rel.left_ids, right_values,
+                            right_ids, rel.left_first))
     return out
 
 

@@ -18,7 +18,7 @@ from conftest import (
 from mmjoin import apps
 from mmjoin.joinproject import two_path_join
 from mmjoin.optimizer import PARTITIONED, ThresholdPlan
-from mmjoin.relation import Relation, build_indexed
+from mmjoin.relation import Relation, build_indexed, semi_join_reduce
 
 _FAMILIES = st.dictionaries(
     st.sampled_from([f"s{i}" for i in range(12)]),
@@ -286,12 +286,13 @@ def test_bsi_answer_batch_one_shared_index():
 
 
 def test_bsi_known_set_without_shared_elements_is_false():
-    r = build_indexed(Relation.from_raw_pairs("R", [("a", 1), ("a", 2),
-                                                    ("c", 5)]))
-    s = build_indexed(Relation.from_raw_pairs("S", [("b", 3), ("d", 5)]))
-    assert apps.bsi_answer_batch(r, s, [("a", "b"), ("a", "d"), ("c", "d"),
-                                        ("x", "b")]) == \
-        [False, False, True, None]
+    # every element of set a and of set b is missing from the other side
+    r = Relation.from_raw_pairs("R", [("a", 1), ("a", 2), ("c", 5)])
+    s = Relation.from_raw_pairs("S", [("b", 3), ("d", 5)])
+    batch = [("a", "b"), ("a", "d"), ("c", "d"), ("x", "b")]
+    for pair in ((r, s), semi_join_reduce(r, s)):
+        assert apps.bsi_answer_batch(*map(build_indexed, pair), batch) == \
+            [False, False, True, None]
     idx = build_indexed(Relation.from_raw_pairs("F", [("a", 1), ("b", 2)]))
     assert apps.bsi_answer_batch(idx, idx, [("a", "b"), ("a", "a")]) == \
         [False, True]
@@ -315,11 +316,15 @@ _BSI_PAIRS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
 @settings(max_examples=150, deadline=None)
 @given(_BSI_PAIRS, _BSI_PAIRS,
        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25),
-       st.sampled_from(["separate", "same", "split"]))
+       st.sampled_from(["separate", "aligned", "same", "split"]))
 def test_bsi_answer_batch_property(r_pairs, s_pairs, batch, layout):
-    if layout == "separate":  # own dictionaries: the batch is semi-joined
-        r = build_indexed(Relation.from_raw_pairs("R", r_pairs))
-        s = build_indexed(Relation.from_raw_pairs("S", s_pairs))
+    if layout in ("separate", "aligned"):
+        # own dictionaries, aligned inside the call or before it
+        pair = (Relation.from_raw_pairs("R", r_pairs),
+                Relation.from_raw_pairs("S", s_pairs))
+        if layout == "aligned":
+            pair = semi_join_reduce(*pair)
+        r, s = map(build_indexed, pair)
     elif layout == "same":
         r = s = build_indexed(Relation.from_raw_pairs("R", r_pairs))
         s_pairs = r_pairs

@@ -16,7 +16,11 @@ from conftest import (
 )
 from mmjoin import apps, cli, joinproject, matmul
 from mmjoin.cli import CSV_HEADER, _result_lines, _sorted_lines, main
-from mmjoin.relation import generate_community_graph, parse_edge_list
+from mmjoin.relation import (
+    generate_community_graph,
+    parse_edge_list,
+    semi_join_reduce_many,
+)
 
 
 @pytest.fixture
@@ -411,6 +415,82 @@ def test_bsi_cli(tmp_path, runner):
     assert "batch_size=10" in res.output
     assert "average_delay_s=" in res.output
     assert "implied_units=" in res.output
+
+
+def test_bsi_cli_reads_and_aligns_once(tmp_path, runner, monkeypatch):
+    """A file named twice is parsed once, relations are aligned once before
+    the batches, and the default batch size follows the relations as read."""
+    rng = np.random.default_rng(4)
+    g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+    g_pairs = random_pairs(rng, 100, 15, 10)
+    h_pairs = random_pairs(rng, 60, 15, 10) + [(f"x{i}", f"gone{i}")
+                                               for i in range(50)]
+    _write_pairs(g, g_pairs)
+    _write_pairs(h, h_pairs)
+    wl = tmp_path / "wl.txt"
+    wl.write_text("".join(f"{int(a)} {int(b)} {i * 500}\n"
+                          for i, (a, b) in
+                          enumerate(rng.integers(0, 15, (30, 2)))))
+    parsed, aligned = [], []
+
+    def counting_parse(source, name):
+        parsed.append(name)
+        return parse_edge_list(source, name=name)
+
+    def counting_align(rels):
+        aligned.append(len(rels))
+        return semi_join_reduce_many(rels)
+
+    def no_realign(*rels):
+        raise AssertionError("a batch realigned its relations")
+
+    monkeypatch.setattr(cli, "parse_edge_list", counting_parse)
+    monkeypatch.setattr(cli, "semi_join_reduce_many", counting_align)
+    monkeypatch.setattr(apps, "semi_join_reduce", no_realign)
+    for right, pairs, n_parsed in ((g, g_pairs, 1), (h, h_pairs, 2)):
+        parsed.clear()
+        aligned.clear()
+        res = runner.invoke(main, ["bsi", "--left", str(g), "--right",
+                                   str(right), "--workload", str(wl),
+                                   "--rate", "1000"])
+        assert res.exit_code == 0, res.output
+        assert (len(parsed), aligned) == (n_parsed, [2])
+        size = apps.bsi_batch_size(1000, max(len(g_pairs), len(pairs)))
+        assert res.output.startswith(f"batch_size={size}\n")
+
+
+@pytest.mark.parametrize("option", [
+    ["--rate", "0"], ["--rate", "-1"], ["--rate", "inf"], ["--rate", "nan"],
+    ["--rate", "1000", "--batch-size", "0"],
+    ["--rate", "1000", "--batch-size", "-1"]])
+def test_bsi_out_of_range_options_are_usage_errors(tmp_path, runner, option):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3 2\n")
+    wl = tmp_path / "wl.txt"
+    wl.write_text("1 3 0\n")
+    argv = ["bsi", "--left", str(graph), "--right", str(graph),
+            "--workload", str(wl)]
+    res = runner.invoke(main, argv + option)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    # a rate below one query per time unit still has a default batch size
+    res = runner.invoke(main, argv + ["--rate", "0.5"])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("batch_size=1\n")
+
+
+@pytest.mark.parametrize("option", [
+    ["--delta1", "5"], ["--delta2", "5"], ["--calibration", "nope.tsv"],
+    ["--delta1", "5", "--delta2", "5", "--calibration", "nope.tsv"]])
+def test_twopath_options_that_would_be_ignored_are_usage_errors(
+        tmp_path, runner, option):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3 2\n")
+    res = runner.invoke(main, ["twopath", "--left", str(graph), "--right",
+                               str(graph)] + option)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output
 
 
 def test_calibrate_env_var(tmp_path, runner, monkeypatch):

@@ -567,13 +567,61 @@ def test_output_set_decode_roundtrip():
     assert np.array_equal(recoded, codes)
     assert len(out) == 3 and out.arity == 2
     with pytest.raises(ValueError):
-        out.counts_dict()
-    with pytest.raises(ValueError):
         out.total_count()
 
 
 def test_unreduced_inputs_are_reduced_internally():
-    r = build_indexed(Relation.from_raw_pairs("R", EXAMPLE_R))
+    # left value 0 comes first and joins nothing: its id stays taken
+    r_pairs = [(0, 99)] + EXAMPLE_R
+    r = build_indexed(Relation.from_raw_pairs("R", r_pairs))
     s = build_indexed(Relation.from_raw_pairs("S", EXAMPLE_S))
-    res = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, 2, 2))
-    assert len(res) == len(oracle_two_path(EXAMPLE_R, EXAMPLE_S))
+    res = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, 2, 2),
+                           want_counts=True)
+    assert decode_two_path_counts(res, r, s) == \
+        dict(oracle_two_path(r_pairs, EXAMPLE_S))
+
+
+def _decoded(res, idxs):
+    """{raw tuple: count} of a result, decoded with the left dictionaries
+    of `idxs`."""
+    return {tuple(idx.rel.left_values[v] for idx, v in zip(idxs, t)): int(c)
+            for t, c in zip(res.tuples().tolist(), res.counts.tolist())}
+
+
+_MIXED = st.sampled_from([0, 1, 2, "0", "1", "a", "b"])
+
+
+@st.composite
+def _unaligned_case(draw):
+    """2..4 pair lists over mixed int/str values, drawn apart, so right
+    values miss from other lists and some left values join nothing, and
+    deltas from 1 to past the largest degree."""
+    k = draw(st.integers(2, 4))
+    rel_pairs = [sorted(draw(st.sets(st.tuples(_MIXED, _MIXED), min_size=1,
+                                     max_size=15)), key=repr)
+                 for _ in range(k)]
+    return rel_pairs, draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unaligned_case())
+@example(([[("a0", "y9"), ("a1", "y1"), ("a2", "y1")],
+           [("c0", "y1"), ("c1", "y2")]], 1, 1))
+@example(([[(0, "a"), (1, 0), ("1", 0)], [(2, 0), ("a", 1)],
+           [(0, 0), (1, "b")]], 1, 1))
+def test_unaligned_inputs_decode_with_their_own_dictionaries(case):
+    """Relations that do not share a right dictionary are aligned inside the
+    join, and the result's ids are still the callers' own left ids."""
+    rel_pairs, d1, d2 = case
+    idxs = [build_indexed(Relation.from_raw_pairs(f"R{i}", p))
+            for i, p in enumerate(rel_pairs)]
+    want = dict(oracle_star(rel_pairs))
+    assert _decoded(jp.star_join(idxs, d1, d2, want_counts=True), idxs) == want
+    if len(idxs) == 2:
+        r, s = idxs
+        want = dict(oracle_two_path(*rel_pairs))
+        for plan in (None, ThresholdPlan(PARTITIONED, d1, d2)):
+            res = jp.two_path_join(r, s, plan=plan, want_counts=True)
+            assert _decoded(res, idxs) == want
+        assert _decoded(jp.full_join_dedup(r, s, want_counts=True),
+                        idxs) == want

@@ -45,13 +45,6 @@ def test_estimate_output_size_validation():
         opt.estimate_output_size(10, 5, 0)
 
 
-def test_threshold_plan_tsv_roundtrip():
-    plan = opt.ThresholdPlan(opt.PARTITIONED, 7, 9, 12.5, 3.5, 4)
-    again = opt.ThresholdPlan.from_tsv_line(plan.to_tsv_line())
-    assert again == plan
-    assert again.total_cost == 16.0
-
-
 def test_threshold_plan_validation():
     with pytest.raises(opt.PlanError):
         opt.ThresholdPlan("bogus", 1, 1).validate()

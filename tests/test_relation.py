@@ -22,7 +22,6 @@ from mmjoin.relation import (
     generate_community_graph,
     left_components,
     parse_edge_list,
-    parse_set_family_file,
     semi_join_reduce,
     semi_join_reduce_many,
     witness_components,
@@ -213,11 +212,6 @@ def test_semi_join_reduce_many_keeps_repeated_objects():
     x, y, z = semi_join_reduce_many([r, s, r])
     assert x is z and x is not y
     assert set(x.raw_pairs()) == {(1, 10)}
-
-
-def test_parse_set_family_alias():
-    rel = parse_set_family_file(io.StringIO("s0 e1\ns0 e2\n"))
-    assert rel.dom_left == 1 and rel.n == 2
 
 
 def test_relation_encoding_first_seen_order():
