@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .joinproject import _dedup, two_path_join
+from .joinproject import OutputSet, _dedup, two_path_join
 from .optimizer import ThresholdPlan, estimate_output_size
 from .relation import (
     IndexedRelation,
@@ -81,25 +81,23 @@ def _canonical(a: int, b: int) -> tuple[int, int]:
 
 
 def _kept_pairs(r: IndexedRelation, s: IndexedRelation, keep,
-                plan: Optional[ThresholdPlan] = None):
-    """(a, b, overlap) id arrays of the counted two-path join's pairs where
-    `keep(a, b, overlap)` holds, sorted by (a, b); r and s must share their
-    right dictionary.
+                plan: Optional[ThresholdPlan] = None) -> OutputSet:
+    """The pairs (a, b) of the counted two-path join where `keep(a, b,
+    overlap)` holds, as an OutputSet over (r's left ids, s's left ids) with
+    their overlaps as counts; r and s must share their right dictionary.
 
     `keep` must broadcast and must reject overlap 0. On a densely counted
     join it gets an id column, an id row and the whole count grid, so the
-    kept pairs are one mask over the buffer and only they are decoded.
+    kept pairs are one mask over the buffer and only they are read off it.
     """
     res = two_path_join(r, s, plan=plan, want_counts=True)
     dom_b = res.dims[1]
     if res.buffer is None:
-        a, b = np.divmod(res.codes, dom_b)
-        kept = keep(a, b, res.counts)
-        return a[kept], b[kept], res.counts[kept]
+        kept = keep(*np.divmod(res.codes, dom_b), res.counts)
+        return OutputSet(res.codes[kept], res.dims, res.counts[kept])
     a, b = np.ogrid[:res.dims[0], :dom_b]
     codes = np.flatnonzero(keep(a, b, res.buffer.reshape(res.dims)))
-    a, b = np.divmod(codes, dom_b)
-    return a, b, res.buffer[codes]
+    return OutputSet(codes, res.dims, res.buffer[codes])
 
 
 def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelation:
@@ -109,10 +107,10 @@ def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelatio
         name, pairs[mask[pairs[:, 0]]], family.relation))
 
 
-def _ssj_arrays(family: SetFamily, c: int,
-                plan: Optional[ThresholdPlan] = None):
-    """(a, b, overlap) id arrays of the pairs of sets with |a n b| >= c, a
-    appearing before b in the input, sorted by (a, b)."""
+def _ssj_result(family: SetFamily, c: int,
+                plan: Optional[ThresholdPlan] = None) -> OutputSet:
+    """The pairs of sets (a, b) with |a n b| >= c, a appearing before b in
+    the input, as _kept_pairs gives them."""
     if c < 1:
         raise ValueError("c must be >= 1")
     return _kept_pairs(family.indexed, family.indexed,
@@ -124,17 +122,16 @@ def ssj_mmjoin(family: SetFamily, c: int,
                plan: Optional[ThresholdPlan] = None) -> dict:
     """Unordered pairs {(a, b): |a n b| >= c}, a appearing before b in the
     input, with exact overlap counts."""
-    a, b, cnt = _ssj_arrays(family, c, plan)
-    return dict(zip(zip(a.tolist(), b.tolist()), cnt.tolist()))
+    res = _ssj_result(family, c, plan)
+    return dict(zip(map(tuple, res.tuples().tolist()), res.counts.tolist()))
 
 
-def _scj_arrays(family: SetFamily):
-    """(a, b) id arrays of the pairs a != b with elements(a) <= elements(b),
-    sorted by (a, b)."""
+def _scj_result(family: SetFamily) -> OutputSet:
+    """The pairs a != b with elements(a) <= elements(b), as _kept_pairs
+    gives them."""
     size = family.indexed.left_deg
-    a, b, _ = _kept_pairs(family.indexed, family.indexed,
-                          lambda a, b, cnt: (a != b) & (cnt == size[a]))
-    return a, b
+    return _kept_pairs(family.indexed, family.indexed,
+                       lambda a, b, cnt: (a != b) & (cnt == size[a]))
 
 
 def get_size_boundary(family: SetFamily, c: int) -> int:
@@ -210,26 +207,6 @@ def ssj_size_aware(family: SetFamily, c: int,
     return _oriented(family, out)
 
 
-@dataclass
-class _Node:
-    state: Optional[tuple] = None  # (O frozenset-ish set, U dict item->count)
-    shared: bool = False
-
-
-class PrefixTree:
-    """Materialized (O, U) states keyed by inverted-list-id prefixes."""
-
-    def __init__(self, depth_cap: int):
-        self.depth_cap = depth_cap
-        self.nodes: dict[tuple, _Node] = {}
-
-    def node(self, path: tuple) -> _Node:
-        n = self.nodes.get(path)
-        if n is None:
-            n = self.nodes[path] = _Node()
-        return n
-
-
 def _merged(state, lst, c):
     o = set(state[0])
     u = dict(state[1])
@@ -267,7 +244,8 @@ def prefix_merge_partners(set_paths: dict, inverted: dict, c: int,
             pre = p[:depth]
             prefix_refs[pre] = prefix_refs.get(pre, 0) + 1
 
-    tree = PrefixTree(depth_cap)
+    # the materialized (O, U) state of each shared prefix
+    tree: dict[tuple, tuple] = {}
     ops = 0
     results = {}
     for a, path in paths.items():
@@ -276,19 +254,16 @@ def prefix_merge_partners(set_paths: dict, inverted: dict, c: int,
         pending = 0
         for depth in range(1, len(path) + 1):
             pre = path[:depth]
-            key = path[depth - 1]
-            lst = inverted.get(key, [])
-            node = tree.node(pre)
-            if node.state is not None:
-                state = node.state
+            if pre in tree:
+                state = tree[pre]
                 continue
+            lst = inverted.get(path[depth - 1], [])
+            state = _merged(state, lst, c)
             if depth <= depth_cap and prefix_refs[pre] >= 2:
-                node.state = _merged(state, lst, c)
-                state = node.state
+                tree[pre] = state
                 ops += len(lst)
                 built_here = True
             else:
-                state = _merged(state, lst, c)
                 pending += len(lst)
         if not built_here:
             ops += pending
@@ -309,15 +284,14 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
     heavy = _heavy_sets(family, c)
     out = set()
 
-    def add(a, b):
+    def add(res):
+        a, b = res.tuples().T
         out.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
     if heavy.any():
         # join everyone against the heavy sets via the partitioned algorithm
-        a, b, _ = _kept_pairs(family.indexed,
-                              _subfamily(family, "heavy", heavy),
-                              lambda a, b, cnt: (a != b) & (cnt >= c))
-        add(a, b)
+        add(_kept_pairs(family.indexed, _subfamily(family, "heavy", heavy),
+                        lambda a, b, cnt: (a != b) & (cnt >= c)))
 
     ops = 0
     light = np.flatnonzero(~heavy).tolist()
@@ -328,9 +302,8 @@ def ssj_size_aware_pp(family: SetFamily, c: int,
                                        max(light_idx.n, 1))
         if j_light > out_est:
             # high duplication: light pairs via the matrix-backed join
-            a, b, _ = _kept_pairs(light_idx, light_idx,
-                                  lambda a, b, cnt: (a < b) & (cnt >= c))
-            add(a, b)
+            add(_kept_pairs(light_idx, light_idx,
+                            lambda a, b, cnt: (a < b) & (cnt >= c)))
         else:
             inverted: dict = {}
             for a in light:
@@ -357,8 +330,7 @@ def ssj_ordered(family: SetFamily, c: int) -> list:
 
 def scj_join_project(family: SetFamily) -> set:
     """Ordered containment pairs (a, b), a != b, elements(a) <= elements(b)."""
-    a, b = _scj_arrays(family)
-    return set(zip(a.tolist(), b.tolist()))
+    return _scj_result(family).as_set()
 
 
 def bsi_batch_size(rate: float, n: int) -> int:

@@ -19,6 +19,7 @@ from . import apps, joinproject, matmul, optimizer
 from .relation import (
     Relation,
     build_indexed,
+    build_indexes,
     generate_community_graph,
     parse_edge_list,
     semi_join_reduce_many,
@@ -72,15 +73,10 @@ def _read_relations(paths: list, names: list) -> list:
 def _aligned_indexes(paths: list, names: list) -> tuple[list, list]:
     """(read, indexed): the relations read from `paths` (_read_relations)
     and their indexes after one semi-join (semi_join_reduce_many), one
-    index per distinct relation, shared by its repeats. Aligned relations
-    keep the left ids and dictionaries they were read with."""
+    index per distinct relation (build_indexes). Aligned relations keep the
+    left ids and dictionaries they were read with."""
     read = _read_relations(paths, names)
-    aligned = semi_join_reduce_many(read)
-    built = {}
-    for rel in aligned:
-        if id(rel) not in built:
-            built[id(rel)] = build_indexed(rel)
-    return read, [built[id(rel)] for rel in aligned]
+    return read, build_indexes(semi_join_reduce_many(read))
 
 
 # combined suffix keys stay below this; past it the key so far is re-ranked
@@ -118,23 +114,19 @@ def _names(texts: list):
                         count=len(texts)))
 
 
-def _suffixes(fields: list, key=None, space: int = 1, pending=()):
+def _suffixes(fields: list, key: np.ndarray, space: int, pending: list):
     """Each row's suffix id and the suffix texts, one per distinct suffix in
     code-point order. A row's suffix is its fields' names concatenated; a
     field is `(names, rank)`, its names in code-point order and each row's
-    position among them. `key`, when given, is each row's key over fields
-    that come before `fields`, their ranks as digits, most significant
-    first: `pending` holds their names and `space` is the product of their
-    lengths.
+    position among them. `key` is each row's key over the fields that come
+    before `fields`, their ranks as digits, most significant first:
+    `pending` holds their names and `space` is the product of their lengths.
 
     The fields' ranks combine into one key per row, most significant first,
     and the distinct keys are ranked once; each distinct suffix's text is
     built once, by one object-array concatenation per field.
     """
-    if key is None:
-        key = np.zeros(len(fields[0][1]), dtype=np.int64)
     texts = None  # the text of each distinct key, before `pending` fields
-    pending = list(pending)
     for names, rank in fields:
         if pending and space * len(names) > _KEY_LIMIT:
             key, texts = _suffix_texts(key, space, texts, pending)
@@ -179,27 +171,6 @@ def _count_field(counts: np.ndarray):
     return names, inverse if rank is None else rank[inverse]
 
 
-def _line_fields(columns: list, counts: Optional[np.ndarray]):
-    """The parts of the text rows of `columns` (one `(ids, values)` pair per
-    field: the values at those ids) and, when given, a last field holding
-    `counts` (nonnegative). Fields are joined by spaces, and every row is
-    its first field's name (a lead) followed by the rest of the row (a
-    suffix).
-
-    Returns the leads (an object array in code-point order), each row's
-    lead rank, the suffixes (an object array in code-point order) and each
-    row's suffix id.
-    """
-    fields = [(names, ids if rank is None else rank[ids])
-              for (ids, _), (names, rank)
-              in zip(columns, _field_names([v for _, v in columns], counts))]
-    if counts is not None:
-        fields.append(_count_field(counts))
-    (leads, lead), rest = fields[0], fields[1:]
-    suffix, suffixes = _suffixes(rest)
-    return leads, lead, suffixes, suffix
-
-
 def _join_lines(leads, lead, suffixes, suffix) -> str:
     """Rows `leads[lead[i]] + suffixes[suffix[i]]` in the given order, joined
     by newlines."""
@@ -214,55 +185,40 @@ def _join_lines(leads, lead, suffixes, suffix) -> str:
                      for head, lo, hi in zip(heads, cuts, cuts[1:]))
 
 
-def _sorted_lines(columns: list, counts: Optional[np.ndarray] = None) -> str:
-    """Text rows sorted by code point and joined by newlines, each row being
-    its fields joined by spaces: one field per `(ids, values)` column (the
-    values at those ids) and, when given, a last field holding `counts`.
+def _result_lines(res: joinproject.OutputSet, values: list, counts: bool,
+                  order: Optional[np.ndarray] = None) -> str:
+    """The rows of a result as text joined by newlines, each row its fields
+    joined by spaces: field i holds `values[i]` at the row's i-th id, and a
+    last field the row's count when `counts`. Rows come sorted by code
+    point, or in `order` (row indices) when given.
 
-    Names and suffixes are formatted once per distinct value; rows are only
-    sorted, gathered and joined. Tokens hold no whitespace, so the text
-    order of two rows is the order of their fields, each field compared as
-    its name plus the space after it (the last one without). A row's lead
-    rank and suffix id therefore make one sort key, and rows already in
-    its order are not sorted again.
+    Tokens hold no whitespace, so the text order of two rows is the order of
+    their fields, each field compared as its name plus the space after it
+    (the last one without). When every field's ids are in that order, as a
+    parsed relation's are, the codes, which ascend, are the rows in text
+    order; otherwise each row is recoded over its fields' ranks in that
+    order (one divmod and one gather per field) and the codes are sorted.
+    A code's leading digit is then its row's lead rank and the rest its
+    suffix key: names and suffixes are formatted once per distinct value,
+    and rows are only gathered and joined.
     """
-    leads, lead, suffixes, suffix = _line_fields(columns, counts)
-    n = max(len(suffixes), 1)
-    key = lead * n + suffix
-    if (key[1:] < key[:-1]).any():
-        lead, suffix = np.divmod(np.sort(key), n)
-    return _join_lines(leads, lead, suffixes, suffix)
-
-
-def _ordered_lines(columns: list, counts: Optional[np.ndarray],
-                   order: np.ndarray) -> str:
-    """The rows of _sorted_lines, in `order` (row indices) instead."""
-    leads, lead, suffixes, suffix = _line_fields(columns, counts)
-    return _join_lines(leads, lead[order], suffixes, suffix[order])
-
-
-def _result_lines(res: joinproject.OutputSet, values: list,
-                  counts: bool) -> str:
-    """The rows of a join result as _sorted_lines prints them: field i holds
-    `values[i]` at the row's i-th id, and a last field the row's count when
-    `counts`.
-
-    When every field's ids are in the text order of their values, as a
-    parsed relation's are, a code's leading id is its row's lead rank and
-    the rest of the code its suffix key, and the codes, which ascend, are
-    the rows in text order: the rows are neither decoded field by field nor
-    sorted. Otherwise the rows are decoded and sorted (_sorted_lines).
-    """
-    cnt = res.counts if counts else None
+    codes, cnt = res.codes, res.counts if counts else None
     named = _field_names(values, cnt)
     if any(rank is not None for _, rank in named):
-        tups = res.tuples()
-        return _sorted_lines([(tups[:, i], field)
-                              for i, field in enumerate(values)], cnt)
-    if not len(res):
+        rem, codes, stride = codes, 0, 1
+        for dim, (names, rank) in zip(res.dims[::-1], named[::-1]):
+            rem, ids = np.divmod(rem, dim)
+            codes = codes + stride * (ids if rank is None else rank[ids])
+            stride *= len(names)
+        if order is None:
+            order = np.argsort(codes, kind="stable")
+    if order is not None:
+        codes = codes[order]
+        cnt = None if cnt is None else cnt[order]
+    if not len(codes):
         return ""
-    space = math.prod(res.dims[1:])
-    lead, key = np.divmod(res.codes, space)
+    space = math.prod(len(names) for names, _ in named[1:])
+    lead, key = np.divmod(codes, space)
     rest = [] if cnt is None else [_count_field(cnt)]
     suffix, suffixes = _suffixes(rest, key, space,
                                  [names for names, _ in named[1:]])
@@ -273,12 +229,6 @@ def _echo(text: str) -> None:
     """Write query output as it is: click.echo strips ANSI escape sequences
     when stdout is not a terminal, and ids may hold them."""
     click.echo(text, color=True)
-
-
-def _pair_array(pairs) -> np.ndarray:
-    """An (n, 2) int64 array of the (a, b) id pairs in `pairs`."""
-    return np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
-                       count=2 * len(pairs)).reshape(-1, 2)
 
 
 def _calibration_table(path: Optional[str]):
@@ -348,8 +298,8 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
 @main.command("twopath")
 @click.option("--left", required=True, type=click.Path(exists=True))
 @click.option("--right", required=True, type=click.Path(exists=True))
-@click.option("--delta1", type=int)
-@click.option("--delta2", type=int)
+@click.option("--delta1", type=click.IntRange(min=1))
+@click.option("--delta2", type=click.IntRange(min=1))
 @click.option("--auto-plan", is_flag=True)
 @click.option("--counts", is_flag=True)
 @click.option("--calibration", type=click.Path())
@@ -373,8 +323,10 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
 @main.command("star")
 @click.option("--input", "inputs", multiple=True, required=True,
               type=click.Path(exists=True))
-@click.option("--delta1", type=int, default=2, show_default=True)
-@click.option("--delta2", type=int, default=2, show_default=True)
+@click.option("--delta1", type=click.IntRange(min=1), default=2,
+              show_default=True)
+@click.option("--delta2", type=click.IntRange(min=1), default=2,
+              show_default=True)
 @click.option("--counts", is_flag=True)
 def cmd_star(inputs, delta1, delta2, counts):
     """Projected star join over 2..4 relations sharing the right column."""
@@ -393,33 +345,35 @@ def _read_family(path: str) -> apps.SetFamily:
 
 @main.command("ssj")
 @click.option("--sets", "sets_path", required=True, type=click.Path(exists=True))
-@click.option("--c", "threshold", type=int, default=1, show_default=True)
+@click.option("--c", "threshold", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--method",
               type=click.Choice(["mmjoin", "sizeaware", "sizeaware-pp", "ordered"]),
               default="mmjoin", show_default=True)
 def cmd_ssj(sets_path, threshold, method):
     """Set-similarity join; emits sorted `a b [count]` lines."""
     fam = _read_family(sets_path)
-    values = fam.relation.left_values
-    counts = None
+    order = None
     try:
-        if method == "mmjoin":
-            left, right, counts = apps._ssj_arrays(fam, threshold)
-        elif method == "ordered":
-            # overlap descending, then the sets in input order, as
-            # apps.ssj_ordered
-            left, right, counts = apps._ssj_arrays(fam, threshold)
-            first = fam.relation.left_first
-            order = np.lexsort((first[right], first[left], -counts))
-            _echo(_ordered_lines([(left, values), (right, values)], counts,
-                                 order))
-            return
-        elif method == "sizeaware":
-            left, right = _pair_array(apps.ssj_size_aware(fam, threshold)).T
+        if method in ("mmjoin", "ordered"):
+            res = apps._ssj_result(fam, threshold)
+            if method == "ordered":
+                # overlap descending, then the sets in input order, as
+                # apps.ssj_ordered
+                left, right = res.tuples().T
+                first = fam.relation.left_first
+                order = np.lexsort((first[right], first[left], -res.counts))
         else:
-            found, ops = apps.ssj_size_aware_pp(fam, threshold)
-            click.echo(f"# merge_ops={ops}")
-            left, right = _pair_array(found).T
+            if method == "sizeaware":
+                found = apps.ssj_size_aware(fam, threshold)
+            else:
+                found, ops = apps.ssj_size_aware_pp(fam, threshold)
+                click.echo(f"# merge_ops={ops}")
+            n = len(fam)
+            ab = np.fromiter(chain.from_iterable(found), dtype=np.int64,
+                             count=2 * len(found))
+            res = joinproject.OutputSet(np.sort(ab[::2] * n + ab[1::2]),
+                                        (n, n))
     except apps.SubsetCapError:
         raise click.ClickException(
             f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
@@ -427,7 +381,8 @@ def cmd_ssj(sets_path, threshold, method):
             "--method mmjoin instead")
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    _echo(_sorted_lines([(left, values), (right, values)], counts))
+    values = fam.relation.left_values
+    _echo(_result_lines(res, [values, values], res.counts is not None, order))
 
 
 @main.command("scj")
@@ -436,8 +391,7 @@ def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
     fam = _read_family(sets_path)
     values = fam.relation.left_values
-    left, right = apps._scj_arrays(fam)
-    _echo(_sorted_lines([(left, values), (right, values)]))
+    _echo(_result_lines(apps._scj_result(fam), [values, values], False))
 
 
 @main.command("bsi")
@@ -622,7 +576,8 @@ def check_twopath(seed, n):
 
 @cmd_check.command("ssj")
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--c", "threshold", type=int, default=2, show_default=True)
+@click.option("--c", "threshold", type=click.IntRange(min=1), default=2,
+              show_default=True)
 def check_ssj(seed, threshold):
     click.echo(f"seed={seed}")
     rng = np.random.default_rng(seed)

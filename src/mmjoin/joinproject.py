@@ -25,7 +25,7 @@ from .optimizer import (
 )
 from .relation import (
     IndexedRelation,
-    build_indexed,
+    build_indexes,
     gather_ranges,
     left_components,
     semi_join_reduce_many,
@@ -107,12 +107,12 @@ def _check_code_space(dims: Sequence[int]) -> None:
 
 def _ensure_reduced_many(idxs: Sequence[IndexedRelation]) -> list:
     """`idxs` aligned on one right dictionary (semi_join_reduce_many), with
-    their left ids kept, so the result's codes are in the callers' ids."""
+    their left ids kept, so the result's codes are in the callers' ids. A
+    relation given more than once gets one index (build_indexes)."""
     first = idxs[0]
     if all(first.shares_right_dict(o) for o in idxs[1:]):
         return list(idxs)
-    red = semi_join_reduce_many([i.rel for i in idxs])
-    return [build_indexed(r) for r in red]
+    return build_indexes(semi_join_reduce_many([i.rel for i in idxs]))
 
 
 def two_path_split(r: IndexedRelation, s: IndexedRelation,

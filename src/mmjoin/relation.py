@@ -407,6 +407,17 @@ def build_indexed(rel: Relation) -> IndexedRelation:
     return IndexedRelation(rel)
 
 
+def build_indexes(relations: list) -> list:
+    """The indexes of `relations`, one per distinct relation and shared by
+    its repeats, so a relation given twice is one object on both sides of a
+    join (semi_join_reduce_many keeps repeats one object too)."""
+    built = {}
+    for rel in relations:
+        if id(rel) not in built:
+            built[id(rel)] = build_indexed(rel)
+    return [built[id(rel)] for rel in relations]
+
+
 def witness_components(idxs: Sequence[IndexedRelation]) -> np.ndarray:
     """Component of each witness (right id) of relations sharing their right
     dictionary, numbered 0, 1, ... in the order of each component's smallest

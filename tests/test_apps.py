@@ -201,17 +201,19 @@ def test_ssj_scj_on_either_side_of_the_size_rule(shape, dense, plan):
         # default plan of a family over 5 elements is the full join
         assert res.stats["heavy_pairs"] > 0
     for c in (1, 2, 3):
-        a, b, cnt = apps._ssj_arrays(fam, c, plan)
-        assert list(zip(a.tolist(), b.tolist())) == sorted(zip(a.tolist(),
-                                                              b.tolist()))
+        kept = apps._ssj_result(fam, c, plan)
+        assert kept.dims == res.dims
+        assert (np.diff(kept.codes) > 0).all()
         got = {canon_pair(*raw_pair(fam, x, y)): n
-               for x, y, n in zip(a.tolist(), b.tolist(), cnt.tolist())}
+               for (x, y), n in zip(kept.tuples().tolist(),
+                                    kept.counts.tolist())}
         assert got == oracle_ssj(raw, c)
         pp, _ = apps.ssj_size_aware_pp(fam, c)
         assert _raw_pairs(fam, pp) == set(got)
         assert _raw_pairs(fam, apps.ssj_size_aware(fam, c)) == set(got)
-    a, b = apps._scj_arrays(fam)
-    assert {raw_pair(fam, x, y) for x, y in zip(a.tolist(), b.tolist())} \
+    kept = apps._scj_result(fam)
+    assert (np.diff(kept.codes) > 0).all()
+    assert {raw_pair(fam, x, y) for x, y in kept.tuples().tolist()} \
         == oracle_scj(raw)
 
 

@@ -15,7 +15,7 @@ from conftest import (
     random_pairs,
 )
 from mmjoin import apps, cli, joinproject, matmul
-from mmjoin.cli import CSV_HEADER, _result_lines, _sorted_lines, main
+from mmjoin.cli import CSV_HEADER, _result_lines, main
 from mmjoin.relation import (
     generate_community_graph,
     parse_edge_list,
@@ -197,66 +197,76 @@ def _table(draw):
     return values, rows, counts
 
 
+def _distinct_result(values, rows, counts):
+    """The distinct `rows` (id tuples into `values`, the first count of
+    each kept) as an OutputSet over the lengths of `values`, and the rows'
+    text lines in code order: fields joined by spaces, the count last."""
+    by_row = {}
+    for i, row in enumerate(rows):
+        by_row.setdefault(tuple(row), None if counts is None else counts[i])
+    kept = sorted(by_row)
+    dims = [len(v) for v in values]
+    codes = np.zeros(len(kept), dtype=np.int64)
+    for j, dim in enumerate(dims):
+        codes = codes * dim + np.array([row[j] for row in kept],
+                                       dtype=np.int64)
+    cnt = None if counts is None else np.array([by_row[row] for row in kept],
+                                               dtype=np.int64)
+    lines = [" ".join(v[i] for v, i in zip(values, row)) for row in kept]
+    if cnt is not None:
+        lines = [f"{line} {c}" for line, c in zip(lines, cnt.tolist())]
+    return joinproject.OutputSet(codes, dims, cnt), lines
+
+
+def _check_result_lines(values, rows, counts):
+    """_result_lines of the distinct `rows` prints what sorting their
+    formatted lines prints, also with a key limit so small that the combined
+    suffix key is re-ranked at every field, and in a given row order."""
+    res, lines = _distinct_result(values, rows, counts)
+    want = "\n".join(sorted(lines))
+    assert _result_lines(res, values, counts is not None) == want
+    with mock.patch.object(cli, "_KEY_LIMIT", 4):
+        assert _result_lines(res, values, counts is not None) == want
+    # count ascending, then code descending
+    cnt = np.zeros(len(res), dtype=np.int64) if counts is None else res.counts
+    order = np.lexsort((-res.codes, cnt))
+    by_key = sorted(range(len(res)),
+                    key=lambda i: (int(cnt[i]), -int(res.codes[i])))
+    assert _result_lines(res, values, counts is not None, order) == \
+        "\n".join(lines[i] for i in by_key)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_table())
-def test_sorted_lines_matches_sorting_formatted_rows(table):
+def test_result_lines_matches_sorting_formatted_rows(table):
     values, rows, counts = table
-    lines = [" ".join(v[i] for v, i in zip(values, row)) for row in rows]
-    if counts is not None:
-        lines = [f"{line} {cnt}" for line, cnt in zip(lines, counts)]
-    ids = np.array(rows, dtype=np.int64).reshape(len(rows), len(values))
-    columns = [(ids[:, j], v) for j, v in enumerate(values)]
-    if counts is not None:
-        counts = np.array(counts, dtype=np.int64)
-    want = "\n".join(sorted(lines))
-    assert _sorted_lines(columns, counts) == want
-    # a key limit this small re-ranks the combined row key at every field
-    with mock.patch.object(cli, "_KEY_LIMIT", 4):
-        assert _sorted_lines(columns, counts) == want
+    # the names come drawn in any order: mostly out of text order (recoded)
+    _check_result_lines(values, rows, counts)
     _check_rows_in_text_order(values, rows, counts)
 
 
 def _check_rows_in_text_order(values, rows, counts):
     """The rows again with each field's ids in the text order of its names
     (a name plus the space after it, the last field's without one unless a
-    count follows), distinct and sorted by id, as a join over parsed
-    relations gives them: _sorted_lines and _result_lines take them as they
-    come, and must print what sorting the formatted rows prints."""
+    count follows), as a join over parsed relations gives them:
+    _result_lines takes their codes as they come, and must print what
+    sorting the formatted rows prints; with the first field's names
+    reversed, the rows are recoded and sorted."""
     seps = [" "] * len(values)
     if counts is None:
         seps[-1] = ""
     ordered = [sorted(v, key=lambda name, sep=sep: name + sep)
                for v, sep in zip(values, seps)]
     new_id = [[o.index(name) for name in v] for v, o in zip(values, ordered)]
-    by_row = {}
-    for i, row in enumerate(rows):
-        by_row.setdefault(tuple(m[r] for m, r in zip(new_id, row)),
-                          None if counts is None else int(counts[i]))
-    kept = sorted(by_row)
-    cnt = None if counts is None else np.array([by_row[row] for row in kept],
-                                               dtype=np.int64)
-
-    def sorted_text(fields):
-        lines = [" ".join(f[i] for f, i in zip(fields, row)) for row in kept]
-        if cnt is not None:
-            lines = [f"{line} {c}" for line, c in zip(lines, cnt.tolist())]
-        return "\n".join(sorted(lines))
-
-    want = sorted_text(ordered)
-    ids = np.array(kept, dtype=np.int64).reshape(len(kept), len(values))
-    assert _sorted_lines([(ids[:, j], o) for j, o in enumerate(ordered)],
-                         cnt) == want
-    dims = [len(o) for o in ordered]
-    codes = np.zeros(len(kept), dtype=np.int64)
-    for j, dim in enumerate(dims):
-        codes = codes * dim + ids[:, j]
-    res = joinproject.OutputSet(codes, dims, cnt)
-    assert _result_lines(res, ordered, cnt is not None) == want
-    with mock.patch.object(cli, "_KEY_LIMIT", 4):
-        assert _result_lines(res, ordered, cnt is not None) == want
-    # a field out of text order (the first, reversed): decoded and sorted
+    rows = [tuple(m[r] for m, r in zip(new_id, row)) for row in rows]
+    _check_result_lines(ordered, rows, counts)
+    res = _distinct_result(ordered, rows, counts)[0]
+    with mock.patch.object(cli.np, "argsort", wraps=np.argsort) as argsort:
+        _result_lines(res, ordered, counts is not None)
+    assert not argsort.called
     flipped = [ordered[0][::-1]] + ordered[1:]
-    assert _result_lines(res, flipped, cnt is not None) == sorted_text(flipped)
+    _check_result_lines(flipped, [(len(flipped[0]) - 1 - row[0], *row[1:])
+                                  for row in rows], counts)
 
 
 # unused names past the bitmap's reach for any drawn number of rows
@@ -277,22 +287,20 @@ def _repetitive_table(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_repetitive_table())
-def test_sorted_lines_with_repeated_suffixes(table):
-    # few names per field: every suffix text stands for many rows
+def test_result_lines_with_repeated_suffixes(table):
+    # few names per field: every suffix text stands for several rows
     values, ids, counts = table
-    columns = [(ids[:, j], v) for j, v in enumerate(values)]
-    rows = [" ".join(v[i] for v, i in zip(values, row))
-            for row in ids.tolist()]
-    for cnt in (None, counts):
-        lines = rows if cnt is None else [
-            f"{row} {c}" for row, c in zip(rows, cnt.tolist())]
-        want = "\n".join(sorted(lines))
-        assert _sorted_lines(columns, cnt) == want
-        with mock.patch.object(cli, "_KEY_LIMIT", 4):
-            assert _sorted_lines(columns, cnt) == want
-        wide = [(col_ids, v + _PAD) for col_ids, v in columns]
+    rows = [tuple(row) for row in ids.tolist()]
+    for cnt in (None, counts.tolist()):
+        _check_result_lines(values, rows, cnt)
+        lines = _distinct_result(values, rows, cnt)[1]
+        # the same rows over fields with names no row uses, too many for a
+        # bitmap over the suffix keys
+        wide = [v + _PAD for v in values]
+        res = _distinct_result(wide, rows, cnt)[0]
         with mock.patch.object(cli.np, "unique", wraps=np.unique) as unique:
-            assert _sorted_lines(wide, cnt) == want
+            assert _result_lines(res, wide, cnt is not None) == \
+                "\n".join(sorted(lines))
         assert unique.called
 
 
@@ -491,6 +499,31 @@ def test_twopath_options_that_would_be_ignored_are_usage_errors(
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "Usage:" in res.output
+
+
+@pytest.mark.parametrize("command, option", [
+    ("star", ["--delta1", "0"]),
+    ("star", ["--delta2", "0"]),
+    ("twopath", ["--delta1", "0", "--delta2", "3"]),
+    ("twopath", ["--delta1", "3", "--delta2", "0"]),
+    ("twopath", ["--delta1", "-1", "--delta2", "-1"]),
+    *[("ssj", ["--c", "0", "--method", method])
+      for method in ("mmjoin", "ordered", "sizeaware", "sizeaware-pp")],
+    ("check", ["ssj", "--c", "0"])])
+def test_out_of_range_thresholds_are_usage_errors(tmp_path, runner, command,
+                                                  option):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3 2\n")
+    files = {"star": ["--input", str(graph), "--input", str(graph)],
+             "twopath": ["--left", str(graph), "--right", str(graph)],
+             "ssj": ["--sets", str(graph)], "check": []}[command]
+    res = runner.invoke(main, [command] + files + option)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output and "x>=1" in res.output
+    # the smallest threshold in range runs
+    in_range = ["1" if arg in ("0", "-1") else arg for arg in option]
+    assert runner.invoke(main, [command] + files + in_range).exit_code == 0
 
 
 def test_calibrate_env_var(tmp_path, runner, monkeypatch):

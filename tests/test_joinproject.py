@@ -387,6 +387,23 @@ def test_star_join_k2_matches_two_path():
     assert star.as_set() == two.as_set()
 
 
+def test_star_join_indexes_each_distinct_relation_once():
+    # unaligned relations: star_join aligns them, once per distinct relation,
+    # so the repeated r stays one object and its heavy blocks are reused
+    rng = np.random.default_rng(12)
+    r_pairs = random_pairs(rng, 80, 10, 8)
+    s_pairs = random_pairs(rng, 80, 10, 12)
+    r, s = (build_indexed(Relation.from_raw_pairs(name, p))
+            for name, p in (("R", r_pairs), ("S", s_pairs)))
+    assert not r.shares_right_dict(s)
+    with mock.patch("mmjoin.relation.build_indexed",
+                    wraps=build_indexed) as built:
+        res = jp.star_join([r, r, s], 1, 1, want_counts=True)
+    assert built.call_count == 2
+    assert _decoded(res, [r, r, s]) == dict(
+        oracle_star([r_pairs, r_pairs, s_pairs]))
+
+
 def test_star_join_validation():
     r, s = _example_indexed()
     with pytest.raises(ValueError):
