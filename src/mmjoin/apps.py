@@ -59,21 +59,21 @@ class SetFamily:
     def size(self, a: int) -> int:
         return int(self.indexed.left_deg[a])
 
-    def raw_id(self, a: int):
-        return self.relation.left_values[a]
-
     def first_seen(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Where set a appears before set b in the input, elementwise."""
         first = self.relation.left_first
         return first[a] < first[b]
 
 
-def _oriented(family: SetFamily, pairs) -> set:
-    """The (a, b) id pairs as a set, each turned so that a appears first in
-    the input."""
-    a, b = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+def _oriented(family: SetFamily, pairs: np.ndarray) -> OutputSet:
+    """The distinct pairs of sets among the id pairs `pairs` (an (m, 2)
+    array, either way round), each turned so that a appears first in the
+    input, as an OutputSet over (n, n) without counts."""
+    a, b = pairs.reshape(-1, 2).T
     keep = family.first_seen(a, b)
-    return set(zip(np.where(keep, a, b).tolist(), np.where(keep, b, a).tolist()))
+    n = len(family)
+    return OutputSet(_dedup(np.where(keep, a, b) * n + np.where(keep, b, a)),
+                     (n, n))
 
 
 def _canonical(a: int, b: int) -> tuple[int, int]:
@@ -107,10 +107,11 @@ def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelatio
         name, pairs[mask[pairs[:, 0]]], family.relation))
 
 
-def _ssj_result(family: SetFamily, c: int,
-                plan: Optional[ThresholdPlan] = None) -> OutputSet:
+def ssj_mmjoin(family: SetFamily, c: int,
+               plan: Optional[ThresholdPlan] = None) -> OutputSet:
     """The pairs of sets (a, b) with |a n b| >= c, a appearing before b in
-    the input, as _kept_pairs gives them."""
+    the input, as _kept_pairs gives them: their exact overlaps are the
+    counts."""
     if c < 1:
         raise ValueError("c must be >= 1")
     return _kept_pairs(family.indexed, family.indexed,
@@ -118,15 +119,7 @@ def _ssj_result(family: SetFamily, c: int,
                        plan)
 
 
-def ssj_mmjoin(family: SetFamily, c: int,
-               plan: Optional[ThresholdPlan] = None) -> dict:
-    """Unordered pairs {(a, b): |a n b| >= c}, a appearing before b in the
-    input, with exact overlap counts."""
-    res = _ssj_result(family, c, plan)
-    return dict(zip(map(tuple, res.tuples().tolist()), res.counts.tolist()))
-
-
-def _scj_result(family: SetFamily) -> OutputSet:
+def scj_join_project(family: SetFamily) -> OutputSet:
     """The pairs a != b with elements(a) <= elements(b), as _kept_pairs
     gives them."""
     size = family.indexed.left_deg
@@ -175,9 +168,10 @@ def _merge_overlap(x: np.ndarray, y: np.ndarray) -> int:
 
 
 def ssj_size_aware(family: SetFamily, c: int,
-                   subset_cap: int = DEFAULT_SUBSET_CAP) -> set:
+                   subset_cap: int = DEFAULT_SUBSET_CAP) -> OutputSet:
     """Size-aware SSJ: heavy sets by merge join against everyone, light sets
-    through the c-subset inverted index. Pairs are oriented as ssj_mmjoin's."""
+    through the c-subset inverted index. The pairs are ssj_mmjoin's, without
+    counts."""
     if c < 1:
         raise ValueError("c must be >= 1")
     heavy = _heavy_sets(family, c)
@@ -204,7 +198,7 @@ def ssj_size_aware(family: SetFamily, c: int,
         for i in range(len(bucket)):
             for j in range(i + 1, len(bucket)):
                 out.add(_canonical(bucket[i], bucket[j]))
-    return _oriented(family, out)
+    return _oriented(family, np.array(list(out), dtype=np.int64))
 
 
 def _merged(state, lst, c):
@@ -271,66 +265,45 @@ def prefix_merge_partners(set_paths: dict, inverted: dict, c: int,
     return results, ops
 
 
-def ssj_size_aware_pp(family: SetFamily, c: int,
-                      prefix_depth_cap: int = DEFAULT_PREFIX_DEPTH,
-                      subset_cap: int = DEFAULT_SUBSET_CAP
-                      ) -> tuple[set, int]:
+def ssj_size_aware_pp(family: SetFamily, c: int) -> tuple[OutputSet, int]:
     """SizeAware with matrix sub-joins and prefix-tree reuse.
 
-    Returns (pairs, merge op counter). Same output as ssj_size_aware.
+    Returns (pairs, merge op counter), the pairs as ssj_size_aware's.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
     heavy = _heavy_sets(family, c)
-    out = set()
-
-    def add(res):
-        a, b = res.tuples().T
-        out.update(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-
+    # (m, 2) arrays of id pairs, either way round
+    found = [np.empty((0, 2), dtype=np.int64)]
     if heavy.any():
         # join everyone against the heavy sets via the partitioned algorithm
-        add(_kept_pairs(family.indexed, _subfamily(family, "heavy", heavy),
-                        lambda a, b, cnt: (a != b) & (cnt >= c)))
+        found.append(_kept_pairs(
+            family.indexed, _subfamily(family, "heavy", heavy),
+            lambda a, b, cnt: (a != b) & (cnt >= c)).tuples())
 
     ops = 0
     light = np.flatnonzero(~heavy).tolist()
     if light:
         light_idx = _subfamily(family, "light", ~heavy)
-        j_light = int(np.dot(light_idx.right_deg, light_idx.right_deg))
+        j_light = light_idx.out_join_with(light_idx)
         out_est = estimate_output_size(len(light), max(j_light, 1),
                                        max(light_idx.n, 1))
         if j_light > out_est:
             # high duplication: light pairs via the matrix-backed join
-            add(_kept_pairs(light_idx, light_idx,
-                            lambda a, b, cnt: (a < b) & (cnt >= c)))
+            found.append(_kept_pairs(
+                light_idx, light_idx,
+                lambda a, b, cnt: (a < b) & (cnt >= c)).tuples())
         else:
             inverted: dict = {}
             for a in light:
                 for e in family.sets[a].tolist():
                     inverted.setdefault(e, []).append(a)
             partners, ops = prefix_merge_partners(
-                {a: family.sets[a].tolist() for a in light}, inverted, c,
-                depth_cap=prefix_depth_cap)
-            for a, ps in partners.items():
-                for b in ps:
-                    if b != a:
-                        out.add(_canonical(a, b))
-    return _oriented(family, out), ops
-
-
-def ssj_ordered(family: SetFamily, c: int) -> list:
-    """ssj_mmjoin result sorted by overlap descending, then by the pair's
-    sets in input order."""
-    first = family.relation.left_first.tolist()
-    counts = ssj_mmjoin(family, c)
-    return sorted(counts.items(),
-                  key=lambda kv: (-kv[1], first[kv[0][0]], first[kv[0][1]]))
-
-
-def scj_join_project(family: SetFamily) -> set:
-    """Ordered containment pairs (a, b), a != b, elements(a) <= elements(b)."""
-    return _scj_result(family).as_set()
+                {a: family.sets[a].tolist() for a in light}, inverted, c)
+            found.append(np.array([(a, b) for a, ps in partners.items()
+                                   for b in ps if b != a],
+                                  dtype=np.int64).reshape(-1, 2))
+    return _oriented(family, np.concatenate(found)), ops
 
 
 def bsi_batch_size(rate: float, n: int) -> int:
@@ -398,10 +371,6 @@ class BsiWorkload:
         times = [t for _, _, t in self.queries]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("arrival times must be nondecreasing")
-
-    @classmethod
-    def uniform(cls, pairs: Sequence[tuple], rate: float) -> "BsiWorkload":
-        return cls([(a, b, i / rate) for i, (a, b) in enumerate(pairs)], rate)
 
     @classmethod
     def from_file(cls, source, rate: float) -> "BsiWorkload":

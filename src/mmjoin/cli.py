@@ -9,7 +9,6 @@ import math
 import os
 import sys
 import time
-from itertools import chain
 from typing import Optional
 
 import click
@@ -270,15 +269,21 @@ def main():
 @main.command("gen")
 @click.option("--kind", type=click.Choice(["community", "sets"]), required=True)
 @click.option("--nodes", type=int, default=600, show_default=True)
-@click.option("--communities", type=int, default=3, show_default=True)
-@click.option("--prob", type=float, default=0.9, show_default=True)
+@click.option("--communities", type=click.IntRange(min=1), default=3,
+              show_default=True)
+@click.option("--prob", type=click.FloatRange(0, 1, min_open=True),
+              default=0.9, show_default=True)
 @click.option("--sets", "n_sets", type=int, default=100, show_default=True)
 @click.option("--universe", type=int, default=50, show_default=True)
-@click.option("--max-size", type=int, default=20, show_default=True)
+@click.option("--max-size", type=click.IntRange(min=1), default=20,
+              show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, out):
     """Generate a synthetic edge list or set family."""
+    if math.isnan(prob):  # passes every range check
+        raise click.BadParameter("nan is not a probability",
+                                 param_hint="'--prob'")
     click.echo(f"seed={seed}")
     lines = []
     if kind == "community":
@@ -330,6 +335,8 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
 @click.option("--counts", is_flag=True)
 def cmd_star(inputs, delta1, delta2, counts):
     """Projected star join over 2..4 relations sharing the right column."""
+    if not 2 <= len(inputs) <= 4:
+        raise click.UsageError("star takes 2 to 4 --input files")
     rels, idxs = _aligned_indexes(inputs,
                                   [f"R{i}" for i in range(len(inputs))])
     try:
@@ -355,25 +362,18 @@ def cmd_ssj(sets_path, threshold, method):
     fam = _read_family(sets_path)
     order = None
     try:
-        if method in ("mmjoin", "ordered"):
-            res = apps._ssj_result(fam, threshold)
-            if method == "ordered":
-                # overlap descending, then the sets in input order, as
-                # apps.ssj_ordered
-                left, right = res.tuples().T
-                first = fam.relation.left_first
-                order = np.lexsort((first[right], first[left], -res.counts))
+        if method == "sizeaware":
+            res = apps.ssj_size_aware(fam, threshold)
+        elif method == "sizeaware-pp":
+            res, ops = apps.ssj_size_aware_pp(fam, threshold)
+            click.echo(f"# merge_ops={ops}")
         else:
-            if method == "sizeaware":
-                found = apps.ssj_size_aware(fam, threshold)
-            else:
-                found, ops = apps.ssj_size_aware_pp(fam, threshold)
-                click.echo(f"# merge_ops={ops}")
-            n = len(fam)
-            ab = np.fromiter(chain.from_iterable(found), dtype=np.int64,
-                             count=2 * len(found))
-            res = joinproject.OutputSet(np.sort(ab[::2] * n + ab[1::2]),
-                                        (n, n))
+            res = apps.ssj_mmjoin(fam, threshold)
+        if method == "ordered":
+            # overlap descending, then the sets in input order
+            left, right = res.tuples().T
+            first = fam.relation.left_first
+            order = np.lexsort((first[right], first[left], -res.counts))
     except apps.SubsetCapError:
         raise click.ClickException(
             f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
@@ -391,7 +391,7 @@ def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
     fam = _read_family(sets_path)
     values = fam.relation.left_values
-    _echo(_result_lines(apps._scj_result(fam), [values, values], False))
+    _echo(_result_lines(apps.scj_join_project(fam), [values, values], False))
 
 
 @main.command("bsi")
@@ -455,13 +455,17 @@ def _community_for_edges(target_edges: int, prob: float = 0.9,
 @click.argument("query", type=click.Choice(["twopath"]))
 @click.option("--dataset", type=click.Choice(["community"]), default="community",
               show_default=True)
-@click.option("--n", "n_edges", type=float, default=1e5, show_default=True)
+@click.option("--n", "n_edges",
+              type=click.FloatRange(0, math.inf, max_open=True), default=1e5,
+              show_default=True)
 @click.option("--methods", default="mmjoin,fulljoin", show_default=True)
 @click.option("--csv", "csv_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--calibration", type=click.Path())
 def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     """Benchmark methods on a synthetic dataset; emits CSV rows."""
+    if math.isnan(n_edges):  # passes every range check
+        raise click.BadParameter("nan is not a size", param_hint="'--n'")
     click.echo(f"seed={seed}")
     nodes = _community_for_edges(int(n_edges))
     rel = generate_community_graph(nodes, 3, 0.9, seed)
@@ -556,11 +560,13 @@ def cmd_check():
 
 @cmd_check.command("twopath")
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--n", type=int, default=2000, show_default=True)
+@click.option("--n", type=click.IntRange(min=0), default=2000,
+              show_default=True)
 def check_twopath(seed, n):
     click.echo(f"seed={seed}")
     rng = np.random.default_rng(seed)
-    dom = max(10, n // 20)
+    # at least 2n possible pairs, so drawing n distinct ones ends soon
+    dom = max(10, n // 20, math.ceil(math.sqrt(2 * n)))
     r = _random_instance(rng, n, dom, dom, "R")
     s = _random_instance(rng, n, dom, dom, "S")
     expected = _oracle_twopath(r, s)
@@ -584,16 +590,14 @@ def check_ssj(seed, threshold):
     sets = {f"s{i}": sorted({int(e) for e in rng.integers(0, 40, rng.integers(1, 15))})
             for i in range(60)}
     fam = apps.SetFamily.from_dict(sets)
-    mm = set(apps.ssj_mmjoin(fam, threshold))
+    mm = apps.ssj_mmjoin(fam, threshold)
     sa = apps.ssj_size_aware(fam, threshold)
     pp, _ = apps.ssj_size_aware_pp(fam, threshold)
-    oracle = set()
-    ids = sorted(fam.sets)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if len(np.intersect1d(fam.sets[a], fam.sets[b])) >= threshold:
-                oracle.add((a, b) if a < b else (b, a))
-    if not (mm == sa == pp == oracle):
+    # the ids number the sets in input order, so a pair (a, b) has a < b
+    n = len(fam)
+    oracle = [a * n + b for a in range(n) for b in range(a + 1, n)
+              if len(np.intersect1d(fam.sets[a], fam.sets[b])) >= threshold]
+    if not all(np.array_equal(res.codes, oracle) for res in (mm, sa, pp)):
         click.echo("MISMATCH between ssj methods and oracle")
         sys.exit(1)
     click.echo(f"OK: {len(mm)} pairs, all methods agree")

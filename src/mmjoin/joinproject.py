@@ -69,14 +69,6 @@ class OutputSet:
             rem, out[:, i] = np.divmod(rem, self.dims[i])
         return out
 
-    def as_set(self) -> set:
-        return set(map(tuple, self.tuples().tolist()))
-
-    def total_count(self) -> int:
-        if self.counts is None:
-            raise ValueError("counts were not requested")
-        return int(self.counts.sum())
-
 
 class _DenseOutputSet(OutputSet):
     """An OutputSet counted in a dense buffer over its whole code space:
@@ -130,22 +122,6 @@ def two_path_split(r: IndexedRelation, s: IndexedRelation,
     return light_y, r.left_deg <= delta2, s.left_deg <= delta2
 
 
-def heavy_matrices(r: IndexedRelation, s: IndexedRelation,
-                   delta1: int, delta2: int):
-    """(M1, M2) adjacency matrices of the heavy partitions, or None if empty."""
-    r, s = _ensure_reduced_many([r, s])
-    light_y, light_a, light_c = two_path_split(r, s, delta1, delta2)
-    heavy_a, heavy_c = np.flatnonzero(~light_a), np.flatnonzero(~light_c)
-    heavy_b = np.flatnonzero(~light_y)
-    if not (len(heavy_a) and len(heavy_b) and len(heavy_c)):
-        return None
-    # everything as one component: the whole heavy partition
-    one = np.zeros(r.rel.dom_right, dtype=np.int64)
-    return _heavy_factors([r, s], [heavy_a, heavy_c], heavy_b, one,
-                          [np.zeros(i.rel.dom_left, dtype=np.int64)
-                           for i in (r, s)])[0]
-
-
 def _strides(dims: Sequence[int]) -> list:
     """What each position's value is multiplied by in a row-major code."""
     return [math.prod(dims[i + 1:]) for i in range(len(dims))]
@@ -182,9 +158,10 @@ def _by_component(values: np.ndarray, of: np.ndarray, n_comp: int,
     return _Groups(grouped, counts, starts, pos)
 
 
-def _heavy_factors(rels: Sequence[IndexedRelation], heavy_left: list,
+def heavy_matrices(rels: Sequence[IndexedRelation], heavy_left: list,
                    heavy_y: np.ndarray, comp: np.ndarray, comp_left: list):
-    """(V, W^T) for each component of the witnesses (`comp`, and each left
+    """The heavy matrices (M1 and M2 of a two-path join) as (V, W^T), one
+    pair for each component of the witnesses (`comp`, and each left
     value's in `comp_left`) with heavy witnesses and heavy left values in
     every relation, over that component's heavy witnesses. V's rows are the
     combinations of the component's heavy left values of the first
@@ -376,7 +353,7 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
     enumerates, for each position j, the combinations whose first light left
     value (light_left[j]) is at j: heavy lists before j, the light list at j
     and full lists after it. The rest, heavy left values at a heavy y in
-    every relation, is the products of _heavy_factors, one per component of
+    every relation, is the products of heavy_matrices, one per component of
     the witnesses.
     """
     k = len(rels)
@@ -440,7 +417,7 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
                                              for xs, lo, hi in pieces[j]])
             at += n
 
-    products = [multiply_counts(v, wt) for v, wt in _heavy_factors(
+    products = [multiply_counts(v, wt) for v, wt in heavy_matrices(
         rels, heavy_left, heavy_y, comp, comp_left)] if n_heavy else []
     # the output space viewed as two dimensions, V's keys by W's; a code is
     # the same integer in both views

@@ -73,16 +73,15 @@ class CalibrationTable:
         return cls(by_co[min(by_co)])
 
 
-def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS, seed: int = 0,
-              runs: int = 3) -> CalibrationTable:
+def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
+              seed: int = 0) -> CalibrationTable:
     """Time multiply_counts on random 0/1 square matrices per probe dim.
 
     The probes are uint8, the format the join operators pass, so the table
     times the multiply path those operators take. Matrices are deterministic
-    per seed; the recorded time is the median of `runs` >= 3 repetitions,
-    then regularized to be monotone in p.
+    per seed; the recorded time is the median of three repetitions, then
+    regularized to be monotone in p.
     """
-    runs = max(runs, 3)
     table = CalibrationTable()
     for p in probe_dims:
         rng = np.random.default_rng(seed + p)
@@ -92,7 +91,7 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS, seed: int = 0,
         except MemoryError as exc:
             raise CalibrationError(f"cannot allocate {p}x{p} probes") from exc
         samples = []
-        for _ in range(runs):
+        for _ in range(3):
             t0 = time.perf_counter_ns()
             multiply_counts(a, b)
             samples.append(time.perf_counter_ns() - t0)

@@ -196,7 +196,7 @@ def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
 # - _NS_PER_BLOCK: _dedup_output adding a product into a buffer by np.ix_
 #   (its keys are not one run), per product entry (12-15 for squares of 200
 #   to 1000 entries a side);
-# - _NS_PER_TUPLE, _NS_PER_ENTRY, _NS_PER_PRODUCT: _heavy_factors per tuple
+# - _NS_PER_TUPLE, _NS_PER_ENTRY, _NS_PER_PRODUCT: heavy_matrices per tuple
 #   of both relations (12.1 on the 108k-tuple benchmark community graph and
 #   on an 8-community one, less the other two parts), np.zeros per uint8
 #   entry of V or W, and the fixed part of one product, from its factors to

@@ -380,9 +380,6 @@ class IndexedRelation:
     def fwd(self, a: int) -> np.ndarray:
         return self.fwd_indices[self.fwd_indptr[a]:self.fwd_indptr[a + 1]]
 
-    def rev(self, b: int) -> np.ndarray:
-        return self.rev_indices[self.rev_indptr[b]:self.rev_indptr[b + 1]]
-
     @property
     def n(self) -> int:
         return self.rel.n

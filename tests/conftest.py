@@ -1,7 +1,10 @@
-"""Shared generators and independent brute-force oracles for the test suite.
+"""Shared generators, independent brute-force oracles and small helpers
+for the test suite.
 
 The oracles deliberately avoid every code path under test: plain Python
-dicts, sets, and nested loops only.
+dicts, sets, and nested loops only. The helpers read or build on the
+product API (an OutputSet's tuples, one component's heavy matrices) for
+tests that check it.
 """
 
 import math
@@ -14,6 +17,8 @@ from itertools import product
 import mmjoin  # noqa: F401
 import numpy as np
 
+from mmjoin.apps import BsiWorkload
+from mmjoin.joinproject import heavy_matrices, two_path_split
 from mmjoin.relation import ParseError, Relation, build_indexed, semi_join_reduce
 
 
@@ -213,9 +218,69 @@ def split_pair_sets(idx, light_left, light_y):
     return parts
 
 
+def raw_id(family, a):
+    """The raw set id of a SetFamily id."""
+    return family.relation.left_values[a]
+
+
 def raw_pair(family, a, b):
     """The raw set ids of a pair of SetFamily ids."""
-    return (family.raw_id(a), family.raw_id(b))
+    return (raw_id(family, a), raw_id(family, b))
+
+
+def pair_set(res):
+    """An OutputSet's id tuples as a Python set."""
+    return set(map(tuple, res.tuples().tolist()))
+
+
+def pair_counts(res):
+    """{id tuple: count} of an OutputSet with counts."""
+    return dict(zip(map(tuple, res.tuples().tolist()), res.counts.tolist()))
+
+
+def total_count(res):
+    """The sum of an OutputSet's counts; ValueError without counts."""
+    if res.counts is None:
+        raise ValueError("counts were not requested")
+    return int(res.counts.sum())
+
+
+def reverse_row(idx, y):
+    """The left ids joining right id y, from idx's reverse index."""
+    return idx.rev_indices[idx.rev_indptr[y]:idx.rev_indptr[y + 1]]
+
+
+def uniform_workload(pairs, rate):
+    """A BsiWorkload whose i-th query arrives at i / rate."""
+    return BsiWorkload([(a, b, i / rate) for i, (a, b) in enumerate(pairs)],
+                       rate)
+
+
+def whole_heavy_matrices(r, s, delta1, delta2):
+    """(M1, M2) of the two-path split of r and s (which share their right
+    dictionary), the whole heavy partition taken as one component, or None
+    if it is empty."""
+    light_y, light_a, light_c = two_path_split(r, s, delta1, delta2)
+    heavy_a, heavy_c = np.flatnonzero(~light_a), np.flatnonzero(~light_c)
+    heavy_y = np.flatnonzero(~light_y)
+    if not (len(heavy_a) and len(heavy_y) and len(heavy_c)):
+        return None
+    one = np.zeros(r.rel.dom_right, dtype=np.int64)
+    return heavy_matrices([r, s], [heavy_a, heavy_c], heavy_y, one,
+                          [np.zeros(i.rel.dom_left, dtype=np.int64)
+                           for i in (r, s)])[0]
+
+
+def oracle_ssj_ordered(fam, c):
+    """`ssj --method ordered` lines of a raw family written in dict order:
+    the oracle_ssj pairs, each turned so the set written first comes first,
+    by overlap descending, then by the two sets' places in the file."""
+    pos = {sid: i for i, sid in enumerate(fam)}
+    found = {(a, b) if pos[a] < pos[b] else (b, a): ov
+             for (a, b), ov in oracle_ssj(fam, c).items()}
+    ranked = sorted(found.items(),
+                    key=lambda kv: (-kv[1], pos[kv[0][0]], pos[kv[0][1]]))
+    return [f"{a} {b} {ov}" for (a, b), ov in ranked]
 
 
 def decode_two_path(res, r, s):

@@ -23,12 +23,17 @@ from conftest import (
     oracle_ssj,
     oracle_star,
     oracle_two_path,
+    pair_counts,
+    pair_set,
     random_family,
     random_pairs,
     raw_pair,
     reduced_indexed,
     split_pair_sets,
+    total_count,
     triple_loop_matmul,
+    uniform_workload,
+    whole_heavy_matrices,
 )
 from mmjoin import apps
 from mmjoin import joinproject as jp
@@ -69,7 +74,7 @@ def test_criterion_01_example_reproduction():
         (4, 4), (4, 6), (5, 4), (5, 5), (5, 6), (6, 4), (6, 5)}
     assert split_pair_sets(s, light_c, light_y)[1] == {
         (4, 4), (4, 5), (5, 4), (5, 5), (5, 6), (6, 5), (6, 6)}
-    m1, m2 = jp.heavy_matrices(r, s, 2, 2)
+    m1, m2 = whole_heavy_matrices(r, s, 2, 2)
     o1 = np.argsort([r.rel.left_values[i] for i in m1.row_keys])
     om = np.argsort([r.rel.right_values[i] for i in m1.col_keys])
     o2 = np.argsort([s.rel.left_values[i] for i in m2.col_keys])
@@ -134,7 +139,7 @@ def test_criterion_03_star_oracle():
         if k == 2:
             two = jp.two_path_join(idxs[0], idxs[1],
                                    plan=ThresholdPlan(PARTITIONED, d1, d2))
-            assert two.as_set() == res.as_set()
+            assert pair_set(two) == pair_set(res)
 
 
 @criterion(4, "witness counts exact and sum to OUT_join, 100 instances", 60.0)
@@ -153,7 +158,7 @@ def test_criterion_04_count_exactness():
                                want_counts=True)
         assert decode_two_path_counts(res, r, s) == dict(
             oracle_two_path(r_pairs, s_pairs))
-        assert res.total_count() == r.out_join_with(s)
+        assert total_count(res) == r.out_join_with(s)
 
 
 @criterion(5, "SSJ triple agreement + 9 vs 18 merge ops", 120.0)
@@ -167,14 +172,14 @@ def test_criterion_05_ssj():
         c = [1, 2, 3][i % 3]
         expected = oracle_ssj(raw, c)
         mm = {canon_pair(*raw_pair(fam, a, b)): cnt
-              for (a, b), cnt in apps.ssj_mmjoin(fam, c).items()}
+              for (a, b), cnt in pair_counts(apps.ssj_mmjoin(fam, c)).items()}
         assert mm == expected
         sa = {canon_pair(*raw_pair(fam, a, b))
-              for a, b in apps.ssj_size_aware(fam, c)}
+              for a, b in pair_set(apps.ssj_size_aware(fam, c))}
         assert sa == set(expected)
         pp_pairs, _ = apps.ssj_size_aware_pp(fam, c)
         assert {canon_pair(*raw_pair(fam, a, b))
-                for a, b in pp_pairs} == set(expected)
+                for a, b in pair_set(pp_pairs)} == set(expected)
     _, ops_reuse = apps.prefix_merge_partners(EXAMPLE_SETS, EXAMPLE_LISTS, 2,
                                               depth_cap=8)
     _, ops_flat = apps.prefix_merge_partners(EXAMPLE_SETS, EXAMPLE_LISTS, 2,
@@ -190,8 +195,8 @@ def test_criterion_06_scj():
                             int(rng.integers(10, 30)),
                             int(rng.integers(3, 10)))
         fam = apps.SetFamily.from_dict(raw)
-        got = {(fam.raw_id(a), fam.raw_id(b))
-               for a, b in apps.scj_join_project(fam)}
+        got = {raw_pair(fam, a, b)
+               for a, b in pair_set(apps.scj_join_project(fam))}
         assert got == oracle_scj(raw)
 
 
@@ -266,7 +271,7 @@ def test_criterion_09_performance_smoke():
     res = jp.two_path_join(idx, idx, plan=plan)
     out = len(res)
     assert out_join >= 20 * out and out_join >= 20 * n
-    assert res.as_set() == jp.full_join_dedup(idx, idx).as_set()
+    assert pair_set(res) == pair_set(jp.full_join_dedup(idx, idx))
     t_mm = _trimmed_wall(lambda: jp.two_path_join(idx, idx, plan=plan))
     t_full = _trimmed_wall(lambda: jp.full_join_dedup(idx, idx))
     assert t_mm <= 0.7 * t_full, f"mm={t_mm:.3f}s full={t_full:.3f}s"
@@ -297,7 +302,7 @@ def test_criterion_10_bsi():
             else:
                 assert got is None and not expected
     # sweep: waiting C/(2B) rises, amortized processing N/C^(2/3) falls
-    wl = apps.BsiWorkload.uniform(queries, rate=100.0)
+    wl = uniform_workload(queries, rate=100.0)
     grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
     delays = [apps.bsi_simulate(
         wl, c, lambda batch: 0.5 / len(batch) ** (2 / 3)).average_delay

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -11,11 +12,16 @@ from conftest import (
     oracle_scj,
     oracle_size_boundary,
     oracle_ssj,
+    oracle_ssj_ordered,
+    pair_counts,
+    pair_set,
     random_family,
     random_pairs,
+    raw_id,
     raw_pair,
+    uniform_workload,
 )
-from mmjoin import apps
+from mmjoin import apps, cli
 from mmjoin.joinproject import two_path_join
 from mmjoin.optimizer import PARTITIONED, ThresholdPlan
 from mmjoin.relation import Relation, build_indexed, semi_join_reduce
@@ -26,16 +32,16 @@ _FAMILIES = st.dictionaries(
     max_size=12)
 
 
-def _raw_pairs(family, pairs):
-    return {canon_pair(family.raw_id(a), family.raw_id(b))
-            for a, b in pairs}
+def _raw_pairs(family, res):
+    return {canon_pair(*raw_pair(family, a, b))
+            for a, b in res.tuples().tolist()}
 
 
 def test_set_family_basics():
     fam = apps.SetFamily.from_dict({"a": [1, 2], "b": [2]})
     assert len(fam) == 2
     assert fam.size(0) == 2
-    assert fam.raw_id(0) == "a"
+    assert raw_id(fam, 0) == "a"
 
 
 def test_set_family_builds_sets_on_first_use():
@@ -53,7 +59,7 @@ def test_ssj_methods_agree_with_oracle(c):
     oracle = oracle_ssj(raw, c)
     mm = apps.ssj_mmjoin(fam, c)
     assert {canon_pair(*raw_pair(fam, a, b)): cnt
-            for (a, b), cnt in mm.items()} == oracle
+            for (a, b), cnt in pair_counts(mm).items()} == oracle
     assert _raw_pairs(fam, apps.ssj_size_aware(fam, c)) == set(oracle)
     pp, ops = apps.ssj_size_aware_pp(fam, c)
     assert _raw_pairs(fam, pp) == set(oracle)
@@ -69,13 +75,20 @@ def test_ssj_rejects_bad_threshold():
         apps.ssj_size_aware_pp(fam, 0)
 
 
-def test_ssj_ordered_sorting():
-    fam = apps.SetFamily.from_dict({"a": [1, 2, 3], "b": [1, 2, 3],
-                                    "c": [1, 9], "d": [1, 8]})
-    ordered = apps.ssj_ordered(fam, 1)
-    counts = [cnt for _, cnt in ordered]
+def test_ssj_ordered_sorting(tmp_path):
+    """The ordering lives in `ssj --method ordered`."""
+    fam = {"a": [1, 2, 3], "b": [1, 2, 3], "c": [1, 9], "d": [1, 8]}
+    path = tmp_path / "f.txt"
+    path.write_text("".join(f"{sid} {e}\n"
+                            for sid, elems in fam.items() for e in elems))
+    res = CliRunner().invoke(cli.main, ["ssj", "--sets", str(path), "--c",
+                                        "1", "--method", "ordered"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == oracle_ssj_ordered(fam, 1)
+    ordered = [line.split() for line in res.output.splitlines()]
+    counts = [int(cnt) for _, _, cnt in ordered]
     assert counts == sorted(counts, reverse=True)
-    pairs_at_one = [p for p, cnt in ordered if cnt == 1]
+    pairs_at_one = [(a, b) for a, b, cnt in ordered if cnt == "1"]
     assert pairs_at_one == sorted(pairs_at_one)
 
 
@@ -169,21 +182,21 @@ def test_scj_matches_subset_oracle():
     rng = np.random.default_rng(32)
     raw = random_family(rng, 30, 18, 8)
     fam = apps.SetFamily.from_dict(raw)
-    got = {(fam.raw_id(a), fam.raw_id(b))
-           for a, b in apps.scj_join_project(fam)}
+    got = {raw_pair(fam, a, b)
+           for a, b in pair_set(apps.scj_join_project(fam))}
     assert got == oracle_scj(raw)
 
 
 def _check_ssj_scj(raw, c):
     fam = apps.SetFamily.from_dict(raw)
-    mm = apps.ssj_mmjoin(fam, c)
+    mm = pair_counts(apps.ssj_mmjoin(fam, c))
     assert all(a < b for a, b in mm)
     got = {canon_pair(*raw_pair(fam, a, b)): cnt for (a, b), cnt in mm.items()}
     assert got == oracle_ssj(raw, c)
     pp, _ = apps.ssj_size_aware_pp(fam, c)
     assert _raw_pairs(fam, pp) == set(got)
-    assert {raw_pair(fam, a, b) for a, b in apps.scj_join_project(fam)} == \
-        oracle_scj(raw)
+    assert {raw_pair(fam, a, b)
+            for a, b in pair_set(apps.scj_join_project(fam))} == oracle_scj(raw)
 
 
 @pytest.mark.parametrize("shape, dense", [
@@ -201,7 +214,7 @@ def test_ssj_scj_on_either_side_of_the_size_rule(shape, dense, plan):
         # default plan of a family over 5 elements is the full join
         assert res.stats["heavy_pairs"] > 0
     for c in (1, 2, 3):
-        kept = apps._ssj_result(fam, c, plan)
+        kept = apps.ssj_mmjoin(fam, c, plan)
         assert kept.dims == res.dims
         assert (np.diff(kept.codes) > 0).all()
         got = {canon_pair(*raw_pair(fam, x, y)): n
@@ -211,7 +224,7 @@ def test_ssj_scj_on_either_side_of_the_size_rule(shape, dense, plan):
         pp, _ = apps.ssj_size_aware_pp(fam, c)
         assert _raw_pairs(fam, pp) == set(got)
         assert _raw_pairs(fam, apps.ssj_size_aware(fam, c)) == set(got)
-    kept = apps._scj_result(fam)
+    kept = apps.scj_join_project(fam)
     assert (np.diff(kept.codes) > 0).all()
     assert {raw_pair(fam, x, y) for x, y in kept.tuples().tolist()} \
         == oracle_scj(raw)
@@ -344,13 +357,13 @@ def test_bsi_answer_batch_property(r_pairs, s_pairs, batch, layout):
 def test_bsi_workload_validation():
     with pytest.raises(ValueError):
         apps.BsiWorkload([("a", "b", 2.0), ("a", "b", 1.0)], rate=10)
-    wl = apps.BsiWorkload.uniform([("a", "b")] * 5, rate=10)
+    wl = uniform_workload([("a", "b")] * 5, rate=10)
     assert [t for _, _, t in wl.queries] == [i / 10 for i in range(5)]
 
 
 def test_bsi_simulate_uniform_identity():
     # instantaneous processing: average delay = (C - 1) / (2B)
-    wl = apps.BsiWorkload.uniform([("a", "b")] * 100, rate=50.0)
+    wl = uniform_workload([("a", "b")] * 100, rate=50.0)
     for c in (1, 4, 10, 20):
         sim = apps.bsi_simulate(wl, c, lambda batch: 0.0)
         assert sim.average_delay == pytest.approx((c - 1) / (2 * 50.0))
@@ -359,7 +372,7 @@ def test_bsi_simulate_uniform_identity():
 
 
 def test_bsi_simulate_c1_is_processing_time():
-    wl = apps.BsiWorkload.uniform([("a", "b")] * 10, rate=100.0)
+    wl = uniform_workload([("a", "b")] * 10, rate=100.0)
     sim = apps.bsi_simulate(wl, 1, lambda batch: 0.25)
     assert sim.average_delay == pytest.approx(0.25)
     assert sim.batches == 10

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     canon_pair,
     oracle_ssj,
+    oracle_ssj_ordered,
     oracle_two_path,
     random_family,
     random_pairs,
@@ -328,21 +329,45 @@ def test_ssj_methods_cli(tmp_path, runner):
     assert counts == sorted(counts, reverse=True)
 
 
-def test_ssj_ordered_cli_prints_apps_ssj_ordered(tmp_path, runner):
-    # many overlap ties, broken by id order, which is not the text order of
-    # the names s0..s39
+def test_ssj_ordered_cli_prints_oracle_order(tmp_path, runner):
+    # many overlap ties, broken by input order, which is not the text order
+    # of the names s0..s39
     rng = np.random.default_rng(8)
     path = tmp_path / "f.txt"
-    _write_family(path, random_family(rng, 40, 25, 10))
-    fam = cli._read_family(str(path))
-    names = list(map(str, fam.relation.left_values))
+    fam = random_family(rng, 40, 25, 10)
+    _write_family(path, fam)
     for c in (1, 2, 3, 30):
         res = runner.invoke(main, ["ssj", "--sets", str(path), "--c", str(c),
                                    "--method", "ordered"])
         assert res.exit_code == 0
-        want = [f"{names[a]} {names[b]} {cnt}"
-                for (a, b), cnt in apps.ssj_ordered(fam, c)]
-        assert res.output == "\n".join(want) + "\n"
+        assert res.output == "\n".join(oracle_ssj_ordered(fam, c)) + "\n"
+
+
+def test_ssj_and_scj_run_the_public_apps_functions(tmp_path, runner,
+                                                   monkeypatch):
+    """`ssj` (mmjoin and ordered) and `scj` look up apps.ssj_mmjoin and
+    apps.scj_join_project on the module, so a wrapper put there sees every
+    call."""
+    _write_family(tmp_path / "f.txt", {"a": [1, 2], "b": [1, 2, 3], "c": [2]})
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("ssj_mmjoin", "scj_join_project"):
+        monkeypatch.setattr(apps, name, counting(getattr(apps, name)))
+    sets = ["--sets", str(tmp_path / "f.txt")]
+    for argv, called in ((["ssj", "--method", "mmjoin"], "ssj_mmjoin"),
+                         (["ssj", "--method", "ordered"], "ssj_mmjoin"),
+                         (["scj"], "scj_join_project")):
+        calls.clear()
+        res = runner.invoke(main, argv + sets)
+        assert res.exit_code == 0, res.output
+        assert res.output
+        assert calls == [called]
 
 
 def test_ssj_mmjoin_cli_pairs_in_file_order(tmp_path, runner):
@@ -758,6 +783,39 @@ def test_bsi_workload_data_error_exit_code(tmp_path, runner, bad_line):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "line 3" in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "community", "--communities", "0"],
+    ["gen", "--kind", "community", "--prob", "0"],
+    ["gen", "--kind", "community", "--prob", "1.5"],
+    ["gen", "--kind", "community", "--prob", "nan"],
+    ["gen", "--kind", "sets", "--max-size", "0"],
+    ["bench", "twopath", "--n", "-5"],
+    ["bench", "twopath", "--n", "nan"],
+    ["star", "--input", "{g}"],
+    ["star"] + ["--input", "{g}"] * 5,
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, runner, argv):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3 2\n")
+    out = {"gen": ["--out", str(tmp_path / "out.txt")],
+           "bench": ["--csv", str(tmp_path / "out.csv")],
+           "star": []}[argv[0]]
+    res = runner.invoke(main, [arg.format(g=graph) for arg in argv] + out)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output
+    assert not (tmp_path / "out.txt").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_check_twopath_with_few_pairs_per_domain(runner):
+    """n = 150 draws its 150 distinct pairs from a domain with room for
+    them, instead of looping for ever."""
+    res = runner.invoke(main, ["check", "twopath", "--n", "150"])
+    assert res.exit_code == 0
+    assert res.output.startswith("seed=7\nOK: ")
 
 
 def test_check_commands(tmp_path, runner):

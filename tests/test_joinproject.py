@@ -18,9 +18,12 @@ from conftest import (
     decode_two_path_counts,
     oracle_star,
     oracle_two_path,
+    pair_set,
     random_pairs,
     reduced_indexed,
     split_pair_sets,
+    total_count,
+    whole_heavy_matrices,
 )
 from mmjoin import joinproject as jp
 from mmjoin import optimizer as opt
@@ -51,13 +54,11 @@ def test_partition_thresholds_validated():
     for d1, d2 in ((0, 2), (2, 0)):
         with pytest.raises(ValueError):
             jp.two_path_split(r, s, d1, d2)
-        with pytest.raises(ValueError):
-            jp.heavy_matrices(r, s, d1, d2)
 
 
 def test_heavy_matrices_fixture():
     r, s = _example_indexed()
-    m1, m2 = jp.heavy_matrices(r, s, 2, 2)
+    m1, m2 = whole_heavy_matrices(r, s, 2, 2)
     rows = [r.rel.left_values[i] for i in m1.row_keys]
     mids = [r.rel.right_values[i] for i in m1.col_keys]
     cols = [s.rel.left_values[i] for i in m2.col_keys]
@@ -76,7 +77,7 @@ def test_heavy_matrices_fixture():
 
 def test_heavy_matrices_empty_when_all_light():
     r, s = _example_indexed()
-    assert jp.heavy_matrices(r, s, 100, 100) is None
+    assert whole_heavy_matrices(r, s, 100, 100) is None
 
 
 def test_two_path_join_fixture_counts():
@@ -85,7 +86,7 @@ def test_two_path_join_fixture_counts():
                            want_counts=True)
     oracle = oracle_two_path(EXAMPLE_R, EXAMPLE_S)
     assert decode_two_path_counts(res, r, s) == dict(oracle)
-    assert res.total_count() == r.out_join_with(s)
+    assert total_count(res) == r.out_join_with(s)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -384,7 +385,7 @@ def test_star_join_k2_matches_two_path():
     r, s = reduced_indexed(r_pairs, s_pairs)
     star = jp.star_join([r, s], 2, 2)
     two = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, 2, 2))
-    assert star.as_set() == two.as_set()
+    assert pair_set(star) == pair_set(two)
 
 
 def test_star_join_indexes_each_distinct_relation_once():
@@ -544,17 +545,17 @@ def test_join_sizes_are_what_partitioned_allocates(case):
     planned = opt._price_grid(r, s, None, np.array([d1]),
                               np.array([d2])).sizes
     factors, crossed = [], []
-    heavy_factors, cross_codes = jp._heavy_factors, jp._cross_codes
+    heavy_matrices, cross_codes = jp.heavy_matrices, jp._cross_codes
 
     def spy_factors(*args):
-        factors.extend(heavy_factors(*args))
+        factors.extend(heavy_matrices(*args))
         return factors
 
     def spy_cross(parts):
         crossed.append(len(parts))
         return cross_codes(parts)
 
-    with mock.patch.object(jp, "_heavy_factors", spy_factors), \
+    with mock.patch.object(jp, "heavy_matrices", spy_factors), \
             mock.patch.object(jp, "_cross_codes", spy_cross):
         res = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2))
     assert res.stats["light_intermediate"] == planned.light[0, 0]
@@ -584,7 +585,7 @@ def test_output_set_decode_roundtrip():
     assert np.array_equal(recoded, codes)
     assert len(out) == 3 and out.arity == 2
     with pytest.raises(ValueError):
-        out.total_count()
+        total_count(out)
 
 
 def test_unreduced_inputs_are_reduced_internally():

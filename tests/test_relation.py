@@ -11,6 +11,7 @@ from conftest import (
     oracle_parse_edge_list,
     oracle_semi_join_reduce_many,
     random_pairs,
+    reverse_row,
 )
 from mmjoin.relation import (
     ParseError,
@@ -256,7 +257,7 @@ def test_indexed_adjacency_matches_brute_force():
         assert set(idx.fwd(a).tolist()) == fwd.get(a, set())
         assert idx.left_deg[a] == len(fwd.get(a, set()))
     for b in range(rel.dom_right):
-        assert set(idx.rev(b).tolist()) == rev.get(b, set())
+        assert set(reverse_row(idx, b).tolist()) == rev.get(b, set())
         assert idx.right_deg[b] == len(rev.get(b, set()))
 
 
@@ -289,14 +290,15 @@ def test_indexed_relation_of_shuffled_pairs_equals_sorted(pairs, random):
     for a in range(rel.dom_left):
         assert sorted(want.fwd(a).tolist()) == want.fwd(a).tolist()
     for b in range(rel.dom_right):
-        assert sorted(want.rev(b).tolist()) == want.rev(b).tolist()
+        row = reverse_row(want, b).tolist()
+        assert sorted(row) == row
 
 
 def test_example_reverse_index_and_count():
     rel = Relation.from_raw_pairs("R", EXAMPLE_R)
     idx = build_indexed(rel)
     y4 = rel.right_ids[4]
-    partners = sorted(rel.left_values[a] for a in idx.rev(y4))
+    partners = sorted(rel.left_values[a] for a in reverse_row(idx, y4))
     assert partners == [4, 5, 6]
     # x values with degree <= 2: x=1 (1), x=2 (2), x=3 (2)
     assert int((idx.left_deg <= 2).sum()) == 3
