@@ -1,5 +1,6 @@
-"""Applications: set-similarity joins, set-containment join, and batched
-boolean set intersection on top of the two-path join core."""
+"""Applications: set-similarity joins and batched boolean set intersection
+on top of the two-path join core, and the set-containment join by
+candidates and membership probes."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .joinproject import OutputSet, _dedup, two_path_join
+from . import joinproject
+from .joinproject import OutputSet, StarResourceError, _dedup, two_path_join
 from .optimizer import ThresholdPlan, estimate_output_size
 from .relation import (
     IndexedRelation,
@@ -80,23 +82,29 @@ def _canonical(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _kept_pairs(r: IndexedRelation, s: IndexedRelation, keep,
+def _kept_pairs(r: IndexedRelation, s: IndexedRelation, c: int, rule,
                 plan: Optional[ThresholdPlan] = None) -> OutputSet:
-    """The pairs (a, b) of the counted two-path join where `keep(a, b,
-    overlap)` holds, as an OutputSet over (r's left ids, s's left ids) with
-    their overlaps as counts; r and s must share their right dictionary.
+    """The pairs (a, b) of the counted two-path join with overlap >= c (at
+    least 1) where `rule(a, b)` holds, as an OutputSet over (r's left ids,
+    s's left ids) with their overlaps as counts; r and s must share their
+    right dictionary.
 
-    `keep` must broadcast and must reject overlap 0. On a densely counted
-    join it gets an id column, an id row and the whole count grid, so the
-    kept pairs are one mask over the buffer and only they are read off it.
+    `rule` gets the id arrays of the pairs over the floor, or, on a densely
+    counted join, an id column and an id row (so it must broadcast): there
+    one mask over the count grid keeps the pairs, and only they are read
+    off it. (Flooring the buffer first and ruling on the survivors measured
+    slower on a 1000-set self-join, whose floor alone passes both
+    orientations of every pair.)
     """
     res = two_path_join(r, s, plan=plan, want_counts=True)
     dom_b = res.dims[1]
     if res.buffer is None:
-        kept = keep(*np.divmod(res.codes, dom_b), res.counts)
-        return OutputSet(res.codes[kept], res.dims, res.counts[kept])
+        over = res.counts >= c
+        codes, counts = res.codes[over], res.counts[over]
+        kept = rule(*np.divmod(codes, dom_b))
+        return OutputSet(codes[kept], res.dims, counts[kept])
     a, b = np.ogrid[:res.dims[0], :dom_b]
-    codes = np.flatnonzero(keep(a, b, res.buffer.reshape(res.dims)))
+    codes = np.flatnonzero(rule(a, b) & (res.buffer.reshape(res.dims) >= c))
     return OutputSet(codes, res.dims, res.buffer[codes])
 
 
@@ -114,17 +122,57 @@ def ssj_mmjoin(family: SetFamily, c: int,
     counts."""
     if c < 1:
         raise ValueError("c must be >= 1")
-    return _kept_pairs(family.indexed, family.indexed,
-                       lambda a, b, cnt: family.first_seen(a, b) & (cnt >= c),
+    return _kept_pairs(family.indexed, family.indexed, c, family.first_seen,
                        plan)
 
 
+def _within_budget(entries: int, what: str) -> None:
+    """StarResourceError if `entries` of `what` are past the join budget."""
+    if entries > joinproject._ENTRY_BUDGET:
+        raise StarResourceError(
+            f"the containment join needs {entries} {what}, over the budget "
+            f"of {joinproject._ENTRY_BUDGET}")
+
+
 def scj_join_project(family: SetFamily) -> OutputSet:
-    """The pairs a != b with elements(a) <= elements(b), as _kept_pairs
-    gives them."""
-    size = family.indexed.left_deg
-    return _kept_pairs(family.indexed, family.indexed,
-                       lambda a, b, cnt: (a != b) & (cnt == size[a]))
+    """The pairs a != b with elements(a) <= elements(b), as an OutputSet
+    over (set ids, set ids) without counts.
+
+    A superset of a holds a's rarest element (in the fewest sets, ties by
+    element id), so that element's sets b != a with |b| >= |a| are a's
+    candidates. One membership probe (IndexedRelation.has_tuples) drops
+    the candidates without a's second-rarest element, and one probe of
+    each of a's elements verifies the rest. The candidates and the verify
+    probes are counted before either is allocated (_within_budget). The
+    candidates come by a, then by b, so the codes ascend unsorted.
+    """
+    idx = family.indexed
+    size, n = idx.left_deg, len(family)
+    sets = np.flatnonzero(size)
+    by_rarity = np.argsort(idx.right_deg, kind="stable")
+    rank = np.empty_like(by_rarity)
+    rank[by_rarity] = np.arange(len(rank))
+    # each set's lowest element rank, then its next lowest (len(rank) for
+    # a singleton)
+    ranks = rank[idx.fwd_indices]
+    starts = idx.fwd_indptr[sets]
+    rarest = np.minimum.reduceat(ranks, starts)
+    ranks[ranks == np.repeat(rarest, size[sets])] = len(rank)
+    second = np.minimum.reduceat(ranks, starts)
+    first = by_rarity[rarest]
+    _within_budget(int(idx.right_deg[first].sum()), "candidate pairs")
+    b, lens = gather_ranges(idx.rev_indptr, idx.rev_indices, first)
+    at = np.repeat(np.arange(len(sets)), lens)
+    a = sets[at]
+    keep = (b != a) & (size[b] >= size[a])
+    probe = np.flatnonzero(keep & (size[a] > 1))
+    keep[probe] = idx.has_tuples(b[probe], by_rarity[second[at[probe]]])
+    a, b = a[keep], b[keep]
+    _within_budget(int(size[a].sum()), "membership probes")
+    elems, lens = gather_ranges(idx.fwd_indptr, idx.fwd_indices, a)
+    hits = idx.has_tuples(np.repeat(b, lens), elems)
+    contained = np.add.reduceat(hits, np.cumsum(lens) - lens) == lens
+    return OutputSet(a[contained] * n + b[contained], (n, n))
 
 
 def get_size_boundary(family: SetFamily, c: int) -> int:
@@ -278,8 +326,8 @@ def ssj_size_aware_pp(family: SetFamily, c: int) -> tuple[OutputSet, int]:
     if heavy.any():
         # join everyone against the heavy sets via the partitioned algorithm
         found.append(_kept_pairs(
-            family.indexed, _subfamily(family, "heavy", heavy),
-            lambda a, b, cnt: (a != b) & (cnt >= c)).tuples())
+            family.indexed, _subfamily(family, "heavy", heavy), c,
+            np.not_equal).tuples())
 
     ops = 0
     light = np.flatnonzero(~heavy).tolist()
@@ -290,9 +338,8 @@ def ssj_size_aware_pp(family: SetFamily, c: int) -> tuple[OutputSet, int]:
                                        max(light_idx.n, 1))
         if j_light > out_est:
             # high duplication: light pairs via the matrix-backed join
-            found.append(_kept_pairs(
-                light_idx, light_idx,
-                lambda a, b, cnt: (a < b) & (cnt >= c)).tuples())
+            found.append(_kept_pairs(light_idx, light_idx, c,
+                                     np.less).tuples())
         else:
             inverted: dict = {}
             for a in light:

@@ -268,13 +268,16 @@ def main():
 
 @main.command("gen")
 @click.option("--kind", type=click.Choice(["community", "sets"]), required=True)
-@click.option("--nodes", type=int, default=600, show_default=True)
+@click.option("--nodes", type=click.IntRange(min=0), default=600,
+              show_default=True)
 @click.option("--communities", type=click.IntRange(min=1), default=3,
               show_default=True)
 @click.option("--prob", type=click.FloatRange(0, 1, min_open=True),
               default=0.9, show_default=True)
-@click.option("--sets", "n_sets", type=int, default=100, show_default=True)
-@click.option("--universe", type=int, default=50, show_default=True)
+@click.option("--sets", "n_sets", type=click.IntRange(min=0), default=100,
+              show_default=True)
+@click.option("--universe", type=click.IntRange(min=0), default=50,
+              show_default=True)
 @click.option("--max-size", type=click.IntRange(min=1), default=20,
               show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
@@ -296,7 +299,7 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
             elems = rng.choice(universe, size=min(size, universe), replace=False)
             lines.extend(f"s{a} e{e}" for e in elems)
     with open(out, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(f"{line}\n" for line in lines))
     click.echo(f"wrote {len(lines)} tuples to {out}")
 
 
@@ -379,7 +382,7 @@ def cmd_ssj(sets_path, threshold, method):
             f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
             "--method sizeaware; run --method sizeaware-pp or "
             "--method mmjoin instead")
-    except ValueError as exc:
+    except (ValueError, joinproject.StarResourceError) as exc:
         raise click.ClickException(str(exc))
     values = fam.relation.left_values
     _echo(_result_lines(res, [values, values], res.counts is not None, order))
@@ -390,8 +393,12 @@ def cmd_ssj(sets_path, threshold, method):
 def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
     fam = _read_family(sets_path)
+    try:
+        res = apps.scj_join_project(fam)
+    except joinproject.StarResourceError as exc:
+        raise click.ClickException(str(exc))
     values = fam.relation.left_values
-    _echo(_result_lines(apps.scj_join_project(fam), [values, values], False))
+    _echo(_result_lines(res, [values, values], False))
 
 
 @main.command("bsi")

@@ -391,8 +391,7 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
     if n_light + n_heavy > _ENTRY_BUDGET:
         raise StarResourceError(
             f"the join needs {n_light} light codes and {n_heavy} heavy "
-            f"matrix entries, over the budget of {_ENTRY_BUDGET}; "
-            "change delta1/delta2")
+            f"matrix entries, over the budget of {_ENTRY_BUDGET}")
 
     sizes = sizes.astype(np.int64)
     pos_j, pos_y = np.nonzero(sizes)

@@ -366,6 +366,14 @@ def _csr(keys: np.ndarray, vals: np.ndarray, dom: int,
     return indptr, vals
 
 
+# has_tuples probes a bitmap over the whole (left x right) space while that
+# space is at most this many times the tuples, and otherwise binary-searches
+# the forward index's codes. Measured break-even: set-containment joins of
+# 1000 sets (sizes 1..40) cross at a space ~150 times the tuples, of 10000
+# sets at ~500; below, a bitmap probe is 1.3-3x faster.
+_BITMAP_SPACE_PER_TUPLE = 128
+
+
 class IndexedRelation:
     """CSR adjacency over a Relation in both directions, plus degrees."""
 
@@ -388,6 +396,33 @@ class IndexedRelation:
     def components(self) -> np.ndarray:
         """witness_components of this relation alone."""
         return _components([self])
+
+    @functools.cached_property
+    def _tuple_table(self) -> np.ndarray:
+        """What has_tuples probes: a bool bitmap over the codes left *
+        dom_right + right while that space is at most
+        _BITMAP_SPACE_PER_TUPLE times the tuples, else the tuples' codes,
+        ascending (the forward index holds them in that order)."""
+        dom_right = self.rel.dom_right
+        codes = (np.repeat(np.arange(self.rel.dom_left), self.left_deg)
+                 * dom_right + self.fwd_indices)
+        space = self.rel.dom_left * dom_right
+        if space > _BITMAP_SPACE_PER_TUPLE * self.n:
+            return codes
+        bitmap = np.zeros(space, dtype=bool)
+        bitmap[codes] = True
+        return bitmap
+
+    def has_tuples(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Whether each (left[i], right[i]) is a tuple, elementwise."""
+        table = self._tuple_table
+        codes = left * self.rel.dom_right + right
+        if table.dtype == bool:
+            return table[codes]
+        if not len(table):
+            return np.zeros(codes.shape, dtype=bool)
+        found = table.take(np.searchsorted(table, codes), mode="clip")
+        return found == codes
 
     def shares_right_dict(self, other: "IndexedRelation") -> bool:
         return self.rel.right_values is other.rel.right_values

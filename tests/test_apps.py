@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from conftest import (
     raw_pair,
     uniform_workload,
 )
-from mmjoin import apps, cli
-from mmjoin.joinproject import two_path_join
+from mmjoin import apps, cli, joinproject
+from mmjoin.joinproject import StarResourceError, two_path_join
 from mmjoin.optimizer import PARTITIONED, ThresholdPlan
 from mmjoin.relation import Relation, build_indexed, semi_join_reduce
 
@@ -187,6 +188,59 @@ def test_scj_matches_subset_oracle():
     assert got == oracle_scj(raw)
 
 
+# 2000 sets, each with its own two elements: no set of a family over the
+# elements 0..9 is inside one of them or holds one, so they add no pair, and
+# the (set x element) space of a family padded with them is ~2000 times its
+# tuples
+_PADDING = {f"pad{i}": [100 + 2 * i, 101 + 2 * i] for i in range(2000)}
+
+
+def _scj_raw(raw):
+    """The family of `raw` and its SCJ pairs in raw ids; the codes ascend."""
+    fam = apps.SetFamily.from_dict(raw)
+    res = apps.scj_join_project(fam)
+    assert (np.diff(res.codes) > 0).all()
+    return fam, {raw_pair(fam, a, b) for a, b in pair_set(res)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FAMILIES, st.booleans())
+def test_scj_property_on_both_probe_paths(raw, padded):
+    fam, got = _scj_raw({**raw, **_PADDING} if padded else raw)
+    # a bitmap while the space is small next to the tuples, else a search
+    assert (fam.indexed._tuple_table.dtype == bool) != padded
+    assert got == oracle_scj(raw)
+
+
+def test_scj_over_budget_raises_before_allocating():
+    """One element in 20,000 sets makes 4e8 candidate pairs, past the
+    budget; the error comes before an array of them (3.2 GB) exists."""
+    fam = apps.SetFamily.from_dict({f"s{i}": [0] for i in range(20000)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(StarResourceError, match="candidate pairs"):
+            apps.scj_join_project(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("budget, error", [
+    (2, "3 candidate pairs"), (5, "10 membership probes"), (10, None)])
+def test_scj_budget_counts_candidates_then_probes(monkeypatch, budget, error):
+    """a's rarest element (0, a tie broken by id) is in a and b, and b's (10)
+    in b alone: 3 candidates, and b survives as a's superset, verified by
+    10 probes."""
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", budget)
+    raw = {"a": list(range(10)), "b": list(range(11))}
+    if error is None:
+        assert _scj_raw(raw)[1] == {("a", "b")}
+    else:
+        with pytest.raises(StarResourceError, match=error):
+            _scj_raw(raw)
+
+
 def _check_ssj_scj(raw, c):
     fam = apps.SetFamily.from_dict(raw)
     mm = pair_counts(apps.ssj_mmjoin(fam, c))
@@ -195,8 +249,7 @@ def _check_ssj_scj(raw, c):
     assert got == oracle_ssj(raw, c)
     pp, _ = apps.ssj_size_aware_pp(fam, c)
     assert _raw_pairs(fam, pp) == set(got)
-    assert {raw_pair(fam, a, b)
-            for a, b in pair_set(apps.scj_join_project(fam))} == oracle_scj(raw)
+    assert _scj_raw(raw)[1] == oracle_scj(raw)
 
 
 @pytest.mark.parametrize("shape, dense", [
@@ -239,8 +292,11 @@ def test_ssj_scj_property(raw, c):
 @pytest.mark.parametrize("raw", [
     {},  # empty family
     {"a": [1]},
-    {"a": [1], "b": [1], "c": [2]},  # singletons
+    {"a": [1], "b": [1], "c": [2]},  # singletons: scj probes no second
     {"a": [1, 2, 3], "b": [3, 2, 1], "c": [1, 2]},  # scj emits a b and b a
+    {"a": [1, 2], "b": [2, 3], "c": [1, 3], "d": [3, 2, 1]},  # rarity ties
+    {"x": [5], **{f"s{i}": [i, 5] for i in range(20)}},  # x inside all
+    {"big": list(range(20)), **{f"s{i}": [i] for i in range(20)}},
 ])
 @pytest.mark.parametrize("c", [1, 2, 4])  # 4 exceeds every set size
 def test_ssj_scj_edge_families(raw, c):

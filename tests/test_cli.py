@@ -48,6 +48,19 @@ def test_gen_prints_seed_and_is_deterministic(tmp_path, runner):
     assert out1.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "sets", "--universe", "0"],
+    ["--kind", "sets", "--sets", "0"],
+    ["--kind", "community", "--nodes", "0"],
+])
+def test_gen_of_nothing_writes_an_empty_file(tmp_path, runner, argv):
+    out = tmp_path / "out.txt"
+    res = runner.invoke(main, ["gen", *argv, "--out", str(out)])
+    assert res.exit_code == 0
+    assert "wrote 0 tuples" in res.output
+    assert out.read_text() == ""
+
+
 def test_twopath_matches_oracle(tmp_path, runner):
     rng = np.random.default_rng(0)
     r_pairs = random_pairs(rng, 150, 20, 15)
@@ -103,6 +116,23 @@ def test_join_over_budget_is_a_data_error(tmp_path, runner, monkeypatch,
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("Error:") and "budget of 10" in res.output
+
+
+@pytest.mark.parametrize("command", ["ssj", "scj"])
+def test_set_join_over_budget_is_a_one_line_data_error(tmp_path, runner,
+                                                       command):
+    """One element in 20,000 sets: 4e8 pairs share it, past the entry
+    budget. The message names the budget and no thresholds, which these
+    commands do not take."""
+    sets = tmp_path / "f.txt"
+    sets.write_text("".join(f"s{i} e0\n" for i in range(20000)))
+    res = runner.invoke(main, [command, "--sets", str(sets)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.output.splitlines()
+    assert line.startswith("Error:")
+    assert f"budget of {joinproject._ENTRY_BUDGET}" in line
+    assert "delta" not in line
 
 
 def test_bench_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
@@ -791,6 +821,9 @@ def test_bsi_workload_data_error_exit_code(tmp_path, runner, bad_line):
     ["gen", "--kind", "community", "--prob", "1.5"],
     ["gen", "--kind", "community", "--prob", "nan"],
     ["gen", "--kind", "sets", "--max-size", "0"],
+    ["gen", "--kind", "sets", "--universe", "-3"],
+    ["gen", "--kind", "sets", "--sets", "-3"],
+    ["gen", "--kind", "community", "--nodes", "-3"],
     ["bench", "twopath", "--n", "-5"],
     ["bench", "twopath", "--n", "nan"],
     ["star", "--input", "{g}"],

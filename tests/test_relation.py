@@ -261,6 +261,37 @@ def test_indexed_adjacency_matches_brute_force():
         assert idx.right_deg[b] == len(rev.get(b, set()))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_has_tuples_matches_python_in(sparse):
+    """The membership probe answers what `in` answers over the pairs, by
+    the bitmap over a small (left x right) space and by binary search over
+    a space thousands of times the tuples: 2000 left values, each with its
+    own two right values."""
+    rng = np.random.default_rng(4)
+    pairs = (random_pairs(rng, 300, 40, 30) if not sparse else
+             [(a, 2 * a + k) for a in range(2000) for k in (0, 1)])
+    idx = build_indexed(Relation.from_raw_pairs("R", pairs))
+    assert (idx._tuple_table.dtype == bool) != sparse
+    rel = idx.rel
+    tuples = set(map(tuple, rel.pairs.tolist()))
+    left = rng.integers(0, rel.dom_left, 3000)
+    right = rng.integers(0, rel.dom_right, 3000)
+    # every tuple, and random pairs (mostly not tuples)
+    left = np.concatenate([rel.pairs[:, 0], left])
+    right = np.concatenate([rel.pairs[:, 1], right])
+    want = [(a, b) in tuples for a, b in zip(left.tolist(), right.tolist())]
+    assert idx.has_tuples(left, right).tolist() == want
+
+
+@pytest.mark.parametrize("dom_left", [0, 3])
+def test_has_tuples_of_a_relation_without_tuples(dom_left):
+    rel = Relation("R", np.empty((0, 2), dtype=np.int64),
+                   list(range(dom_left)), {}, list(range(4)), {})
+    idx = build_indexed(rel)
+    ids = np.arange(dom_left, dtype=np.int64)
+    assert not idx.has_tuples(ids, ids).any()
+
+
 def test_csr_rows_ascend_for_unsorted_pairs():
     rng = np.random.default_rng(1)
     codes = rng.choice(40 * 30, 300, replace=False)  # distinct, unsorted
