@@ -1,6 +1,10 @@
-"""Applications: set-similarity joins and batched boolean set intersection
-on top of the two-path join core, and the set-containment join by
-candidates and membership probes."""
+"""Applications: set-similarity joins on top of the two-path join core, and
+the set-containment join and batched boolean set intersection by membership
+probes.
+
+One overlap probe (_overlaps) counts what pairs of sets share: it verifies
+the containment join's candidates, answers each intersection query from its
+smaller set, and gives SizeAware's heavy sets their overlap with every set."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,10 +82,6 @@ def _oriented(family: SetFamily, pairs: np.ndarray) -> OutputSet:
                      (n, n))
 
 
-def _canonical(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def _kept_pairs(r: IndexedRelation, s: IndexedRelation, c: int, rule,
                 plan: Optional[ThresholdPlan] = None) -> OutputSet:
     """The pairs (a, b) of the counted two-path join with overlap >= c (at
@@ -130,8 +130,24 @@ def _within_budget(entries: int, what: str) -> None:
     """StarResourceError if `entries` of `what` are past the join budget."""
     if entries > joinproject._ENTRY_BUDGET:
         raise StarResourceError(
-            f"the containment join needs {entries} {what}, over the budget "
-            f"of {joinproject._ENTRY_BUDGET}")
+            f"{entries} {what} are over the budget of "
+            f"{joinproject._ENTRY_BUDGET}")
+
+
+def _overlaps(p: IndexedRelation, ps: np.ndarray, q: IndexedRelation,
+              qs: np.ndarray) -> np.ndarray:
+    """|p's set ps[i] n q's set qs[i]|, elementwise, for p and q sharing
+    their right dictionary: each element of ps[i] is probed in qs[i]
+    (IndexedRelation.has_tuples), the probes counted against the budget
+    before any is allocated."""
+    _within_budget(int(p.left_deg[ps].sum()), "membership probes")
+    elems, lens = gather_ranges(p.fwd_indptr, p.fwd_indices, ps)
+    hits = q.has_tuples(np.repeat(qs, lens), elems)
+    out = np.zeros(len(lens), dtype=np.int64)
+    # reduceat reads an empty range as one element: empty sets keep 0
+    some = lens > 0
+    out[some] = np.add.reduceat(hits, (np.cumsum(lens) - lens)[some])
+    return out
 
 
 def scj_join_project(family: SetFamily) -> OutputSet:
@@ -141,8 +157,8 @@ def scj_join_project(family: SetFamily) -> OutputSet:
     A superset of a holds a's rarest element (in the fewest sets, ties by
     element id), so that element's sets b != a with |b| >= |a| are a's
     candidates. One membership probe (IndexedRelation.has_tuples) drops
-    the candidates without a's second-rarest element, and one probe of
-    each of a's elements verifies the rest. The candidates and the verify
+    the candidates without a's second-rarest element, and the overlap
+    probe (_overlaps) verifies the rest. The candidates and the verify
     probes are counted before either is allocated (_within_budget). The
     candidates come by a, then by b, so the codes ascend unsorted.
     """
@@ -168,10 +184,7 @@ def scj_join_project(family: SetFamily) -> OutputSet:
     probe = np.flatnonzero(keep & (size[a] > 1))
     keep[probe] = idx.has_tuples(b[probe], by_rarity[second[at[probe]]])
     a, b = a[keep], b[keep]
-    _within_budget(int(size[a].sum()), "membership probes")
-    elems, lens = gather_ranges(idx.fwd_indptr, idx.fwd_indices, a)
-    hits = idx.has_tuples(np.repeat(b, lens), elems)
-    contained = np.add.reduceat(hits, np.cumsum(lens) - lens) == lens
+    contained = _overlaps(idx, a, idx, b) == size[a]
     return OutputSet(a[contained] * n + b[contained], (n, n))
 
 
@@ -211,28 +224,24 @@ def _heavy_sets(family: SetFamily, c: int) -> np.ndarray:
     return family.indexed.left_deg > get_size_boundary(family, c)
 
 
-def _merge_overlap(x: np.ndarray, y: np.ndarray) -> int:
-    return len(np.intersect1d(x, y, assume_unique=True))
-
-
 def ssj_size_aware(family: SetFamily, c: int,
                    subset_cap: int = DEFAULT_SUBSET_CAP) -> OutputSet:
-    """Size-aware SSJ: heavy sets by merge join against everyone, light sets
-    through the c-subset inverted index. The pairs are ssj_mmjoin's, without
-    counts."""
+    """Size-aware SSJ: each heavy set's overlap with every set by one
+    overlap probe (_overlaps), light sets through the c-subset inverted
+    index. The pairs are ssj_mmjoin's, without counts."""
     if c < 1:
         raise ValueError("c must be >= 1")
     heavy = _heavy_sets(family, c)
-    out = set()
+    idx, n = family.indexed, len(family)
+    # (m, 2) arrays of id pairs, either way round
+    found = []
     for h in np.flatnonzero(heavy).tolist():
-        for r in family.sets:
-            if r == h:
-                continue
-            if _merge_overlap(family.sets[h], family.sets[r]) >= c:
-                out.add(_canonical(h, r))
+        r = np.flatnonzero(
+            _overlaps(idx, np.arange(n), idx, np.full(n, h)) >= c)
+        r = r[r != h]
+        found.append(np.column_stack((np.full(len(r), h), r)))
     inverted: dict = {}
     generated = 0
-    from itertools import combinations
     for r in np.flatnonzero(~heavy).tolist():
         elems = family.sets[r].tolist()
         for sub in combinations(elems, c):
@@ -242,11 +251,10 @@ def ssj_size_aware(family: SetFamily, c: int,
                     f"more than {subset_cap} c-subsets; raise the cap or "
                     "route light sets through the matrix path")
             inverted.setdefault(sub, []).append(r)
-    for bucket in inverted.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                out.add(_canonical(bucket[i], bucket[j]))
-    return _oriented(family, np.array(list(out), dtype=np.int64))
+    light = {pair for bucket in inverted.values()
+             for pair in combinations(bucket, 2)}
+    found.append(np.array(list(light), dtype=np.int64).reshape(-1, 2))
+    return _oriented(family, np.concatenate(found))
 
 
 def _merged(state, lst, c):
@@ -364,10 +372,12 @@ def bsi_answer_batch(r: IndexedRelation, s: IndexedRelation,
                      batch: Sequence[tuple]) -> list:
     """answer[i] True iff sets a_i (in R) and b_i (in S) intersect.
 
-    Unknown set ids yield a None marker for that query instead of failing
-    the whole batch. Relations that do not share a right dictionary are
-    aligned first (semi_join_reduce, which keeps their set ids), once per
-    call: pass aligned relations to answer many batches.
+    Each query probes the elements of its smaller set in the other set
+    (_overlaps), as Cohen & Porat answer light queries. Unknown set ids
+    yield a None marker for that query instead of failing the whole batch.
+    Relations that do not share a right dictionary are aligned first
+    (semi_join_reduce, which keeps their set ids), once per call: pass
+    aligned relations to answer many batches.
     """
     if not r.shares_right_dict(s):
         r, s = map(build_indexed, semi_join_reduce(r.rel, s.rel))
@@ -377,35 +387,14 @@ def bsi_answer_batch(r: IndexedRelation, s: IndexedRelation,
     qb = np.fromiter((s.rel.left_ids.get(b, -1) for _, b in batch),
                      dtype=np.int64, count=len(batch))
     known = np.flatnonzero((qa >= 0) & (qb >= 0))
-    if not len(known):
-        return answers
-    # the batch's distinct queried sets, renumbered densely from 0
-    ua, ub = _dedup(qa[known]), _dedup(qb[known])
-    qa, qb = np.searchsorted(ua, qa[known]), np.searchsorted(ub, qb[known])
-    ra, sb = _gather_sets(r, ua, "Rb"), _gather_sets(s, ub, "Sb")
-    hit = np.zeros(len(known), dtype=bool)
-    if ra.n and sb.n:
-        res = two_path_join(build_indexed(ra), build_indexed(sb))
-        code = qa * res.dims[1] + qb
-        pos = np.searchsorted(res.codes, code)
-        ok = pos < len(res.codes)
-        hit[ok] = res.codes[pos[ok]] == code[ok]
+    qa, qb = qa[known], qb[known]
+    by_a = r.left_deg[qa] <= s.left_deg[qb]
+    hit = np.empty(len(known), dtype=bool)
+    hit[by_a] = _overlaps(r, qa[by_a], s, qb[by_a]) > 0
+    hit[~by_a] = _overlaps(s, qb[~by_a], r, qa[~by_a]) > 0
     for i, h in zip(known.tolist(), hit.tolist()):
         answers[i] = h
     return answers
-
-
-def _gather_sets(idx: IndexedRelation, ids: np.ndarray, name: str) -> Relation:
-    """The rows of the sets `ids` (sorted, distinct) from idx's forward
-    index, with set ids[i] renumbered to i and idx's own right dictionary,
-    so relations gathered from one dictionary still share it."""
-    rel = idx.rel
-    ys, lens = gather_ranges(idx.fwd_indptr, idx.fwd_indices, ids)
-    left_values = [rel.left_values[a] for a in ids.tolist()]
-    pairs = np.column_stack((np.repeat(np.arange(len(ids)), lens), ys))
-    return Relation(name, pairs, left_values,
-                    {v: i for i, v in enumerate(left_values)},
-                    rel.right_values, rel.right_ids)
 
 
 @dataclass

@@ -428,7 +428,10 @@ def cmd_bsi(left, right, workload, rate, batch_size):
         apps.bsi_answer_batch(r, s, batch)
         return (time.perf_counter_ns() - t0) / 1e9
 
-    sim = apps.bsi_simulate(wl, c, cost)
+    try:
+        sim = apps.bsi_simulate(wl, c, cost)
+    except joinproject.StarResourceError as exc:
+        raise click.ClickException(str(exc))
     click.echo(f"average_delay_s={sim.average_delay:.6f}")
     click.echo(f"implied_units={sim.implied_units:.3f}")
     click.echo(f"batches={sim.batches}")

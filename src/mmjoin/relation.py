@@ -370,8 +370,10 @@ def _csr(keys: np.ndarray, vals: np.ndarray, dom: int,
 # space is at most this many times the tuples, and otherwise binary-searches
 # the forward index's codes. Measured break-even: set-containment joins of
 # 1000 sets (sizes 1..40) cross at a space ~150 times the tuples, of 10000
-# sets at ~500; below, a bitmap probe is 1.3-3x faster.
+# sets at ~500; below, a bitmap probe is 1.3-3x faster. Past
+# _BITMAP_SPACE_CAP entries (256 MiB of bools) it searches in any case.
 _BITMAP_SPACE_PER_TUPLE = 128
+_BITMAP_SPACE_CAP = 1 << 28
 
 
 class IndexedRelation:
@@ -400,14 +402,14 @@ class IndexedRelation:
     @functools.cached_property
     def _tuple_table(self) -> np.ndarray:
         """What has_tuples probes: a bool bitmap over the codes left *
-        dom_right + right while that space is at most
+        dom_right + right while that space is at most _BITMAP_SPACE_CAP and
         _BITMAP_SPACE_PER_TUPLE times the tuples, else the tuples' codes,
         ascending (the forward index holds them in that order)."""
         dom_right = self.rel.dom_right
         codes = (np.repeat(np.arange(self.rel.dom_left), self.left_deg)
                  * dom_right + self.fwd_indices)
         space = self.rel.dom_left * dom_right
-        if space > _BITMAP_SPACE_PER_TUPLE * self.n:
+        if space > min(_BITMAP_SPACE_PER_TUPLE * self.n, _BITMAP_SPACE_CAP):
             return codes
         bitmap = np.zeros(space, dtype=bool)
         bitmap[codes] = True

@@ -67,6 +67,18 @@ def test_ssj_methods_agree_with_oracle(c):
     assert ops >= 0
 
 
+@pytest.mark.parametrize("c", [3, 4])
+def test_size_aware_heavy_and_light_sets_agree_with_oracle(c):
+    """Sets on both sides of the size boundary: the heavy ones by their
+    overlap probe, the light ones by their c-subsets."""
+    raw = random_family(np.random.default_rng(43), 40, 60, 25)
+    fam = apps.SetFamily.from_dict(raw)
+    heavy = apps._heavy_sets(fam, c)
+    assert heavy.any() and not heavy.all()
+    assert _raw_pairs(fam, apps.ssj_size_aware(fam, c)) == \
+        set(oracle_ssj(raw, c))
+
+
 def test_ssj_rejects_bad_threshold():
     fam = apps.SetFamily.from_dict({"a": [1]})
     for fn in (apps.ssj_mmjoin, apps.ssj_size_aware):
@@ -384,11 +396,20 @@ _BSI_PAIRS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                       max_size=30)
 
 
+# 300 sets, each with its own two elements, in both relations: the
+# (set x element) space of a relation padded with them is ~300 times its
+# tuples, so its probe table is the sorted codes
+_BSI_PADDING = [(100 + i, 100 + 2 * i + k) for i in range(300) for k in (0, 1)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_BSI_PAIRS, _BSI_PAIRS,
        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25),
-       st.sampled_from(["separate", "aligned", "same", "split"]))
-def test_bsi_answer_batch_property(r_pairs, s_pairs, batch, layout):
+       st.sampled_from(["separate", "aligned", "same", "split"]),
+       st.booleans())
+def test_bsi_answer_batch_property(r_pairs, s_pairs, batch, layout, padded):
+    if padded:
+        r_pairs, s_pairs = r_pairs + _BSI_PADDING, s_pairs + _BSI_PADDING
     if layout in ("separate", "aligned"):
         # own dictionaries, aligned inside the call or before it
         pair = (Relation.from_raw_pairs("R", r_pairs),
@@ -408,6 +429,34 @@ def test_bsi_answer_batch_property(r_pairs, s_pairs, batch, layout):
         s_pairs = [p for p in whole.raw_pairs() if p not in mine]
     assert apps.bsi_answer_batch(r, s, batch) == \
         _bsi_oracle(r, s, r_pairs, s_pairs, batch)
+    # a bitmap while the space is small next to the tuples, else a search
+    # (the separate layout probes its aligned copies, padded alike)
+    for idx in (r, s):
+        if padded:
+            assert idx._tuple_table.dtype == np.int64
+        elif idx.n:
+            assert idx._tuple_table.dtype == bool
+
+
+def test_bsi_answers_without_a_join(monkeypatch):
+    """BSI probes sets: it runs no two-path join and builds no index per
+    batch, and still answers what the oracle answers."""
+    rng = np.random.default_rng(35)
+    r_pairs = random_pairs(rng, 200, 30, 25)
+    s_pairs = random_pairs(rng, 200, 30, 25)
+    r, s = map(build_indexed, semi_join_reduce(
+        Relation.from_raw_pairs("R", r_pairs),
+        Relation.from_raw_pairs("S", s_pairs)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BSI joined or indexed a batch")
+
+    monkeypatch.setattr(apps, "two_path_join", refuse)
+    monkeypatch.setattr(apps, "build_indexed", refuse)
+    batch = [(int(a), int(b)) for a, b in rng.integers(0, 32, (200, 2))]
+    for _ in range(2):
+        assert apps.bsi_answer_batch(r, s, batch) == \
+            _bsi_oracle(r, s, r_pairs, s_pairs, batch)
 
 
 def test_bsi_workload_validation():

@@ -135,6 +135,40 @@ def test_set_join_over_budget_is_a_one_line_data_error(tmp_path, runner,
     assert "delta" not in line
 
 
+def test_bsi_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
+    """The batch's membership probes are counted against the budget; past
+    it, the batch size line is followed by one error line."""
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
+    g = tmp_path / "g.txt"
+    _write_pairs(g, generate_community_graph(60, 3, 0.9, 7).raw_pairs())
+    wl = tmp_path / "wl.txt"
+    wl.write_text("".join(f"{a} {a + 1} {a * 500}\n" for a in range(20)))
+    res = runner.invoke(main, ["bsi", "--left", str(g), "--right", str(g),
+                               "--workload", str(wl), "--rate", "1000",
+                               "--batch-size", "10"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    batch, line = res.output.splitlines()
+    assert batch == "batch_size=10"
+    assert line.startswith("Error:") and "budget of 10" in line
+
+
+def test_sizeaware_over_budget_is_a_one_line_data_error(tmp_path, runner,
+                                                        monkeypatch):
+    """At c = 2 the 30-element set is heavy, and its overlap probe takes
+    every set's elements, 50 probes, counted against the budget first."""
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
+    sets = tmp_path / "f.txt"
+    _write_family(sets, {"big": list(range(30)),
+                         **{f"s{i}": [i, i + 1] for i in range(10)}})
+    res = runner.invoke(main, ["ssj", "--sets", str(sets), "--c", "2",
+                               "--method", "sizeaware"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = res.output.splitlines()
+    assert line.startswith("Error:") and "budget of 10" in line
+
+
 def test_bench_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
     monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
     out = tmp_path / "out.csv"

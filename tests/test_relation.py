@@ -13,6 +13,7 @@ from conftest import (
     random_pairs,
     reverse_row,
 )
+from mmjoin import relation
 from mmjoin.relation import (
     ParseError,
     Relation,
@@ -281,6 +282,25 @@ def test_has_tuples_matches_python_in(sparse):
     right = np.concatenate([rel.pairs[:, 1], right])
     want = [(a, b) in tuples for a, b in zip(left.tolist(), right.tolist())]
     assert idx.has_tuples(left, right).tolist() == want
+
+
+def test_has_tuples_searches_past_the_bitmap_cap(monkeypatch):
+    """A (left x right) space small next to the tuples is a bitmap up to
+    the cap, space included, and searched past it; both answer alike on
+    every pair of the space."""
+    rel = Relation.from_raw_pairs(
+        "R", random_pairs(np.random.default_rng(5), 300, 40, 30))
+    space = rel.dom_left * rel.dom_right
+    left, right = (g.ravel() for g in np.indices((rel.dom_left,
+                                                   rel.dom_right)))
+    dtypes, answers = [], []
+    for cap in (space, space - 1):
+        monkeypatch.setattr(relation, "_BITMAP_SPACE_CAP", cap)
+        idx = build_indexed(rel)
+        dtypes.append(idx._tuple_table.dtype)
+        answers.append(idx.has_tuples(left, right))
+    assert dtypes == [bool, np.int64]
+    assert (answers[0] == answers[1]).all() and answers[0].sum() == rel.n
 
 
 @pytest.mark.parametrize("dom_left", [0, 3])
