@@ -17,8 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import joinproject
-from .joinproject import OutputSet, StarResourceError, _dedup, two_path_join
+from .joinproject import OutputSet, _dedup, _within_budget, two_path_join
 from .optimizer import ThresholdPlan, estimate_output_size
 from .relation import (
     IndexedRelation,
@@ -26,6 +25,7 @@ from .relation import (
     Relation,
     build_indexed,
     gather_ranges,
+    read_source,
     semi_join_reduce,
 )
 
@@ -124,14 +124,6 @@ def ssj_mmjoin(family: SetFamily, c: int,
         raise ValueError("c must be >= 1")
     return _kept_pairs(family.indexed, family.indexed, c, family.first_seen,
                        plan)
-
-
-def _within_budget(entries: int, what: str) -> None:
-    """StarResourceError if `entries` of `what` are past the join budget."""
-    if entries > joinproject._ENTRY_BUDGET:
-        raise StarResourceError(
-            f"{entries} {what} are over the budget of "
-            f"{joinproject._ENTRY_BUDGET}")
 
 
 def _overlaps(p: IndexedRelation, ps: np.ndarray, q: IndexedRelation,
@@ -411,21 +403,29 @@ class BsiWorkload:
     @classmethod
     def from_file(cls, source, rate: float) -> "BsiWorkload":
         """Parse `a b arrival_micros` lines; `#` comments and blank lines
-        are skipped. A malformed line raises ParseError with its number."""
-        queries = []
-        for line_no, line in enumerate(source, start=1):
+        are skipped. A malformed line, or a query that arrives before the
+        one above it, raises ParseError with its number, and the file's
+        path when the source was opened by one (read_source)."""
+        text, path = read_source(source)
+        queries, last = [], -math.inf
+        for line_no, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
             if len(toks) != 3:
-                raise ParseError(line_no, f"expected 3 tokens, got {len(toks)}")
+                raise ParseError(line_no,
+                                 f"expected 3 tokens, got {len(toks)}", path)
             a, b, micros = toks
             try:
                 arrival = int(micros)
             except ValueError:
                 raise ParseError(line_no, f"arrival time {micros!r} is not "
-                                          "an integer") from None
+                                          "an integer", path) from None
+            if arrival < last:
+                raise ParseError(line_no, f"arrival time {arrival} is before "
+                                          f"the previous query's {last}", path)
+            last = arrival
             queries.append((a, b, arrival / 1e6))
         return cls(queries, rate)
 

@@ -51,11 +51,8 @@ def _load_calibration(path: Optional[str]) -> Optional[matmul.CalibrationTable]:
 
 
 def _read_relation(path: str, name: str) -> Relation:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return parse_edge_list(f, name=name)
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    with open(path, encoding="utf-8") as f:
+        return parse_edge_list(f, name=name)
 
 
 def _read_relations(paths: list, names: list) -> list:
@@ -230,25 +227,6 @@ def _echo(text: str) -> None:
     click.echo(text, color=True)
 
 
-def _calibration_table(path: Optional[str]):
-    """_load_calibration with a missing or malformed table as a data error."""
-    try:
-        return _load_calibration(path)
-    except (OSError, matmul.CalibrationError) as exc:
-        raise click.ClickException(str(exc))
-
-
-def _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration):
-    if delta1 is not None:
-        return optimizer.ThresholdPlan(optimizer.PARTITIONED, delta1, delta2)
-    if not auto_plan:
-        return None
-    table = _calibration_table(calibration)
-    if table is None:
-        return optimizer.default_plan(ridx, sidx)
-    return optimizer.optimize_thresholds(ridx, sidx, table)
-
-
 def _probe_dims(ctx, param, value):
     """--dims as a list of integers >= 1."""
     try:
@@ -261,9 +239,39 @@ def _probe_dims(ctx, param, value):
         f"expected comma-separated integers >= 1, got {value!r}")
 
 
-@click.group()
+# what a command raises on bad input or input past the join budget;
+# ValueError covers ParseError, PlanError and UnicodeDecodeError
+_DATA_ERRORS = (OSError, ValueError, csv.Error,
+                joinproject.StarResourceError, matmul.CalibrationError,
+                matmul.MatrixOverflowError)
+
+
+class _Commands(click.Group):
+    """The one place where a command's data error (_DATA_ERRORS) becomes a
+    ClickException: one `Error:` line and exit status 1. MemoryError,
+    SystemExit and click's own exceptions (usage errors exit 2) pass."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's main exits quietly when stdout is closed
+        except _DATA_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main():
     """Join-project query engine with count-matrix multiplication."""
+
+
+def _community_graph(nodes, communities, prob, seed) -> Relation:
+    """generate_community_graph after counting against the join budget a
+    bound and up to ceil(nodes / communities)^2 edge draws per community."""
+    m = -(-nodes // communities)
+    joinproject._within_budget(communities * (1 + m * m),
+                               "community bounds and edge draws")
+    return generate_community_graph(nodes, communities, prob, seed)
 
 
 @main.command("gen")
@@ -290,7 +298,7 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
     click.echo(f"seed={seed}")
     lines = []
     if kind == "community":
-        rel = generate_community_graph(nodes, communities, prob, seed)
+        rel = _community_graph(nodes, communities, prob, seed)
         lines = [f"{a} {b}" for a, b in rel.raw_pairs()]
     else:
         rng = np.random.default_rng(seed)
@@ -318,13 +326,12 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
     if calibration is not None and not auto_plan:
         raise click.UsageError("--calibration needs --auto-plan")
     (r, s), (ridx, sidx) = _aligned_indexes([left, right], ["R", "S"])
-    plan = _resolve_plan(ridx, sidx, delta1, delta2, auto_plan, calibration)
-    try:
-        res = joinproject.two_path_join(ridx, sidx, plan=plan,
-                                        want_counts=counts)
-    except (optimizer.PlanError, ValueError,
-            joinproject.StarResourceError) as exc:
-        raise click.ClickException(str(exc))
+    plan = None  # the default plan, also --auto-plan's without a table
+    if delta1 is not None:
+        plan = optimizer.ThresholdPlan(optimizer.PARTITIONED, delta1, delta2)
+    elif auto_plan and (table := _load_calibration(calibration)) is not None:
+        plan = optimizer.optimize_thresholds(ridx, sidx, table)
+    res = joinproject.two_path_join(ridx, sidx, plan=plan, want_counts=counts)
     _echo(_result_lines(res, [r.left_values, s.left_values], counts))
 
 
@@ -342,15 +349,8 @@ def cmd_star(inputs, delta1, delta2, counts):
         raise click.UsageError("star takes 2 to 4 --input files")
     rels, idxs = _aligned_indexes(inputs,
                                   [f"R{i}" for i in range(len(inputs))])
-    try:
-        res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
-    except (ValueError, joinproject.StarResourceError) as exc:
-        raise click.ClickException(str(exc))
+    res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
     _echo(_result_lines(res, [rel.left_values for rel in rels], counts))
-
-
-def _read_family(path: str) -> apps.SetFamily:
-    return apps.SetFamily(_read_relation(path, "sets"))
 
 
 @main.command("ssj")
@@ -362,7 +362,7 @@ def _read_family(path: str) -> apps.SetFamily:
               default="mmjoin", show_default=True)
 def cmd_ssj(sets_path, threshold, method):
     """Set-similarity join; emits sorted `a b [count]` lines."""
-    fam = _read_family(sets_path)
+    fam = apps.SetFamily(_read_relation(sets_path, "sets"))
     order = None
     try:
         if method == "sizeaware":
@@ -382,8 +382,6 @@ def cmd_ssj(sets_path, threshold, method):
             f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
             "--method sizeaware; run --method sizeaware-pp or "
             "--method mmjoin instead")
-    except (ValueError, joinproject.StarResourceError) as exc:
-        raise click.ClickException(str(exc))
     values = fam.relation.left_values
     _echo(_result_lines(res, [values, values], res.counts is not None, order))
 
@@ -392,11 +390,8 @@ def cmd_ssj(sets_path, threshold, method):
 @click.option("--sets", "sets_path", required=True, type=click.Path(exists=True))
 def cmd_scj(sets_path):
     """Set-containment join; emits sorted `small big` lines."""
-    fam = _read_family(sets_path)
-    try:
-        res = apps.scj_join_project(fam)
-    except joinproject.StarResourceError as exc:
-        raise click.ClickException(str(exc))
+    fam = apps.SetFamily(_read_relation(sets_path, "sets"))
+    res = apps.scj_join_project(fam)
     values = fam.relation.left_values
     _echo(_result_lines(res, [values, values], False))
 
@@ -414,11 +409,8 @@ def cmd_bsi(left, right, workload, rate, batch_size):
     if math.isnan(rate):  # passes every range check
         raise click.BadParameter("nan is not a rate", param_hint="'--rate'")
     (rr, sr), (r, s) = _aligned_indexes([left, right], ["R", "S"])
-    try:
-        with open(workload, encoding="utf-8") as f:
-            wl = apps.BsiWorkload.from_file(f, rate)
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    with open(workload, encoding="utf-8") as f:
+        wl = apps.BsiWorkload.from_file(f, rate)
     # N is the size of the relations as read, before the semi-join
     c = batch_size or apps.bsi_batch_size(rate, max(rr.n, sr.n, 1))
     click.echo(f"batch_size={c}")
@@ -428,10 +420,7 @@ def cmd_bsi(left, right, workload, rate, batch_size):
         apps.bsi_answer_batch(r, s, batch)
         return (time.perf_counter_ns() - t0) / 1e9
 
-    try:
-        sim = apps.bsi_simulate(wl, c, cost)
-    except joinproject.StarResourceError as exc:
-        raise click.ClickException(str(exc))
+    sim = apps.bsi_simulate(wl, c, cost)
     click.echo(f"average_delay_s={sim.average_delay:.6f}")
     click.echo(f"implied_units={sim.implied_units:.3f}")
     click.echo(f"batches={sim.batches}")
@@ -447,18 +436,9 @@ def cmd_calibrate(dims, seed, out):
     """Measure the multiply cost table and write calibration.tsv."""
     click.echo(f"seed={seed}")
     out = out or os.environ.get(CALIBRATION_ENV) or "calibration.tsv"
-    try:
-        table = matmul.calibrate(dims, seed=seed)
-        table.save(out)
-    except (OSError, matmul.CalibrationError) as exc:
-        raise click.ClickException(str(exc))
+    table = matmul.calibrate(dims, seed=seed)
+    table.save(out)
     click.echo(f"wrote {len(table)} entries to {out}")
-
-
-def _community_for_edges(target_edges: int, prob: float = 0.9,
-                         communities: int = 3) -> int:
-    per = target_edges / communities / prob
-    return max(communities, communities * math.ceil(math.sqrt(per)))
 
 
 @main.command("bench")
@@ -477,11 +457,11 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     if math.isnan(n_edges):  # passes every range check
         raise click.BadParameter("nan is not a size", param_hint="'--n'")
     click.echo(f"seed={seed}")
-    nodes = _community_for_edges(int(n_edges))
-    rel = generate_community_graph(nodes, 3, 0.9, seed)
-    idx = build_indexed(rel)
+    # three communities of edge probability 0.9 with about n edges
+    nodes = max(3, 3 * math.ceil(math.sqrt(int(n_edges) / 3 / 0.9)))
+    idx = build_indexed(_community_graph(nodes, 3, 0.9, seed))
     # the mmjoin row runs the cheapest plan with a heavy part
-    use = optimizer.price_two_path(idx, idx, _calibration_table(calibration)
+    use = optimizer.price_two_path(idx, idx, _load_calibration(calibration)
                                    ).plan(partitioned=True)
     records = []
     for method in methods.split(","):
@@ -495,10 +475,7 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
             strat = optimizer.FULL_JOIN
         else:
             raise click.ClickException(f"unknown method {method!r}")
-        try:
-            res, nanos = _timed(join)
-        except joinproject.StarResourceError as exc:
-            raise click.ClickException(str(exc))
+        res, nanos = _timed(join)
         records.append([dataset, query, method, nanos, len(res), d1, d2, strat])
     sizes = {r[4] for r in records}
     if len(sizes) > 1:
@@ -514,12 +491,9 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
 @click.option("--csv", "csv_path", required=True, type=click.Path(exists=True))
 def cmd_report(csv_path):
     """Summarize a bench CSV as fulljoin/mmjoin speedup ratios."""
-    try:
-        with open(csv_path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:
-        raise click.ClickException(str(exc))
+    with open(csv_path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         click.echo("no records")
         return

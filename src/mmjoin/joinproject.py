@@ -336,6 +336,13 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int],
 _ENTRY_BUDGET = 1 << 28
 
 
+def _within_budget(entries: int, what: str) -> None:
+    """StarResourceError if `entries` of `what` are past the join budget."""
+    if entries > _ENTRY_BUDGET:
+        raise StarResourceError(
+            f"{entries} {what} are over the budget of {_ENTRY_BUDGET}")
+
+
 def _runs(values: np.ndarray, lens: np.ndarray):
     """`values` cut into consecutive runs of lengths `lens`, as (values,
     starts, ends) with the bounds as Python lists."""
@@ -388,10 +395,8 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
                          comp)
     n_light = int(planned.light[0, 0])
     n_heavy = int(planned.heavy_entries[0, 0])
-    if n_light + n_heavy > _ENTRY_BUDGET:
-        raise StarResourceError(
-            f"the join needs {n_light} light codes and {n_heavy} heavy "
-            f"matrix entries, over the budget of {_ENTRY_BUDGET}")
+    _within_budget(n_light + n_heavy, f"light codes and heavy matrix "
+                   f"entries ({n_light} + {n_heavy})")
 
     sizes = sizes.astype(np.int64)
     pos_j, pos_y = np.nonzero(sizes)

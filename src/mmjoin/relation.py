@@ -15,9 +15,27 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    def __init__(self, line_no: int, msg: str):
-        super().__init__(f"line {line_no}: {msg}")
+    """A bad input line: `{path}, line N: ...`, or `line N: ...` unnamed."""
+
+    def __init__(self, line_no: int, msg: str, path: Optional[str] = None):
+        where = f"line {line_no}: {msg}"
+        super().__init__(where if path is None else f"{path}, {where}")
         self.line_no = line_no
+
+
+def read_source(source: TextIO) -> tuple[str, Optional[str]]:
+    """(text, path): all of `source`, and the path it was opened by, if any.
+    Bytes the encoding cannot decode raise ParseError at their line."""
+    path = getattr(source, "name", None)
+    path = path if isinstance(path, str) else None
+    try:
+        return source.read(), path
+    except UnicodeDecodeError as exc:
+        # read() decodes all bytes at once; "\r\n", "\r" and "\n" end lines
+        head = exc.object[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(line + 1, f"byte 0x{exc.object[exc.start]:02x} is "
+                         f"not {exc.encoding} ({exc.reason})", path) from None
 
 
 class Relation:
@@ -160,12 +178,12 @@ def _code_points(text: str) -> np.ndarray:
                          dtype=np.uint32)
 
 
-def _edge_tokens(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                              Optional[np.ndarray]]:
+def _edge_tokens(codes: np.ndarray, path: Optional[str]
+                 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(starts, ends, keep): the code point spans of the `str.split()`
     tokens, in order, and the mask of those on two-token lines (None when
     no line is a `#` comment); blank lines have no tokens, and any other
-    line without two tokens raises ParseError.
+    line without two tokens raises ParseError, naming `path`.
 
     Tokens start and end where the word mask changes. The code points that
     start a token or are a "\\n", kept in text order, give each line's
@@ -192,7 +210,8 @@ def _edge_tokens(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     bad = ~comment & (per_line != 2) & (per_line != 0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ParseError(i + 1, f"expected 2 tokens, got {int(per_line[i])}")
+        raise ParseError(i + 1, f"expected 2 tokens, got {int(per_line[i])}",
+                         path)
     keep = np.repeat(~comment, per_line) if comment.any() else None
     return starts, ends, keep
 
@@ -279,18 +298,19 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
     the pairs come deduplicated and sorted by (left, right); `left_first`
     ranks the left values by first appearance in the file.
 
-    The whole source is read at once. Lines are split on "\\n" only, as
-    iterating a text file does (str.splitlines would also split on form
-    feeds and other separators inside a line), and tokens on `str.split()`
-    whitespace. The text is read as one array of code points, one byte each
-    when it is ASCII, and each token becomes an integer key. The only
-    strings made are one slice per distinct value of each column, unless
-    some token is too long for a packed key: then `str.split()` makes one
-    per token, as it would without the keys.
+    The whole source is read at once (read_source), and a bad line's
+    ParseError names the file it was opened from. Lines are split on "\\n"
+    only, as iterating a text file does (str.splitlines would also split on
+    form feeds and other separators inside a line), and tokens on
+    `str.split()` whitespace. The text is read as one array of code points,
+    one byte each when it is ASCII, and each token becomes an integer key.
+    The only strings made are one slice per distinct value of each column,
+    unless some token is too long for a packed key: then `str.split()` makes
+    one per token, as it would without the keys.
     """
-    text = source.read()
+    text, path = read_source(source)
     codes = _code_points(text)
-    starts, ends, keep = _edge_tokens(codes)
+    starts, ends, keep = _edge_tokens(codes, path)
     keys, long = _token_keys(text, codes, starts, ends)
     del codes
     if keep is not None:

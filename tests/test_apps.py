@@ -25,7 +25,12 @@ from conftest import (
 from mmjoin import apps, cli, joinproject
 from mmjoin.joinproject import StarResourceError, two_path_join
 from mmjoin.optimizer import PARTITIONED, ThresholdPlan
-from mmjoin.relation import Relation, build_indexed, semi_join_reduce
+from mmjoin.relation import (
+    ParseError,
+    Relation,
+    build_indexed,
+    semi_join_reduce,
+)
 
 _FAMILIES = st.dictionaries(
     st.sampled_from([f"s{i}" for i in range(12)]),
@@ -464,6 +469,18 @@ def test_bsi_workload_validation():
         apps.BsiWorkload([("a", "b", 2.0), ("a", "b", 1.0)], rate=10)
     wl = uniform_workload([("a", "b")] * 5, rate=10)
     assert [t for _, _, t in wl.queries] == [i / 10 for i in range(5)]
+
+
+def test_bsi_workload_from_file_rejects_earlier_arrivals(tmp_path):
+    """The first line that arrives before the query above it is named, past
+    comments and blank lines, with the file's path."""
+    path = tmp_path / "wl.txt"
+    path.write_text("a b 5\na b 5\n# c\n\na b 4\na b 1\n")
+    with open(path, encoding="utf-8") as f, \
+            pytest.raises(ParseError) as exc:
+        apps.BsiWorkload.from_file(f, rate=10.0)
+    assert exc.value.line_no == 5
+    assert str(exc.value).startswith(f"{path}, line 5: arrival time 4")
 
 
 def test_bsi_simulate_uniform_identity():

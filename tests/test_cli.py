@@ -170,15 +170,44 @@ def test_sizeaware_over_budget_is_a_one_line_data_error(tmp_path, runner,
 
 
 def test_bench_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
-    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
+    # the graph's 11,166 bounds and draws fit; both joins need more
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 20000)
     out = tmp_path / "out.csv"
     for methods in ("mmjoin,fulljoin", "fulljoin"):
         res = runner.invoke(main, ["bench", "twopath", "--n", "1e4",
                                    "--methods", methods, "--csv", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert "Error:" in res.output and "budget of 10" in res.output
+        assert "Error:" in res.output and "budget of 20000" in res.output
+        assert "matrix entries" in res.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["gen", "--kind", "community", "--nodes", "30", "--out", "{out}"], 303),
+    (["bench", "twopath", "--n", "1e4", "--csv", "{out}"], 11166),
+])
+def test_graph_past_the_budget_is_refused_before_it_is_drawn(
+        tmp_path, runner, monkeypatch, argv, draws):
+    """Three communities of m nodes take 3 * (1 + m^2) bounds and draws,
+    counted against the budget before the generator allocates any."""
+    out = str(tmp_path / "out")
+    argv = [arg.format(out=out) for arg in argv]
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", draws - 1)
+    # a generator call past the check would raise TypeError, no SystemExit
+    monkeypatch.setattr(cli, "generate_community_graph", None)
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = [line for line in res.output.splitlines()
+              if line.startswith("Error:")]
+    assert line == (f"Error: {draws} community bounds and edge draws are "
+                    f"over the budget of {draws - 1}")
+    assert not (tmp_path / "out").exists()
+    # at the bound the graph is drawn (bench's join is then past it)
+    monkeypatch.undo()
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", draws)
+    assert "edge draws" not in runner.invoke(main, argv).output
 
 
 def test_ids_with_escape_sequences_print_unchanged(tmp_path, runner):
@@ -847,6 +876,98 @@ def test_bsi_workload_data_error_exit_code(tmp_path, runner, bad_line):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "line 3" in res.output
+
+
+def _data_error_case(tmp_path, case):
+    """(argv, message) of one data error of a command."""
+    ok, missing = tmp_path / "ok.txt", tmp_path / "missing"
+    ok.write_text("1 2\n3 2\n")
+    bad, bad8 = tmp_path / "bad.txt", tmp_path / "bad8.txt"
+    bad.write_text("1 2\n1 2 3\n")
+    bad8.write_bytes(b"1 2\n3 \xff\n")
+    wl = tmp_path / "wl.txt"
+    wl.write_text("1 3 5\n# arrivals in micros\n1 3 2\n")
+    bad_csv = tmp_path / "bench.csv"
+    bad_csv.write_bytes(",".join(CSV_HEADER).encode() + b"\ncommunity,\xff\n")
+    return {
+        "gen": (["gen", "--kind", "sets", "--out", f"{missing}/x.txt"],
+                "No such file or directory"),
+        "gen-community": (["gen", "--kind", "community", "--nodes", "30",
+                           "--out", f"{missing}/x.txt"],
+                          "No such file or directory"),
+        "bench": (["bench", "twopath", "--n", "1000",
+                   "--csv", f"{missing}/o.csv"], "No such file or directory"),
+        "report": (["report", "--csv", str(bad_csv)], "decode"),
+        "calibrate": (["calibrate", "--dims", "16",
+                       "--out", f"{missing}/cal.tsv"], f"{missing}/cal.tsv"),
+        "twopath": (["twopath", "--left", str(ok), "--right", str(bad)],
+                    f"{bad}, line 2: expected 2 tokens, got 3"),
+        "twopath-utf8": (["twopath", "--left", str(ok), "--right", str(bad8)],
+                         f"{bad8}, line 2: byte 0xff is not utf-8"),
+        "star": (["star", "--input", str(ok), "--input", str(bad8)],
+                 f"{bad8}, line 2: byte 0xff"),
+        "ssj": (["ssj", "--sets", str(bad)], f"{bad}, line 2: expected 2"),
+        "scj": (["scj", "--sets", str(bad8)], f"{bad8}, line 2: byte"),
+        "bsi": (["bsi", "--left", str(ok), "--right", str(ok), "--workload",
+                 str(wl), "--rate", "10"],
+                f"{wl}, line 3: arrival time 2 is before"),
+        "bsi-left": (["bsi", "--left", str(bad), "--right", str(ok),
+                      "--workload", str(wl), "--rate", "10"],
+                     f"{bad}, line 2: expected 2 tokens"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "gen", "gen-community", "bench", "report", "calibrate", "twopath",
+    "twopath-utf8", "star", "ssj", "scj", "bsi", "bsi-left"])
+def test_data_errors_print_one_error_line(tmp_path, runner, case):
+    """Each command's data errors, the unwritable outputs and the CSV that
+    is not UTF-8 included, exit 1 with one `Error:` line naming the file."""
+    argv, message = _data_error_case(tmp_path, case)
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = [line for line in res.output.splitlines()
+              if line.startswith("Error:")]
+    assert message in line
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["twopath", "--left", "{g}", "--right", "{g}", "--delta1", "2"],
+    ["twopath", "--left", "{g}", "--right", "{g}", "--calibration", "{g}"],
+    ["bsi", "--left", "{g}", "--right", "{g}", "--workload", "{g}",
+     "--rate", "nan"],
+    ["gen", "--kind", "community", "--prob", "nan", "--out", "{g}.out"],
+])
+def test_usage_errors_raised_in_a_command_exit_2(tmp_path, runner, argv):
+    g = tmp_path / "g.txt"
+    g.write_text("1 2\n")
+    res = runner.invoke(main, [arg.format(g=g) for arg in argv])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output
+
+
+def test_the_error_boundary_passes_other_exits(tmp_path, runner,
+                                               monkeypatch):
+    """A MemoryError is not a data error, and `check`'s mismatch exit is
+    its own."""
+    g = tmp_path / "g.txt"
+    g.write_text("1 2\n")
+
+    def out_of_memory(source, name):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_edge_list", out_of_memory)
+    res = runner.invoke(main, ["twopath", "--left", str(g), "--right", str(g)])
+    assert type(res.exception) is MemoryError
+    assert "Error:" not in res.output
+    monkeypatch.setattr(cli, "_oracle_twopath", lambda r, s: set())
+    res = runner.invoke(main, ["check", "twopath", "--n", "150"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "MISMATCH" in res.output and "Error:" not in res.output
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,6 +45,24 @@ def test_parse_edge_list_errors():
         parse_edge_list(io.StringIO("a b c\n"))
 
 
+def test_parse_errors_name_the_file_they_were_read_from(tmp_path):
+    """A file opened by path is named before the line; bytes that are not
+    UTF-8 are a ParseError at their line, "\\r\\n", "\\r" and "\\n" each
+    ending one."""
+    path = tmp_path / "g.txt"
+    for data, line, what in [(b"a b\nx\n", 2, "expected 2 tokens, got 1"),
+                             (b"a b\r\nc d\re \xff\n", 3, "byte 0xff is not"),
+                             (b"\xfe b\n", 1, "byte 0xfe is not")]:
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as f, \
+                pytest.raises(ParseError) as exc:
+            parse_edge_list(f)
+        assert exc.value.line_no == line
+        assert str(exc.value).startswith(f"{path}, line {line}: {what}")
+    with pytest.raises(ParseError, match="^line 2: "):
+        parse_edge_list(io.StringIO("a b\nx\n"))
+
+
 def _typed(values):
     return [(type(v), v) for v in values]
 
