@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -21,6 +22,7 @@ from .relation import (
     build_indexes,
     generate_community_graph,
     parse_edge_list,
+    read_source,
     semi_join_reduce_many,
 )
 
@@ -456,13 +458,31 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     """Benchmark methods on a synthetic dataset; emits CSV rows."""
     if math.isnan(n_edges):  # passes every range check
         raise click.BadParameter("nan is not a size", param_hint="'--n'")
-    click.echo(f"seed={seed}")
+    # opened first, so an unwritable path fails before any work; a run
+    # that fails later leaves no file there
+    f = open(csv_path, "w", newline="", encoding="utf-8")
+    try:
+        with f:
+            click.echo(f"seed={seed}")
+            records = _bench_records(query, dataset, n_edges, methods, seed,
+                                     _load_calibration(calibration))
+            w = csv.writer(f)
+            w.writerow(CSV_HEADER)
+            w.writerows(records)
+    except BaseException:
+        os.remove(csv_path)
+        raise
+    click.echo(f"wrote {len(records)} records to {csv_path}")
+
+
+def _bench_records(query, dataset, n_edges, methods, seed, table) -> list:
+    """One CSV_HEADER row per method of `methods` (comma-separated), each
+    timed on the community graph of about `n_edges` edges."""
     # three communities of edge probability 0.9 with about n edges
     nodes = max(3, 3 * math.ceil(math.sqrt(int(n_edges) / 3 / 0.9)))
     idx = build_indexed(_community_graph(nodes, 3, 0.9, seed))
     # the mmjoin row runs the cheapest plan with a heavy part
-    use = optimizer.price_two_path(idx, idx, _load_calibration(calibration)
-                                   ).plan(partitioned=True)
+    use = optimizer.price_two_path(idx, idx, table).plan(partitioned=True)
     records = []
     for method in methods.split(","):
         if method == "mmjoin":
@@ -480,11 +500,7 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     sizes = {r[4] for r in records}
     if len(sizes) > 1:
         raise click.ClickException(f"output sizes disagree across methods: {sizes}")
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        w.writerows(records)
-    click.echo(f"wrote {len(records)} records to {csv_path}")
+    return records
 
 
 @main.command("report")
@@ -492,8 +508,9 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
 def cmd_report(csv_path):
     """Summarize a bench CSV as fulljoin/mmjoin speedup ratios."""
     with open(csv_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        rows = [(reader.line_num, row) for row in reader]
+        text, _ = read_source(f)  # names the file and line of a bad byte
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    rows = [(reader.line_num, row) for row in reader]
     if not rows:
         click.echo("no records")
         return

@@ -11,7 +11,9 @@ import numpy as np
 from .core import CountMatrix, multiply_counts
 
 FORMAT_VERSION = "mmjoin-calibration v1"
-DEFAULT_PROBE_DIMS = (128, 256, 512)
+# the sizes of the products the split multiplies (see calibrate); 32 and 64
+# price the small ones, whose fixed part dominates
+DEFAULT_PROBE_DIMS = (32, 64, 128, 256)
 
 
 class CalibrationError(RuntimeError):
@@ -77,17 +79,20 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
               seed: int = 0) -> CalibrationTable:
     """Time multiply_counts on random 0/1 square matrices per probe dim.
 
-    The probes are uint8, the format the join operators pass, so the table
-    times the multiply path those operators take. Matrices are deterministic
-    per seed; the recorded time is the median of three repetitions, then
-    regularized to be monotone in p.
+    The default dims are the sizes of the products the two-path split
+    multiplies, one per witness component (32 to 256 a side); a product
+    wider than the largest probe is priced by it, scaled by volume
+    (estimate_runtime). The probes are drawn as uint8, the format the join
+    operators pass, so the table times the multiply path those operators
+    take. Matrices are deterministic per seed; the recorded time is the
+    median of three repetitions, then regularized to be monotone in p.
     """
     table = CalibrationTable()
     for p in probe_dims:
         rng = np.random.default_rng(seed + p)
         try:
-            a = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
-            b = CountMatrix((rng.random((p, p)) < 0.5).astype(np.uint8))
+            a, b = (CountMatrix(rng.integers(0, 2, (p, p), dtype=np.uint8))
+                    for _ in range(2))
         except MemoryError as exc:
             raise CalibrationError(f"cannot allocate {p}x{p} probes") from exc
         samples = []

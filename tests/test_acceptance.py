@@ -227,7 +227,7 @@ def test_criterion_07_estimator():
 @criterion(8, "planner within 1.5x of a 50 x 50 threshold grid, 20 graphs",
            300.0)
 def test_criterion_08_optimizer_quality():
-    table = calibrate([64, 128, 256], seed=0)
+    table = calibrate(seed=0)  # the default probes
     configs = [(300, 3, 0.5), (360, 4, 0.6), (420, 3, 0.35), (500, 5, 0.7),
                (600, 6, 0.45), (700, 7, 0.55), (800, 8, 0.4)]
     instances = [(nodes, k, p, seed)

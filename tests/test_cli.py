@@ -800,6 +800,23 @@ def test_bench_and_report(tmp_path, runner):
     assert "speedup=" in res.output
 
 
+def test_bench_checks_its_csv_before_any_work(tmp_path, runner,
+                                              monkeypatch):
+    """An unwritable --csv fails before the graph is built."""
+    def build(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "_community_graph", build)
+    out = tmp_path / "missing" / "o.csv"
+    res = runner.invoke(main, ["bench", "twopath", "--n", "1000",
+                               "--csv", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    [line] = [line for line in res.output.splitlines()
+              if line.startswith("Error:")]
+    assert str(out) in line
+
+
 def test_report_empty_csv(tmp_path, runner):
     empty = tmp_path / "empty.csv"
     empty.write_text(",".join(CSV_HEADER) + "\n")
@@ -897,7 +914,8 @@ def _data_error_case(tmp_path, case):
                           "No such file or directory"),
         "bench": (["bench", "twopath", "--n", "1000",
                    "--csv", f"{missing}/o.csv"], "No such file or directory"),
-        "report": (["report", "--csv", str(bad_csv)], "decode"),
+        "report": (["report", "--csv", str(bad_csv)],
+                   f"{bad_csv}, line 2: byte 0xff is not utf-8"),
         "calibrate": (["calibrate", "--dims", "16",
                        "--out", f"{missing}/cal.tsv"], f"{missing}/cal.tsv"),
         "twopath": (["twopath", "--left", str(ok), "--right", str(bad)],

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import triple_loop_matmul
 from mmjoin.matmul import (
+    DEFAULT_PROBE_DIMS,
     CalibrationError,
     CalibrationTable,
     CountMatrix,
     MatrixOverflowError,
     calibrate,
+    calibration,
     estimate_runtime,
     multiply_counts,
 )
@@ -123,6 +125,30 @@ def test_calibration_roundtrip(tmp_path):
     assert text.startswith("# mmjoin-calibration v1\n")
     loaded = CalibrationTable.load(path)
     assert loaded.entries == table.entries
+
+
+def test_calibrate_times_the_default_probes_as_uint8_0_1_squares(
+        monkeypatch):
+    """calibrate() times one p x p uint8 0/1 product per default probe dim
+    p, through multiply_counts, and its table is monotone in p."""
+    seen = []
+
+    def checked(a, b):
+        for m in (a, b):
+            assert m.data.dtype == np.uint8
+            assert m.data.shape == (a.rows, a.rows)
+            assert m.data.max() <= 1
+        seen.append(a.rows)
+        return multiply_counts(a, b)
+
+    monkeypatch.setattr(calibration, "multiply_counts", checked)
+    table = calibrate()
+    assert sorted(set(seen)) == sorted(DEFAULT_PROBE_DIMS)
+    assert list(table.entries) == list(DEFAULT_PROBE_DIMS)
+    nanos = [table.entries[p] for p in DEFAULT_PROBE_DIMS]
+    table.regularize()
+    assert [table.entries[p] for p in DEFAULT_PROBE_DIMS] == nanos
+    assert nanos == sorted(nanos)
 
 
 def test_calibration_load_rejects_garbage(tmp_path):

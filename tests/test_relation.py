@@ -321,6 +321,33 @@ def test_has_tuples_searches_past_the_bitmap_cap(monkeypatch):
     assert (answers[0] == answers[1]).all() and answers[0].sum() == rel.n
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9)),
+                min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(0, 15), st.integers(0, 12)),
+                max_size=60))
+def test_has_tuples_of_unsorted_repeated_probes_matches_set_membership(
+        pairs, probes):
+    """Probes in any order, repeats included, answer what membership in the
+    set of tuples answers, on the bitmap and on the sorted codes (the cap
+    patched below the space, as above)."""
+    rel = Relation.from_raw_pairs("R", pairs)
+    tuples = set(map(tuple, rel.pairs.tolist()))
+    # probes over the domains, each drawn pair folded in, both orders
+    probes = [(a % rel.dom_left, b % rel.dom_right) for a, b in probes]
+    probes += probes[::-1]
+    left = np.array([a for a, _ in probes], dtype=np.int64)
+    right = np.array([b for _, b in probes], dtype=np.int64)
+    want = [probe in tuples for probe in probes]
+    space = rel.dom_left * rel.dom_right
+    for cap, table in ((space, bool), (space - 1, np.int64)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relation, "_BITMAP_SPACE_CAP", cap)
+            idx = build_indexed(rel)
+            assert idx._tuple_table.dtype == table
+            assert idx.has_tuples(left, right).tolist() == want
+
+
 @pytest.mark.parametrize("dom_left", [0, 3])
 def test_has_tuples_of_a_relation_without_tuples(dom_left):
     rel = Relation("R", np.empty((0, 2), dtype=np.int64),
