@@ -458,20 +458,22 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     """Benchmark methods on a synthetic dataset; emits CSV rows."""
     if math.isnan(n_edges):  # passes every range check
         raise click.BadParameter("nan is not a size", param_hint="'--n'")
-    # opened first, so an unwritable path fails before any work; a run
-    # that fails later leaves no file there
-    f = open(csv_path, "w", newline="", encoding="utf-8")
+    # an unwritable path fails here, before any work; a run that fails
+    # later leaves the path as it was (a file it created is removed)
+    existed = os.path.lexists(csv_path)
+    open(csv_path, "a").close()
     try:
-        with f:
-            click.echo(f"seed={seed}")
-            records = _bench_records(query, dataset, n_edges, methods, seed,
-                                     _load_calibration(calibration))
-            w = csv.writer(f)
-            w.writerow(CSV_HEADER)
-            w.writerows(records)
+        click.echo(f"seed={seed}")
+        records = _bench_records(query, dataset, n_edges, methods, seed,
+                                 _load_calibration(calibration))
     except BaseException:
-        os.remove(csv_path)
+        if not existed:
+            os.remove(csv_path)
         raise
+    with open(csv_path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(CSV_HEADER)
+        w.writerows(records)
     click.echo(f"wrote {len(records)} records to {csv_path}")
 
 

@@ -802,19 +802,25 @@ def test_bench_and_report(tmp_path, runner):
 
 def test_bench_checks_its_csv_before_any_work(tmp_path, runner,
                                               monkeypatch):
-    """An unwritable --csv fails before the graph is built."""
+    """An unwritable --csv fails before the graph is built, and a run that
+    fails after the check leaves a CSV that was there as it was."""
     def build(*args):
-        raise AssertionError("the graph was built")
+        raise ValueError("the graph was built")
 
     monkeypatch.setattr(cli, "_community_graph", build)
-    out = tmp_path / "missing" / "o.csv"
-    res = runner.invoke(main, ["bench", "twopath", "--n", "1000",
-                               "--csv", str(out)])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)
-    [line] = [line for line in res.output.splitlines()
-              if line.startswith("Error:")]
-    assert str(out) in line
+    old = tmp_path / "old.csv"
+    old.write_text("earlier rows\n")
+    missing = tmp_path / "missing" / "o.csv"
+    for out, message in ((missing, f"No such file or directory: '{missing}'"),
+                         (old, "the graph was built")):
+        res = runner.invoke(main, ["bench", "twopath", "--n", "1000",
+                                   "--csv", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        [line] = [line for line in res.output.splitlines()
+                  if line.startswith("Error:")]
+        assert message in line
+    assert old.read_text() == "earlier rows\n"
 
 
 def test_report_empty_csv(tmp_path, runner):
