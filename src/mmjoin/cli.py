@@ -461,7 +461,7 @@ def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
     # an unwritable path fails here, before any work; a run that fails
     # later leaves the path as it was (a file it created is removed)
     existed = os.path.lexists(csv_path)
-    open(csv_path, "a").close()
+    open(csv_path, "a", encoding="utf-8").close()
     try:
         click.echo(f"seed={seed}")
         records = _bench_records(query, dataset, n_edges, methods, seed,
