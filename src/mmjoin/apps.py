@@ -3,8 +3,8 @@ the set-containment join and batched boolean set intersection by membership
 probes.
 
 One overlap probe (_overlaps) counts what pairs of sets share: it verifies
-the containment join's candidates, answers each intersection query from its
-smaller set, and gives SizeAware's heavy sets their overlap with every set."""
+the containment join's candidates and answers each intersection query from
+its smaller set; SizeAware joins its heavy sets as the two-path join does."""
 
 from __future__ import annotations
 
@@ -12,17 +12,19 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .joinproject import OutputSet, _dedup, _within_budget, two_path_join
-from .optimizer import ThresholdPlan, estimate_output_size
+from .joinproject import (_KEY_LIMIT, OutputSet, _dedup, _dense_rank,
+                          _within_budget, two_path_join)
+from .optimizer import FULL_JOIN, ThresholdPlan, estimate_output_size
 from .relation import (
     IndexedRelation,
     ParseError,
     Relation,
+    _key_groups,
     build_indexed,
     gather_ranges,
     read_source,
@@ -30,11 +32,6 @@ from .relation import (
 )
 
 
-class SubsetCapError(RuntimeError):
-    """c-subset enumeration exceeded the configured budget."""
-
-
-DEFAULT_SUBSET_CAP = 10 ** 6
 DEFAULT_PREFIX_DEPTH = 8
 
 
@@ -51,7 +48,7 @@ class SetFamily:
 
     @functools.cached_property
     def sets(self) -> dict:
-        """{set id: its element ids, ascending}, for the size-aware methods."""
+        """{set id: its element ids, ascending}, for SizeAware++'s merge."""
         return {a: self.indexed.fwd(a) for a in range(self.relation.dom_left)}
 
     @classmethod
@@ -61,9 +58,6 @@ class SetFamily:
 
     def __len__(self):
         return self.relation.dom_left
-
-    def size(self, a: int) -> int:
-        return int(self.indexed.left_deg[a])
 
     def first_seen(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Where set a appears before set b in the input, elementwise."""
@@ -96,6 +90,8 @@ def _kept_pairs(r: IndexedRelation, s: IndexedRelation, c: int, rule,
     slower on a 1000-set self-join, whose floor alone passes both
     orientations of every pair.)
     """
+    if c < 1:
+        raise ValueError("c must be >= 1")
     res = two_path_join(r, s, plan=plan, want_counts=True)
     dom_b = res.dims[1]
     if res.buffer is None:
@@ -120,16 +116,14 @@ def ssj_mmjoin(family: SetFamily, c: int,
     """The pairs of sets (a, b) with |a n b| >= c, a appearing before b in
     the input, as _kept_pairs gives them: their exact overlaps are the
     counts."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
     return _kept_pairs(family.indexed, family.indexed, c, family.first_seen,
                        plan)
 
 
 def _overlaps(p: IndexedRelation, ps: np.ndarray, q: IndexedRelation,
               qs: np.ndarray) -> np.ndarray:
-    """|p's set ps[i] n q's set qs[i]|, elementwise, for p and q sharing
-    their right dictionary: each element of ps[i] is probed in qs[i]
+    """|p's set ps[i] n q's set qs[i]|, elementwise, for SCJ and BSI, p and
+    q sharing their right dictionary: each element of ps[i] is probed in qs[i]
     (IndexedRelation.has_tuples), the probes counted against the budget
     before any is allocated."""
     _within_budget(int(p.left_deg[ps].sum()), "membership probes")
@@ -216,37 +210,61 @@ def _heavy_sets(family: SetFamily, c: int) -> np.ndarray:
     return family.indexed.left_deg > get_size_boundary(family, c)
 
 
-def ssj_size_aware(family: SetFamily, c: int,
-                   subset_cap: int = DEFAULT_SUBSET_CAP) -> OutputSet:
-    """Size-aware SSJ: each heavy set's overlap with every set by one
-    overlap probe (_overlaps), light sets through the c-subset inverted
-    index. The pairs are ssj_mmjoin's, without counts."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
+def _heavy_pairs(family: SetFamily, heavy: np.ndarray, c: int,
+                 plan: Optional[ThresholdPlan] = None) -> np.ndarray:
+    """(m, 2) id pairs (a, h), a != h, of the sets sharing at least c
+    elements with a set h where `heavy` holds, joined under `plan`."""
+    return _kept_pairs(family.indexed, _subfamily(family, "heavy", heavy), c,
+                       np.not_equal, plan).tuples()
+
+
+def _light_pairs(family: SetFamily, light: np.ndarray, c: int) -> np.ndarray:
+    """(m, 2) id pairs, either way round, of the `light` sets sharing a
+    c-subset. A table of the c-subsets of range(k) picks each size k's; a
+    subset's elements fold into one key (re-ranked by _dense_rank before it
+    would pass _KEY_LIMIT), one sort groups the keys, np.triu_indices pairs
+    each group. Subsets, then pairs, are budgeted before allocation."""
+    idx, size = family.indexed, family.indexed.left_deg
+    ks, n_k = _dedup(size[light & (size >= c)], want_counts=True)
+    _within_budget(sum(n * math.comb(k, c) for k, n in
+                       zip(ks.tolist(), n_k.tolist())), "c-subsets")
+    subsets, owner = [np.empty((0, c), dtype=np.int64)], [n_k[:0]]
+    for k in ks.tolist():
+        sets = np.flatnonzero(light & (size == k))
+        table = np.fromiter(chain.from_iterable(combinations(range(k), c)),
+                            dtype=np.int64, count=math.comb(k, c) * c)
+        elems = idx.fwd_indices[idx.fwd_indptr[sets, None] + np.arange(k)]
+        subsets.append(np.take(elems, table, axis=1).reshape(-1, c))
+        owner.append(np.repeat(sets, math.comb(k, c)))
+    subsets, owner = np.concatenate(subsets), np.concatenate(owner)
+    dom = idx.rel.dom_right
+    key, space = subsets[:, 0], dom
+    for column in subsets.T[1:]:
+        if space * dom > _KEY_LIMIT:
+            distinct, key = _dense_rank(key, space)
+            space = len(distinct)
+        key, space = key * dom + column, space * dom
+    order, new, _ = _key_groups(key)
+    owner, starts = owner[order], np.flatnonzero(new)
+    lens = np.diff(np.append(starts, len(key)))
+    starts, lens = starts[lens > 1], lens[lens > 1]
+    _within_budget(int((lens * (lens - 1) // 2).sum()), "bucket pairs")
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for length in _dedup(lens).tolist():
+        pairs = np.column_stack(np.triu_indices(length, 1))
+        found.append(owner[starts[lens == length, None, None] + pairs]
+                     .reshape(-1, 2))
+    return np.concatenate(found)
+
+
+def ssj_size_aware(family: SetFamily, c: int) -> OutputSet:
+    """Size-aware SSJ: the heavy sets by their full join with every set, the
+    light sets by their shared c-subsets. The pairs are ssj_mmjoin's,
+    without counts."""
     heavy = _heavy_sets(family, c)
-    idx, n = family.indexed, len(family)
-    # (m, 2) arrays of id pairs, either way round
-    found = []
-    for h in np.flatnonzero(heavy).tolist():
-        r = np.flatnonzero(
-            _overlaps(idx, np.arange(n), idx, np.full(n, h)) >= c)
-        r = r[r != h]
-        found.append(np.column_stack((np.full(len(r), h), r)))
-    inverted: dict = {}
-    generated = 0
-    for r in np.flatnonzero(~heavy).tolist():
-        elems = family.sets[r].tolist()
-        for sub in combinations(elems, c):
-            generated += 1
-            if generated > subset_cap:
-                raise SubsetCapError(
-                    f"more than {subset_cap} c-subsets; raise the cap or "
-                    "route light sets through the matrix path")
-            inverted.setdefault(sub, []).append(r)
-    light = {pair for bucket in inverted.values()
-             for pair in combinations(bucket, 2)}
-    found.append(np.array(list(light), dtype=np.int64).reshape(-1, 2))
-    return _oriented(family, np.concatenate(found))
+    return _oriented(family, np.concatenate((
+        _heavy_pairs(family, heavy, c, ThresholdPlan(FULL_JOIN, 0, 0)),
+        _light_pairs(family, ~heavy, c))))
 
 
 def _merged(state, lst, c):
@@ -314,20 +332,11 @@ def prefix_merge_partners(set_paths: dict, inverted: dict, c: int,
 
 
 def ssj_size_aware_pp(family: SetFamily, c: int) -> tuple[OutputSet, int]:
-    """SizeAware with matrix sub-joins and prefix-tree reuse.
-
-    Returns (pairs, merge op counter), the pairs as ssj_size_aware's.
-    """
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    """SizeAware with matrix sub-joins and prefix-tree reuse: (pairs, merge
+    op counter), the pairs as ssj_size_aware's."""
     heavy = _heavy_sets(family, c)
-    # (m, 2) arrays of id pairs, either way round
-    found = [np.empty((0, 2), dtype=np.int64)]
-    if heavy.any():
-        # join everyone against the heavy sets via the partitioned algorithm
-        found.append(_kept_pairs(
-            family.indexed, _subfamily(family, "heavy", heavy), c,
-            np.not_equal).tuples())
+    # (m, 2) arrays of id pairs, either way round; heavy under a priced plan
+    found = [_heavy_pairs(family, heavy, c)]
 
     ops = 0
     light = np.flatnonzero(~heavy).tolist()
@@ -341,10 +350,8 @@ def ssj_size_aware_pp(family: SetFamily, c: int) -> tuple[OutputSet, int]:
             found.append(_kept_pairs(light_idx, light_idx, c,
                                      np.less).tuples())
         else:
-            inverted: dict = {}
-            for a in light:
-                for e in family.sets[a].tolist():
-                    inverted.setdefault(e, []).append(a)
+            inverted = dict(enumerate(map(np.ndarray.tolist, np.split(
+                light_idx.rev_indices, light_idx.rev_indptr[1:-1]))))
             partners, ops = prefix_merge_partners(
                 {a: family.sets[a].tolist() for a in light}, inverted, c)
             found.append(np.array([(a, b) for a, ps in partners.items()
@@ -441,24 +448,22 @@ def bsi_simulate(workload: BsiWorkload, batch_size: int,
                  per_batch_cost: Callable[[list], float]) -> BsiSimResult:
     """Virtual-clock batching simulator.
 
-    A batch fills when its last query arrives (or the workload ends); each
-    query's delay is (fill time - arrival) + the modeled processing time.
+    A batch fills when its last query arrives (or the workload ends) and
+    starts then or, in a backlog, when the batch before it completes; each
+    query's delay is its batch's completion time minus its arrival.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     queries = workload.queries
-    total_delay = 0.0
-    batches = 0
-    total_proc = 0.0
-    for start in range(0, len(queries), batch_size):
+    starts = range(0, len(queries), batch_size)
+    total_delay = total_proc = 0.0
+    done = -math.inf
+    for start in starts:
         batch = queries[start:start + batch_size]
-        fill = batch[-1][2]
         proc = float(per_batch_cost([(a, b) for a, b, _ in batch]))
         total_proc += proc
-        batches += 1
-        for _, _, t in batch:
-            total_delay += (fill - t) + proc
-    n = max(len(queries), 1)
-    avg_proc = total_proc / max(batches, 1)
-    implied = workload.rate * avg_proc / batch_size
-    return BsiSimResult(total_delay / n, implied, batches)
+        done = max(batch[-1][2], done) + proc
+        total_delay += sum(done - t for _, _, t in batch)
+    implied = workload.rate * total_proc / max(len(starts), 1) / batch_size
+    return BsiSimResult(total_delay / max(len(queries), 1), implied,
+                        len(starts))

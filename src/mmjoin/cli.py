@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import apps, joinproject, matmul, optimizer
+from .joinproject import _KEY_LIMIT, _dense_rank
 from .relation import (
     Relation,
     build_indexed,
@@ -75,28 +76,6 @@ def _aligned_indexes(paths: list, names: list) -> tuple[list, list]:
     left ids and dictionaries they were read with."""
     read = _read_relations(paths, names)
     return read, build_indexes(semi_join_reduce_many(read))
-
-
-# combined suffix keys stay below this; past it the key so far is re-ranked
-_KEY_LIMIT = 2 ** 63
-
-# a key space at most this many times the keys is ranked with a bitmap over
-# the whole space; a larger one with a sort (np.unique)
-_BITMAP_SPACE_PER_KEY = 4
-
-
-def _dense_rank(keys: np.ndarray, space: int):
-    """The distinct `keys` (all in [0, space)) ascending, and each key's
-    position among them."""
-    if space > _BITMAP_SPACE_PER_KEY * len(keys):
-        return np.unique(keys, return_inverse=True)
-    seen = np.zeros(space, dtype=bool)
-    seen[keys] = True
-    distinct = np.flatnonzero(seen)
-    # each distinct key's rank, written at the key's place in the space
-    rank = np.empty(space, dtype=np.int64)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, rank[keys]
 
 
 def _names(texts: list):
@@ -366,24 +345,18 @@ def cmd_ssj(sets_path, threshold, method):
     """Set-similarity join; emits sorted `a b [count]` lines."""
     fam = apps.SetFamily(_read_relation(sets_path, "sets"))
     order = None
-    try:
-        if method == "sizeaware":
-            res = apps.ssj_size_aware(fam, threshold)
-        elif method == "sizeaware-pp":
-            res, ops = apps.ssj_size_aware_pp(fam, threshold)
-            click.echo(f"# merge_ops={ops}")
-        else:
-            res = apps.ssj_mmjoin(fam, threshold)
-        if method == "ordered":
-            # overlap descending, then the sets in input order
-            left, right = res.tuples().T
-            first = fam.relation.left_first
-            order = np.lexsort((first[right], first[left], -res.counts))
-    except apps.SubsetCapError:
-        raise click.ClickException(
-            f"more than {apps.DEFAULT_SUBSET_CAP} c-subsets for "
-            "--method sizeaware; run --method sizeaware-pp or "
-            "--method mmjoin instead")
+    if method == "sizeaware":
+        res = apps.ssj_size_aware(fam, threshold)
+    elif method == "sizeaware-pp":
+        res, ops = apps.ssj_size_aware_pp(fam, threshold)
+        click.echo(f"# merge_ops={ops}")
+    else:
+        res = apps.ssj_mmjoin(fam, threshold)
+    if method == "ordered":
+        # overlap descending, then the sets in input order
+        left, right = res.tuples().T
+        first = fam.relation.left_first
+        order = np.lexsort((first[right], first[left], -res.counts))
     values = fam.relation.left_values
     _echo(_result_lines(res, [values, values], res.counts is not None, order))
 

@@ -258,6 +258,28 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
     return (out, counts) if want_counts else out
 
 
+# a key folded from several columns is re-ranked before it passes this
+_KEY_LIMIT = 2 ** 63
+
+# a key space at most this many times the keys is ranked with a bitmap over
+# the whole space; a larger one with a sort (np.unique)
+_BITMAP_SPACE_PER_KEY = 4
+
+
+def _dense_rank(keys: np.ndarray, space: int):
+    """The distinct `keys` (all in [0, space)) ascending, and each key's
+    position among them."""
+    if space > _BITMAP_SPACE_PER_KEY * len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    # each distinct key's rank, written at the key's place in the space
+    rank = np.empty(space, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[keys]
+
+
 def _as_run(keys: np.ndarray):
     """Sorted distinct `keys` as a slice when they are one run of
     consecutive ids (a slice indexes far faster than the keys)."""

@@ -103,7 +103,7 @@ def oracle_size_boundary(family, c):
     set sizes (a set is heavy iff its size exceeds x); ties take the
     smallest x.
     """
-    sizes = sorted(family.size(a) for a in family.sets)
+    sizes = sorted(family.indexed.left_deg.tolist())
     if not sizes:
         return 0
     best_x, best_cost = None, None

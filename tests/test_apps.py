@@ -46,13 +46,13 @@ def _raw_pairs(family, res):
 def test_set_family_basics():
     fam = apps.SetFamily.from_dict({"a": [1, 2], "b": [2]})
     assert len(fam) == 2
-    assert fam.size(0) == 2
+    assert fam.indexed.left_deg[0] == 2
     assert raw_id(fam, 0) == "a"
 
 
 def test_set_family_builds_sets_on_first_use():
     fam = apps.SetFamily.from_dict({"a": [1, 2], "b": [2]})
-    assert len(fam) == 2 and fam.size(1) == 1
+    assert len(fam) == 2 and fam.indexed.left_deg[1] == 1
     assert "sets" not in vars(fam)
     assert fam.sets[0].tolist() == [0, 1] and fam.sets is fam.sets
 
@@ -75,7 +75,7 @@ def test_ssj_methods_agree_with_oracle(c):
 @pytest.mark.parametrize("c", [3, 4])
 def test_size_aware_heavy_and_light_sets_agree_with_oracle(c):
     """Sets on both sides of the size boundary: the heavy ones by their
-    overlap probe, the light ones by their c-subsets."""
+    full join with every set, the light ones by their c-subsets."""
     raw = random_family(np.random.default_rng(43), 40, 60, 25)
     fam = apps.SetFamily.from_dict(raw)
     heavy = apps._heavy_sets(fam, c)
@@ -115,7 +115,7 @@ def test_get_size_boundary_matches_exhaustive():
     raw = random_family(rng, 25, 20, 10)
     fam = apps.SetFamily.from_dict(raw)
     for c in (1, 2, 3):
-        sizes = sorted(fam.size(a) for a in fam.sets)
+        sizes = sorted(fam.indexed.left_deg.tolist())
         best = None
         for x in sorted(set(sizes)):
             heavy_cost = 0
@@ -158,11 +158,66 @@ def test_get_size_boundary_edge_families():
         assert apps.get_size_boundary(mixed, c) == oracle_size_boundary(mixed, c)
 
 
-def test_subset_cap_error():
-    fam = apps.SetFamily.from_dict(
-        {f"s{i}": list(range(14)) for i in range(6)})
-    with pytest.raises(apps.SubsetCapError):
-        apps.ssj_size_aware(fam, 3, subset_cap=10)
+def _same_sets(count, size):
+    """`count` sets of the elements 0..size-1: all the same size, so all
+    light for SizeAware, and each pair shares all C(size, c) c-subsets."""
+    return {f"s{i}": list(range(size)) for i in range(count)}
+
+
+@pytest.mark.parametrize("budget, error", [
+    (2000, "2184 c-subsets"), (5000, "5460 bucket pairs"), (5460, None)],
+    ids=["subsets", "pairs", "within"])
+def test_size_aware_budget_counts_subsets_then_pairs(monkeypatch, budget,
+                                                     error):
+    """Six light 14-element sets at c = 3 index 6 * C(14, 3) = 2184
+    c-subsets, and their 364 buckets of 6 sets give 364 * 15 = 5460 bucket
+    pairs, every pair of sets 364 times."""
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", budget)
+    raw = _same_sets(6, 14)
+    fam = apps.SetFamily.from_dict(raw)
+    assert not apps._heavy_sets(fam, 3).any()
+    if error is None:
+        assert _raw_pairs(fam, apps.ssj_size_aware(fam, 3)) == \
+            set(oracle_ssj(raw, 3))
+    else:
+        with pytest.raises(StarResourceError, match=error):
+            apps.ssj_size_aware(fam, 3)
+
+
+def test_size_aware_over_budget_raises_before_allocating(monkeypatch):
+    """Six 30-element sets at c = 5 have 6 * C(30, 5) = 855,036 c-subsets,
+    34 MB of int64 elements; the error comes before any of them exists."""
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 1000)
+    fam = apps.SetFamily.from_dict(_same_sets(6, 30))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StarResourceError, match="855036 c-subsets"):
+            apps.ssj_size_aware(fam, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_size_aware_folds_subset_keys_past_2_63(monkeypatch):
+    """55,110 singleton sets, each its own element, make |U|^4 > 2^63, so
+    the folded 4-subset keys are re-ranked before the last column; the two
+    light sets sharing four elements are still the one pair found."""
+    raw = {f"one{i}": [10 + i] for i in range(55110)}
+    raw.update(a=[0, 1, 2, 3, 4], b=[0, 1, 2, 3, 5])
+    fam = apps.SetFamily.from_dict(raw)
+    assert fam.relation.dom_right ** 4 > 2 ** 63
+    calls = []
+
+    def dense_rank(keys, space):
+        calls.append(space)
+        return joinproject._dense_rank(keys, space)
+
+    monkeypatch.setattr(apps, "_dense_rank", dense_rank)
+    assert not apps._heavy_sets(fam, 4)[[fam.relation.left_ids["a"],
+                                         fam.relation.left_ids["b"]]].any()
+    assert _raw_pairs(fam, apps.ssj_size_aware(fam, 4)) == {("a", "b")}
+    assert calls == [fam.relation.dom_right ** 3]
 
 
 def test_prefix_merge_example_accounting():
@@ -266,6 +321,7 @@ def _check_ssj_scj(raw, c):
     assert got == oracle_ssj(raw, c)
     pp, _ = apps.ssj_size_aware_pp(fam, c)
     assert _raw_pairs(fam, pp) == set(got)
+    assert _raw_pairs(fam, apps.ssj_size_aware(fam, c)) == set(got)
     assert _scj_raw(raw)[1] == oracle_scj(raw)
 
 
@@ -494,11 +550,29 @@ def test_bsi_simulate_uniform_identity():
 
 
 def test_bsi_simulate_c1_is_processing_time():
+    """Batches of one that finish before the next query arrives: each
+    query waits its processing time only."""
+    wl = uniform_workload([("a", "b")] * 10, rate=100.0)
+    sim = apps.bsi_simulate(wl, 1, lambda batch: 0.005)
+    assert sim.average_delay == pytest.approx(0.005)
+    assert sim.batches == 10
+    assert sim.implied_units == pytest.approx(100.0 * 0.005 / 1)
+
+
+def test_bsi_simulate_keeps_a_backlog():
+    """Ten queries 0.01 s apart at 0.25 s each: query i starts when query
+    i - 1 completes, at 0.25 i, and waits 0.25 (i + 1) - 0.01 i, 1.33 s on
+    average, not the 0.25 s of its processing alone."""
     wl = uniform_workload([("a", "b")] * 10, rate=100.0)
     sim = apps.bsi_simulate(wl, 1, lambda batch: 0.25)
-    assert sim.average_delay == pytest.approx(0.25)
+    assert sim.average_delay == pytest.approx(1.33)
     assert sim.batches == 10
     assert sim.implied_units == pytest.approx(100.0 * 0.25 / 1)
+    # batches of five fill at 0.04 and 0.09 s; the second starts at 0.29
+    sim = apps.bsi_simulate(wl, 5, lambda batch: 0.25)
+    assert sim.average_delay == pytest.approx(
+        (sum(0.29 - t for t in (0, .01, .02, .03, .04))
+         + sum(0.54 - t for t in (.05, .06, .07, .08, .09))) / 10)
 
 
 def test_bsi_workload_from_file():

@@ -155,8 +155,9 @@ def test_bsi_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
 
 def test_sizeaware_over_budget_is_a_one_line_data_error(tmp_path, runner,
                                                         monkeypatch):
-    """At c = 2 the 30-element set is heavy, and its overlap probe takes
-    every set's elements, 50 probes, counted against the budget first."""
+    """At c = 2 the 30-element set is heavy, and its full join with every
+    set, 50 light codes (its own 30 elements and the small sets' 20), is
+    counted against the budget first."""
     monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 10)
     sets = tmp_path / "f.txt"
     _write_family(sets, {"big": list(range(30)),
@@ -364,7 +365,7 @@ def _check_rows_in_text_order(values, rows, counts):
 
 
 # unused names past the bitmap's reach for any drawn number of rows
-_PAD = [f"pad{i}" for i in range(cli._BITMAP_SPACE_PER_KEY * 2000 + 1)]
+_PAD = [f"pad{i}" for i in range(joinproject._BITMAP_SPACE_PER_KEY * 2000 + 1)]
 
 
 @st.composite
@@ -505,16 +506,28 @@ def test_ssj_methods_orient_pairs_in_file_order(tmp_path, runner):
                                            for (a, b), cnt in ranked]
 
 
-def test_ssj_sizeaware_cap_names_other_methods(tmp_path, runner):
-    # two light 40-element sets give 2 * C(40, 5) c-subsets, over the cap
+def test_ssj_sizeaware_answers_past_the_old_subset_cap(tmp_path, runner):
+    # two light 40-element sets give 2 * C(40, 5) = 1,317,616 c-subsets,
+    # past the 10^6 that once stopped sizeaware, well within the budget
     _write_family(tmp_path / "f.txt", {f"s{a}": range(40) for a in range(2)})
     res = runner.invoke(main, ["ssj", "--sets", str(tmp_path / "f.txt"),
                                "--c", "5", "--method", "sizeaware"])
+    assert res.exit_code == 0
+    assert res.output == "s0 s1\n"
+
+
+def test_ssj_sizeaware_light_side_over_budget_is_one_error_line(
+        tmp_path, runner, monkeypatch):
+    """Six light 14-element sets at c = 3 have 2184 c-subsets, counted
+    against the budget before any is made."""
+    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 2000)
+    _write_family(tmp_path / "f.txt", {f"s{a}": range(14) for a in range(6)})
+    res = runner.invoke(main, ["ssj", "--sets", str(tmp_path / "f.txt"),
+                               "--c", "3", "--method", "sizeaware"])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert "--method sizeaware-pp" in res.output
-    assert "--method mmjoin" in res.output
-    assert "raise the cap" not in res.output
+    [line] = res.output.splitlines()
+    assert line == "Error: 2184 c-subsets are over the budget of 2000"
 
 
 def test_scj_cli(tmp_path, runner):
