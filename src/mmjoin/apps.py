@@ -206,14 +206,19 @@ def get_size_boundary(family: SetFamily, c: int) -> int:
 
 def _heavy_sets(family: SetFamily, c: int) -> np.ndarray:
     """Mask over set ids of the sets larger than get_size_boundary, the
-    heavy side of both size-aware methods."""
+    heavy side of both size-aware methods, which check c here."""
+    if c < 1:
+        raise ValueError("c must be >= 1")
     return family.indexed.left_deg > get_size_boundary(family, c)
 
 
 def _heavy_pairs(family: SetFamily, heavy: np.ndarray, c: int,
                  plan: Optional[ThresholdPlan] = None) -> np.ndarray:
     """(m, 2) id pairs (a, h), a != h, of the sets sharing at least c
-    elements with a set h where `heavy` holds, joined under `plan`."""
+    elements with a set h where `heavy` holds, joined under `plan`; none,
+    without a join, when no set is heavy."""
+    if not heavy.any():
+        return np.empty((0, 2), dtype=np.int64)
     return _kept_pairs(family.indexed, _subfamily(family, "heavy", heavy), c,
                        np.not_equal, plan).tuples()
 

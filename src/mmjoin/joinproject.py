@@ -488,10 +488,8 @@ def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
     """
     r, s = _ensure_reduced_many([r, s])
     every = [np.ones(i.rel.dom_left, dtype=bool) for i in (r, s)]
-    out = _partitioned([r, s], np.ones(r.rel.dom_right, dtype=bool), every,
-                       want_counts)
-    out.stats = {"intermediate": out.stats["light_intermediate"]}
-    return out
+    return _partitioned([r, s], np.ones(r.rel.dom_right, dtype=bool), every,
+                        want_counts)
 
 
 def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,

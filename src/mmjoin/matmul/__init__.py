@@ -9,7 +9,6 @@ from .calibration import (
     CalibrationTable,
     DEFAULT_PROBE_DIMS,
     calibrate,
-    estimate_runtime,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "CalibrationTable",
     "DEFAULT_PROBE_DIMS",
     "calibrate",
-    "estimate_runtime",
 ]

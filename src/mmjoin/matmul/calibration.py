@@ -1,4 +1,4 @@
-"""Measured multiply cost table and nearest-probe runtime extrapolation."""
+"""Measured multiply cost table and the price per multiply-add fitted to it."""
 
 from __future__ import annotations
 
@@ -33,12 +33,15 @@ class CalibrationTable:
     def __len__(self):
         return len(self.entries)
 
-    def regularize(self) -> None:
-        """Force nanos nondecreasing in p."""
-        best = 0
-        for p in sorted(self.entries):
-            best = max(best, self.entries[p])
-            self.entries[p] = best
+    @property
+    def ns_per_madd(self) -> float:
+        """Nanos per multiply-add: the least-squares line through the
+        origin over the probes, sum p^3 * nanos / sum p^6. load rejects
+        negative nanos, so the price is never negative."""
+        if not self.entries:
+            raise CalibrationError("calibration table is empty; run calibrate first")
+        return (sum(p ** 3 * nanos for p, nanos in self.entries.items())
+                / sum(p ** 6 for p in self.entries))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -80,12 +83,11 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
     """Time multiply_counts on random 0/1 square matrices per probe dim.
 
     The default dims are the sizes of the products the two-path split
-    multiplies, one per witness component (32 to 256 a side); a product
-    wider than the largest probe is priced by it, scaled by volume
-    (estimate_runtime). The probes are drawn as uint8, the format the join
-    operators pass, so the table times the multiply path those operators
-    take. Matrices are deterministic per seed; the recorded time is the
-    median of three repetitions, then regularized to be monotone in p.
+    multiplies, one per witness component (32 to 256 a side); the planner
+    prices every product by the table's ns_per_madd. The probes are drawn
+    as uint8, the format the join operators pass, so the table times the
+    multiply path those operators take. Matrices are deterministic per
+    seed; the recorded time is the median of three repetitions.
     """
     table = CalibrationTable()
     for p in probe_dims:
@@ -101,21 +103,4 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
             multiply_counts(a, b)
             samples.append(time.perf_counter_ns() - t0)
         table.entries[p] = int(statistics.median(samples))
-    table.regularize()
     return table
-
-
-def estimate_runtime(table: CalibrationTable, u, v, w):
-    """Nanos estimate: nearest probe entry scaled by the volume ratio
-    u*v*w/p^3, the smaller probe on a tie. u, v and w may be arrays that
-    broadcast; the estimate then has their shape."""
-    if not table.entries:
-        raise CalibrationError("calibration table is empty; run calibrate first")
-    probes = np.array(sorted(table.entries), dtype=np.float64)
-    nanos = np.array([table.entries[p] for p in sorted(table.entries)],
-                     dtype=np.float64)
-    volume = np.multiply(np.multiply(u, v, dtype=np.float64), w)
-    target = volume ** (1.0 / 3.0)
-    p = np.argmin(np.abs(probes - target[..., None]), axis=-1)
-    est = nanos[p] * volume / probes[p] ** 3
-    return float(est) if est.ndim == 0 else est

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matmul import CalibrationError, CalibrationTable, estimate_runtime
+from .matmul import CalibrationError, CalibrationTable
 from .relation import IndexedRelation, left_components, witness_components
 
 FULL_JOIN = "fulljoin"
@@ -200,9 +200,14 @@ def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
 #   of both relations (12.1 on the 108k-tuple benchmark community graph and
 #   on an 8-community one, less the other two parts), np.zeros per uint8
 #   entry of V or W, and the fixed part of one product, from its factors to
-#   its dedup (42-45 us on graphs of 100 to 400 components of 4 nodes);
-# - _NS_PER_MADD: multiply_counts on 0/1 uint8 squares of 512 to 1000, per
-#   multiply-add; used unless a calibration table prices the multiply.
+#   its dedup (42-45 us on graphs of 100 to 400 components of 4 nodes),
+#   with or without a calibration table;
+# - _NS_PER_MADD: CalibrationTable.ns_per_madd of calibrate()'s default
+#   probes, in processes that first freed an 8 MiB array (so the multiply's
+#   temporaries stay on the heap, as in a join after its parse): 0.024, the
+#   median of 20 processes' medians of 31 calibrations, quartiles 0.019 and
+#   0.028 (a fresh process reads 0.03-0.05); a calibration table's own
+#   ns_per_madd replaces it.
 # With them the modeled cost of 358 grid candidates on eight inputs (the
 # benchmark community, star and sets files, 40% of the sets, a sparse and a
 # Zipf graph, 800 nodes in 8 and in 200 communities) was 0.91 of the
@@ -219,7 +224,7 @@ _NS_PER_BLOCK = 13.0
 _NS_PER_TUPLE = 12.0
 _NS_PER_PRODUCT = 40000.0
 _NS_PER_ENTRY = 0.05
-_NS_PER_MADD = 0.021
+_NS_PER_MADD = 0.024
 
 
 def _split_grid(top: int) -> np.ndarray:
@@ -283,23 +288,6 @@ class PlanGrid:
                              self.light_cost.size)
 
 
-def _multiply_by_table(table: CalibrationTable, sizes: JoinSizes) -> np.ndarray:
-    """Sum over the products of estimate_runtime, (G1, G2). Thresholds
-    ascend, so a component whose product runs at any split runs at the
-    first; the (G1, G2, components) estimates go a bounded chunk at a time."""
-    g1, g2 = len(sizes.inner), len(sizes.rows)
-    runs = np.flatnonzero((sizes.inner[0] > 0)
-                          & (sizes.rows[0] * sizes.cols[0] > 0))
-    total = np.zeros((g1, g2))
-    step = max(1, (1 << 16) // (g1 * g2))
-    for lo in range(0, len(runs), step):
-        c = runs[lo:lo + step]
-        total += estimate_runtime(table, sizes.rows[None][..., c],
-                                  sizes.inner[:, None][..., c],
-                                  sizes.cols[None][..., c]).sum(axis=-1)
-    return total
-
-
 def _price_grid(r: IndexedRelation, s: IndexedRelation,
                 table: Optional[CalibrationTable], delta1s: np.ndarray,
                 delta2s: np.ndarray) -> PlanGrid:
@@ -310,8 +298,8 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
     slots and counted codes plus the products added in, or the codes sorted
     and the products merged in), the heavy build (each relation's tuples
     scanned, V's and W's entries and a fixed part per product) and the
-    multiply: from `table` by estimate_runtime when given, else per
-    multiply-add.
+    multiply, per multiply-add: at `table`'s ns_per_madd when given, else
+    at _NS_PER_MADD.
     """
     if not r.shares_right_dict(s):
         raise ValueError("relations do not share a right dictionary; "
@@ -343,13 +331,11 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
     dedup = np.where(counts_densely(space, light, block), dense,
                      _NS_PER_SORTED * light + merge * block)
     light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
-    if table is None:
-        multiply = _NS_PER_MADD * sizes.madds
-    else:
-        multiply = _multiply_by_table(table, sizes)
+    ns_per_madd = _NS_PER_MADD if table is None else table.ns_per_madd
     heavy_cost = (_NS_PER_TUPLE * (r.n + s.n) * (blocks > 0)
                   + _NS_PER_PRODUCT * blocks
-                  + _NS_PER_ENTRY * sizes.factor_entries + multiply)
+                  + _NS_PER_ENTRY * sizes.factor_entries
+                  + ns_per_madd * sizes.madds)
     return PlanGrid(np.asarray(delta1s), np.asarray(delta2s), sizes,
                     light_cost, heavy_cost)
 
@@ -367,14 +353,14 @@ def price_two_path(r: IndexedRelation, s: IndexedRelation,
 
 def default_plan(r: IndexedRelation, s: IndexedRelation) -> ThresholdPlan:
     """The cheapest two-path plan of price_two_path, the multiply priced
-    per multiply-add."""
+    at _NS_PER_MADD per multiply-add."""
     return price_two_path(r, s).plan()
 
 
 def optimize_thresholds(r: IndexedRelation, s: IndexedRelation,
                         table: CalibrationTable) -> ThresholdPlan:
     """The cheapest two-path plan of price_two_path, the multiply priced
-    by the calibration table."""
+    at the calibration table's ns_per_madd."""
     if table is None or not table.entries:
         raise CalibrationError("optimizer needs a calibration table; run calibrate")
     return price_two_path(r, s, table).plan()

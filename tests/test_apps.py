@@ -184,6 +184,26 @@ def test_size_aware_budget_counts_subsets_then_pairs(monkeypatch, budget,
             apps.ssj_size_aware(fam, 3)
 
 
+def test_size_aware_without_heavy_sets_runs_no_join(monkeypatch):
+    """At c = 1 a family of equal-sized sets has no heavy set, so the heavy
+    side returns no pairs without a two-path join, and the light side's
+    pairs are the oracle's."""
+    raw = _same_sets(5, 3)
+    raw.update(t0=[7, 8, 9], t1=[9, 10, 11], t2=[12, 13, 14])
+    fam = apps.SetFamily.from_dict(raw)
+    assert not apps._heavy_sets(fam, 1).any()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return two_path_join(*args, **kwargs)
+
+    monkeypatch.setattr(apps, "two_path_join", spy)
+    assert _raw_pairs(fam, apps.ssj_size_aware(fam, 1)) == \
+        set(oracle_ssj(raw, 1))
+    assert calls == []
+
+
 def test_size_aware_over_budget_raises_before_allocating(monkeypatch):
     """Six 30-element sets at c = 5 have 6 * C(30, 5) = 855,036 c-subsets,
     34 MB of int64 elements; the error comes before any of them exists."""

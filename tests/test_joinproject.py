@@ -129,7 +129,8 @@ def test_full_join_dedup_matches_oracle():
     res = jp.full_join_dedup(r, s, want_counts=True)
     oracle = oracle_two_path(r_pairs, s_pairs)
     assert decode_two_path_counts(res, r, s) == dict(oracle)
-    assert res.stats["intermediate"] == r.out_join_with(s)
+    assert res.stats["light_intermediate"] == r.out_join_with(s)
+    assert res.stats["heavy_pairs"] == 0
 
 
 def test_full_join_plan_strategy():

@@ -12,7 +12,6 @@ from mmjoin.matmul import (
     MatrixOverflowError,
     calibrate,
     calibration,
-    estimate_runtime,
     multiply_counts,
 )
 
@@ -130,7 +129,7 @@ def test_calibration_roundtrip(tmp_path):
 def test_calibrate_times_the_default_probes_as_uint8_0_1_squares(
         monkeypatch):
     """calibrate() times one p x p uint8 0/1 product per default probe dim
-    p, through multiply_counts, and its table is monotone in p."""
+    p, through multiply_counts, and its table fits a positive price."""
     seen = []
 
     def checked(a, b):
@@ -145,10 +144,7 @@ def test_calibrate_times_the_default_probes_as_uint8_0_1_squares(
     table = calibrate()
     assert sorted(set(seen)) == sorted(DEFAULT_PROBE_DIMS)
     assert list(table.entries) == list(DEFAULT_PROBE_DIMS)
-    nanos = [table.entries[p] for p in DEFAULT_PROBE_DIMS]
-    table.regularize()
-    assert [table.entries[p] for p in DEFAULT_PROBE_DIMS] == nanos
-    assert nanos == sorted(nanos)
+    assert table.ns_per_madd > 0
 
 
 def test_calibration_load_rejects_garbage(tmp_path):
@@ -163,19 +159,30 @@ def test_calibration_load_rejects_garbage(tmp_path):
             CalibrationTable.load(path)
 
 
-def test_estimate_runtime_nearest_probe():
-    table = CalibrationTable({100: 1_000_000, 200: 9_000_000})
-    # exact probe hit
-    assert estimate_runtime(table, 100, 100, 100) == 1_000_000
-    # volume scaling from the nearest probe
-    assert estimate_runtime(table, 200, 200, 200) == 9_000_000
-    est = estimate_runtime(table, 50, 100, 200)
-    assert est == pytest.approx(1_000_000 * (50 * 100 * 200) / 100 ** 3)
-    # equidistant probe tie resolves to the smaller dimension
-    assert estimate_runtime(table, 150, 150, 150) == pytest.approx(
-        1_000_000 * 150 ** 3 / 100 ** 3)
+def test_ns_per_madd_fits_a_line_through_the_origin():
+    # nanos = p^3 / 10 on every probe: exactly 0.1 ns per multiply-add
+    table = CalibrationTable({p: p ** 3 // 10 for p in (10, 20, 40, 80)})
+    assert table.ns_per_madd == 0.1
+    # one probe is enough: its nanos over its multiply-adds
+    assert CalibrationTable({64: 36_318}).ns_per_madd == 36_318 / 64 ** 3
+    # sum p^3 * nanos / sum p^6, weighted to the largest probe
+    table = CalibrationTable({1: 5, 2: 0})
+    assert table.ns_per_madd == 5 / 65
 
 
-def test_estimate_runtime_empty_table():
-    with pytest.raises(CalibrationError):
-        estimate_runtime(CalibrationTable(), 10, 10, 10)
+def test_ns_per_madd_of_a_non_monotone_file_is_not_negative(tmp_path):
+    # the small probe timed slower than the large ones, and one at 0 nanos
+    path = tmp_path / "cal.tsv"
+    path.write_text("# mmjoin-calibration v1\n"
+                    "32\t1\t48232\n64\t1\t34128\n128\t1\t0\n"
+                    "256\t1\t652045\n")
+    price = CalibrationTable.load(path).ns_per_madd
+    assert price >= 0
+    assert price == pytest.approx(
+        (32 ** 3 * 48232 + 64 ** 3 * 34128 + 256 ** 3 * 652045)
+        / (32 ** 6 + 64 ** 6 + 128 ** 6 + 256 ** 6))
+
+
+def test_ns_per_madd_of_an_empty_table():
+    with pytest.raises(CalibrationError, match="empty"):
+        CalibrationTable().ns_per_madd

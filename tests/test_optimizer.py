@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from mmjoin.matmul import CalibrationError, CalibrationTable, estimate_runtime
+from mmjoin.matmul import CalibrationError, CalibrationTable
 from mmjoin import optimizer as opt
 from mmjoin.relation import (
     build_indexed,
@@ -169,11 +169,8 @@ def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
                     "400\t1\t6400000\n")
     table = CalibrationTable.load(path)
     assert table.entries == {100: 100_000, 200: 800_000, 400: 6_400_000}
-    # frozen from the co = 1 column of the same file
-    for uvw, nanos in [((50, 50, 50), 12_500.0), ((100, 100, 100), 100_000.0),
-                       ((150, 150, 150), 337_500.0), ((30, 200, 900), 540_000.0),
-                       ((400, 400, 400), 6_400_000.0)]:
-        assert estimate_runtime(table, *uvw) == nanos
+    # every co = 1 row is 0.1 ns per multiply-add
+    assert table.ns_per_madd == 0.1
     rel = generate_community_graph(210, 3, 0.85, seed=4)
     idx = build_indexed(rel)
     plan = opt.optimize_thresholds(idx, idx, table)
@@ -182,3 +179,17 @@ def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
     assert (plan.strategy, plan.delta1, plan.delta2) == (opt.PARTITIONED, 1, 1)
     co2 = CalibrationTable({50: 10, 100: 600, 200: 5000, 400: 40000})
     assert opt.optimize_thresholds(idx, idx, co2).heavy_cost < plan.heavy_cost
+
+
+def test_table_prices_the_multiply_per_madd(monkeypatch):
+    """With a table, the heavy cost is the built-in parts plus the table's
+    ns_per_madd times each candidate's multiply-adds."""
+    idx = build_indexed(generate_community_graph(210, 3, 0.85, seed=4))
+    table = CalibrationTable({32: 9_000, 64: 40_000, 128: 90_000})
+    monkeypatch.setattr(opt, "_NS_PER_MADD", 0.0)
+    built_in = opt.price_two_path(idx, idx)
+    priced = opt.price_two_path(idx, idx, table)
+    assert (priced.sizes.madds > 0).any()
+    assert np.array_equal(priced.light_cost, built_in.light_cost)
+    assert np.array_equal(priced.heavy_cost, built_in.heavy_cost
+                          + table.ns_per_madd * priced.sizes.madds)
