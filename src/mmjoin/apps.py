@@ -267,8 +267,9 @@ def ssj_size_aware(family: SetFamily, c: int) -> OutputSet:
     light sets by their shared c-subsets. The pairs are ssj_mmjoin's,
     without counts."""
     heavy = _heavy_sets(family, c)
+    n = family.relation.n  # past every degree: all light, the full join
     return _oriented(family, np.concatenate((
-        _heavy_pairs(family, heavy, c, ThresholdPlan(FULL_JOIN, 0, 0)),
+        _heavy_pairs(family, heavy, c, ThresholdPlan(FULL_JOIN, n, n)),
         _light_pairs(family, ~heavy, c))))
 
 

@@ -221,7 +221,7 @@ def _probe_dims(ctx, param, value):
 
 
 # what a command raises on bad input or input past the join budget;
-# ValueError covers ParseError, PlanError and UnicodeDecodeError
+# ValueError covers ParseError, UnicodeDecodeError and thresholds below 1
 _DATA_ERRORS = (OSError, ValueError, csv.Error,
                 joinproject.StarResourceError, matmul.CalibrationError,
                 matmul.MatrixOverflowError)
@@ -319,15 +319,15 @@ def cmd_twopath(left, right, delta1, delta2, auto_plan, counts, calibration):
 @main.command("star")
 @click.option("--input", "inputs", multiple=True, required=True,
               type=click.Path(exists=True))
-@click.option("--delta1", type=click.IntRange(min=1), default=2,
-              show_default=True)
-@click.option("--delta2", type=click.IntRange(min=1), default=2,
-              show_default=True)
+@click.option("--delta1", type=click.IntRange(min=1))
+@click.option("--delta2", type=click.IntRange(min=1))
 @click.option("--counts", is_flag=True)
 def cmd_star(inputs, delta1, delta2, counts):
     """Projected star join over 2..4 relations sharing the right column."""
     if not 2 <= len(inputs) <= 4:
         raise click.UsageError("star takes 2 to 4 --input files")
+    if (delta1 is None) != (delta2 is None):
+        raise click.UsageError("--delta1 and --delta2 go together")
     rels, idxs = _aligned_indexes(inputs,
                                   [f"R{i}" for i in range(len(inputs))])
     res = joinproject.star_join(idxs, delta1, delta2, want_counts=counts)
@@ -457,7 +457,7 @@ def _bench_records(query, dataset, n_edges, methods, seed, table) -> list:
     nodes = max(3, 3 * math.ceil(math.sqrt(int(n_edges) / 3 / 0.9)))
     idx = build_indexed(_community_graph(nodes, 3, 0.9, seed))
     # the mmjoin row runs the cheapest plan with a heavy part
-    use = optimizer.price_two_path(idx, idx, table).plan(partitioned=True)
+    use = optimizer.price_plan([idx, idx], 2, table).plan(partitioned=True)
     records = []
     for method in methods.split(","):
         if method == "mmjoin":

@@ -17,11 +17,14 @@ import numpy as np
 from .matmul import CountMatrix, multiply_counts
 from .optimizer import (
     FULL_JOIN,
+    PARTITIONED,
     ThresholdPlan,
     counts_densely,
     default_plan,
     join_sizes,
+    light_split,
     piece_sizes,
+    price_plan,
 )
 from .relation import (
     IndexedRelation,
@@ -105,21 +108,6 @@ def _ensure_reduced_many(idxs: Sequence[IndexedRelation]) -> list:
     if all(first.shares_right_dict(o) for o in idxs[1:]):
         return list(idxs)
     return build_indexes(semi_join_reduce_many([i.rel for i in idxs]))
-
-
-def two_path_split(r: IndexedRelation, s: IndexedRelation,
-                   delta1: int, delta2: int):
-    """The two-path light/heavy rule, as (light_y, light_a, light_c) masks
-    over the shared y ids, R's left ids and S's left ids.
-
-    A y value is light iff its degree is <= delta1 in both relations, and a
-    left value iff its degree is <= delta2. A tuple is light iff its left
-    value or its y value is light; the rest form the heavy matrices.
-    """
-    if delta1 < 1 or delta2 < 1:
-        raise ValueError("thresholds must be >= 1")
-    light_y = (r.right_deg <= delta1) & (s.right_deg <= delta1)
-    return light_y, r.left_deg <= delta2, s.left_deg <= delta2
 
 
 def _strides(dims: Sequence[int]) -> list:
@@ -372,19 +360,20 @@ def _runs(values: np.ndarray, lens: np.ndarray):
     return values, (ends - lens).tolist(), ends.tolist()
 
 
-def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
-                 light_left: list, want_counts: bool) -> OutputSet:
-    """pi_{x1..xk} of relations sharing their right column y, each witness
-    (a y and one left value per relation) handled exactly once, so counts
-    add up without a recount.
+def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
+                 plan: ThresholdPlan, want_counts: bool) -> OutputSet:
+    """pi_{x1..xk} of relations sharing their right column y, split by
+    light_split at `plan`'s thresholds, each witness (a y and one left value
+    per relation) handled exactly once, so counts add up without a recount.
 
-    A light y (light_y) enumerates its full cross product. A heavy y
-    enumerates, for each position j, the combinations whose first light left
-    value (light_left[j]) is at j: heavy lists before j, the light list at j
-    and full lists after it. The rest, heavy left values at a heavy y in
-    every relation, is the products of heavy_matrices, one per component of
-    the witnesses.
+    A light y enumerates its full cross product. A heavy y enumerates, for
+    each position j, the combinations whose first light left value is at j:
+    heavy lists before j, the light list at j and full lists after it. The
+    rest, heavy left values at a heavy y in every relation, is the products
+    of heavy_matrices, one per component of the witnesses.
     """
+    light_y, light_left = light_split(rels, light_in, plan.delta1,
+                                      plan.delta2)
     k = len(rels)
     dims = [ri.rel.dom_left for ri in rels]
     _check_code_space(dims)
@@ -452,31 +441,21 @@ def _partitioned(rels: Sequence[IndexedRelation], light_y: np.ndarray,
     out.dims = tuple(int(d) for d in dims)
     out.stats = {"light_intermediate": len(codes),
                  "heavy_pairs": sum(int(np.count_nonzero(m.data))
-                                    for m in products)}
+                                    for m in products),
+                 "plan": plan}
     return out
 
 
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
                   plan: Optional[ThresholdPlan] = None,
                   want_counts: bool = False) -> OutputSet:
-    """pi_{x,z}(R(x,y) join S(z,y)) via heavy/light partitioning.
-
-    two_path_split decides light and heavy; _partitioned handles every
-    witness once, by a light pass or the heavy count-matrix product, so
-    per-pair counts add up exactly without a recount.
-    """
+    """pi_{x,z}(R(x,y) join S(z,y)) by _partitioned under `plan`,
+    default_plan's by default: a witness is light iff its degree is <=
+    delta1 in both relations."""
     r, s = _ensure_reduced_many([r, s])
     if plan is None:
         plan = default_plan(r, s)
-    plan.validate()
-    if plan.strategy == FULL_JOIN:
-        out = full_join_dedup(r, s, want_counts=want_counts)
-    else:
-        light_y, light_a, light_c = two_path_split(r, s, plan.delta1,
-                                                   plan.delta2)
-        out = _partitioned([r, s], light_y, [light_a, light_c], want_counts)
-    out.stats["plan"] = plan
-    return out
+    return _partitioned([r, s], 2, plan, want_counts)
 
 
 def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
@@ -487,26 +466,25 @@ def full_join_dedup(r: IndexedRelation, s: IndexedRelation,
     witness is light, so nothing is multiplied.
     """
     r, s = _ensure_reduced_many([r, s])
-    every = [np.ones(i.rel.dom_left, dtype=bool) for i in (r, s)]
-    return _partitioned([r, s], np.ones(r.rel.dom_right, dtype=bool), every,
-                        want_counts)
+    n = max(r.n, s.n, 1)  # past every degree
+    return _partitioned([r, s], 2, ThresholdPlan(FULL_JOIN, n, n), want_counts)
 
 
-def star_join(relations: Sequence[IndexedRelation], delta1: int, delta2: int,
+def star_join(relations: Sequence[IndexedRelation],
+              delta1: Optional[int] = None, delta2: Optional[int] = None,
               want_counts: bool = False) -> OutputSet:
     """pi_{x1..xk} of k relations joined on the shared right column.
 
     A witness is light iff its degree is <= delta1 in at least k - 1
-    relations, and a left value iff its degree is <= delta2; _partitioned
-    does the rest.
+    relations, and a left value iff its degree is <= delta2. Without
+    thresholds, the cheapest plan of price_plan's grid runs.
     """
     k = len(relations)
     if not 2 <= k <= 4:
         raise ValueError("star_join supports 2 <= k <= 4 relations")
-    if delta1 < 1 or delta2 < 1:
-        raise ValueError("thresholds must be >= 1")
+    if (delta1 is None) != (delta2 is None):
+        raise ValueError("delta1 and delta2 go together")
     rels = _ensure_reduced_many(relations)
-    deg = np.stack([ri.right_deg for ri in rels])
-    light_y = (deg <= delta1).sum(axis=0) >= k - 1
-    return _partitioned(rels, light_y, [ri.left_deg <= delta2 for ri in rels],
-                        want_counts)
+    plan = (price_plan(rels, k - 1).plan() if delta1 is None
+            else ThresholdPlan(PARTITIONED, delta1, delta2))
+    return _partitioned(rels, k - 1, plan, want_counts)

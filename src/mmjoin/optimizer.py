@@ -1,4 +1,5 @@
-"""Plans for the two-path join: the exact sizes of the partitioned join at
+"""Plans for the partitioned join of the two-path and star queries: the
+light/heavy rule (witness_key, light_split), the exact sizes of the join at
 every threshold pair of a grid, priced by measured per-operation costs, and
 the output-size estimate."""
 
@@ -6,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,14 +18,11 @@ FULL_JOIN = "fulljoin"
 PARTITIONED = "partitioned"
 
 
-class PlanError(ValueError):
-    pass
-
-
 @dataclass
 class ThresholdPlan:
-    """A strategy and its thresholds; the costs are the planner's modeled
-    nanos and `iterations` the number of candidates it priced."""
+    """Thresholds, which a join runs as they are (light_split), and the
+    planner's label for them (FULL_JOIN for its all-light corner); the
+    costs are its modeled nanos and `iterations` the candidates priced."""
     strategy: str
     delta1: int
     delta2: int
@@ -32,15 +30,27 @@ class ThresholdPlan:
     heavy_cost: float = 0.0
     iterations: int = 0
 
-    def validate(self) -> None:
-        if self.strategy not in (FULL_JOIN, PARTITIONED):
-            raise PlanError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == PARTITIONED and (self.delta1 < 1 or self.delta2 < 1):
-            raise PlanError("partitioned plans need delta1, delta2 >= 1")
-
     @property
     def total_cost(self) -> float:
         return self.light_cost + self.heavy_cost
+
+
+def witness_key(rels: Sequence[IndexedRelation], light_in: int) -> np.ndarray:
+    """Each witness's `light_in`-th smallest degree in `rels`: it is light
+    iff that key is <= delta1, i.e. in at least `light_in` relations (both
+    of a two-path join, k - 1 of a star of k)."""
+    return np.sort([ri.right_deg for ri in rels], axis=0)[light_in - 1]
+
+
+def light_split(rels: Sequence[IndexedRelation], light_in: int,
+                delta1: int, delta2: int):
+    """The one light/heavy rule, as masks (light_y, [light_left per
+    relation]): a witness is light iff its witness_key is <= delta1, a left
+    value iff its degree is <= delta2, and a tuple iff either is."""
+    if delta1 < 1 or delta2 < 1:
+        raise ValueError("thresholds must be >= 1")
+    return (witness_key(rels, light_in) <= delta1,
+            [ri.left_deg <= delta2 for ri in rels])
 
 
 def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
@@ -255,9 +265,10 @@ def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray,
 
 @dataclass
 class PlanGrid:
-    """Every two-path candidate (delta1s[i], delta2s[j]) with its exact
-    sizes and modeled nanos. On the default grid the last delta1 is past
-    every witness degree: that row is all light, the full join."""
+    """Every candidate (delta1s[i], delta2s[j]) with its exact sizes and
+    modeled nanos. On the default grid the last delta1 is past every
+    witness key and the last delta2 past every left degree: that corner is
+    all light, the full join."""
     delta1s: np.ndarray
     delta2s: np.ndarray
     sizes: JoinSizes
@@ -269,9 +280,9 @@ class PlanGrid:
         return self.light_cost + self.heavy_cost
 
     def plan(self, partitioned: bool = False) -> ThresholdPlan:
-        """The cheapest candidate, the all-light corner (the full join) on
-        a tie; with `partitioned`, the cheapest one with heavy witnesses
-        and heavy left values, if the grid has one."""
+        """The cheapest candidate, the all-light corner (labelled the full
+        join) on a tie; with `partitioned`, the cheapest one with heavy
+        witnesses and heavy left values, if the grid has one."""
         cost = self.cost
         if partitioned and min(cost.shape) > 1:
             # past every witness or every left degree, everything is light
@@ -288,11 +299,14 @@ class PlanGrid:
                              self.light_cost.size)
 
 
-def _price_grid(r: IndexedRelation, s: IndexedRelation,
-                table: Optional[CalibrationTable], delta1s: np.ndarray,
-                delta2s: np.ndarray) -> PlanGrid:
+def price_plan(rels: Sequence[IndexedRelation], light_in: int,
+               table: Optional[CalibrationTable] = None,
+               delta1s: Optional[np.ndarray] = None,
+               delta2s: Optional[np.ndarray] = None) -> PlanGrid:
     """Price every candidate (delta1, delta2) of the ascending `delta1s` by
-    `delta2s` on the exact sizes joinproject._partitioned would allocate.
+    `delta2s` on the exact sizes joinproject._partitioned would allocate for
+    `rels` under light_split with `light_in`; by default, powers of two up
+    to the first past every witness key and left degree (the full join).
 
     The cost is per piece, per light code, the dedup (by counts_densely:
     slots and counted codes plus the products added in, or the codes sorted
@@ -301,26 +315,29 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
     multiply, per multiply-add: at `table`'s ns_per_madd when given, else
     at _NS_PER_MADD.
     """
-    if not r.shares_right_dict(s):
+    if not all(rels[0].shares_right_dict(o) for o in rels[1:]):
         raise ValueError("relations do not share a right dictionary; "
                          "run semi_join_reduce first")
-    deg = np.array([r.right_deg, s.right_deg])
-    # a witness is light iff its degree is <= delta1 in both relations
-    witness = deg.max(axis=0, initial=0)
-    comp = witness_components([r, s])
+    key = witness_key(rels, light_in)
+    if delta1s is None:
+        delta1s = _split_grid(key.max(initial=0))
+    if delta2s is None:
+        delta2s = _split_grid(max(ri.left_deg.max(initial=0) for ri in rels))
+    deg = np.array([ri.right_deg for ri in rels])
+    comp = witness_components(rels)
     n_comp = int(comp.max(initial=-1)) + 1
-    # per distinct relation: a self-join counts once
-    split_r = _heavy_by_split(r, delta2s, left_components(r, comp), n_comp)
-    split_s = (split_r if s is r else
-               _heavy_by_split(s, delta2s, left_components(s, comp), n_comp))
-    heavy = np.array([split_r[0], split_s[0]]).swapaxes(0, 1)
-    heavy_left = np.array([split_r[1], split_s[1]]).swapaxes(0, 1)
-    sizes = join_sizes(deg, witness > delta1s[:, None],
-                       piece_sizes(deg, heavy), heavy_left, comp)
+    # per distinct relation: a relation given again (a self-join) counts once
+    distinct = {id(ri): ri for ri in rels}
+    split = {i: _heavy_by_split(ri, delta2s, left_components(ri, comp),
+                                n_comp) for i, ri in distinct.items()}
+    heavy, heavy_left = (np.array([split[id(ri)][i] for ri in rels])
+                         .swapaxes(0, 1) for i in (0, 1))
+    sizes = join_sizes(deg, key > delta1s[:, None], piece_sizes(deg, heavy),
+                       heavy_left, comp)
 
     light, blocks = sizes.light, sizes.blocks
     block = sizes.product_entries
-    space = r.rel.dom_left * s.rel.dom_left
+    space = math.prod(ri.rel.dom_left for ri in rels)
     dense = (_NS_PER_SLOT * space + _NS_PER_COUNTED * light
              + _NS_PER_BLOCK * block)
     # a single block that is the whole space and has no codes beside it is
@@ -332,7 +349,7 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
                      _NS_PER_SORTED * light + merge * block)
     light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
     ns_per_madd = _NS_PER_MADD if table is None else table.ns_per_madd
-    heavy_cost = (_NS_PER_TUPLE * (r.n + s.n) * (blocks > 0)
+    heavy_cost = (_NS_PER_TUPLE * sum(ri.n for ri in rels) * (blocks > 0)
                   + _NS_PER_PRODUCT * blocks
                   + _NS_PER_ENTRY * sizes.factor_entries
                   + ns_per_madd * sizes.madds)
@@ -340,27 +357,16 @@ def _price_grid(r: IndexedRelation, s: IndexedRelation,
                     light_cost, heavy_cost)
 
 
-def price_two_path(r: IndexedRelation, s: IndexedRelation,
-                   table: Optional[CalibrationTable] = None) -> PlanGrid:
-    """Every candidate of a grid of both thresholds, priced by _price_grid:
-    powers of two up to the first past every degree, whose last row is the
-    full join."""
-    witness = np.maximum(r.right_deg, s.right_deg)
-    return _price_grid(r, s, table, _split_grid(witness.max(initial=0)),
-                       _split_grid(max(r.left_deg.max(initial=0),
-                                       s.left_deg.max(initial=0))))
-
-
 def default_plan(r: IndexedRelation, s: IndexedRelation) -> ThresholdPlan:
-    """The cheapest two-path plan of price_two_path, the multiply priced
-    at _NS_PER_MADD per multiply-add."""
-    return price_two_path(r, s).plan()
+    """The cheapest two-path plan of price_plan, the multiply priced at
+    _NS_PER_MADD per multiply-add."""
+    return price_plan([r, s], 2).plan()
 
 
 def optimize_thresholds(r: IndexedRelation, s: IndexedRelation,
                         table: CalibrationTable) -> ThresholdPlan:
-    """The cheapest two-path plan of price_two_path, the multiply priced
-    at the calibration table's ns_per_madd."""
+    """The cheapest two-path plan of price_plan, the multiply priced at the
+    calibration table's ns_per_madd."""
     if table is None or not table.entries:
         raise CalibrationError("optimizer needs a calibration table; run calibrate")
-    return price_two_path(r, s, table).plan()
+    return price_plan([r, s], 2, table).plan()

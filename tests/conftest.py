@@ -12,13 +12,11 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import product
 
-# mmjoin first: it sets the BLAS thread count the suite's timed criteria
-# run under before numpy loads OpenBLAS
-import mmjoin  # noqa: F401
 import numpy as np
 
 from mmjoin.apps import BsiWorkload
-from mmjoin.joinproject import heavy_matrices, two_path_split
+from mmjoin.joinproject import heavy_matrices
+from mmjoin.optimizer import light_split
 from mmjoin.relation import ParseError, Relation, build_indexed, semi_join_reduce
 
 
@@ -260,7 +258,7 @@ def whole_heavy_matrices(r, s, delta1, delta2):
     """(M1, M2) of the two-path split of r and s (which share their right
     dictionary), the whole heavy partition taken as one component, or None
     if it is empty."""
-    light_y, light_a, light_c = two_path_split(r, s, delta1, delta2)
+    light_y, (light_a, light_c) = light_split([r, s], 2, delta1, delta2)
     heavy_a, heavy_c = np.flatnonzero(~light_a), np.flatnonzero(~light_c)
     heavy_y = np.flatnonzero(~light_y)
     if not (len(heavy_a) and len(heavy_y) and len(heavy_c)):

@@ -69,7 +69,7 @@ def criterion(num, label, budget_s):
 @criterion(1, "worked two-path example reproduced exactly", 1.0)
 def test_criterion_01_example_reproduction():
     r, s = reduced_indexed(EXAMPLE_R, EXAMPLE_S)
-    light_y, light_a, light_c = jp.two_path_split(r, s, 2, 2)
+    light_y, (light_a, light_c) = opt.light_split([r, s], 2, 2, 2)
     assert split_pair_sets(r, light_a, light_y)[1] == {
         (4, 4), (4, 6), (5, 4), (5, 5), (5, 6), (6, 4), (6, 5)}
     assert split_pair_sets(s, light_c, light_y)[1] == {
@@ -242,11 +242,11 @@ def test_criterion_08_optimizer_quality():
         assert plan.iterations <= bound
         assert plan.strategy == PARTITIONED, (nodes, k, p, seed)
         deltas = np.array(sorted({int(d) for d in np.geomspace(1, n, 50)}))
-        fine = opt._price_grid(idx, idx, table, deltas, deltas)
+        fine = opt.price_plan([idx, idx], 2, table, deltas, deltas)
         assert plan.total_cost <= 1.5 * fine.cost.min(), (nodes, k, p, seed)
         # the plan's cost is its price on the same sizes
-        own = opt._price_grid(idx, idx, table, np.array([plan.delta1]),
-                              np.array([plan.delta2]))
+        own = opt.price_plan([idx, idx], 2, table, np.array([plan.delta1]),
+                             np.array([plan.delta2]))
         assert own.cost[0, 0] == plan.total_cost, (nodes, k, p, seed)
 
 

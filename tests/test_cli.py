@@ -101,6 +101,26 @@ def test_star_cli(tmp_path, runner):
     assert len(res.output.splitlines()) == len(oracle_two_path(pairs, pairs))
 
 
+@pytest.mark.parametrize("counts", [[], ["--counts"]])
+def test_planned_star_prints_what_any_thresholds_print(tmp_path, runner,
+                                                       counts):
+    """star without thresholds runs the planner's plan; every split prints
+    the same lines, and a star of two inputs prints what twopath prints."""
+    g = str(tmp_path / "g.txt")
+    _write_pairs(tmp_path / "g.txt",
+                 random_pairs(np.random.default_rng(4), 150, 12, 10))
+    for k in (2, 3):
+        star = ["star"] + ["--input", g] * k + counts
+        planned = runner.invoke(main, star)
+        assert planned.exit_code == 0 and planned.output
+        for t in ("1", "3", "100000"):
+            fixed = runner.invoke(main, star + ["--delta1", t, "--delta2", t])
+            assert fixed.output == planned.output
+        if k == 2:
+            assert runner.invoke(main, ["twopath", "--left", g, "--right", g]
+                                 + counts).output == planned.output
+
+
 @pytest.mark.parametrize("deltas", [[], ["--delta1", "1", "--delta2", "1"],
                                     ["--delta1", "99", "--delta2", "99"]])
 def test_join_over_budget_is_a_data_error(tmp_path, runner, monkeypatch,
@@ -633,8 +653,8 @@ def test_twopath_options_that_would_be_ignored_are_usage_errors(
 
 
 @pytest.mark.parametrize("command, option", [
-    ("star", ["--delta1", "0"]),
-    ("star", ["--delta2", "0"]),
+    ("star", ["--delta1", "0", "--delta2", "3"]),
+    ("star", ["--delta1", "3", "--delta2", "0"]),
     ("twopath", ["--delta1", "0", "--delta2", "3"]),
     ("twopath", ["--delta1", "3", "--delta2", "0"]),
     ("twopath", ["--delta1", "-1", "--delta2", "-1"]),
@@ -976,6 +996,8 @@ def test_data_errors_print_one_error_line(tmp_path, runner, case):
     ["bsi", "--left", "{g}", "--right", "{g}", "--workload", "{g}",
      "--rate", "nan"],
     ["gen", "--kind", "community", "--prob", "nan", "--out", "{g}.out"],
+    ["star", "--input", "{g}", "--input", "{g}", "--delta1", "2"],
+    ["star", "--input", "{g}", "--input", "{g}", "--delta2", "2"],
 ])
 def test_usage_errors_raised_in_a_command_exit_2(tmp_path, runner, argv):
     g = tmp_path / "g.txt"

@@ -19,6 +19,7 @@ from conftest import (
     oracle_star,
     oracle_two_path,
     pair_set,
+    random_family,
     random_pairs,
     reduced_indexed,
     split_pair_sets,
@@ -29,7 +30,13 @@ from mmjoin import joinproject as jp
 from mmjoin import optimizer as opt
 from mmjoin.matmul import CountMatrix, multiply_counts
 from mmjoin.optimizer import FULL_JOIN, PARTITIONED, ThresholdPlan
-from mmjoin.relation import Relation, build_indexed, semi_join_reduce_many
+from mmjoin.relation import (
+    Relation,
+    build_indexed,
+    build_indexes,
+    generate_community_graph,
+    semi_join_reduce_many,
+)
 
 
 def _example_indexed():
@@ -38,7 +45,7 @@ def _example_indexed():
 
 def test_partition_two_path_fixture():
     r, s = _example_indexed()
-    light_y, light_a, light_c = jp.two_path_split(r, s, 2, 2)
+    light_y, (light_a, light_c) = opt.light_split([r, s], 2, 2, 2)
     r_light, r_heavy = split_pair_sets(r, light_a, light_y)
     s_light, s_heavy = split_pair_sets(s, light_c, light_y)
     assert r_light == {(1, 6), (2, 1), (2, 2), (3, 5), (3, 3), (4, 1), (6, 2)}
@@ -50,10 +57,16 @@ def test_partition_two_path_fixture():
 
 
 def test_partition_thresholds_validated():
+    # the split rejects thresholds below 1, and so every join that runs a
+    # plan as its thresholds
     r, s = _example_indexed()
     for d1, d2 in ((0, 2), (2, 0)):
         with pytest.raises(ValueError):
-            jp.two_path_split(r, s, d1, d2)
+            opt.light_split([r, s], 2, d1, d2)
+        with pytest.raises(ValueError):
+            jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2))
+        with pytest.raises(ValueError):
+            jp.star_join([r, s], d1, d2)
 
 
 def test_heavy_matrices_fixture():
@@ -414,6 +427,91 @@ def test_star_join_validation():
         jp.star_join([r, s], 0, 2)
 
 
+@st.composite
+def _split_case(draw):
+    """2..4 pair lists over small domains, a light_in of k - 1 or k, and
+    thresholds from 1 to past the largest degree."""
+    k = draw(st.integers(2, 4))
+    pair = st.tuples(st.integers(0, 5), st.integers(0, 4))
+    rel_pairs = [sorted(draw(st.sets(pair, min_size=1, max_size=20)))
+                 for _ in range(k)]
+    return (rel_pairs, draw(st.sampled_from([k - 1, k])),
+            draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_case())
+@example(([[(0, 0), (1, 0), (2, 0)], [(0, 0)]], 1, 1, 1))    # one light
+@example(([[(0, 0), (1, 0), (2, 0)], [(0, 0)]], 2, 1, 1))    # not both
+def test_witness_key_and_split_count_light_relations(case):
+    """A witness is light iff its degree is <= delta1 in at least light_in
+    relations, counted by nested loops over the raw pairs of the witnesses
+    every relation has; a left value iff its degree is <= delta2."""
+    rel_pairs, light_in, d1, d2 = case
+    rels = semi_join_reduce_many([Relation.from_raw_pairs(f"R{i}", p)
+                                  for i, p in enumerate(rel_pairs)])
+    idxs = [build_indexed(r) for r in rels]
+    key = opt.witness_key(idxs, light_in)
+    light_y, light_left = opt.light_split(idxs, light_in, d1, d2)
+    shared = set.intersection(*[{y for _, y in p} for p in rel_pairs])
+    assert len(key) == len(light_y) == len(shared)
+    for y, value in enumerate(rels[0].right_values):
+        degs = [sum(1 for _, w in p if w == value) for p in rel_pairs]
+        is_light = sum(1 for d in degs if d <= d1) >= light_in
+        assert light_y[y] == is_light == (key[y] <= d1)
+        assert key[y] == sorted(degs)[light_in - 1]
+    for rel, pairs, light in zip(rels, rel_pairs, light_left):
+        for x, value in enumerate(rel.left_values):
+            deg = sum(1 for a, w in pairs if a == value and w in shared)
+            assert light[x] == (deg <= d2)
+
+
+def test_full_join_corner_runs_as_the_full_join():
+    # a family of 200 sets, whose cheapest plan is the grid's all-light
+    # corner: run as its thresholds, it is the full join
+    fam = random_family(np.random.default_rng(1), 200, 100, 15)
+    r = build_indexed(Relation.from_raw_pairs(
+        "sets", [(a, e) for a, elems in fam.items() for e in elems]))
+    grid = opt.price_plan([r, r], 2)
+    plan = grid.plan()
+    assert plan.strategy == FULL_JOIN and plan == opt.default_plan(r, r)
+    assert (plan.delta1, plan.delta2) == (grid.delta1s[-1], grid.delta2s[-1])
+    for want_counts in (False, True):
+        got = jp.two_path_join(r, r, plan=plan, want_counts=want_counts)
+        full = jp.full_join_dedup(r, r, want_counts=want_counts)
+        assert np.array_equal(got.codes, full.codes)
+        assert (got.counts is None) == (not want_counts)
+        if want_counts:
+            assert np.array_equal(got.counts, full.counts)
+        assert got.stats["light_intermediate"] == \
+            full.stats["light_intermediate"] == r.out_join_with(r)
+        assert got.stats["heavy_pairs"] == full.stats["heavy_pairs"] == 0
+
+
+@pytest.mark.parametrize("k,seed", [(2, 0), (3, 1), (4, 2), (3, None)])
+def test_star_join_without_thresholds_runs_its_planned_plan(k, seed):
+    """The cheapest plan of the star's grid (all heavy on a community
+    graph, seed None, the full join on the random ones of k = 3 and 4)."""
+    if seed is None:
+        graph = generate_community_graph(60, 3, 0.9, seed=7)
+        rel_pairs = [list(graph.raw_pairs())] * k
+    else:
+        rng = np.random.default_rng(seed)
+        rel_pairs = [random_pairs(rng, 60, 10, 8) for _ in range(k)]
+    idxs = [build_indexed(r) for r in semi_join_reduce_many(
+        [Relation.from_raw_pairs(f"R{i}", p) for i, p in enumerate(rel_pairs)])]
+    res = jp.star_join(idxs, want_counts=True)
+    plan = opt.price_plan(idxs, k - 1).plan()
+    assert res.stats["plan"] == plan and len(res)
+    if seed is None:
+        assert (plan.strategy, plan.delta1, plan.delta2) == (PARTITIONED, 1, 1)
+    elif k > 2:
+        assert plan.strategy == FULL_JOIN
+    assert _decoded(res, idxs) == dict(oracle_star(rel_pairs))
+    with pytest.raises(ValueError, match="together"):
+        jp.star_join(idxs, 2)
+
+
 def test_star_resource_cap(monkeypatch):
     rng = np.random.default_rng(11)
     rel_pairs = [random_pairs(rng, 200, 12, 6) for _ in range(3)]
@@ -543,8 +641,38 @@ _TWO_SQUARES = [(x, y) for x in range(2) for y in range(2)] + [
 def test_join_sizes_are_what_partitioned_allocates(case):
     r_pairs, s_pairs, d1, d2 = case
     r, s = reduced_indexed(r_pairs, s_pairs)
-    planned = opt._price_grid(r, s, None, np.array([d1]),
-                              np.array([d2])).sizes
+    planned = opt.price_plan([r, s], 2, None, np.array([d1]),
+                             np.array([d2])).sizes
+    factors = _assert_allocates_what_was_priced(
+        lambda: jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2)),
+        planned)
+    if r_pairs == _TWO_SQUARES:
+        assert len(factors) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_case())
+@example(([_DENSE, _HUB, _DENSE], 2, 2, 2))     # one relation given twice
+@example(([_DENSE, _DENSE, _DENSE, _DENSE], 3, 1, 1))        # all heavy
+def test_star_grid_sizes_are_what_star_join_allocates(case):
+    """The k-relation grid prices the sizes star_join allocates, a relation
+    given more than once included."""
+    rel_pairs, _, d1, d2 = case
+    made = {}
+    rels = semi_join_reduce_many([
+        made.setdefault(tuple(p), Relation.from_raw_pairs("R", p))
+        for p in rel_pairs])
+    idxs = build_indexes(rels)
+    planned = opt.price_plan(idxs, len(idxs) - 1, None, np.array([d1]),
+                             np.array([d2])).sizes
+    _assert_allocates_what_was_priced(lambda: jp.star_join(idxs, d1, d2),
+                                      planned)
+
+
+def _assert_allocates_what_was_priced(join, planned):
+    """Run `join`, checking that it writes the light codes, loops over the
+    light pieces and builds the heavy factors that `planned`, the JoinSizes
+    of its one candidate, counts; returns the factors."""
     factors, crossed = [], []
     heavy_matrices, cross_codes = jp.heavy_matrices, jp._cross_codes
 
@@ -558,7 +686,7 @@ def test_join_sizes_are_what_partitioned_allocates(case):
 
     with mock.patch.object(jp, "heavy_matrices", spy_factors), \
             mock.patch.object(jp, "_cross_codes", spy_cross):
-        res = jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2))
+        res = join()
     assert res.stats["light_intermediate"] == planned.light[0, 0]
     # one product per component with heavy witnesses and left values
     assert len(factors) == planned.blocks[0, 0]
@@ -574,8 +702,7 @@ def test_join_sizes_are_what_partitioned_allocates(case):
         v.data.size + wt.data.size + v.rows * wt.cols for v, wt in factors)
     assert planned.madds[0, 0] == sum(v.data.size * wt.cols
                                       for v, wt in factors)
-    if r_pairs == _TWO_SQUARES:
-        assert len(factors) == 2
+    return factors
 
 
 def test_output_set_decode_roundtrip():

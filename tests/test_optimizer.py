@@ -45,14 +45,6 @@ def test_estimate_output_size_validation():
         opt.estimate_output_size(10, 5, 0)
 
 
-def test_threshold_plan_validation():
-    with pytest.raises(opt.PlanError):
-        opt.ThresholdPlan("bogus", 1, 1).validate()
-    with pytest.raises(opt.PlanError):
-        opt.ThresholdPlan(opt.PARTITIONED, 0, 1).validate()
-    opt.ThresholdPlan(opt.FULL_JOIN, 1, 1).validate()
-
-
 def _sets_family(n_sets, universe, max_size, seed):
     """The set family `mmjoin gen --kind sets` writes, indexed."""
     rng = np.random.default_rng(seed)
@@ -83,8 +75,8 @@ def test_community_plans_all_heavy():
         assert plan.strategy == opt.PARTITIONED
         assert plan.delta1 < idx.right_deg.min()
         assert plan.delta2 < idx.left_deg.min()
-        sizes = opt._price_grid(idx, idx, None, np.array([plan.delta1]),
-                                np.array([plan.delta2])).sizes
+        sizes = opt.price_plan([idx, idx], 2, None, np.array([plan.delta1]),
+                               np.array([plan.delta2])).sizes
         assert sizes.light[0, 0] == 0 and sizes.blocks[0, 0] == 3
         assert plan.heavy_cost > 0
 
@@ -99,7 +91,7 @@ def test_optimize_requires_a_table():
 
 
 def _assert_argmin_of_grid(idx, table):
-    grid = opt.price_two_path(idx, idx, table)
+    grid = opt.price_plan([idx, idx], 2, table)
     # powers of two up to the first past every degree
     for deltas, deg in ((grid.delta1s, idx.right_deg),
                         (grid.delta2s, idx.left_deg)):
@@ -111,8 +103,8 @@ def _assert_argmin_of_grid(idx, table):
     j = grid.delta2s.tolist().index(plan.delta2)
     assert plan.total_cost == grid.cost[i, j] == grid.cost.min()
     # priced again on its own, the plan costs what the grid said
-    again = opt._price_grid(idx, idx, table, np.array([plan.delta1]),
-                            np.array([plan.delta2]))
+    again = opt.price_plan([idx, idx], 2, table, np.array([plan.delta1]),
+                           np.array([plan.delta2]))
     assert again.cost[0, 0] == plan.total_cost
     return plan, grid
 
@@ -139,7 +131,7 @@ def test_all_light_row_has_no_heavy_cost():
     rng = np.random.default_rng(3)
     r, s = reduced_indexed(random_pairs(rng, 100, 20, 10),
                            random_pairs(rng, 100, 20, 10))
-    grid = opt.price_two_path(r, s, _synthetic_table())
+    grid = opt.price_plan([r, s], 2, _synthetic_table())
     assert (grid.heavy_cost[-1] == 0.0).all()
     assert (grid.sizes.light[-1] == r.out_join_with(s)).all()
     assert (grid.light_cost[-1] > 0).all()
@@ -151,7 +143,7 @@ def test_default_plan():
     r, s = reduced_indexed(random_pairs(rng, 100, 30, 30),
                            random_pairs(rng, 100, 30, 30))
     plan = opt.default_plan(r, s)
-    plan.validate()
+    assert plan.delta1 >= 1 and plan.delta2 >= 1
     rel = generate_community_graph(120, 3, 0.9, seed=6)
     idx = build_indexed(rel)
     plan = opt.default_plan(idx, idx)
@@ -187,8 +179,8 @@ def test_table_prices_the_multiply_per_madd(monkeypatch):
     idx = build_indexed(generate_community_graph(210, 3, 0.85, seed=4))
     table = CalibrationTable({32: 9_000, 64: 40_000, 128: 90_000})
     monkeypatch.setattr(opt, "_NS_PER_MADD", 0.0)
-    built_in = opt.price_two_path(idx, idx)
-    priced = opt.price_two_path(idx, idx, table)
+    built_in = opt.price_plan([idx, idx], 2)
+    priced = opt.price_plan([idx, idx], 2, table)
     assert (priced.sizes.madds > 0).any()
     assert np.array_equal(priced.light_cost, built_in.light_cost)
     assert np.array_equal(priced.heavy_cost, built_in.heavy_cost
