@@ -21,6 +21,26 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" in sys.modules:
             pass
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# glibc's allocator maps each array past its mmap threshold afresh and
+# hands the top of its heap back past its trim threshold; it raises both
+# only once it frees a large mapped array. Until then every join's
+# temporaries fault their pages in again: a 1000-set SSJ faulted ~1,400
+# pages a call at ~2.4 us a page on a 2-vCPU VM. Both are set where glibc's
+# own raising stops (32 MiB, and twice that), unless the environment tunes
+# the allocator.
+if not any(k.startswith("MALLOC_") or k == "GLIBC_TUNABLES"
+           for k in os.environ):
+    import ctypes
+    try:
+        _mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc
+        pass
+    else:
+        _mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        _mallopt.restype = ctypes.c_int
+        _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
 from . import apps, joinproject, matmul, optimizer, relation  # noqa: E402
 
 __version__ = "0.1.0"

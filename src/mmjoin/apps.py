@@ -83,25 +83,16 @@ def _kept_pairs(r: IndexedRelation, s: IndexedRelation, c: int, rule,
     s's left ids) with their overlaps as counts; r and s must share their
     right dictionary.
 
-    `rule` gets the id arrays of the pairs over the floor, or, on a densely
-    counted join, an id column and an id row (so it must broadcast): there
-    one mask over the count grid keeps the pairs, and only they are read
-    off it. (Flooring the buffer first and ruling on the survivors measured
-    slower on a 1000-set self-join, whose floor alone passes both
-    orientations of every pair.)
+    The join keeps only the pairs over the floor c (two_path_join), and
+    `rule` gets the id arrays of those pairs.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    res = two_path_join(r, s, plan=plan, want_counts=True)
-    dom_b = res.dims[1]
-    if res.buffer is None:
-        over = res.counts >= c
-        codes, counts = res.codes[over], res.counts[over]
-        kept = rule(*np.divmod(codes, dom_b))
-        return OutputSet(codes[kept], res.dims, counts[kept])
-    a, b = np.ogrid[:res.dims[0], :dom_b]
-    codes = np.flatnonzero(rule(a, b) & (res.buffer.reshape(res.dims) >= c))
-    return OutputSet(codes, res.dims, res.buffer[codes])
+    res = two_path_join(r, s, plan=plan, want_counts=True, floor=c)
+    # the positions, then two takes: SSJ's rule keeps about every other
+    # pair at random, where a boolean mask indexes ~5x slower
+    kept = np.flatnonzero(rule(*np.divmod(res.codes, res.dims[1])))
+    return OutputSet(res.codes.take(kept), res.dims, res.counts.take(kept))
 
 
 def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelation:

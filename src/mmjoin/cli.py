@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import apps, joinproject, matmul, optimizer
+from .errors import DataError
 from .joinproject import _KEY_LIMIT, _dense_rank
 from .relation import (
     Relation,
@@ -220,17 +221,32 @@ def _probe_dims(ctx, param, value):
         f"expected comma-separated integers >= 1, got {value!r}")
 
 
-# what a command raises on bad input or input past the join budget;
-# ValueError covers ParseError, UnicodeDecodeError and thresholds below 1
-_DATA_ERRORS = (OSError, ValueError, csv.Error,
-                joinproject.StarResourceError, matmul.CalibrationError,
-                matmul.MatrixOverflowError)
+# what a command raises on bad input or input past the join budget: the
+# project's own data errors (ParseError, the budget error, CalibrationError,
+# MatrixOverflowError) and the file and codec errors of reading its input
+_DATA_ERRORS = (DataError, OSError, UnicodeDecodeError, csv.Error)
+
+# sysexits.h's EX_SOFTWARE: an internal software error
+_BUG_EXIT = 70
+
+
+class _Bug(click.ClickException):
+    """An exception no command expects, which is a bug: one line naming it
+    on stderr, no traceback, exit status _BUG_EXIT."""
+
+    exit_code = _BUG_EXIT
+
+    def show(self, file=None):
+        click.echo(f"Internal error: {self.message}", file=file, err=True)
 
 
 class _Commands(click.Group):
-    """The one place where a command's data error (_DATA_ERRORS) becomes a
-    ClickException: one `Error:` line and exit status 1. MemoryError,
-    SystemExit and click's own exceptions (usage errors exit 2) pass."""
+    """The one place where a command's exceptions end: a data error
+    (_DATA_ERRORS) becomes one `Error:` line and exit status 1, and any
+    other exception one `Internal error:` line and exit status _BUG_EXIT.
+    click's own exceptions (usage errors exit 2), MemoryError (which the
+    join budget exists to prevent), SystemExit and KeyboardInterrupt
+    pass."""
 
     def invoke(self, ctx):
         try:
@@ -239,6 +255,13 @@ class _Commands(click.Group):
             raise  # click's main exits quietly when stdout is closed
         except _DATA_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
+        except (click.ClickException, click.exceptions.Exit,
+                click.exceptions.Abort, MemoryError):
+            raise
+        except Exception as exc:
+            text = " ".join(str(exc).split())
+            raise _Bug(f"{type(exc).__name__}: {text}" if text
+                       else type(exc).__name__) from exc
 
 
 @click.group(cls=_Commands)

@@ -1,6 +1,7 @@
 """Join-project evaluation: the two-path join, star queries and the
 full-join baseline, all three through one witness-disjoint partitioned join
-(_partitioned) and one dedup (_dedup_output).
+(_partitioned) and one dedup (_dedup_output); a self-join's all-heavy plan
+through Gram blocks (_gram_output) instead.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -14,7 +15,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .matmul import CountMatrix, multiply_counts
+from .errors import DataError
+from .matmul import (CountMatrix, gram_cuts, gram_upper, gram_workers,
+                     multiply_counts)
+from .matmul import core as _matmul
 from .optimizer import (
     FULL_JOIN,
     PARTITIONED,
@@ -25,6 +29,7 @@ from .optimizer import (
     light_split,
     piece_sizes,
     price_plan,
+    self_join,
 )
 from .relation import (
     IndexedRelation,
@@ -36,7 +41,7 @@ from .relation import (
 )
 
 
-class StarResourceError(RuntimeError):
+class StarResourceError(DataError, RuntimeError):
     """A join would allocate past its budget; retry with other thresholds."""
 
 
@@ -339,10 +344,71 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int],
     return OutputSet(_dedup(codes, sorted_extra=extra), dims)
 
 
+def _floored(out: OutputSet, floor: int, want_counts: bool) -> OutputSet:
+    """`out` (counted) without the codes counted fewer than `floor` times,
+    with its counts only if `want_counts`."""
+    if floor <= 1:
+        return out
+    if out.buffer is not None:
+        codes = np.flatnonzero(out.buffer >= floor)
+        counts = out.buffer[codes]
+    else:
+        over = out.counts >= floor
+        codes, counts = out.codes[over], out.counts[over]
+    return OutputSet(codes, out.dims, counts if want_counts else None)
+
+
+def _gram_output(factors: Sequence[CountMatrix], cuts: Sequence[list],
+                 dims: Sequence[int], floor: int, want_counts: bool,
+                 workers: int) -> OutputSet:
+    """The codes of the Gram matrices V @ V^T of `factors` (one V per
+    component, its row keys codes of the first of the two dimensions
+    `dims`, which are equal) counted at least `floor` times, with their
+    counts if want_counts. No buffer over the whole space is allocated.
+
+    gram_upper computes the row blocks cut at `cuts` (one list per factor,
+    gram_cuts) of the upper triangles on `workers` threads, each keeping
+    only what reaches the floor. On the same threads an entry (a, b) becomes
+    the codes of (a, b) and, off the diagonal, (b, a), each count packed
+    into its code's low bits while both fit in int64 (a count is at most
+    V's columns times its largest entry squared); one sort then orders
+    them all."""
+    dim = dims[1]
+    shift = max((v.cols * v.top ** 2).bit_length() for v in factors) \
+        if want_counts and factors else 0
+    packed = math.prod(dims) << shift <= _KEY_LIMIT
+
+    def mirrored(f, i, j, counts):
+        keys = factors[f].row_keys
+        a, b = keys[i], keys[j]
+        off = i != j
+        codes = np.concatenate((a * dim + b, b[off] * dim + a[off]))
+        if counts is not None:
+            counts = np.concatenate((counts, counts[off]))
+            if packed:
+                codes, counts = (codes << shift) | counts, None
+        return codes, counts
+
+    tasks = [(f, lo, hi) for f, at in enumerate(cuts)
+             for lo, hi in zip(at, at[1:])]
+    parts = gram_upper(factors, tasks, floor, want_counts, workers, mirrored)
+    empty = np.empty(0, dtype=np.int64)
+    codes = np.concatenate([empty] + [c for c, _ in parts])
+    if want_counts and not packed:
+        order = np.argsort(codes)
+        counts = np.concatenate([empty] + [c for _, c in parts])
+        return OutputSet(codes[order], dims, counts[order])
+    codes.sort()
+    if not want_counts:
+        return OutputSet(codes, dims)
+    return OutputSet(codes >> shift, dims, codes & ((1 << shift) - 1))
+
+
 # A join allocates at most this many array entries across its light codes,
-# V, W and V @ W^T, and raises StarResourceError before allocating any of
-# them past it. The all-heavy k=4 star on a 120-node 3-community graph needs
-# 2.1e8 (its product); a hub of degree 1500 in a k=3 star needs 3.4e9.
+# V, W and V @ W^T (a Gram's V and its blocks), and raises StarResourceError
+# before allocating any of them past it. The all-heavy k=4 star on a
+# 120-node 3-community graph needs 2.1e8 (its product); a hub of degree 1500
+# in a k=3 star needs 3.4e9.
 _ENTRY_BUDGET = 1 << 28
 
 
@@ -361,16 +427,24 @@ def _runs(values: np.ndarray, lens: np.ndarray):
 
 
 def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
-                 plan: ThresholdPlan, want_counts: bool) -> OutputSet:
+                 plan: ThresholdPlan, want_counts: bool,
+                 floor: int = 1) -> OutputSet:
     """pi_{x1..xk} of relations sharing their right column y, split by
     light_split at `plan`'s thresholds, each witness (a y and one left value
-    per relation) handled exactly once, so counts add up without a recount.
+    per relation) handled exactly once, so counts add up without a recount;
+    only the tuples counted at least `floor` times are kept.
 
     A light y enumerates its full cross product. A heavy y enumerates, for
     each position j, the combinations whose first light left value is at j:
     heavy lists before j, the light list at j and full lists after it. The
     rest, heavy left values at a heavy y in every relation, is the products
-    of heavy_matrices, one per component of the witnesses.
+    of heavy_matrices, one per component of the witnesses; the floor applies
+    once they are merged with the light codes.
+
+    A self-join (optimizer.self_join) at thresholds 0 has no light codes:
+    its products are Gram matrices, computed by row blocks of their upper
+    triangles on every worker, and each block keeps only what reaches the
+    floor (_gram_output). Its stats name the workers and the blocks.
     """
     light_y, light_left = light_split(rels, light_in, plan.delta1,
                                       plan.delta2)
@@ -405,7 +479,22 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
                                     for cl, h in zip(comp_left, heavy_left)]]),
                          comp)
     n_light = int(planned.light[0, 0])
-    n_heavy = int(planned.heavy_entries[0, 0])
+    gram = plan.delta1 == 0 and plan.delta2 == 0 and self_join(rels)
+    if gram:
+        # V is rows x inner in each component with a product; its blocks
+        # are counted before any is allocated
+        rows, inner = planned.rows[0], planned.inner[0]
+        run = rows * inner > 0
+        workers = gram_workers((rows * (rows + 1) // 2) @ inner,
+                               _matmul.worker_count())
+        cuts = [gram_cuts(int(u), int(v), workers)
+                for u, v in zip(rows[run], inner[run])]
+        n_heavy = int(rows @ inner) + sum(
+            (hi - lo) * (at[-1] - lo) for at in cuts
+            for lo, hi in zip(at, at[1:]))
+    else:
+        workers = 1
+        n_heavy = int(planned.heavy_entries[0, 0])
     _within_budget(n_light + n_heavy, f"light codes and heavy matrix "
                    f"entries ({n_light} + {n_heavy})")
 
@@ -432,30 +521,40 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
                                              for xs, lo, hi in pieces[j]])
             at += n
 
-    products = [multiply_counts(v, wt) for v, wt in heavy_matrices(
-        rels, heavy_left, heavy_y, comp, comp_left)] if n_heavy else []
+    factors = heavy_matrices(rels, heavy_left, heavy_y, comp,
+                             comp_left) if n_heavy else []
     # the output space viewed as two dimensions, V's keys by W's; a code is
     # the same integer in both views
-    out = _dedup_output(codes, (math.prod(dims[:half]), math.prod(dims[half:])),
-                        want_counts, products)
+    dims2 = (math.prod(dims[:half]), math.prod(dims[half:]))
+    if gram:
+        out = _gram_output([v for v, _ in factors], cuts, dims2, floor,
+                           want_counts, workers)
+        blocks, heavy_pairs = sum(len(at) - 1 for at in cuts), len(out)
+    else:
+        products = [multiply_counts(v, wt) for v, wt in factors]
+        out = _floored(_dedup_output(codes, dims2, want_counts or floor > 1,
+                                     products), floor, want_counts)
+        blocks = len(products)
+        heavy_pairs = sum(int(np.count_nonzero(m.data)) for m in products)
     out.dims = tuple(int(d) for d in dims)
-    out.stats = {"light_intermediate": len(codes),
-                 "heavy_pairs": sum(int(np.count_nonzero(m.data))
-                                    for m in products),
-                 "plan": plan}
+    out.stats = {"light_intermediate": len(codes), "heavy_pairs": heavy_pairs,
+                 "plan": plan, "workers": workers, "blocks": blocks}
     return out
 
 
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
                   plan: Optional[ThresholdPlan] = None,
-                  want_counts: bool = False) -> OutputSet:
+                  want_counts: bool = False, floor: int = 1) -> OutputSet:
     """pi_{x,z}(R(x,y) join S(z,y)) by _partitioned under `plan`,
     default_plan's by default: a witness is light iff its degree is <=
-    delta1 in both relations."""
+    delta1 in both relations. Only the pairs (x, z) joined by at least
+    `floor` witnesses are kept. A self-join keeps both (x, z) and (z, x)."""
+    if floor < 1:
+        raise ValueError("floor must be >= 1")
     r, s = _ensure_reduced_many([r, s])
     if plan is None:
-        plan = default_plan(r, s)
-    return _partitioned([r, s], 2, plan, want_counts)
+        plan = default_plan(r, s, floor)
+    return _partitioned([r, s], 2, plan, want_counts, floor)
 
 
 def full_join_dedup(r: IndexedRelation, s: IndexedRelation,

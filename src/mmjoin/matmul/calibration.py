@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import statistics
 import time
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ..errors import DataError
 from .core import CountMatrix, multiply_counts
 
 FORMAT_VERSION = "mmjoin-calibration v1"
@@ -16,7 +18,7 @@ FORMAT_VERSION = "mmjoin-calibration v1"
 DEFAULT_PROBE_DIMS = (32, 64, 128, 256)
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(DataError, RuntimeError):
     pass
 
 
@@ -35,13 +37,23 @@ class CalibrationTable:
 
     @property
     def ns_per_madd(self) -> float:
-        """Nanos per multiply-add: the least-squares line through the
-        origin over the probes, sum p^3 * nanos / sum p^6. load rejects
-        negative nanos, so the price is never negative."""
+        """Nanos per multiply-add: the slope b of the least-squares line
+        nanos = a + b * p^3 over the probes, never below 0, in exact
+        integers. The intercept a is a product's fixed part, which the
+        planner prices on its own (optimizer._NS_PER_PRODUCT), so small
+        probes do not charge it per multiply-add. One probe fixes no line:
+        its nanos over its p^3."""
         if not self.entries:
             raise CalibrationError("calibration table is empty; run calibrate first")
-        return (sum(p ** 3 * nanos for p, nanos in self.entries.items())
-                / sum(p ** 6 for p in self.entries))
+        if len(self.entries) == 1:
+            [(p, nanos)] = self.entries.items()
+            return nanos / p ** 3
+        xs = [p ** 3 for p in self.entries]
+        ys = list(self.entries.values())
+        n = len(xs)
+        covariance = n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)
+        slope = Fraction(covariance, n * sum(x * x for x in xs) - sum(xs) ** 2)
+        return float(max(slope, 0))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

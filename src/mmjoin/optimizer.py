@@ -1,7 +1,9 @@
 """Plans for the partitioned join of the two-path and star queries: the
 light/heavy rule (witness_key, light_split), the exact sizes of the join at
 every threshold pair of a grid, priced by measured per-operation costs, and
-the output-size estimate."""
+the output-size estimate. The grid runs from the all-heavy corner
+(thresholds 0, the pure product; a self-join's runs as Gram blocks) to the
+all-light one (the full join)."""
 
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matmul import CalibrationError, CalibrationTable
+from .matmul import (CalibrationError, CalibrationTable, gram_blocks,
+                     gram_entries, gram_workers)
+from .matmul import core as _matmul
 from .relation import IndexedRelation, left_components, witness_components
 
 FULL_JOIN = "fulljoin"
@@ -22,7 +26,8 @@ PARTITIONED = "partitioned"
 class ThresholdPlan:
     """Thresholds, which a join runs as they are (light_split), and the
     planner's label for them (FULL_JOIN for its all-light corner); the
-    costs are its modeled nanos and `iterations` the candidates priced."""
+    costs are its modeled nanos and `iterations` the candidates priced.
+    Thresholds of 0 are the all-heavy corner: no tuple is light."""
     strategy: str
     delta1: int
     delta2: int
@@ -35,22 +40,41 @@ class ThresholdPlan:
         return self.light_cost + self.heavy_cost
 
 
+# compare-exchanges that sort 1 to 4 rows
+_SORTING_NETWORKS = {1: [], 2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)],
+                     4: [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]}
+
+
 def witness_key(rels: Sequence[IndexedRelation], light_in: int) -> np.ndarray:
-    """Each witness's `light_in`-th smallest degree in `rels`: it is light
-    iff that key is <= delta1, i.e. in at least `light_in` relations (both
-    of a two-path join, k - 1 of a star of k)."""
-    return np.sort([ri.right_deg for ri in rels], axis=0)[light_in - 1]
+    """Each witness's `light_in`-th smallest degree in `rels` (at most 4):
+    it is light iff that key is <= delta1, i.e. in at least `light_in`
+    relations (both of a two-path join, k - 1 of a star of k). A sorting
+    network orders the degree rows elementwise."""
+    rows = [ri.right_deg for ri in rels]
+    for i, j in _SORTING_NETWORKS[len(rows)]:
+        rows[i], rows[j] = (np.minimum(rows[i], rows[j]),
+                            np.maximum(rows[i], rows[j]))
+    return rows[light_in - 1]
 
 
 def light_split(rels: Sequence[IndexedRelation], light_in: int,
                 delta1: int, delta2: int):
     """The one light/heavy rule, as masks (light_y, [light_left per
     relation]): a witness is light iff its witness_key is <= delta1, a left
-    value iff its degree is <= delta2, and a tuple iff either is."""
-    if delta1 < 1 or delta2 < 1:
-        raise ValueError("thresholds must be >= 1")
+    value iff its degree is <= delta2, and a tuple iff either is. At 0 no
+    tuple is light."""
+    if delta1 < 0 or delta2 < 0:
+        raise ValueError("thresholds must be >= 0")
     return (witness_key(rels, light_in) <= delta1,
             [ri.left_deg <= delta2 for ri in rels])
+
+
+def self_join(rels: Sequence[IndexedRelation]) -> bool:
+    """Whether the relations after the first half are the first half again
+    (a two-path join of a relation with itself): then V = W, and each heavy
+    product is the Gram matrix V @ V^T, which is symmetric."""
+    half, odd = divmod(len(rels), 2)
+    return not odd and all(a is b for a, b in zip(rels[:half], rels[half:]))
 
 
 def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
@@ -235,11 +259,66 @@ _NS_PER_TUPLE = 12.0
 _NS_PER_PRODUCT = 40000.0
 _NS_PER_ENTRY = 0.05
 _NS_PER_MADD = 0.024
+# The all-heavy corner of a self-join runs as Gram blocks
+# (joinproject._gram_output), timed on the benchmark's 1000-set family at
+# c = 3 and its 600-node community graph, one worker and two:
+# - _NS_PER_GRAM_BLOCK: a row block's fixed part, its numpy calls and
+#   hand-off to a thread (100 components of 4 nodes);
+# - _NS_PER_SCANNED: the floor scan per entry of the blocks (compare and
+#   flatnonzero);
+# - _NS_PER_KEPT: each code kept, from its block entry to its place in the
+#   sorted output (20-27 ns a code on the two inputs at either worker
+#   count: the sort, the larger part, runs on the calling thread).
+_NS_PER_GRAM_BLOCK = 45000.0
+_NS_PER_SCANNED = 2.0
+_NS_PER_KEPT = 25.0
+# gram_kept_estimate gives up past this many pairs of left-value groups,
+# and sums at most this many terms of a Poisson tail
+_ESTIMATE_PAIRS = 1 << 16
+_ESTIMATE_TERMS = 200
 
 
 def _split_grid(top: int) -> np.ndarray:
-    """Thresholds 1, 2, 4, ... up to the first power of two past `top`."""
-    return 2 ** np.arange(int(top).bit_length() + 1, dtype=np.int64)
+    """Thresholds 0 (all heavy), 1, 2, 4, ... up to the first power of two
+    past `top` (all light)."""
+    return np.concatenate(([0], 2 ** np.arange(int(top).bit_length() + 1)))
+
+
+def gram_kept_estimate(idx: IndexedRelation, comp: np.ndarray,
+                       floor: int) -> Optional[float]:
+    """About the codes a two-path self-join of idx keeps at `floor`: the
+    pairs (a, b) of left values of one component C, both orders and a = b
+    included, whose overlap reaches the floor, the overlap taken as Poisson
+    with mean s_a * s_b * q_C. s_a is a's degree and q_C the sum of the
+    squares of C's witness degrees over the square of their sum, as if each
+    left value picked its witnesses by their popularity. Left values are
+    grouped by (component, degree); None past _ESTIMATE_PAIRS pairs of
+    groups."""
+    n_comp = int(comp.max(initial=-1)) + 1
+    y_deg = idx.right_deg.astype(np.float64)
+    q = (np.bincount(comp, weights=y_deg ** 2, minlength=n_comp)
+         / np.maximum(np.bincount(comp, weights=y_deg, minlength=n_comp),
+                      1) ** 2)
+    size, has = idx.left_deg, idx.left_deg > 0
+    top = int(size.max(initial=0)) + 1
+    groups, count = np.unique(left_components(idx, comp)[has] * top
+                              + size[has], return_counts=True)
+    g_comp, g_size = np.divmod(groups, top)
+    per = np.bincount(g_comp, minlength=n_comp)
+    if per @ per > _ESTIMATE_PAIRS:
+        return None
+    # every pair (i, j) of groups of one component
+    partners = per[g_comp]
+    i = np.repeat(np.arange(len(groups)), partners)
+    j = ((np.cumsum(per) - per)[g_comp[i]] + np.arange(len(i))
+         - np.repeat(np.cumsum(partners) - partners, partners))
+    mean = g_size[i] * g_size[j] * q[g_comp[i]]
+    term = np.exp(-mean)
+    below = term.copy()
+    for k in range(1, min(floor, _ESTIMATE_TERMS)):
+        term = term * mean / k
+        below += term
+    return float(count[i] @ (count[j] * np.clip(1 - below, 0, 1)))
 
 
 def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray,
@@ -266,9 +345,10 @@ def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray,
 @dataclass
 class PlanGrid:
     """Every candidate (delta1s[i], delta2s[j]) with its exact sizes and
-    modeled nanos. On the default grid the last delta1 is past every
-    witness key and the last delta2 past every left degree: that corner is
-    all light, the full join."""
+    modeled nanos. On the default grid the first delta1 and delta2 are 0:
+    that corner is all heavy, the pure product. The last delta1 is past
+    every witness key and the last delta2 past every left degree: that
+    corner is all light, the full join."""
     delta1s: np.ndarray
     delta2s: np.ndarray
     sizes: JoinSizes
@@ -281,13 +361,20 @@ class PlanGrid:
 
     def plan(self, partitioned: bool = False) -> ThresholdPlan:
         """The cheapest candidate, the all-light corner (labelled the full
-        join) on a tie; with `partitioned`, the cheapest one with heavy
-        witnesses and heavy left values, if the grid has one."""
+        join) on a tie, and a threshold of 1 over 0; with `partitioned`,
+        the cheapest one with heavy witnesses and heavy left values, if the
+        grid has one."""
         cost = self.cost
+        g1, g2 = cost.shape
         if partitioned and min(cost.shape) > 1:
             # past every witness or every left degree, everything is light
-            cost = cost[:-1, :-1]
-        i, j = np.unravel_index(np.argmin(cost), cost.shape)
+            g1, g2 = g1 - 1, g2 - 1
+        # thresholds of 0 (first, if there) go last: where no degree is 1,
+        # 0 and 1 run the same join
+        r, c = int(self.delta1s[0] == 0), int(self.delta2s[0] == 0)
+        at = np.unravel_index(np.argmin(np.roll(cost[:g1, :g2], (-r, -c),
+                                                (0, 1))), (g1, g2))
+        i, j = (at[0] + r) % g1, (at[1] + c) % g2
         strategy = PARTITIONED
         if (not partitioned and not self.sizes.inner[-1].any()
                 and cost[-1, -1] <= cost[i, j]):
@@ -302,11 +389,13 @@ class PlanGrid:
 def price_plan(rels: Sequence[IndexedRelation], light_in: int,
                table: Optional[CalibrationTable] = None,
                delta1s: Optional[np.ndarray] = None,
-               delta2s: Optional[np.ndarray] = None) -> PlanGrid:
+               delta2s: Optional[np.ndarray] = None,
+               floor: int = 1) -> PlanGrid:
     """Price every candidate (delta1, delta2) of the ascending `delta1s` by
     `delta2s` on the exact sizes joinproject._partitioned would allocate for
-    `rels` under light_split with `light_in`; by default, powers of two up
-    to the first past every witness key and left degree (the full join).
+    `rels` under light_split with `light_in`, keeping the codes counted at
+    least `floor` times; by default, 0 and the powers of two up to the
+    first past every witness key and left degree (the full join).
 
     The cost is per piece, per light code, the dedup (by counts_densely:
     slots and counted codes plus the products added in, or the codes sorted
@@ -314,6 +403,15 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     scanned, V's and W's entries and a fixed part per product) and the
     multiply, per multiply-add: at `table`'s ns_per_madd when given, else
     at _NS_PER_MADD.
+
+    A self-join's all-heavy corner runs as Gram blocks instead: the heavy
+    build and V's entries, then each block's fixed part, multiply-adds and
+    floor scan (matmul.gram_entries entries, about half the product's)
+    divided over the threads matmul.gram_workers gives it, then every code
+    kept. At most the mirrored triangles are kept, and at most the full
+    join's codes over `floor`, as each kept code stands for at least
+    `floor` of them; over a floor of 2 or more, a two-path join prices
+    gram_kept_estimate's codes when lower.
     """
     if not all(rels[0].shares_right_dict(o) for o in rels[1:]):
         raise ValueError("relations do not share a right dictionary; "
@@ -349,18 +447,46 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
                      _NS_PER_SORTED * light + merge * block)
     light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
     ns_per_madd = _NS_PER_MADD if table is None else table.ns_per_madd
-    heavy_cost = (_NS_PER_TUPLE * sum(ri.n for ri in rels) * (blocks > 0)
+    build = _NS_PER_TUPLE * sum(ri.n for ri in rels)
+    heavy_cost = (build * (blocks > 0)
                   + _NS_PER_PRODUCT * blocks
                   + _NS_PER_ENTRY * sizes.factor_entries
                   + ns_per_madd * sizes.madds)
+    if delta1s[0] == 0 and delta2s[0] == 0 and self_join(rels):
+        rows, inner = sizes.rows[0], sizes.inner[0]
+        rows, inner = rows[rows * inner > 0], inner[rows * inner > 0]
+        workers = gram_workers((rows * (rows + 1) // 2) @ inner,
+                               _matmul.worker_count())
+        blocks = gram_blocks(rows, inner, workers)
+        light_cost[0, 0] = 0.0
+        heavy_cost[0, 0] = (
+            build * (len(rows) > 0) + _NS_PER_ENTRY * rows @ inner
+            + (_NS_PER_GRAM_BLOCK * blocks.sum()
+               + gram_entries(rows, blocks)
+               @ (ns_per_madd * inner + _NS_PER_SCANNED)) / workers)
+        kept = min(rows @ rows,
+                   deg.prod(axis=0, dtype=np.float64).sum() / floor)
+        # at floor 1 the bounds are near the count: a sparse family's pairs
+        # share about one witness each, a dense one keeps nearly all rows^2;
+        # and the estimate only lowers the corner's price, so it is worth
+        # its time only where the corner keeping nothing would be cheapest
+        others = np.delete((light_cost + heavy_cost).ravel(), 0)
+        if (len(rels) == 2 and floor > 1
+                and heavy_cost[0, 0] < others.min(initial=math.inf)):
+            estimate = gram_kept_estimate(rels[0], comp, floor)
+            if estimate is not None:
+                kept = min(kept, estimate)
+        heavy_cost[0, 0] += _NS_PER_KEPT * kept
     return PlanGrid(np.asarray(delta1s), np.asarray(delta2s), sizes,
                     light_cost, heavy_cost)
 
 
-def default_plan(r: IndexedRelation, s: IndexedRelation) -> ThresholdPlan:
-    """The cheapest two-path plan of price_plan, the multiply priced at
-    _NS_PER_MADD per multiply-add."""
-    return price_plan([r, s], 2).plan()
+def default_plan(r: IndexedRelation, s: IndexedRelation,
+                 floor: int = 1) -> ThresholdPlan:
+    """The cheapest two-path plan of price_plan keeping the codes counted at
+    least `floor` times, the multiply priced at _NS_PER_MADD per
+    multiply-add."""
+    return price_plan([r, s], 2, floor=floor).plan()
 
 
 def optimize_thresholds(r: IndexedRelation, s: IndexedRelation,

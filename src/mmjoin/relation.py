@@ -13,8 +13,10 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
+from .errors import DataError
 
-class ParseError(ValueError):
+
+class ParseError(DataError, ValueError):
     """A bad input line: `{path}, line N: ...`, or `line N: ...` unnamed."""
 
     def __init__(self, line_no: int, msg: str, path: Optional[str] = None):

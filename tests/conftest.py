@@ -8,6 +8,8 @@ tests that check it.
 """
 
 import math
+import threading
+import time
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import product
@@ -309,3 +311,26 @@ EXAMPLE_U = [(1, 1), (2, 2), (2, 5), (3, 3), (4, 4), (4, 5), (4, 6), (5, 4),
 EXAMPLE_LISTS = {"b1": ["C1", "C2", "C3", "C4"], "b2": ["C1", "C2", "C3"],
                  "b3": ["C3", "C5"], "b4": ["C4", "C6"]}
 EXAMPLE_SETS = {"A1": ["b1", "b2", "b3"], "A2": ["b1", "b2", "b4"]}
+
+
+class WorkerBoom(Exception):
+    """What fail_off_the_main_thread's tasks raise."""
+
+
+def fail_off_the_main_thread(monkeypatch):
+    """Two workers, and every task run_shared runs on a thread other than
+    the main one raises WorkerBoom; the main thread waits a little before
+    each of its tasks, so another thread takes one."""
+    from mmjoin.matmul import core
+    monkeypatch.setattr(core, "worker_count", lambda: 2)
+    shared = core.run_shared
+
+    def failing(fn, tasks, workers):
+        def task(t):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)
+                return fn(t)
+            raise WorkerBoom("raised in a worker")
+        return shared(task, tasks, workers)
+
+    monkeypatch.setattr(core, "run_shared", failing)

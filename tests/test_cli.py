@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     canon_pair,
+    fail_off_the_main_thread,
     oracle_ssj,
     oracle_ssj_ordered,
     oracle_two_path,
@@ -838,7 +839,7 @@ def test_bench_checks_its_csv_before_any_work(tmp_path, runner,
     """An unwritable --csv fails before the graph is built, and a run that
     fails after the check leaves a CSV that was there as it was."""
     def build(*args):
-        raise ValueError("the graph was built")
+        raise joinproject.StarResourceError("the graph was built")
 
     monkeypatch.setattr(cli, "_community_graph", build)
     old = tmp_path / "old.csv"
@@ -1072,3 +1073,38 @@ def test_check_commands(tmp_path, runner):
     assert "seed=3" in res.output and "OK" in res.output
     res = runner.invoke(main, ["check", "ssj", "--seed", "5", "--c", "2"])
     assert res.exit_code == 0 and "OK" in res.output
+
+
+def test_an_unexpected_exception_is_one_line_with_its_own_status(
+        tmp_path, runner, monkeypatch):
+    """A ValueError a command does not expect is a bug, not a data error:
+    one `Internal error:` line naming it, exit status 70, no traceback."""
+    sets = tmp_path / "sets.txt"
+    sets.write_text("a x\nb x\n")
+
+    def broken(family, c):
+        raise ValueError("operands could not be broadcast\ntogether")
+
+    monkeypatch.setattr(apps, "ssj_mmjoin", broken)
+    res = runner.invoke(main, ["ssj", "--sets", str(sets)])
+    assert res.exit_code == cli._BUG_EXIT == 70
+    assert res.output.splitlines() == [
+        "Internal error: ValueError: operands could not be broadcast together"]
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_an_error_in_a_join_worker_ends_the_command_as_itself(
+        tmp_path, runner, monkeypatch):
+    # the benchmark-shaped family plans its Gram corner at c = 3 on two
+    # workers; a task that fails on the second thread ends the command
+    # with that exception's own name
+    sets = tmp_path / "sets.txt"
+    res = runner.invoke(main, ["gen", "--kind", "sets", "--sets", "1000",
+                               "--universe", "500", "--max-size", "40",
+                               "--out", str(sets)])
+    assert res.exit_code == 0
+    fail_off_the_main_thread(monkeypatch)
+    res = runner.invoke(main, ["ssj", "--sets", str(sets), "--c", "3"])
+    assert res.exit_code == 70
+    assert res.output.splitlines() == [
+        "Internal error: WorkerBoom: raised in a worker"]

@@ -57,10 +57,10 @@ def test_partition_two_path_fixture():
 
 
 def test_partition_thresholds_validated():
-    # the split rejects thresholds below 1, and so every join that runs a
-    # plan as its thresholds
+    # the split rejects thresholds below 0 (0 is the all-heavy corner), and
+    # so every join that runs a plan as its thresholds
     r, s = _example_indexed()
-    for d1, d2 in ((0, 2), (2, 0)):
+    for d1, d2 in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             opt.light_split([r, s], 2, d1, d2)
         with pytest.raises(ValueError):
@@ -424,7 +424,7 @@ def test_star_join_validation():
     with pytest.raises(ValueError):
         jp.star_join([r], 2, 2)
     with pytest.raises(ValueError):
-        jp.star_join([r, s], 0, 2)
+        jp.star_join([r, s], -1, 2)
 
 
 @st.composite
@@ -467,9 +467,10 @@ def test_witness_key_and_split_count_light_relations(case):
 
 
 def test_full_join_corner_runs_as_the_full_join():
-    # a family of 200 sets, whose cheapest plan is the grid's all-light
-    # corner: run as its thresholds, it is the full join
-    fam = random_family(np.random.default_rng(1), 200, 100, 15)
+    # a family of 1000 sets over 500 elements, whose cheapest plan is the
+    # grid's all-light corner at any worker count: run as its thresholds,
+    # it is the full join
+    fam = random_family(np.random.default_rng(1), 1000, 500, 40)
     r = build_indexed(Relation.from_raw_pairs(
         "sets", [(a, e) for a, elems in fam.items() for e in elems]))
     grid = opt.price_plan([r, r], 2)
@@ -491,7 +492,8 @@ def test_full_join_corner_runs_as_the_full_join():
 @pytest.mark.parametrize("k,seed", [(2, 0), (3, 1), (4, 2), (3, None)])
 def test_star_join_without_thresholds_runs_its_planned_plan(k, seed):
     """The cheapest plan of the star's grid (all heavy on a community
-    graph, seed None, the full join on the random ones of k = 3 and 4)."""
+    graph, seed None; light witnesses of degree 1 and no light left value
+    on the random ones of k = 3 and 4)."""
     if seed is None:
         graph = generate_community_graph(60, 3, 0.9, seed=7)
         rel_pairs = [list(graph.raw_pairs())] * k
@@ -506,7 +508,7 @@ def test_star_join_without_thresholds_runs_its_planned_plan(k, seed):
     if seed is None:
         assert (plan.strategy, plan.delta1, plan.delta2) == (PARTITIONED, 1, 1)
     elif k > 2:
-        assert plan.strategy == FULL_JOIN
+        assert (plan.strategy, plan.delta1, plan.delta2) == (PARTITIONED, 1, 0)
     assert _decoded(res, idxs) == dict(oracle_star(rel_pairs))
     with pytest.raises(ValueError, match="together"):
         jp.star_join(idxs, 2)

@@ -162,15 +162,18 @@ def test_calibration_load_rejects_garbage(tmp_path):
             CalibrationTable.load(path)
 
 
-def test_ns_per_madd_fits_a_line_through_the_origin():
+def test_ns_per_madd_fits_a_line_with_an_intercept():
     # nanos = p^3 / 10 on every probe: exactly 0.1 ns per multiply-add
     table = CalibrationTable({p: p ** 3 // 10 for p in (10, 20, 40, 80)})
     assert table.ns_per_madd == 0.1
+    # a fixed 20 us a product is the intercept, not a price per madd
+    table = CalibrationTable({p: 20_000 + p ** 3 // 20
+                              for p in (20, 40, 80, 160)})
+    assert table.ns_per_madd == 0.05
     # one probe is enough: its nanos over its multiply-adds
     assert CalibrationTable({64: 36_318}).ns_per_madd == 36_318 / 64 ** 3
-    # sum p^3 * nanos / sum p^6, weighted to the largest probe
-    table = CalibrationTable({1: 5, 2: 0})
-    assert table.ns_per_madd == 5 / 65
+    # a falling line prices multiply-adds at 0, not below
+    assert CalibrationTable({1: 5, 2: 0}).ns_per_madd == 0.0
 
 
 def test_ns_per_madd_of_a_non_monotone_file_is_not_negative(tmp_path):
@@ -181,9 +184,9 @@ def test_ns_per_madd_of_a_non_monotone_file_is_not_negative(tmp_path):
                     "256\t1\t652045\n")
     price = CalibrationTable.load(path).ns_per_madd
     assert price >= 0
-    assert price == pytest.approx(
-        (32 ** 3 * 48232 + 64 ** 3 * 34128 + 256 ** 3 * 652045)
-        / (32 ** 6 + 64 ** 6 + 128 ** 6 + 256 ** 6))
+    cubes = np.array([32, 64, 128, 256], dtype=np.float64) ** 3
+    slope = np.polyfit(cubes, [48232, 34128, 0, 652045], 1)[0]
+    assert price == pytest.approx(slope)
 
 
 def test_ns_per_madd_of_an_empty_table():

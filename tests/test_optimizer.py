@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mmjoin.matmul import CalibrationError, CalibrationTable
+from mmjoin.matmul import core as matmul_core
 from mmjoin import optimizer as opt
+from mmjoin.joinproject import two_path_join
 from mmjoin.relation import (
     build_indexed,
     generate_community_graph,
@@ -66,6 +68,28 @@ def test_sets_family_plans_all_light():
     assert plan.delta1 > idx.right_deg.max()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sets_family_plans_its_gram_corner_on_two_workers(monkeypatch,
+                                                          workers):
+    # at c = 3 the corner multiplies half of V V^T, over the workers, and
+    # keeps ~10% of the pairs; on one worker the full join stays cheaper,
+    # and at c = 1 on any
+    idx = _sets_family(1000, 500, 40, 7)
+    monkeypatch.setattr(matmul_core, "worker_count", lambda: workers)
+    plan = opt.default_plan(idx, idx, floor=3)
+    assert ((plan.delta1, plan.delta2) == (0, 0)) == (workers == 2)
+    assert opt.default_plan(idx, idx).strategy == opt.FULL_JOIN
+
+
+def test_gram_kept_estimate_is_near_the_pairs_kept():
+    idx = _sets_family(1000, 500, 40, 7)
+    corner = opt.ThresholdPlan(opt.PARTITIONED, 0, 0)
+    for c in (1, 2, 3, 4, 5):
+        kept = len(two_path_join(idx, idx, corner, floor=c))
+        estimate = opt.gram_kept_estimate(idx, idx.components, c)
+        assert 0.8 * kept < estimate < 1.4 * kept, (c, kept, estimate)
+
+
 def test_community_plans_all_heavy():
     # 600 nodes in 3 communities of 200: the full join writes ~160 codes
     # per output pair, the all-heavy products none, one per community
@@ -92,10 +116,11 @@ def test_optimize_requires_a_table():
 
 def _assert_argmin_of_grid(idx, table):
     grid = opt.price_plan([idx, idx], 2, table)
-    # powers of two up to the first past every degree
+    # 0, then powers of two up to the first past every degree
     for deltas, deg in ((grid.delta1s, idx.right_deg),
                         (grid.delta2s, idx.left_deg)):
-        assert deltas.tolist() == [2 ** e for e in range(len(deltas))]
+        powers = [2 ** e for e in range(len(deltas) - 1)]
+        assert deltas.tolist() == [0] + powers
         assert deltas[-2] <= deg.max() < deltas[-1]
     plan = (opt.default_plan(idx, idx) if table is None
             else opt.optimize_thresholds(idx, idx, table))
@@ -114,9 +139,10 @@ def test_optimize_thresholds_iteration_bound_and_quality():
     idx = build_indexed(rel)
     plan, grid = _assert_argmin_of_grid(idx, _synthetic_table())
     assert plan.strategy == opt.PARTITIONED
-    # one candidate per pair of powers of two up to the largest degree
+    # one candidate per pair of 0 and the powers of two up to the largest
+    # degree
     top = int(max(idx.left_deg.max(), idx.right_deg.max()))
-    assert plan.iterations == grid.cost.size <= (top.bit_length() + 1) ** 2
+    assert plan.iterations == grid.cost.size <= (top.bit_length() + 2) ** 2
 
 
 def test_default_plan_is_the_argmin_of_its_grid():
@@ -143,12 +169,12 @@ def test_default_plan():
     r, s = reduced_indexed(random_pairs(rng, 100, 30, 30),
                            random_pairs(rng, 100, 30, 30))
     plan = opt.default_plan(r, s)
-    assert plan.delta1 >= 1 and plan.delta2 >= 1
+    assert plan.delta1 >= 0 and plan.delta2 >= 0
     rel = generate_community_graph(120, 3, 0.9, seed=6)
     idx = build_indexed(rel)
     plan = opt.default_plan(idx, idx)
     assert plan.strategy == opt.PARTITIONED
-    assert 1 <= plan.delta1 <= idx.n and 1 <= plan.delta2 <= idx.n
+    assert 0 <= plan.delta1 <= idx.n and 0 <= plan.delta2 <= idx.n
 
 
 def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
@@ -175,13 +201,21 @@ def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
 
 def test_table_prices_the_multiply_per_madd(monkeypatch):
     """With a table, the heavy cost is the built-in parts plus the table's
-    ns_per_madd times each candidate's multiply-adds."""
+    ns_per_madd times each candidate's multiply-adds; at a self-join's
+    all-heavy corner, the Gram blocks' multiply-adds over the workers."""
     idx = build_indexed(generate_community_graph(210, 3, 0.85, seed=4))
     table = CalibrationTable({32: 9_000, 64: 40_000, 128: 90_000})
     monkeypatch.setattr(opt, "_NS_PER_MADD", 0.0)
+    monkeypatch.setattr(matmul_core, "worker_count", lambda: 2)
     built_in = opt.price_plan([idx, idx], 2)
     priced = opt.price_plan([idx, idx], 2, table)
     assert (priced.sizes.madds > 0).any()
     assert np.array_equal(priced.light_cost, built_in.light_cost)
-    assert np.array_equal(priced.heavy_cost, built_in.heavy_cost
-                          + table.ns_per_madd * priced.sizes.madds)
+    madds = priced.sizes.madds.copy()
+    rows, inner = priced.sizes.rows[0], priced.sizes.inner[0]
+    workers = matmul_core.gram_workers((rows * (rows + 1) // 2) @ inner, 2)
+    madds[0, 0] = (matmul_core.gram_entries(
+        rows, matmul_core.gram_blocks(rows, inner, workers)) @ inner / workers)
+    assert 0 < madds[0, 0] <= priced.sizes.madds[0, 0]
+    assert np.allclose(priced.heavy_cost, built_in.heavy_cost
+                       + table.ns_per_madd * madds, rtol=1e-12, atol=0)
