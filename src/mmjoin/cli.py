@@ -131,15 +131,33 @@ def _suffix_texts(key, space, texts, pending):
     return key, out
 
 
-def _field_names(values: list, counts: Optional[np.ndarray]) -> list:
+def _field_names(values: list, codes: np.ndarray, dims: tuple,
+                 counts: Optional[np.ndarray]) -> list:
     """`_names` of each field's values, one list of values per field: every
     field but the last is followed by a space, and the last one too when a
-    count field follows."""
+    count field follows. A field with more values than there are rows
+    (`codes`, over `dims`) has only the values the rows use formatted, and
+    its rank maps each used id to its position among them; a list given
+    for two fields with the same separator is formatted once."""
     seps = [" "] * len(values)
     if counts is None:
         seps[-1] = ""
-    return [_names([str(value) + sep for value in field])
-            for field, sep in zip(values, seps)]
+    fields, made, stride = [], {}, 1
+    for field, sep, dim in zip(values[::-1], seps[::-1], dims[::-1]):
+        if len(field) > len(codes):
+            used = np.flatnonzero(np.bincount(codes // stride % dim,
+                                              minlength=dim))
+            names, rank = _names([str(field[i]) + sep for i in used.tolist()])
+            at = np.zeros(dim, dtype=np.int64)
+            at[used] = np.arange(len(used)) if rank is None else rank
+            fields.append((names, at))
+        else:
+            if (id(field), sep) not in made:
+                made[id(field), sep] = _names([str(value) + sep
+                                               for value in field])
+            fields.append(made[id(field), sep])
+        stride *= dim
+    return fields[::-1]
 
 
 def _count_field(counts: np.ndarray):
@@ -149,26 +167,95 @@ def _count_field(counts: np.ndarray):
     return names, inverse if rank is None else rank[inverse]
 
 
-def _join_lines(leads, lead, suffixes, suffix) -> str:
-    """Rows `leads[lead[i]] + suffixes[suffix[i]]` in the given order, joined
-    by newlines."""
-    if not len(lead):
-        return ""
-    rest = suffixes[suffix].tolist()
-    # one join per run of rows that share the first field
-    cuts = [0, *(np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist(),
-            len(lead)]
-    heads = leads[lead[cuts[:-1]]].tolist()
-    return "\n".join(head + ("\n" + head).join(rest[lo:hi])
-                     for head, lo, hi in zip(heads, cuts, cuts[1:]))
+def _runs(codes: np.ndarray, space: int, leads: int, ascending: bool):
+    """The first row of each run of rows that share their first field, and
+    that field's id: a code's leading digit over `space`, one of `leads`.
+    Ascending codes are cut by one search per lead, not one division per
+    row."""
+    if ascending:
+        lo = np.searchsorted(codes, np.arange(leads) * space)
+        lead = np.flatnonzero(np.diff(lo, append=len(codes)))
+        return lo[lead], lead
+    lead = codes // space
+    lo = np.flatnonzero(np.concatenate(([True], lead[1:] != lead[:-1])))
+    return lo, lead[lo]
+
+
+# Runs share their text only when the repeated ones hold at least this
+# share of the rows: masking the rows apart costs a few passes over all of
+# them, and each repeated row saves its rank, gather and list entry.
+_SHARED_ROWS_MIN = 1 / 8
+
+# an odd multiplier that spreads a run's fingerprint over all 64 bits
+_MIX = np.int64(-0x61C8864680B583EB)
+
+# rows of repeated runs compared at a time
+_COMPARE_ROWS = 1 << 20
+
+
+def _run_fingerprints(codes, counts, lo, lens, base) -> np.ndarray:
+    """One number per run on which two runs printing the same rest of line
+    agree. A run is the `lens` rows from `lo` on, and `base` its lead times
+    the suffix space, so a code less its run's base is the row's suffix
+    key. It mixes the run's length, its first and last key and the sum of
+    its keys (and of its counts), all wrapping: equal fingerprints are only
+    a reason to compare the rows."""
+    fp = lens
+    for part in (codes[lo] - base, codes[lo + lens - 1] - base,
+                 np.add.reduceat(codes, lo) - lens * base,
+                 None if counts is None else np.add.reduceat(counts, lo)):
+        if part is not None:
+            fp = fp * _MIX + part
+    return fp
+
+
+def _shared_runs(codes, counts, lo, lens, base) -> np.ndarray:
+    """Each run's representative (runs as in `_run_fingerprints`): the
+    earliest run with the same suffix keys in the same order, and the same
+    counts when `counts` are printed; each run itself when few rows repeat
+    (_SHARED_ROWS_MIN). Runs are grouped by fingerprint, then compared row
+    by row with their group's earliest run, one pass per run length; a run
+    that differs stands for itself, so a fingerprint collision costs time,
+    never a wrong line."""
+    run = np.arange(len(lo))
+    fp = _run_fingerprints(codes, counts, lo, lens, base)
+    perm = np.argsort(fp)
+    starts = np.ones(len(lo), dtype=bool)
+    starts[1:] = fp[perm[1:]] != fp[perm[:-1]]
+    # each group's earliest run, for every run of the group
+    rep = np.empty_like(run)
+    rep[perm] = np.minimum.reduceat(perm, np.flatnonzero(starts))[
+        np.cumsum(starts) - 1]
+    dup = np.flatnonzero((rep != run) & (lens == lens[rep]))
+    if lens[dup].sum() < _SHARED_ROWS_MIN * len(codes):
+        return run
+    out = run.copy()
+    windows = np.lib.stride_tricks.sliding_window_view
+    for size in np.unique(lens[dup]).tolist():
+        # runs of one length are rows of a window view, compared in chunks
+        # of about _COMPARE_ROWS rows
+        of_size = dup[lens[dup] == size]
+        step = max(1, _COMPARE_ROWS // size)
+        for i in range(0, len(of_size), step):
+            mine = of_size[i:i + step]
+            theirs = rep[mine]
+            diff = windows(codes, size)[lo[mine]]
+            diff -= windows(codes, size)[lo[theirs]]
+            same = (diff == (base[mine] - base[theirs])[:, None]).all(axis=1)
+            if counts is not None:
+                view = windows(counts, size)
+                same &= (view[lo[mine]] == view[lo[theirs]]).all(axis=1)
+            out[mine[same]] = theirs[same]
+    return out
 
 
 def _result_lines(res: joinproject.OutputSet, values: list, counts: bool,
                   order: Optional[np.ndarray] = None) -> str:
-    """The rows of a result as text joined by newlines, each row its fields
-    joined by spaces: field i holds `values[i]` at the row's i-th id, and a
-    last field the row's count when `counts`. Rows come sorted by code
-    point, or in `order` (row indices) when given.
+    """The rows of a result as lines of text, each ending in a newline (""
+    for no rows), each row its fields joined by spaces: field i holds
+    `values[i]` at the row's i-th id, and a last field the row's count when
+    `counts`. Rows come sorted by code point, or in `order` (row indices)
+    when given.
 
     Tokens hold no whitespace, so the text order of two rows is the order of
     their fields, each field compared as its name plus the space after it
@@ -177,36 +264,67 @@ def _result_lines(res: joinproject.OutputSet, values: list, counts: bool,
     order; otherwise each row is recoded over its fields' ranks in that
     order (one divmod and one gather per field) and the codes are sorted.
     A code's leading digit is then its row's lead rank and the rest its
-    suffix key: names and suffixes are formatted once per distinct value,
-    and rows are only gathered and joined.
+    suffix key. Rows that share their lead make a run, and runs that print
+    the same rest of line share its text (`_shared_runs`): names, suffixes
+    and runs are formatted once per distinct value, and rows are only
+    joined.
     """
+    if not len(res):
+        return ""
     codes, cnt = res.codes, res.counts if counts else None
-    named = _field_names(values, cnt)
+    named = _field_names(values, codes, res.dims, cnt)
+    ascending = order is None
     if any(rank is not None for _, rank in named):
         rem, codes, stride = codes, 0, 1
         for dim, (names, rank) in zip(res.dims[::-1], named[::-1]):
             rem, ids = np.divmod(rem, dim)
             codes = codes + stride * (ids if rank is None else rank[ids])
             stride *= len(names)
-        if order is None:
+        if ascending and np.any(codes[1:] < codes[:-1]):
             order = np.argsort(codes, kind="stable")
     if order is not None:
         codes = codes[order]
         cnt = None if cnt is None else cnt[order]
-    if not len(codes):
-        return ""
     space = math.prod(len(names) for names, _ in named[1:])
-    lead, key = np.divmod(codes, space)
-    rest = [] if cnt is None else [_count_field(cnt)]
-    suffix, suffixes = _suffixes(rest, key, space,
-                                 [names for names, _ in named[1:]])
-    return _join_lines(named[0][0], lead, suffixes, suffix)
+    lo, lead = _runs(codes, space, len(named[0][0]), ascending)
+    lens = np.diff(lo, append=len(codes))
+    base = lead * space
+    rep = _shared_runs(codes, cnt, lo, lens, base)
+    shown = rep == np.arange(len(lo))
+    shared = not shown.all()
+    rows = slice(None)
+    if shared:
+        rows = np.repeat(shown, lens)
+        lens, base = lens[shown], base[shown]
+    key = codes[rows] - np.repeat(base, lens)
+    # the last field of a line ends it
+    pending = [names for names, _ in named[1:]]
+    rest = []
+    if cnt is None:
+        pending[-1] = pending[-1] + "\n"
+    else:
+        names, rank = _count_field(cnt[rows])
+        rest = [(names + "\n", rank)]
+    suffix, suffixes = _suffixes(rest, key, space, pending)
+    texts = suffixes[suffix].tolist()
+    cut = [0, *np.cumsum(lens).tolist()]
+    runs = (texts[a:b] for a, b in zip(cut, cut[1:]))
+    if shared:
+        # each run prints its representative's rows, sliced once
+        runs = list(runs)
+        runs = [runs[i] for i in (np.cumsum(shown) - 1)[rep].tolist()]
+    heads = named[0][0][lead].tolist()
+    # a run prints as its lead, then its rows' texts (each ending its line)
+    # joined by its lead
+    return "".join([piece for head, run in zip(heads, runs)
+                    for piece in (head, head.join(run))])
 
 
 def _echo(text: str) -> None:
     """Write query output as it is: click.echo strips ANSI escape sequences
-    when stdout is not a terminal, and ids may hold them."""
-    click.echo(text, color=True)
+    when stdout is not a terminal, and ids may hold them. The text ends
+    its own last line, and an empty one writes nothing."""
+    click.echo(text, color=True, nl=False)
 
 
 def _probe_dims(ctx, param, value):
@@ -242,11 +360,11 @@ class _Bug(click.ClickException):
 
 class _Commands(click.Group):
     """The one place where a command's exceptions end: a data error
-    (_DATA_ERRORS) becomes one `Error:` line and exit status 1, and any
-    other exception one `Internal error:` line and exit status _BUG_EXIT.
-    click's own exceptions (usage errors exit 2), MemoryError (which the
-    join budget exists to prevent), SystemExit and KeyboardInterrupt
-    pass."""
+    (_DATA_ERRORS) or a MemoryError (an input past the memory the process
+    has, which the join budget does not count) becomes one `Error:` line
+    and exit status 1, and any other exception one `Internal error:` line
+    and exit status _BUG_EXIT. click's own exceptions (usage errors exit
+    2), SystemExit and KeyboardInterrupt pass."""
 
     def invoke(self, ctx):
         try:
@@ -255,8 +373,12 @@ class _Commands(click.Group):
             raise  # click's main exits quietly when stdout is closed
         except _DATA_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
+        except MemoryError as exc:
+            text = " ".join(str(exc).split())
+            raise click.ClickException(f"out of memory: {text}" if text
+                                       else "out of memory") from exc
         except (click.ClickException, click.exceptions.Exit,
-                click.exceptions.Abort, MemoryError):
+                click.exceptions.Abort):
             raise
         except Exception as exc:
             text = " ".join(str(exc).split())

@@ -334,12 +334,17 @@ def _distinct_result(values, rows, counts):
     return joinproject.OutputSet(codes, dims, cnt), lines
 
 
+def _text(lines) -> str:
+    """`lines` as the writer prints them, each ending in a newline."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 def _check_result_lines(values, rows, counts):
     """_result_lines of the distinct `rows` prints what sorting their
     formatted lines prints, also with a key limit so small that the combined
     suffix key is re-ranked at every field, and in a given row order."""
     res, lines = _distinct_result(values, rows, counts)
-    want = "\n".join(sorted(lines))
+    want = _text(sorted(lines))
     assert _result_lines(res, values, counts is not None) == want
     with mock.patch.object(cli, "_KEY_LIMIT", 4):
         assert _result_lines(res, values, counts is not None) == want
@@ -349,7 +354,7 @@ def _check_result_lines(values, rows, counts):
     by_key = sorted(range(len(res)),
                     key=lambda i: (int(cnt[i]), -int(res.codes[i])))
     assert _result_lines(res, values, counts is not None, order) == \
-        "\n".join(lines[i] for i in by_key)
+        _text(lines[i] for i in by_key)
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,13 +384,16 @@ def _check_rows_in_text_order(values, rows, counts):
     res = _distinct_result(ordered, rows, counts)[0]
     with mock.patch.object(cli.np, "argsort", wraps=np.argsort) as argsort:
         _result_lines(res, ordered, counts is not None)
-    assert not argsort.called
+    # no row is sorted: the one sort is of a fingerprint per run of rows
+    # that share their first field
+    runs = len({row[0] for row in rows})
+    assert all(len(call.args[0]) == runs for call in argsort.call_args_list)
     flipped = [ordered[0][::-1]] + ordered[1:]
     _check_result_lines(flipped, [(len(flipped[0]) - 1 - row[0], *row[1:])
                                   for row in rows], counts)
 
 
-# unused names past the bitmap's reach for any drawn number of rows
+# names no row uses, more than any drawn table has rows
 _PAD = [f"pad{i}" for i in range(joinproject._BITMAP_SPACE_PER_KEY * 2000 + 1)]
 
 
@@ -410,14 +418,130 @@ def test_result_lines_with_repeated_suffixes(table):
     for cnt in (None, counts.tolist()):
         _check_result_lines(values, rows, cnt)
         lines = _distinct_result(values, rows, cnt)[1]
-        # the same rows over fields with names no row uses, too many for a
-        # bitmap over the suffix keys
-        wide = [v + _PAD for v in values]
-        res = _distinct_result(wide, rows, cnt)[0]
-        with mock.patch.object(cli.np, "unique", wraps=np.unique) as unique:
-            assert _result_lines(res, wide, cnt is not None) == \
-                "\n".join(sorted(lines))
-        assert unique.called
+        want = _text(sorted(lines))
+        # the same rows over fields with names no row uses: as many names
+        # as rows, all formatted, which for three fields or more are too
+        # many for a bitmap over the suffix keys; and more names than rows,
+        # of which only the used ones are formatted
+        m = len(lines)
+        for wide in ([v + _PAD[:max(0, m - len(v))] for v in values],
+                     [v + _PAD for v in values]):
+            res = _distinct_result(wide, rows, cnt)[0]
+            with mock.patch.object(cli.np, "unique",
+                                   wraps=np.unique) as unique:
+                assert _result_lines(res, wide, cnt is not None) == want
+            if len(wide[1]) == m > 4 and len(values) > 2:
+                assert unique.called
+
+
+@st.composite
+def _shared_table(draw):
+    """Many leads over a few runs: each lead's rows are one of up to three
+    sets of suffixes, with that set's counts, and one lead's counts may
+    differ from its set's in a single row. Lead names may hold a control
+    character, and suffix names may too, which recodes the rows."""
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    leads = draw(st.integers(2, 60))
+    marked = draw(st.sampled_from(["", "\x01"]))
+    values = [[f"l{i:02d}" + (marked if i % 3 == 0 else "")
+               for i in range(leads)]]
+    values += [draw(st.lists(st.sampled_from(_NAMES + ["a\x01"]),
+                             min_size=1, max_size=5, unique=True))
+               for _ in range(k - 1)]
+    dims = [len(v) for v in values[1:]]
+    space = int(np.prod(dims))
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        keys = np.sort(rng.choice(space, rng.integers(1, space + 1),
+                                  replace=False))
+        suffixes = np.stack(np.unravel_index(keys, dims), axis=1)
+        runs.append((suffixes.tolist(),
+                     rng.choice([1, 2, 9, 10, 100, 10 ** 12], len(keys))))
+    odd = draw(st.booleans())
+    rows, counts = [], []
+    for lead in range(leads):
+        suffixes, cnt = runs[rng.integers(len(runs))]
+        cnt = cnt.copy()
+        if odd and lead == leads // 2:
+            cnt[rng.integers(len(cnt))] += 1
+        rows += [(lead, *suffix) for suffix in suffixes]
+        counts += cnt.tolist()
+    return values, rows, counts
+
+
+def _colliding(codes, counts, lo, lens, base):
+    """A fingerprint that every run shares."""
+    return np.zeros(len(lo), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_table())
+def test_result_lines_with_shared_runs(table):
+    # with and without counts, in text order, recoded and in a given
+    # order, at a key limit that re-ranks at every field, and with a
+    # fingerprint under which every run collides
+    values, rows, counts = table
+    for cnt in (None, counts):
+        _check_result_lines(values, rows, cnt)
+        _check_rows_in_text_order(values, rows, cnt)
+        with mock.patch.object(cli, "_run_fingerprints", _colliding):
+            _check_result_lines(values, rows, cnt)
+
+
+def test_result_lines_format_a_repeated_run_once(monkeypatch):
+    """Runs with the same suffixes share one representative; under a
+    fingerprint every run shares, runs that differ from their group's
+    first one stand for themselves and print the same lines."""
+    values = [[f"l{i}" for i in range(6)], ["x", "y", "z"]]
+    rows = [(lead, s) for lead in range(6) for s in ((0, 2) if lead % 2
+                                                      else (1, 2))]
+    res, lines = _distinct_result(values, rows, None)
+    reps, real = [], cli._shared_runs
+
+    def shared_runs(*args):
+        rep = real(*args)
+        reps.append(rep.tolist())
+        return rep
+
+    monkeypatch.setattr(cli, "_shared_runs", shared_runs)
+    assert _result_lines(res, values, False) == _text(sorted(lines))
+    monkeypatch.setattr(cli, "_run_fingerprints", _colliding)
+    assert _result_lines(res, values, False) == _text(sorted(lines))
+    assert reps == [[0, 1, 0, 1, 0, 1], [0, 1, 0, 3, 0, 5]]
+
+
+def test_result_lines_formats_only_the_names_rows_use(monkeypatch):
+    """A field with more names than the result has rows formats only the
+    names its rows use; one with as many or fewer formats them all."""
+    values = [[f"v{i}" for i in range(1000)], ["x", "y"]]
+    res, lines = _distinct_result(values, [(7, 0), (3, 1), (900, 1)], None)
+    formatted, real = [], cli._names
+
+    def names(texts):
+        formatted.append(len(texts))
+        return real(texts)
+
+    monkeypatch.setattr(cli, "_names", names)
+    assert _result_lines(res, values, False) == _text(sorted(lines))
+    assert formatted == [2, 3]
+
+
+def test_an_empty_result_prints_nothing(tmp_path, runner):
+    """No row, no line: not even an empty one."""
+    (tmp_path / "a.txt").write_text("a x\n")
+    (tmp_path / "b.txt").write_text("b y\n")
+    (tmp_path / "sets.txt").write_text("s 1\ns 2\nt 2\nt 3\n")
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    for argv in (["twopath", "--left", a, "--right", b],
+                 ["twopath", "--left", a, "--right", b, "--counts"],
+                 ["star", "--input", a, "--input", b, "--input", a],
+                 ["star", "--input", a, "--input", b, "--counts"],
+                 ["scj", "--sets", str(tmp_path / "sets.txt")],
+                 ["ssj", "--sets", str(tmp_path / "sets.txt"), "--c", "2"]):
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0, res.output
+        assert res.output == ""
 
 
 def test_ssj_methods_cli(tmp_path, runner):
@@ -455,7 +579,7 @@ def test_ssj_ordered_cli_prints_oracle_order(tmp_path, runner):
         res = runner.invoke(main, ["ssj", "--sets", str(path), "--c", str(c),
                                    "--method", "ordered"])
         assert res.exit_code == 0
-        assert res.output == "\n".join(oracle_ssj_ordered(fam, c)) + "\n"
+        assert res.output == _text(oracle_ssj_ordered(fam, c))
 
 
 def test_ssj_and_scj_run_the_public_apps_functions(tmp_path, runner,
@@ -1009,20 +1133,40 @@ def test_usage_errors_raised_in_a_command_exit_2(tmp_path, runner, argv):
     assert "Usage:" in res.output
 
 
+@pytest.mark.parametrize("module, name, argv", [
+    (joinproject, "two_path_join", ["twopath", "--left", "{g}", "--right",
+                                    "{g}"]),
+    (joinproject, "star_join", ["star", "--input", "{g}", "--input", "{g}"]),
+    (apps, "ssj_mmjoin", ["ssj", "--sets", "{g}"]),
+    (cli, "parse_edge_list", ["scj", "--sets", "{g}"]),
+])
+@pytest.mark.parametrize("message, line", [
+    ("", "Error: out of memory"),
+    ("Unable to allocate 1.62 GiB for an array with\nshape (217000000,)",
+     "Error: out of memory: Unable to allocate 1.62 GiB for an array with "
+     "shape (217000000,)"),
+])
+def test_out_of_memory_is_one_error_line(tmp_path, runner, monkeypatch,
+                                         module, name, argv, message, line):
+    """A MemoryError (here raised where a join or the parse would run out,
+    allocating nothing) is one `Error:` line, exit status 1, no
+    traceback."""
+    g = tmp_path / "g.txt"
+    g.write_text("1 2\n3 2\n")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    res = runner.invoke(main, [arg.format(g=g) for arg in argv])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines() == [line]
+
+
 def test_the_error_boundary_passes_other_exits(tmp_path, runner,
                                                monkeypatch):
-    """A MemoryError is not a data error, and `check`'s mismatch exit is
-    its own."""
-    g = tmp_path / "g.txt"
-    g.write_text("1 2\n")
-
-    def out_of_memory(source, name):
-        raise MemoryError
-
-    monkeypatch.setattr(cli, "parse_edge_list", out_of_memory)
-    res = runner.invoke(main, ["twopath", "--left", str(g), "--right", str(g)])
-    assert type(res.exception) is MemoryError
-    assert "Error:" not in res.output
+    """`check`'s mismatch exit is its own."""
     monkeypatch.setattr(cli, "_oracle_twopath", lambda r, s: set())
     res = runner.invoke(main, ["check", "twopath", "--n", "150"])
     assert res.exit_code == 1
