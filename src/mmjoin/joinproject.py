@@ -1,7 +1,9 @@
 """Join-project evaluation: the two-path join, star queries and the
 full-join baseline, all three through one witness-disjoint partitioned join
-(_partitioned) and one dedup (_dedup_output); a self-join's all-heavy plan
-through Gram blocks (_gram_output) instead.
+(_partitioned) and one dedup (_dedup_output). Its heavy part is one blocked
+product per component (matmul.multiply_counts, the upper triangle only for
+a self-join), each block handed to one of two emits: added into a dense
+buffer over the output space, or kept as codes over the floor.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -16,8 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .matmul import (CountMatrix, gram_cuts, gram_upper, gram_workers,
-                     multiply_counts)
+from .matmul import CountMatrix, multiply_counts
 from .matmul import core as _matmul
 from .optimizer import (
     FULL_JOIN,
@@ -281,67 +282,130 @@ def _as_run(keys: np.ndarray):
     return keys
 
 
-def _kept(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """values[keep], without the copy when every entry is kept (a product
-    within a component is often dense)."""
-    return values if keep.all() else values[keep]
+def _rectangles(v: CountMatrix, wt: CountMatrix, lo: int, hi: int,
+                block: np.ndarray, triangle: bool) -> list:
+    """What block lo..hi-1 of V @ W^T stands for in the product, as (row
+    keys, col keys, counts) rectangles: the block, and in a triangle the
+    mirror of its part right of its square on the diagonal (the square is
+    computed whole). No two blocks' rectangles share an entry."""
+    rows, cols = v.row_keys, wt.col_keys
+    rects = [(rows[lo:hi], cols[lo if triangle else 0:], block)]
+    if triangle and hi < len(rows):
+        rects.append((rows[hi:], cols[lo:hi],
+                      np.ascontiguousarray(block[:, hi - lo:].T)))
+    return rects
+
+
+def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
+          dim: int = 1, floor: int = 1, counted: bool = False):
+    """The emit that runs on each block of V @ W^T, on the thread that
+    computed it, and gives one part per rectangle of the block. The dense
+    emit adds each rectangle into `view` (the output buffer as two
+    dimensions) at its keys, and gives its nonzero entries. The codes emit
+    keeps a rectangle's entries counted at least `floor` times as codes
+    row_key * dim + col_key, and gives (codes, counts or None without
+    `counted`, each row's codes, each row's first code had it kept every
+    entry, nonzero entries); every row's codes are one run, in order."""
+    def emit(lo, hi, block):
+        parts = []
+        for keys, cols, m in _rectangles(v, wt, lo, hi, block, triangle):
+            if view is not None:  # by slices where the keys are runs
+                at = _as_run(keys), _as_run(cols)
+                if all(isinstance(x, np.ndarray) for x in at):
+                    at = np.ix_(*at)
+                view[at] += m.astype(np.int64)
+                parts.append(np.count_nonzero(m > 0))
+                continue
+            keep = m >= floor
+            kept = np.count_nonzero(keep)
+            rows = keys * dim
+            if 10 * kept < 9 * keep.size:  # not nearly all: by position
+                at = np.flatnonzero(keep)
+                i = at // len(cols)
+                codes = rows[i] + cols[at - i * len(cols)]
+                counts = m.ravel()[at]
+                lens = np.diff(np.searchsorted(
+                    at, np.arange(len(rows) + 1) * len(cols)))
+            else:
+                codes, counts = np.add.outer(rows, cols).ravel(), m.ravel()
+                lens = keep.sum(axis=1)
+                if kept < keep.size:
+                    flat = keep.ravel()
+                    codes, counts = codes[flat], counts[flat]
+            parts.append((codes, counts.astype(np.int64) if counted else None,
+                          lens, rows + cols[0], kept if floor <= 1
+                          else np.count_nonzero(m > 0)))
+        return parts
+
+    return emit
 
 
 def _dedup_output(codes: np.ndarray, dims: Sequence[int],
-                  want_counts: bool = False, heavy=()) -> OutputSet:
-    """The distinct `codes` of the space `dims` as an OutputSet, with their
-    counts if want_counts.
+                  want_counts: bool = False, factors=(),
+                  triangle: bool = False, floor: int = 1) -> OutputSet:
+    """The distinct `codes` of the two-dimensional space `dims` and the
+    products V @ W^T of `factors` ((V, W^T) pairs over keys no two share;
+    entry (i, j) counts code row_keys[i] * dims[1] + col_keys[j]), counted
+    at least `floor` times, with their counts if want_counts. With
+    `triangle` every V is its W. The stats name the products' nonzero
+    entries before the floor (`heavy_pairs`, both orientations of a
+    self-join's), their `blocks`, the most threads one ran on (`workers`)
+    and the widest exact_type they ran in (`tier`).
 
-    Each of `heavy`, product CountMatrix blocks over a two-dimensional space
-    whose keys no two of them share, adds its entry (i, j) to the count of
-    code row_keys[i] * dims[1] + col_keys[j].
-
-    The sort path (_dedup) touches every code once to sort it and, when
-    blocks merge in, every code and block entry once more. While the space
-    is small next to those touches (optimizer.counts_densely), one bincount
-    over the whole space holds every count instead and the blocks are added
-    into it in place; a single block that is the whole space and has no
-    codes beside it is that buffer already.
+    While the space is small next to the codes the codes emit touches
+    (optimizer.counts_densely), one bincount over it holds every light
+    count and the dense emit adds each block in. Otherwise the codes emit
+    keeps each block's codes that reach the floor (1 beside light codes:
+    the floor applies once merged), runs go in the order of their first
+    codes, and one sort and a binary search merge the light codes in.
     """
     space = math.prod(dims)
-    if counts_densely(space, len(codes), sum(m.data.size for m in heavy)):
-        if (len(heavy) == 1 and not len(codes)
-                and heavy[0].data.shape == tuple(dims)):
-            return _DenseOutputSet(
-                heavy[0].data.astype(np.int64, copy=False).ravel(), dims,
-                want_counts)
-        buf = np.bincount(codes, minlength=space)
-        for m in heavy:
-            rows, cols = _as_run(m.row_keys), _as_run(m.col_keys)
-            if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
-                rows, cols = np.ix_(rows, cols)
-            buf.reshape(dims)[rows, cols] += m.data
-        return _DenseOutputSet(buf, dims, want_counts)
-    extra = None
-    if heavy:
-        entries = [m.data.ravel() for m in heavy]
-        kept = [e > 0 for e in entries]
-        # row-major over sorted keys: each block's codes are sorted and
-        # distinct, and the blocks' keys are disjoint
-        extra = (np.concatenate([
-            _kept(np.add.outer(m.row_keys * dims[1], m.col_keys).ravel(),
-                  keep) for m, keep in zip(heavy, kept)]),
-            np.concatenate([_kept(e, keep) for e, keep in zip(entries, kept)]))
-        if len(heavy) > 1:
-            # every row's codes are one run, in order: the runs go in the
-            # order of their row keys
-            lens = np.concatenate([keep.reshape(m.data.shape).sum(axis=1)
-                                   for m, keep in zip(heavy, kept)])
-            order = np.argsort(np.concatenate([m.row_keys for m in heavy]))
-            starts = (np.cumsum(lens) - lens)[order]
-            lens = lens[order]
-            at = (np.repeat(starts - (np.cumsum(lens) - lens), lens)
-                  + np.arange(len(extra[0])))
-            extra = (extra[0][at], extra[1][at])
-    if want_counts:
-        out, counts = _dedup(codes, True, extra)
-        return OutputSet(out, dims, counts)
-    return OutputSet(_dedup(codes, sorted_extra=extra), dims)
+    workers = _matmul.worker_count()
+    low = 1 if len(codes) else floor
+    counted = want_counts or floor > low
+    dense = counts_densely(space, len(codes),
+                           sum(v.rows * wt.cols for v, wt in factors), floor)
+    buf = np.bincount(codes, minlength=space) if dense else None
+    blocks = []
+    for v, wt in factors:
+        emit = _emit(v, wt, triangle, None if buf is None else
+                     buf.reshape(dims), dims[1], low, counted)
+        blocks += multiply_counts(v, wt, emit, triangle, workers)
+    runs = [run for block in blocks for run in block]
+    stats = {"heavy_pairs": int(sum(r if dense else r[4] for r in runs)),
+             "blocks": len(blocks), "tier": None, "workers": max(
+                 (_matmul.block_plan(v.rows, v.cols, wt.cols, workers,
+                                     triangle)[0] for v, wt in factors),
+                 default=1)}
+    if factors:
+        stats["tier"] = _matmul.exact_type(max(
+            v.cols * v.top * wt.top for v, wt in factors)).__name__
+    if dense:
+        out = _DenseOutputSet(buf, dims, want_counts)
+    else:
+        extra = None
+        if runs:
+            extra = [np.concatenate([r[0] for r in runs]), np.concatenate(
+                [r[1] for r in runs]) if counted else None]
+            lens = np.concatenate([r[2] for r in runs])
+            first = np.concatenate([r[3] for r in runs])
+            if (np.diff(first) < 0).any():
+                # the runs in the order of their first codes
+                order = np.argsort(first)
+                starts = (np.cumsum(lens) - lens)[order]
+                lens = lens[order]
+                at = (np.repeat(starts - (np.cumsum(lens) - lens), lens)
+                      + np.arange(len(extra[0])))
+                extra = [x if x is None else x[at] for x in extra]
+        if counted:
+            out, counts = _dedup(codes, True, extra)
+        else:
+            out, counts = _dedup(codes, sorted_extra=extra), None
+        out = OutputSet(out, dims, counts)
+    # where no light code is beside them, the blocks kept the floor
+    out = _floored(out, floor if len(codes) else 1, want_counts)
+    out.stats = stats
+    return out
 
 
 def _floored(out: OutputSet, floor: int, want_counts: bool) -> OutputSet:
@@ -358,57 +422,11 @@ def _floored(out: OutputSet, floor: int, want_counts: bool) -> OutputSet:
     return OutputSet(codes, out.dims, counts if want_counts else None)
 
 
-def _gram_output(factors: Sequence[CountMatrix], cuts: Sequence[list],
-                 dims: Sequence[int], floor: int, want_counts: bool,
-                 workers: int) -> OutputSet:
-    """The codes of the Gram matrices V @ V^T of `factors` (one V per
-    component, its row keys codes of the first of the two dimensions
-    `dims`, which are equal) counted at least `floor` times, with their
-    counts if want_counts. No buffer over the whole space is allocated.
-
-    gram_upper computes the row blocks cut at `cuts` (one list per factor,
-    gram_cuts) of the upper triangles on `workers` threads, each keeping
-    only what reaches the floor. On the same threads an entry (a, b) becomes
-    the codes of (a, b) and, off the diagonal, (b, a), each count packed
-    into its code's low bits while both fit in int64 (a count is at most
-    V's columns times its largest entry squared); one sort then orders
-    them all."""
-    dim = dims[1]
-    shift = max((v.cols * v.top ** 2).bit_length() for v in factors) \
-        if want_counts and factors else 0
-    packed = math.prod(dims) << shift <= _KEY_LIMIT
-
-    def mirrored(f, i, j, counts):
-        keys = factors[f].row_keys
-        a, b = keys[i], keys[j]
-        off = i != j
-        codes = np.concatenate((a * dim + b, b[off] * dim + a[off]))
-        if counts is not None:
-            counts = np.concatenate((counts, counts[off]))
-            if packed:
-                codes, counts = (codes << shift) | counts, None
-        return codes, counts
-
-    tasks = [(f, lo, hi) for f, at in enumerate(cuts)
-             for lo, hi in zip(at, at[1:])]
-    parts = gram_upper(factors, tasks, floor, want_counts, workers, mirrored)
-    empty = np.empty(0, dtype=np.int64)
-    codes = np.concatenate([empty] + [c for c, _ in parts])
-    if want_counts and not packed:
-        order = np.argsort(codes)
-        counts = np.concatenate([empty] + [c for _, c in parts])
-        return OutputSet(codes[order], dims, counts[order])
-    codes.sort()
-    if not want_counts:
-        return OutputSet(codes, dims)
-    return OutputSet(codes >> shift, dims, codes & ((1 << shift) - 1))
-
-
 # A join allocates at most this many array entries across its light codes,
-# V, W and V @ W^T (a Gram's V and its blocks), and raises StarResourceError
-# before allocating any of them past it. The all-heavy k=4 star on a
-# 120-node 3-community graph needs 2.1e8 (its product); a hub of degree 1500
-# in a k=3 star needs 3.4e9.
+# V and W, the blocks of V @ W^T (whose codes the codes emit may keep) and
+# the dense emit's buffer over the whole space, and raises StarResourceError
+# before allocating any of them past it. A hub of degree 1500 in a k=3 star
+# needs 3.4e9.
 _ENTRY_BUDGET = 1 << 28
 
 
@@ -438,13 +456,11 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     each position j, the combinations whose first light left value is at j:
     heavy lists before j, the light list at j and full lists after it. The
     rest, heavy left values at a heavy y in every relation, is the products
-    of heavy_matrices, one per component of the witnesses; the floor applies
-    once they are merged with the light codes.
-
-    A self-join (optimizer.self_join) at thresholds 0 has no light codes:
-    its products are Gram matrices, computed by row blocks of their upper
-    triangles on every worker, and each block keeps only what reaches the
-    floor (_gram_output). Its stats name the workers and the blocks.
+    of heavy_matrices, one per component of the witnesses, which
+    _dedup_output multiplies and merges with the light codes; a self-join's
+    (optimizer.self_join) are Gram matrices, of which only the upper
+    triangles are computed. The stats add the light codes
+    (`light_intermediate`) and the plan to _dedup_output's.
     """
     light_y, light_left = light_split(rels, light_in, plan.delta1,
                                       plan.delta2)
@@ -479,24 +495,18 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
                                     for cl, h in zip(comp_left, heavy_left)]]),
                          comp)
     n_light = int(planned.light[0, 0])
-    gram = plan.delta1 == 0 and plan.delta2 == 0 and self_join(rels)
-    if gram:
-        # V is rows x inner in each component with a product; its blocks
-        # are counted before any is allocated
-        rows, inner = planned.rows[0], planned.inner[0]
-        run = rows * inner > 0
-        workers = gram_workers((rows * (rows + 1) // 2) @ inner,
-                               _matmul.worker_count())
-        cuts = [gram_cuts(int(u), int(v), workers)
-                for u, v in zip(rows[run], inner[run])]
-        n_heavy = int(rows @ inner) + sum(
-            (hi - lo) * (at[-1] - lo) for at in cuts
-            for lo, hi in zip(at, at[1:]))
-    else:
-        workers = 1
-        n_heavy = int(planned.heavy_entries[0, 0])
-    _within_budget(n_light + n_heavy, f"light codes and heavy matrix "
-                   f"entries ({n_light} + {n_heavy})")
+    triangle = self_join(rels)
+    space = math.prod(dims)
+    # the entries of V and W, and of the products' blocks
+    run = planned.rows[0] * planned.inner[0] * planned.cols[0] > 0
+    n_heavy = int(planned.factor_entries[0, 0] + _matmul.block_plan(
+        planned.rows[0, run], planned.inner[0, run], planned.cols[0, run],
+        _matmul.worker_count(), triangle)[2].sum())
+    n_buffer = space if counts_densely(
+        space, n_light, planned.product_entries[0, 0], floor) else 0
+    _within_budget(n_light + n_heavy + n_buffer,
+                   f"light codes, heavy matrix entries and buffer slots "
+                   f"({n_light} + {n_heavy} + {n_buffer})")
 
     sizes = sizes.astype(np.int64)
     pos_j, pos_y = np.nonzero(sizes)
@@ -521,24 +531,14 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
                                              for xs, lo, hi in pieces[j]])
             at += n
 
-    factors = heavy_matrices(rels, heavy_left, heavy_y, comp,
-                             comp_left) if n_heavy else []
+    factors = (heavy_matrices(rels, heavy_left, heavy_y, comp, comp_left)
+               if planned.blocks[0, 0] else [])
     # the output space viewed as two dimensions, V's keys by W's; a code is
     # the same integer in both views
     dims2 = (math.prod(dims[:half]), math.prod(dims[half:]))
-    if gram:
-        out = _gram_output([v for v, _ in factors], cuts, dims2, floor,
-                           want_counts, workers)
-        blocks, heavy_pairs = sum(len(at) - 1 for at in cuts), len(out)
-    else:
-        products = [multiply_counts(v, wt) for v, wt in factors]
-        out = _floored(_dedup_output(codes, dims2, want_counts or floor > 1,
-                                     products), floor, want_counts)
-        blocks = len(products)
-        heavy_pairs = sum(int(np.count_nonzero(m.data)) for m in products)
+    out = _dedup_output(codes, dims2, want_counts, factors, triangle, floor)
     out.dims = tuple(int(d) for d in dims)
-    out.stats = {"light_intermediate": len(codes), "heavy_pairs": heavy_pairs,
-                 "plan": plan, "workers": workers, "blocks": blocks}
+    out.stats.update(light_intermediate=len(codes), plan=plan)
     return out
 
 

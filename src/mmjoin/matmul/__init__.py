@@ -2,11 +2,6 @@ from .core import (
     INT_BACKEND,
     CountMatrix,
     MatrixOverflowError,
-    gram_blocks,
-    gram_cuts,
-    gram_entries,
-    gram_upper,
-    gram_workers,
     multiply_counts,
 )
 from .calibration import (
@@ -20,11 +15,6 @@ __all__ = [
     "INT_BACKEND",
     "CountMatrix",
     "MatrixOverflowError",
-    "gram_blocks",
-    "gram_cuts",
-    "gram_entries",
-    "gram_upper",
-    "gram_workers",
     "multiply_counts",
     "CalibrationError",
     "CalibrationTable",

@@ -40,7 +40,7 @@ class CalibrationTable:
         """Nanos per multiply-add: the slope b of the least-squares line
         nanos = a + b * p^3 over the probes, never below 0, in exact
         integers. The intercept a is a product's fixed part, which the
-        planner prices on its own (optimizer._NS_PER_PRODUCT), so small
+        planner prices on its own (optimizer._NS_PER_BLOCK), so small
         probes do not charge it per multiply-add. One probe fixes no line:
         its nanos over its p^3."""
         if not self.entries:
@@ -92,7 +92,9 @@ class CalibrationTable:
 
 def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
               seed: int = 0) -> CalibrationTable:
-    """Time multiply_counts on random 0/1 square matrices per probe dim.
+    """Time multiply_counts on random 0/1 square matrices per probe dim, on
+    one thread: the planner divides a product's multiply-adds over the
+    threads it gets, so the price per multiply-add is one thread's.
 
     The default dims are the sizes of the products the two-path split
     multiplies, one per witness component (32 to 256 a side); the planner
@@ -112,7 +114,7 @@ def calibrate(probe_dims: Sequence[int] = DEFAULT_PROBE_DIMS,
         samples = []
         for _ in range(3):
             t0 = time.perf_counter_ns()
-            multiply_counts(a, b)
+            multiply_counts(a, b, workers=1)
             samples.append(time.perf_counter_ns() - t0)
         table.entries[p] = int(statistics.median(samples))
     return table

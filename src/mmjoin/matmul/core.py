@@ -7,24 +7,21 @@ inner dimension * max(A) * max(B) and picks a precision ladder from it:
 - bound <= 2^53: float64 DGEMM;
 - bound <= int64 max: numpy's int64 matmul.
 
-`multiply_counts` returns the int64 product A @ B on that ladder. The 0/1
+`multiply_counts` is the one product, V @ W^T on that ladder. The 0/1
 matrices the operators pass have a bound equal to their inner dimension, so
-they run in float32.
-
-`gram_upper` computes the Gram matrix V @ V^T of a self-join on the same
-ladder, by row blocks of its upper triangle spread over one thread per CPU
-the process may use (worker_count); each block keeps only the entries that
-reach a floor. Every BLAS call stays on the one thread mmjoin/__init__.py
-gives BLAS.
+they run in float32. It cuts V's rows into blocks (row_cuts), of the upper
+triangle only where W is V (a self-join's Gram matrix), and runs them on
+one thread per CPU the process may use (worker_count, run_shared), each
+block handed to the caller's emit on the thread that computed it. Every
+BLAS call stays on the one thread mmjoin/__init__.py gives BLAS.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,18 +100,8 @@ def exact_type(bound: int) -> type:
     return np.float64 if bound <= _DOUBLE_EXACT_BOUND else np.int64
 
 
-def multiply_counts(a: CountMatrix, b: CountMatrix) -> CountMatrix:
-    """Exact int64 product A @ B on the narrowest exact arithmetic."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    ftype = exact_type(a.cols * a.top * b.top)
-    data = a.data.astype(ftype) @ b.data.astype(ftype)
-    return CountMatrix(data.astype(np.int64, copy=False),
-                       row_keys=a.row_keys, col_keys=b.col_keys)
-
-
 def worker_count() -> int:
-    """Threads a Gram product runs on: the CPUs this process may use."""
+    """Threads a product runs on at most: the CPUs this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -122,43 +109,48 @@ def worker_count() -> int:
 
 
 # A block's fixed part (its numpy calls and hand-off to a thread) is
-# ~45 us, so a Gram is not cut into blocks of fewer multiply-adds than this,
-# nor given a thread for fewer; and no block holds more entries than the
-# second, which keeps a block's scratch at a few MiB.
+# ~45 us, so a product is not cut into blocks of fewer multiply-adds than
+# this, nor given a thread for fewer; and no block holds more entries than
+# the second, which keeps a block's scratch at a few MiB.
 _BLOCK_MADDS = 1 << 21
 _BLOCK_ENTRIES = 1 << 18
 
 
-def gram_workers(madds, workers: int) -> int:
-    """Threads a Gram product of `madds` multiply-adds runs on: one per
-    _BLOCK_MADDS, at least 1 and at most `workers` (worker_count)."""
-    return int(max(1, min(workers, madds // _BLOCK_MADDS)))
-
-
-def gram_blocks(rows, inner, workers: int):
-    """Row blocks gram_cuts cuts a rows x rows Gram matrix of `inner`
-    columns into: two per worker while each multiplies at least
+def block_plan(rows, inner, cols, workers: int, triangle: bool = False):
+    """How multiply_counts runs V (rows x inner) @ W^T (inner x cols), as
+    (threads, blocks, entries): one thread per _BLOCK_MADDS multiply-adds,
+    at least 1 and at most `workers` and the blocks; two blocks per thread
+    (one for a rectangle on one thread) while each multiplies at least
     _BLOCK_MADDS, fewer when not, more when a block would pass
-    _BLOCK_ENTRIES, and at most one per row. Takes ints or arrays."""
-    half = rows * (rows + 1) // 2
-    n = np.minimum(2 * workers, np.maximum(1, half * inner // _BLOCK_MADDS))
-    return np.minimum(rows, np.maximum(n, -(-half // _BLOCK_ENTRIES)))
+    _BLOCK_ENTRIES, and at most one per row; and about
+    the entries the blocks hold. A rectangle's blocks hold its rows * cols
+    entries. A triangle's (W is V, so cols is rows) m blocks of equal
+    entries hold about rows^2 (m + 1) / (2m). Takes ints or arrays that
+    broadcast."""
+    least, most = (min, max) if isinstance(rows, int) else (np.minimum,
+                                                            np.maximum)
+    wanted = rows * (rows + 1) // 2 if triangle else rows * cols
+    per = most(1, wanted * inner // _BLOCK_MADDS)
+    threads = least(per, workers)
+    # one thread runs a rectangle whole: only a triangle gains by its cuts
+    blocks = least(rows, most(least((1 + ((threads > 1) | triangle))
+                                    * threads, per),
+                              -(-wanted // _BLOCK_ENTRIES)))
+    entries = (rows * rows * (blocks + 1) / most(2 * blocks, 1)
+               if triangle else rows * cols)
+    return least(threads, most(blocks, 1)), blocks, entries
 
 
-def gram_entries(rows, blocks):
-    """About the entries gram_cuts' blocks hold: m blocks of equal height
-    would hold rows^2 (m + 1) / (2m). Takes ints or arrays."""
-    return rows * rows * (blocks + 1) / np.maximum(2 * blocks, 1)
-
-
-def gram_cuts(rows: int, inner: int, workers: int) -> list:
-    """Row cuts 0 = c_0 < c_1 < ... < c_m = rows of the upper triangle of a
-    rows x rows Gram matrix into gram_blocks blocks (or fewer). Block b
-    multiplies rows c_b..c_{b+1}-1 by every column from c_b on, so it holds
-    (c_{b+1} - c_b) * (rows - c_b) entries; the cuts give every block about
-    the same, the smallest entry count per block that still reaches the
-    last row in m blocks (by bisection)."""
-    m = int(gram_blocks(rows, inner, workers))
+def row_cuts(rows: int, m: int, triangle: bool = False) -> list:
+    """Row cuts 0 = c_0 < c_1 < ... < c_m = rows of V into block_plan's m
+    blocks (or fewer). Block b multiplies rows c_b..c_{b+1}-1 by every
+    column of W^T, in a triangle by the columns from c_b on, so there it
+    holds (c_{b+1} - c_b) * (rows - c_b) entries. A rectangle's blocks are
+    of equal height. A triangle's cuts give every block about the same
+    entries, the smallest count per block that still reaches the last row
+    in m blocks (by bisection)."""
+    if not triangle or m <= 1:
+        return [rows * b // m for b in range(m + 1)] if m else [0]
 
     def cut(area):  # at most m blocks of at most `area` entries
         at = [0]
@@ -194,6 +186,8 @@ def run_shared(fn, tasks: Sequence, workers: int) -> list:
     of them: each takes the next task when it finishes one. An exception
     stops the tasks not yet taken and is raised as itself once every
     thread has stopped."""
+    if min(workers, len(tasks)) <= 1:
+        return [fn(t) for t in tasks]
     results = [None] * len(tasks)
     todo = iter(range(len(tasks)))
     lock = threading.Lock()
@@ -225,33 +219,44 @@ def run_shared(fn, tasks: Sequence, workers: int) -> list:
     return results
 
 
-def gram_upper(factors: Sequence[CountMatrix], tasks: Sequence[tuple],
-               floor: int, want_counts: bool, workers: int,
-               finish=None) -> list:
-    """Row blocks of the upper triangles of the Gram matrices V @ V^T of
-    `factors`, one per task (f, lo, hi): rows lo..hi-1 of factors[f]'s
-    Gram against its columns from lo on. A block keeps its entries (i, j),
-    i <= j, whose count is at least `floor`, and gives them as (i, j,
-    counts), counts as int64 (None without want_counts), or as what
-    `finish(f, i, j, counts)` makes of them on the thread that ran it.
+def multiply_counts(v: CountMatrix, wt: CountMatrix, emit=None,
+                    triangle: bool = False, workers: Optional[int] = None):
+    """The exact product V @ W^T of V (u x v) and W^T (v x w), by row blocks.
 
-    Each factor is widened once to exact_type of its bound (V's columns
-    times its largest entry squared), and a block is one product of its
-    rows by the columns from lo on, whose square on the diagonal is computed
-    whole and its lower triangle dropped. (Multiplying that square apart,
-    which numpy runs as SYRK, was no faster.) The blocks run on
-    run_shared."""
-    wide = [v.data.astype(exact_type(v.cols * v.top ** 2)) for v in factors]
+    Each factor is widened once to exact_type of the bound (v times the two
+    factors' largest entries). V's rows are cut (row_cuts) into blocks that
+    run on block_plan's threads, at most `workers` (worker_count by
+    default). With `triangle`, W is V (`wt` is V's transpose): block
+    lo..hi-1 is its rows against the columns from lo on, whose square on
+    the diagonal is computed whole. (Multiplying that square apart, which
+    numpy runs as SYRK, was no faster.) Each block goes to emit(lo, hi,
+    block), in the widened type, on the thread that computed it; the
+    emits' results come back in block order. Without an emit the product
+    comes back whole, an int64 CountMatrix keyed by V's rows and W^T's
+    columns."""
+    if v.cols != wt.rows:
+        raise ValueError(
+            f"dimension mismatch: {v.rows}x{v.cols} @ {wt.rows}x{wt.cols}")
+    if emit is None:
+        whole = np.empty((v.rows, wt.cols), dtype=np.int64)
+
+        def emit(lo, hi, block):
+            whole[lo:hi, lo if triangle else 0:] = block
+            if triangle:
+                whole[hi:, lo:hi] = block[:, hi - lo:].T
+
+        multiply_counts(v, wt, emit, triangle, workers)
+        return CountMatrix(whole, row_keys=v.row_keys, col_keys=wt.col_keys)
+    kind = exact_type(v.cols * v.top * wt.top)
+    wide = v.data.astype(kind)
+    wide_t = wide.T if triangle else wt.data.astype(kind)
+    if workers is None:
+        workers = worker_count()
+    threads, blocks, _ = block_plan(v.rows, v.cols, wt.cols, workers, triangle)
+    cuts = row_cuts(v.rows, blocks, triangle)
 
     def block(task):
-        f, lo, hi = task
-        counts = wide[f][lo:hi] @ wide[f][lo:].T
-        at = np.flatnonzero(counts >= floor)
-        i, j = np.divmod(at, counts.shape[1])
-        upper = j >= i
-        at = at[upper]
-        out = (i[upper] + lo, j[upper] + lo,
-               counts.ravel()[at].astype(np.int64) if want_counts else None)
-        return out if finish is None else finish(f, *out)
+        lo, hi = task
+        return emit(lo, hi, wide[lo:hi] @ wide_t[:, lo if triangle else 0:])
 
-    return run_shared(block, tasks, workers)
+    return run_shared(block, list(zip(cuts, cuts[1:])), threads)

@@ -2,8 +2,10 @@
 light/heavy rule (witness_key, light_split), the exact sizes of the join at
 every threshold pair of a grid, priced by measured per-operation costs, and
 the output-size estimate. The grid runs from the all-heavy corner
-(thresholds 0, the pure product; a self-join's runs as Gram blocks) to the
-all-light one (the full join)."""
+(thresholds 0, the pure product) to the all-light one (the full join). Every
+product is priced as matmul.multiply_counts runs it: by row blocks on the
+threads it gets, the upper triangle only for a self-join, and one of
+joinproject's two emits (counts_densely)."""
 
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matmul import (CalibrationError, CalibrationTable, gram_blocks,
-                     gram_entries, gram_workers)
+from .matmul import CalibrationError, CalibrationTable
 from .matmul import core as _matmul
 from .relation import IndexedRelation, left_components, witness_components
 
@@ -72,7 +73,7 @@ def light_split(rels: Sequence[IndexedRelation], light_in: int,
 def self_join(rels: Sequence[IndexedRelation]) -> bool:
     """Whether the relations after the first half are the first half again
     (a two-path join of a relation with itself): then V = W, and each heavy
-    product is the Gram matrix V @ V^T, which is symmetric."""
+    product is the Gram matrix V @ V^T, which is symmetric, on every plan."""
     half, odd = divmod(len(rels), 2)
     return not odd and all(a is b for a, b in zip(rels[:half], rels[half:]))
 
@@ -97,14 +98,16 @@ def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
 _DENSE_SPACE_PER_CODE = 1.5
 
 
-def counts_densely(space, light, block):
-    """Whether joinproject._dedup_output counts `light` codes and a heavy
-    product block of `block` entries (0 for none) in a buffer over the
-    whole `space` rather than sorting them. The sort path touches every code
-    once and, when a block merges in, every code and block entry once more.
-    Takes scalars or arrays that broadcast."""
-    touched = light + (block > 0) * (light + block)
-    return space <= _DENSE_SPACE_PER_CODE * touched
+def counts_densely(space, light, product, floor=1):
+    """Whether joinproject._dedup_output counts `light` codes and products
+    of `product` entries (0 for none) in a buffer over the whole `space`
+    (the dense emit) rather than as sorted codes (the codes emit), which
+    touch every light code once and, when products merge in, every code and
+    product entry once more. A floor over 1 with no light codes is kept in
+    the blocks, never in a buffer. Takes scalars or arrays that broadcast."""
+    touched = light + (product > 0) * (light + product)
+    return ((space <= _DENSE_SPACE_PER_CODE * touched)
+            & ((floor <= 1) | (light > 0)))
 
 
 def piece_sizes(deg: np.ndarray, heavy: np.ndarray) -> np.ndarray:
@@ -168,15 +171,6 @@ class JoinSizes:
         return self.inner @ ((self.rows + self.cols)
                              * _positive(self.rows * self.cols)).T
 
-    @property
-    def heavy_entries(self) -> np.ndarray:
-        return self.factor_entries + self.product_entries
-
-    @property
-    def madds(self) -> np.ndarray:
-        """Multiply-adds of the products, u * v * w each."""
-        return self.inner @ (self.rows * self.cols).T
-
 
 def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
                heavy_left: np.ndarray, comp: np.ndarray) -> JoinSizes:
@@ -221,57 +215,49 @@ def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
 # - _NS_PER_SLOT, _NS_PER_COUNTED: np.bincount over a 10^6-slot space, per
 #   slot with 100 codes and per code with the 840k codes of a 1000-set
 #   family's full join;
-# - _NS_PER_SORTED, _NS_PER_MERGED: the sort path of _dedup_output per code
-#   (11-28 from 10^4 to 10^6 random codes) and per entry of a product
-#   merged into the sorted codes (87-124 for squares of 100 to 1000 entries
-#   a side);
-# - _NS_PER_PLACED: the same path with no codes, per entry of the products
-#   put in order (11 on the three of the benchmark community graph);
-# - _NS_PER_BLOCK: _dedup_output adding a product into a buffer by np.ix_
-#   (its keys are not one run), per product entry (12-15 for squares of 200
-#   to 1000 entries a side);
-# - _NS_PER_TUPLE, _NS_PER_ENTRY, _NS_PER_PRODUCT: heavy_matrices per tuple
-#   of both relations (12.1 on the 108k-tuple benchmark community graph and
-#   on an 8-community one, less the other two parts), np.zeros per uint8
-#   entry of V or W, and the fixed part of one product, from its factors to
-#   its dedup (42-45 us on graphs of 100 to 400 components of 4 nodes),
-#   with or without a calibration table;
+# - _NS_PER_SORTED, _NS_PER_MERGED: the codes emit's sort of the light
+#   codes (11-28 from 10^4 to 10^6 random codes) and per entry of a product
+#   merged into them (87-124 for squares of 100 to 1000 entries a side);
+# - _NS_PER_TUPLE, _NS_PER_ENTRY: heavy_matrices per tuple of both
+#   relations (12.1 on the 108k-tuple benchmark community graph and on an
+#   8-community one, less the other two parts) and np.zeros per uint8
+#   entry of V or W;
 # - _NS_PER_MADD: CalibrationTable.ns_per_madd of calibrate()'s default
 #   probes, in processes that first freed an 8 MiB array (so the multiply's
 #   temporaries stay on the heap, as in a join after its parse): 0.024, the
 #   median of 20 processes' medians of 31 calibrations, quartiles 0.019 and
 #   0.028 (a fresh process reads 0.03-0.05); a calibration table's own
 #   ns_per_madd replaces it.
-# With them the modeled cost of 358 grid candidates on eight inputs (the
-# benchmark community, star and sets files, 40% of the sets, a sparse and a
-# Zipf graph, 800 nodes in 8 and in 200 communities) was 0.91 of the
-# measured join time in the median, 0.65 to 1.35 from the 10th to the 90th
-# percentile.
+# A product's blocks (matmul.multiply_counts) and their emits, on one
+# thread:
+# - _NS_PER_BLOCK: a block's fixed part, with its product's own: the numpy
+#   calls from the component's heavy build to its emit (45 us a component
+#   on graphs of 100 to 400 components of 4 nodes);
+# - _NS_PER_WRITTEN: the dense emit adding a product entry into the buffer
+#   by np.ix_, keys not one run (10-17 for products of 200 to 1000 rows a
+#   side; ~6 where the keys are runs and it adds by slices);
+# - _NS_PER_SCANNED, _NS_PER_KEPT: the codes emit per product entry
+#   compared with the floor and per code kept and put in order (2-5 an
+#   entry on the same products where ~15% reach the floor, 5-10 where all
+#   do).
+# With them the modeled cost of 493 grid candidates on eight inputs (the
+# benchmark community and star files, the sets file at floors 1 and 3, a
+# 200-set family, 800 nodes in 8 and in 200 communities, a random graph)
+# was 0.84 of the measured join time in the median, 0.59 to 1.08 from the
+# 10th to the 90th percentile, on two busy vCPUs.
 _NS_PER_PIECE = 5000.0
 _NS_PER_CODE = 2.5
 _NS_PER_SLOT = 0.35
 _NS_PER_COUNTED = 4.2
 _NS_PER_SORTED = 20.0
 _NS_PER_MERGED = 95.0
-_NS_PER_PLACED = 12.0
-_NS_PER_BLOCK = 13.0
 _NS_PER_TUPLE = 12.0
-_NS_PER_PRODUCT = 40000.0
 _NS_PER_ENTRY = 0.05
 _NS_PER_MADD = 0.024
-# The all-heavy corner of a self-join runs as Gram blocks
-# (joinproject._gram_output), timed on the benchmark's 1000-set family at
-# c = 3 and its 600-node community graph, one worker and two:
-# - _NS_PER_GRAM_BLOCK: a row block's fixed part, its numpy calls and
-#   hand-off to a thread (100 components of 4 nodes);
-# - _NS_PER_SCANNED: the floor scan per entry of the blocks (compare and
-#   flatnonzero);
-# - _NS_PER_KEPT: each code kept, from its block entry to its place in the
-#   sorted output (20-27 ns a code on the two inputs at either worker
-#   count: the sort, the larger part, runs on the calling thread).
-_NS_PER_GRAM_BLOCK = 45000.0
+_NS_PER_BLOCK = 45000.0
+_NS_PER_WRITTEN = 13.0
 _NS_PER_SCANNED = 2.0
-_NS_PER_KEPT = 25.0
+_NS_PER_KEPT = 10.0
 # gram_kept_estimate gives up past this many pairs of left-value groups,
 # and sums at most this many terms of a Poisson tail
 _ESTIMATE_PAIRS = 1 << 16
@@ -386,6 +372,34 @@ class PlanGrid:
                              self.light_cost.size)
 
 
+# a grid's products are priced this many (candidate, component) pairs at a
+# time, so a graph of many components prices them in bounded memory
+_PRICE_CHUNK = 1 << 16
+
+
+def _block_nanos(sizes: JoinSizes, triangle: bool, workers: int,
+                 ns_per_madd: float, per_entry) -> np.ndarray:
+    """The nanos of each candidate's products as matmul.multiply_counts
+    runs them (block_plan): _NS_PER_BLOCK per block, `ns_per_madd` per
+    multiply-add and `per_entry` (per candidate) per product entry emitted,
+    each product's over the threads it runs on. `triangle`: every V is its
+    W, and its blocks multiply only about half of V @ V^T."""
+    nanos = np.zeros(sizes.light.shape)
+    per_entry = np.broadcast_to(per_entry, nanos.shape)[..., None]
+    rows, cols = sizes.rows[None], sizes.cols[None]
+    step = max(1, _PRICE_CHUNK // max(rows.size, 1))
+    for at in range(0, len(nanos), step):
+        part = slice(at, at + step)
+        inner = sizes.inner[part, None]
+        threads, blocks, held = _matmul.block_plan(rows, inner, cols, workers,
+                                                   triangle)
+        nanos[part] = ((rows * inner * cols > 0)
+                       * (_NS_PER_BLOCK * blocks + ns_per_madd * inner * held
+                          + per_entry[part] * rows * cols)
+                       / threads).sum(axis=-1)
+    return nanos
+
+
 def price_plan(rels: Sequence[IndexedRelation], light_in: int,
                table: Optional[CalibrationTable] = None,
                delta1s: Optional[np.ndarray] = None,
@@ -397,20 +411,14 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     least `floor` times; by default, 0 and the powers of two up to the
     first past every witness key and left degree (the full join).
 
-    The cost is per piece, per light code, the dedup (by counts_densely:
-    slots and counted codes plus the products added in, or the codes sorted
-    and the products merged in), the heavy build (each relation's tuples
-    scanned, V's and W's entries and a fixed part per product) and the
-    multiply, per multiply-add: at `table`'s ns_per_madd when given, else
-    at _NS_PER_MADD.
-
-    A self-join's all-heavy corner runs as Gram blocks instead: the heavy
-    build and V's entries, then each block's fixed part, multiply-adds and
-    floor scan (matmul.gram_entries entries, about half the product's)
-    divided over the threads matmul.gram_workers gives it, then every code
-    kept. At most the mirrored triangles are kept, and at most the full
-    join's codes over `floor`, as each kept code stands for at least
-    `floor` of them; over a floor of 2 or more, a two-path join prices
+    The light cost is per piece, per light code and their dedup by the emit
+    counts_densely picks (slots and counted codes, or the codes sorted).
+    The heavy cost is the heavy build (tuples scanned, V's and W's
+    entries), the blocks (_block_nanos; multiply-adds at `table`'s
+    ns_per_madd when given, else at _NS_PER_MADD) and the codes kept: every
+    product entry merged into light codes, or with none, each code kept.
+    Where the blocks keep the floor, each kept code stands for at least
+    `floor` of the full join's, and a two-path self-join prices
     gram_kept_estimate's codes when lower.
     """
     if not all(rels[0].shares_right_dict(o) for o in rels[1:]):
@@ -433,52 +441,37 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     sizes = join_sizes(deg, key > delta1s[:, None], piece_sizes(deg, heavy),
                        heavy_left, comp)
 
-    light, blocks = sizes.light, sizes.blocks
-    block = sizes.product_entries
+    light, product = sizes.light, sizes.product_entries
     space = math.prod(ri.rel.dom_left for ri in rels)
-    dense = (_NS_PER_SLOT * space + _NS_PER_COUNTED * light
-             + _NS_PER_BLOCK * block)
-    # a single block that is the whole space and has no codes beside it is
-    # the buffer already
-    dense[(light == 0) & (block == space) & (blocks == 1)] = 0.0
-    # with no codes to merge into, the products' codes are only put in order
-    merge = np.where(light > 0, _NS_PER_MERGED, _NS_PER_PLACED)
-    dedup = np.where(counts_densely(space, light, block), dense,
-                     _NS_PER_SORTED * light + merge * block)
-    light_cost = _NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light + dedup
-    ns_per_madd = _NS_PER_MADD if table is None else table.ns_per_madd
-    build = _NS_PER_TUPLE * sum(ri.n for ri in rels)
-    heavy_cost = (build * (blocks > 0)
-                  + _NS_PER_PRODUCT * blocks
+    dense = counts_densely(space, light, product, floor)
+    light_cost = (_NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light
+                  + np.where(dense, _NS_PER_SLOT * space + _NS_PER_COUNTED
+                             * light, _NS_PER_SORTED * light))
+    triangle = self_join(rels)
+    heavy_cost = (_NS_PER_TUPLE * sum(ri.n for ri in rels) * (sizes.blocks > 0)
                   + _NS_PER_ENTRY * sizes.factor_entries
-                  + ns_per_madd * sizes.madds)
-    if delta1s[0] == 0 and delta2s[0] == 0 and self_join(rels):
-        rows, inner = sizes.rows[0], sizes.inner[0]
-        rows, inner = rows[rows * inner > 0], inner[rows * inner > 0]
-        workers = gram_workers((rows * (rows + 1) // 2) @ inner,
-                               _matmul.worker_count())
-        blocks = gram_blocks(rows, inner, workers)
-        light_cost[0, 0] = 0.0
-        heavy_cost[0, 0] = (
-            build * (len(rows) > 0) + _NS_PER_ENTRY * rows @ inner
-            + (_NS_PER_GRAM_BLOCK * blocks.sum()
-               + gram_entries(rows, blocks)
-               @ (ns_per_madd * inner + _NS_PER_SCANNED)) / workers)
-        kept = min(rows @ rows,
-                   deg.prod(axis=0, dtype=np.float64).sum() / floor)
-        # at floor 1 the bounds are near the count: a sparse family's pairs
-        # share about one witness each, a dense one keeps nearly all rows^2;
-        # and the estimate only lowers the corner's price, so it is worth
-        # its time only where the corner keeping nothing would be cheapest
-        others = np.delete((light_cost + heavy_cost).ravel(), 0)
-        if (len(rels) == 2 and floor > 1
-                and heavy_cost[0, 0] < others.min(initial=math.inf)):
-            estimate = gram_kept_estimate(rels[0], comp, floor)
-            if estimate is not None:
-                kept = min(kept, estimate)
-        heavy_cost[0, 0] += _NS_PER_KEPT * kept
+                  + _block_nanos(sizes, triangle, _matmul.worker_count(),
+                                 _NS_PER_MADD if table is None
+                                 else table.ns_per_madd,
+                                 np.where(dense, _NS_PER_WRITTEN,
+                                          _NS_PER_SCANNED)))
+    per_kept = np.where(dense, 0.0,
+                        np.where(light > 0, _NS_PER_MERGED, _NS_PER_KEPT))
+    floored = (light == 0) & (floor > 1)
+    kept = np.where(floored, np.minimum(product, deg.prod(
+        axis=0, dtype=np.float64).sum() / floor), product)
+    # at floor 1 the bounds are near the count: a sparse family's pairs
+    # share about one witness each, a dense one keeps nearly all rows^2;
+    # and the estimate only lowers the floored candidates' price, so it is
+    # worth its time only where one of them keeping nothing is cheapest
+    cost = light_cost + heavy_cost
+    if (len(rels) == 2 and triangle and floored.any() and cost[floored].min()
+            < (cost + per_kept * kept)[~floored].min(initial=math.inf)):
+        estimate = gram_kept_estimate(rels[0], comp, floor)
+        if estimate is not None:
+            kept = np.where(floored, np.minimum(kept, estimate), kept)
     return PlanGrid(np.asarray(delta1s), np.asarray(delta2s), sizes,
-                    light_cost, heavy_cost)
+                    light_cost, heavy_cost + per_kept * kept)
 
 
 def default_plan(r: IndexedRelation, s: IndexedRelation,

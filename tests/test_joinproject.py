@@ -28,7 +28,7 @@ from conftest import (
 )
 from mmjoin import joinproject as jp
 from mmjoin import optimizer as opt
-from mmjoin.matmul import CountMatrix, multiply_counts
+from mmjoin.matmul import CountMatrix, core, multiply_counts
 from mmjoin.optimizer import FULL_JOIN, PARTITIONED, ThresholdPlan
 from mmjoin.relation import (
     Relation,
@@ -215,26 +215,53 @@ def _size_rule(value):
         opt._DENSE_SPACE_PER_CODE = saved
 
 
-def _on_path(dense, codes, dims, want_counts, heavy):
-    """_dedup_output with the size rule forced to the dense or sort path."""
+def _on_path(dense, codes, dims, want_counts, factors, triangle=False,
+             floor=1):
+    """_dedup_output with the size rule forced to the dense or the codes
+    emit."""
     with _size_rule(_ALWAYS if dense else 0.0):
-        out = jp._dedup_output(codes, dims, want_counts, heavy)
-    # with nothing to place the sort path runs either way
-    placed = len(codes) > 0 or len(heavy) > 0
-    assert (out.buffer is not None) == (dense and placed)
+        out = jp._dedup_output(codes, dims, want_counts, factors, triangle,
+                               floor)
+    # with nothing to place the codes emit runs either way; a floored
+    # result keeps no buffer
+    placed = len(codes) > 0 or len(factors) > 0
+    assert (out.buffer is not None) == (dense and placed and floor == 1)
     return out
+
+
+def _factor(data, rows, cols):
+    """(V, W^T) whose product is `data`, keyed by `rows` and `cols`: W^T
+    is an identity."""
+    return (CountMatrix(np.asarray(data, dtype=np.int64),
+                        row_keys=np.asarray(rows, dtype=np.int64)),
+            CountMatrix(np.eye(len(cols), dtype=np.int64),
+                        col_keys=np.asarray(cols, dtype=np.int64)))
 
 
 @st.composite
 def _coded(draw):
-    """(codes, dims, heavy): light codes of a 2-d space and up to three
-    heavy blocks over sorted distinct rows and columns of it, no row or
-    column in two blocks."""
+    """(codes, dims, factors, triangle): light codes of a 2-d space and up
+    to three products over sorted distinct rows and columns of it, no row
+    or column in two of them; or one self-join's V, whose product V @ V^T
+    is over a square space."""
     dims = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    triangle = draw(st.booleans())
+    if triangle:
+        dims = (dims[0], dims[0])
     space = math.prod(dims)
     codes = draw(st.lists(st.integers(0, space - 1), max_size=60))
-    heavy = []
-    if draw(st.booleans()):
+    factors = []
+    if triangle:
+        rows = sorted(draw(st.sets(st.integers(0, dims[0] - 1), min_size=1)))
+        inner = draw(st.integers(1, 4))
+        data = np.array(draw(st.lists(st.integers(0, 2),
+                                      min_size=len(rows) * inner,
+                                      max_size=len(rows) * inner)))
+        v = CountMatrix(data.reshape(len(rows), inner),
+                        row_keys=np.array(rows, dtype=np.int64))
+        wt = CountMatrix(v.data.T, col_keys=v.row_keys)
+        factors.append((v, wt))
+    elif draw(st.booleans()):
         rows = sorted(draw(st.sets(st.integers(0, dims[0] - 1), min_size=1)))
         cols = sorted(draw(st.sets(st.integers(0, dims[1] - 1), min_size=1)))
         n = draw(st.integers(1, 3))
@@ -249,65 +276,79 @@ def _coded(draw):
                 continue
             data = draw(st.lists(st.integers(0, 4), min_size=len(rb) * len(cb),
                                  max_size=len(rb) * len(cb)))
-            heavy.append(CountMatrix(
-                np.array(data, dtype=np.int64).reshape(len(rb), len(cb)),
-                row_keys=np.array(rb, dtype=np.int64),
-                col_keys=np.array(cb, dtype=np.int64)))
-    return np.array(codes, dtype=np.int64), dims, heavy
+            factors.append(_factor(np.reshape(data, (len(rb), len(cb))),
+                                   rb, cb))
+    return np.array(codes, dtype=np.int64), dims, factors, triangle
 
 
-_FULL_BLOCK = CountMatrix(np.array([[0, 2, 1], [3, 0, 1]], dtype=np.int64),
-                          row_keys=np.arange(2), col_keys=np.arange(3))
-# the later rows first: the blocks' codes are not in order across them
-_TWO_BLOCKS = [CountMatrix(np.array([[1, 0]], dtype=np.int64),
-                           row_keys=np.array([2]), col_keys=np.array([1, 3])),
-               CountMatrix(np.array([[2], [1]], dtype=np.int64),
-                           row_keys=np.array([0, 1]), col_keys=np.array([0]))]
+_FULL_BLOCK = [_factor([[0, 2, 1], [3, 0, 1]], range(2), range(3))]
+# the later rows first: the products' codes are not in order across them
+_TWO_BLOCKS = [_factor([[1, 0]], [2], [1, 3]),
+               _factor([[2], [1]], [0, 1], [0])]
 
 
 @settings(max_examples=200, deadline=None)
-@given(_coded())
-@example((np.empty(0, dtype=np.int64), (3, 4), []))           # empty
-@example((np.empty(0, dtype=np.int64), (1, 1), []))           # empty, D = 1
-@example((np.zeros(5, dtype=np.int64), (1, 1), []))           # D = 1
-@example((np.array([0, 11, 11, 0, 5]), (3, 4), []))           # 0 and D - 1
-@example((np.full(7, 4, dtype=np.int64), (3, 4), []))         # all duplicates
-@example((np.array([5, 0, 5]), (2, 3), [_FULL_BLOCK]))        # block = space
-@example((np.empty(0, dtype=np.int64), (2, 3), [_FULL_BLOCK]))  # heavy only
-@example((np.empty(0, dtype=np.int64), (3, 4), _TWO_BLOCKS))  # two blocks
-@example((np.array([1, 11, 4]), (3, 4), _TWO_BLOCKS))         # and codes
-def test_dedup_output_dense_and_sort_paths_agree(case):
-    codes, dims, heavy = case
+@given(_coded(), st.sampled_from([1, 2, 3]), st.integers(1, 3))
+@example((np.empty(0, dtype=np.int64), (3, 4), [], False), 1, 2)   # empty
+@example((np.empty(0, dtype=np.int64), (1, 1), [], False), 1, 1)   # D = 1
+@example((np.zeros(5, dtype=np.int64), (1, 1), [], False), 1, 1)   # D = 1
+@example((np.array([0, 11, 11, 0, 5]), (3, 4), [], False), 2, 1)   # 0, D - 1
+@example((np.full(7, 4, dtype=np.int64), (3, 4), [], False), 3, 1)  # repeats
+@example((np.array([5, 0, 5]), (2, 3), _FULL_BLOCK, False), 1, 2)  # = space
+@example((np.empty(0, dtype=np.int64), (2, 3), _FULL_BLOCK, False), 2, 1)
+@example((np.empty(0, dtype=np.int64), (3, 4), _TWO_BLOCKS, False), 1, 2)
+@example((np.array([1, 11, 4]), (3, 4), _TWO_BLOCKS, False), 2, 3)  # and codes
+def test_dedup_output_dense_and_sort_paths_agree(case, floor, workers):
+    """Either emit, on 1-3 workers with blocks of one multiply-add, counts
+    what the codes and the products count, and keeps the codes counted at
+    least `floor` times."""
+    with mock.patch.object(core, "_BLOCK_MADDS", 1), \
+            mock.patch.object(core, "worker_count", lambda: workers):
+        _check_dedup_output(*case, floor)
+
+
+def _check_dedup_output(codes, dims, factors, triangle, floor):
     want = Counter(codes.tolist())
-    for block in heavy:
-        for i, a in enumerate(block.row_keys.tolist()):
-            for j, b in enumerate(block.col_keys.tolist()):
-                if block.data[i, j]:
-                    want[a * dims[1] + b] += int(block.data[i, j])
-    dense = _on_path(True, codes, dims, True, heavy)
-    sort = _on_path(False, codes, dims, True, heavy)
+    for v, wt in factors:
+        product = v.data @ wt.data
+        for i, a in enumerate(v.row_keys.tolist()):
+            for j, b in enumerate(wt.col_keys.tolist()):
+                if product[i, j]:
+                    want[a * dims[1] + b] += int(product[i, j])
+    want = {code: n for code, n in want.items() if n >= floor}
+    dense = _on_path(True, codes, dims, True, factors, triangle, floor)
+    sort = _on_path(False, codes, dims, True, factors, triangle, floor)
     for out in (dense, sort):
         assert out.codes.dtype == np.int64 and out.counts.dtype == np.int64
         assert out.codes.tolist() == sorted(want)
         assert out.counts.tolist() == [want[c] for c in sorted(want)]
         assert out.dims == dims
+        assert out.stats["blocks"] >= len(factors)
+        assert out.stats["heavy_pairs"] == sum(
+            int(np.count_nonzero(v.data @ wt.data)) for v, wt in factors)
     for dense_first in (True, False):
-        plain = _on_path(dense_first, codes, dims, False, heavy)
+        plain = _on_path(dense_first, codes, dims, False, factors, triangle,
+                         floor)
         assert plain.counts is None
         assert np.array_equal(plain.codes, dense.codes)
 
 
 def test_dedup_output_size_rule():
-    # without a block the sort path touches each code once; with one, each
-    # code and block entry once more
+    # without a product the codes touch each light code once; with one,
+    # each code and product entry once more
     codes = np.arange(40, dtype=np.int64) % 30
     assert jp._dedup_output(codes, (6, 10)).buffer is not None      # 60 <= 60
     assert jp._dedup_output(codes, (61, 1)).buffer is None
-    block = CountMatrix(np.ones((2, 2), dtype=np.int64),
-                        row_keys=np.array([0, 3]), col_keys=np.array([1, 2]))
+    block = _factor(np.ones((2, 2)), [0, 3], [1, 2])
     # 1.5 * (40 + 40 + 4) = 126
-    assert jp._dedup_output(codes, (9, 14), heavy=[block]).buffer is not None
-    assert jp._dedup_output(codes, (9, 15), heavy=[block]).buffer is None
+    assert jp._dedup_output(codes, (9, 14), factors=[block]).buffer is not None
+    assert jp._dedup_output(codes, (9, 15), factors=[block]).buffer is None
+    # with no light codes a floor is kept in the blocks: no buffer
+    block = _factor(np.ones((2, 2)), [0, 1], [0, 1])
+    assert jp._dedup_output(codes[:0], (2, 2), factors=[block]).buffer \
+        is not None
+    assert jp._dedup_output(codes[:0], (2, 2), factors=[block],
+                            floor=2).buffer is None
 
 
 def test_two_path_join_counts_on_either_path():
@@ -339,8 +380,12 @@ def test_output_stats_counts_are_python_ints():
                     r, s, plan=ThresholdPlan(PARTITIONED, d1, d2)))
     assert any(res.stats["heavy_pairs"] > 0 for res in results[1:])
     for res in results:
-        counts = {k: v for k, v in res.stats.items() if k != "plan"}
+        counts = {k: v for k, v in res.stats.items()
+                  if k not in ("plan", "tier")}
         assert counts and all(type(v) is int for v in counts.values()), counts
+        # the widest exact tier a product ran in; none for the full join
+        assert res.stats["tier"] == (
+            "float32" if res.stats["blocks"] else None)
 
 
 def test_star_fixture_heavy_matrix_rows():
@@ -492,8 +537,10 @@ def test_full_join_corner_runs_as_the_full_join():
 @pytest.mark.parametrize("k,seed", [(2, 0), (3, 1), (4, 2), (3, None)])
 def test_star_join_without_thresholds_runs_its_planned_plan(k, seed):
     """The cheapest plan of the star's grid (all heavy on a community
-    graph, seed None; light witnesses of degree 1 and no light left value
-    on the random ones of k = 3 and 4)."""
+    graph, seed None; on the random ones of k = 3 and 4, whose products are
+    ~1,000 and ~10,000 entries for ~1,100 and ~5,000 light codes, the full
+    join, which measured 0.22 and 0.35 ms against 0.31 and 0.37 ms for
+    their cheapest partitioned plans, 1/0)."""
     if seed is None:
         graph = generate_community_graph(60, 3, 0.9, seed=7)
         rel_pairs = [list(graph.raw_pairs())] * k
@@ -508,7 +555,7 @@ def test_star_join_without_thresholds_runs_its_planned_plan(k, seed):
     if seed is None:
         assert (plan.strategy, plan.delta1, plan.delta2) == (PARTITIONED, 1, 1)
     elif k > 2:
-        assert (plan.strategy, plan.delta1, plan.delta2) == (PARTITIONED, 1, 0)
+        assert plan.strategy == FULL_JOIN
     assert _decoded(res, idxs) == dict(oracle_star(rel_pairs))
     with pytest.raises(ValueError, match="together"):
         jp.star_join(idxs, 2)
@@ -700,10 +747,10 @@ def _assert_allocates_what_was_priced(join, planned):
         u, inner, w = (int(x[0, c]) for x in (planned.rows, planned.inner,
                                               planned.cols))
         assert v.data.shape == (u, inner) and wt.data.shape == (inner, w)
-    assert planned.heavy_entries[0, 0] == sum(
-        v.data.size + wt.data.size + v.rows * wt.cols for v, wt in factors)
-    assert planned.madds[0, 0] == sum(v.data.size * wt.cols
-                                      for v, wt in factors)
+    assert planned.factor_entries[0, 0] == sum(
+        v.data.size + wt.data.size for v, wt in factors)
+    assert planned.product_entries[0, 0] == sum(
+        v.rows * wt.cols for v, wt in factors)
     return factors
 
 

@@ -17,6 +17,7 @@ from mmjoin.matmul import (
     MatrixOverflowError,
     calibrate,
     calibration,
+    core,
     multiply_counts,
 )
 
@@ -135,19 +136,61 @@ def test_calibrate_times_the_default_probes_as_uint8_0_1_squares(
     p, through multiply_counts, and its table fits a positive price."""
     seen = []
 
-    def checked(a, b):
+    def checked(a, b, **kwargs):
         for m in (a, b):
             assert m.data.dtype == np.uint8
             assert m.data.shape == (a.rows, a.rows)
             assert m.data.max() <= 1
         seen.append(a.rows)
-        return multiply_counts(a, b)
+        return multiply_counts(a, b, **kwargs)
 
     monkeypatch.setattr(calibration, "multiply_counts", checked)
     table = calibrate()
     assert sorted(set(seen)) == sorted(DEFAULT_PROBE_DIMS)
     assert list(table.entries) == list(DEFAULT_PROBE_DIMS)
     assert table.ns_per_madd > 0
+
+
+def test_calibrate_times_one_thread(monkeypatch):
+    """The planner divides a product's multiply-adds over the threads it
+    gets, so calibrate's price per multiply-add is one thread's: with four
+    CPUs, blocks of one multiply-add and of at most 64 entries, every probe
+    still runs its blocks on one thread."""
+    workers = []
+    shared = core.run_shared
+
+    def spy(fn, tasks, threads):
+        workers.append((len(tasks), threads))
+        return shared(fn, tasks, threads)
+
+    monkeypatch.setattr(core, "worker_count", lambda: 4)
+    monkeypatch.setattr(core, "_BLOCK_MADDS", 1)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(core, "run_shared", spy)
+    calibrate([16, 32])
+    assert workers and all(threads == 1 for _, threads in workers)
+    assert any(tasks > 1 for tasks, _ in workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocked_products_match_the_whole_product(monkeypatch, workers):
+    """multiply_counts cut into many blocks (one multiply-add each) on 1-3
+    threads gives the whole product, a triangle's (W is V) included, and
+    hands every block to the emit once."""
+    monkeypatch.setattr(core, "_BLOCK_MADDS", 1)
+    rng = np.random.default_rng(workers)
+    for u, v, w in [(1, 1, 1), (7, 3, 5), (20, 9, 13), (33, 1, 2)]:
+        a, b = _random_mats(rng, u, v, w)
+        got = multiply_counts(a, b, workers=workers)
+        assert np.array_equal(got.data, triple_loop_matmul(a.data, b.data))
+        square = multiply_counts(a, CountMatrix(a.data.T), triangle=True,
+                                 workers=workers)
+        assert np.array_equal(square.data, a.data @ a.data.T)
+        rows = []
+        multiply_counts(a, CountMatrix(a.data.T),
+                        lambda lo, hi, block: rows.extend(range(lo, hi)),
+                        triangle=True, workers=workers)
+        assert sorted(rows) == list(range(u))
 
 
 def test_calibration_load_rejects_garbage(tmp_path):

@@ -8,11 +8,12 @@ from mmjoin.matmul import core as matmul_core
 from mmjoin import optimizer as opt
 from mmjoin.joinproject import two_path_join
 from mmjoin.relation import (
+    Relation,
     build_indexed,
     generate_community_graph,
     parse_edge_list,
 )
-from conftest import random_pairs, reduced_indexed
+from conftest import random_family, random_pairs, reduced_indexed
 
 
 def _synthetic_table():
@@ -71,14 +72,39 @@ def test_sets_family_plans_all_light():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sets_family_plans_its_gram_corner_on_two_workers(monkeypatch,
                                                           workers):
-    # at c = 3 the corner multiplies half of V V^T, over the workers, and
-    # keeps ~10% of the pairs; on one worker the full join stays cheaper,
-    # and at c = 1 on any
+    # at c = 3 the all-heavy join (no light codes; 0/0, and 1/0 where no
+    # set has a single element) multiplies half of V V^T, over the workers,
+    # and keeps ~10% of the pairs; on one worker the full join stays
+    # cheaper, and at c = 1 on any
     idx = _sets_family(1000, 500, 40, 7)
     monkeypatch.setattr(matmul_core, "worker_count", lambda: workers)
-    plan = opt.default_plan(idx, idx, floor=3)
-    assert ((plan.delta1, plan.delta2) == (0, 0)) == (workers == 2)
+    grid = opt.price_plan([idx, idx], 2, floor=3)
+    plan = grid.plan()
+    assert plan == opt.default_plan(idx, idx, floor=3)
+    i, j = (int(np.searchsorted(d, t)) for d, t in
+            ((grid.delta1s, plan.delta1), (grid.delta2s, plan.delta2)))
+    all_heavy = grid.sizes.light[i, j] == 0 and grid.sizes.blocks[i, j] > 0
+    assert all_heavy == (workers == 2)
+    assert grid.cost[i, j] == grid.cost[0, 0] or workers == 1
     assert opt.default_plan(idx, idx).strategy == opt.FULL_JOIN
+
+
+def test_a_whole_space_product_prices_its_write(monkeypatch):
+    """A self-join of 200 sets at 1/0 has no light codes and one product
+    over the whole pair space, which the dense emit adds into the buffer:
+    its write is priced per entry, not taken as free."""
+    fam = random_family(np.random.default_rng(1), 200, 100, 15)
+    idx = build_indexed(Relation.from_raw_pairs(
+        "sets", [(a, e) for a, elems in fam.items() for e in elems]))
+    one = np.array([1]), np.array([0])
+    grid = opt.price_plan([idx, idx], 2, None, *one)
+    space = idx.rel.dom_left ** 2
+    assert grid.sizes.light[0, 0] == 0
+    assert grid.sizes.product_entries[0, 0] == space
+    assert opt.counts_densely(space, 0, space)
+    monkeypatch.setattr(opt, "_NS_PER_WRITTEN", 0.0)
+    written = grid.cost[0, 0] - opt.price_plan([idx, idx], 2, None, *one).cost
+    assert written[0, 0] > 0
 
 
 def test_gram_kept_estimate_is_near_the_pairs_kept():
@@ -201,21 +227,24 @@ def test_old_calibration_file_plans_at_fewest_cores(tmp_path):
 
 def test_table_prices_the_multiply_per_madd(monkeypatch):
     """With a table, the heavy cost is the built-in parts plus the table's
-    ns_per_madd times each candidate's multiply-adds; at a self-join's
-    all-heavy corner, the Gram blocks' multiply-adds over the workers."""
+    ns_per_madd times each candidate's multiply-adds as its blocks run
+    them: a self-join's about half of each V V^T, and each product's over
+    the threads it gets."""
     idx = build_indexed(generate_community_graph(210, 3, 0.85, seed=4))
     table = CalibrationTable({32: 9_000, 64: 40_000, 128: 90_000})
     monkeypatch.setattr(opt, "_NS_PER_MADD", 0.0)
     monkeypatch.setattr(matmul_core, "worker_count", lambda: 2)
+    monkeypatch.setattr(matmul_core, "_BLOCK_MADDS", 1 << 14)
     built_in = opt.price_plan([idx, idx], 2)
     priced = opt.price_plan([idx, idx], 2, table)
-    assert (priced.sizes.madds > 0).any()
+    sizes = priced.sizes
+    rows, cols = sizes.rows[None], sizes.cols[None]
+    inner = sizes.inner[:, None]
+    threads, blocks, held = matmul_core.block_plan(rows, inner, cols, 2, True)
+    madds = ((rows * inner * cols > 0) * inner * held / threads).sum(axis=-1)
+    whole = sizes.inner @ (sizes.rows * sizes.cols).T
+    assert (madds > 0).any() and (madds <= whole).all()
+    assert (threads == 2).any() and (blocks > 2).any()
     assert np.array_equal(priced.light_cost, built_in.light_cost)
-    madds = priced.sizes.madds.copy()
-    rows, inner = priced.sizes.rows[0], priced.sizes.inner[0]
-    workers = matmul_core.gram_workers((rows * (rows + 1) // 2) @ inner, 2)
-    madds[0, 0] = (matmul_core.gram_entries(
-        rows, matmul_core.gram_blocks(rows, inner, workers)) @ inner / workers)
-    assert 0 < madds[0, 0] <= priced.sizes.madds[0, 0]
     assert np.allclose(priced.heavy_cost, built_in.heavy_cost
                        + table.ns_per_madd * madds, rtol=1e-12, atol=0)
