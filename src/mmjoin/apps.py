@@ -17,13 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .joinproject import (_KEY_LIMIT, OutputSet, _dedup, _dense_rank,
-                          _within_budget, two_path_join)
+from .joinproject import (_KEY_LIMIT, OutputSet, _dense_rank, _within_budget,
+                          two_path_join)
 from .optimizer import FULL_JOIN, ThresholdPlan, estimate_output_size
 from .relation import (
     IndexedRelation,
     ParseError,
     Relation,
+    _dedup,
     _key_groups,
     build_indexed,
     gather_ranges,

@@ -20,6 +20,7 @@ from .errors import DataError
 from .joinproject import _KEY_LIMIT, _dense_rank
 from .relation import (
     Relation,
+    _key_groups,
     build_indexed,
     build_indexes,
     generate_community_graph,
@@ -218,14 +219,11 @@ def _shared_runs(codes, counts, lo, lens, base) -> np.ndarray:
     that differs stands for itself, so a fingerprint collision costs time,
     never a wrong line."""
     run = np.arange(len(lo))
-    fp = _run_fingerprints(codes, counts, lo, lens, base)
-    perm = np.argsort(fp)
-    starts = np.ones(len(lo), dtype=bool)
-    starts[1:] = fp[perm[1:]] != fp[perm[:-1]]
+    perm, starts, first = _key_groups(
+        _run_fingerprints(codes, counts, lo, lens, base))
     # each group's earliest run, for every run of the group
     rep = np.empty_like(run)
-    rep[perm] = np.minimum.reduceat(perm, np.flatnonzero(starts))[
-        np.cumsum(starts) - 1]
+    rep[perm] = first[np.cumsum(starts) - 1]
     dup = np.flatnonzero((rep != run) & (lens == lens[rep]))
     if lens[dup].sum() < _SHARED_ROWS_MIN * len(codes):
         return run

@@ -1,9 +1,13 @@
 """Join-project evaluation: the two-path join, star queries and the
 full-join baseline, all three through one witness-disjoint partitioned join
-(_partitioned) and one dedup (_dedup_output). Its heavy part is one blocked
-product per component (matmul.multiply_counts, the upper triangle only for
-a self-join), each block handed to one of two emits: added into a dense
-buffer over the output space, or kept as codes over the floor.
+(_partitioned) and one dedup (_dedup_output). A join sizes its split once,
+by the planner's optimizer.size_splits, and from those sizes budgets its
+allocations and picks its emit (optimizer.counts_densely), as the planner
+priced them. Its heavy part is one blocked product per component
+(matmul.multiply_counts, the upper triangle only for a self-join), each
+block handed to that emit: added into a dense buffer over the output space,
+or kept as codes over the floor. The products report the tier and threads
+they ran with.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -26,19 +30,17 @@ from .optimizer import (
     ThresholdPlan,
     counts_densely,
     default_plan,
-    join_sizes,
     light_split,
-    piece_sizes,
     price_plan,
     self_join,
+    size_splits,
 )
 from .relation import (
     IndexedRelation,
+    _dedup,
     build_indexes,
     gather_ranges,
-    left_components,
     semi_join_reduce_many,
-    witness_components,
 )
 
 
@@ -49,12 +51,8 @@ class StarResourceError(DataError, RuntimeError):
 class OutputSet:
     """Deduplicated projected tuples, optionally with witness counts.
 
-    `codes` ascend, so the tuples come sorted by their ids. `buffer` is None
-    here; a result counted densely (_DenseOutputSet) holds the count of
-    every code of its space there.
+    `codes` ascend, so the tuples come sorted by their ids.
     """
-
-    buffer = None
 
     def __init__(self, codes: np.ndarray, dims: Sequence[int],
                  counts: Optional[np.ndarray] = None,
@@ -77,28 +75,6 @@ class OutputSet:
         for i in range(self.arity - 1, -1, -1):
             rem, out[:, i] = np.divmod(rem, self.dims[i])
         return out
-
-
-class _DenseOutputSet(OutputSet):
-    """An OutputSet counted in a dense buffer over its whole code space:
-    buffer[code] is the count of `code`. Codes and counts are read off the
-    buffer on first use, so a caller that filters on the buffer itself
-    never materializes the rows it drops."""
-
-    def __init__(self, buffer: np.ndarray, dims: Sequence[int],
-                 want_counts: bool):
-        self.buffer = buffer
-        self.dims = tuple(int(d) for d in dims)
-        self.stats = {}
-        self._want_counts = want_counts
-
-    @functools.cached_property
-    def codes(self) -> np.ndarray:
-        return np.flatnonzero(self.buffer)
-
-    @functools.cached_property
-    def counts(self) -> Optional[np.ndarray]:
-        return self.buffer[self.codes] if self._want_counts else None
 
 
 def _check_code_space(dims: Sequence[int]) -> None:
@@ -222,36 +198,6 @@ def heavy_matrices(rels: Sequence[IndexedRelation], heavy_left: list,
     return factors
 
 
-def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
-    """Sorted distinct `codes`, by one sort and an adjacent-difference mask
-    (np.unique without counts hashes in numpy 2, which is far slower here).
-
-    With want_counts, returns (codes, counts) where counts[i] is the number
-    of occurrences of codes[i]. `sorted_extra`, a (codes, counts) pair that
-    is already sorted and distinct, is merged in by binary search; its counts
-    add to those of equal codes and are ignored without want_counts.
-    """
-    if sorted_extra is not None and not len(codes):
-        return sorted_extra if want_counts else sorted_extra[0]
-    s = np.sort(codes)
-    first = np.ones(len(s), dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=first[1:])
-    out = s[first]
-    counts = (np.diff(np.flatnonzero(np.append(first, True)))
-              if want_counts else None)
-    if sorted_extra is not None:
-        extra, extra_counts = sorted_extra
-        pos = np.searchsorted(out, extra)
-        hit = np.zeros(len(extra), dtype=bool)
-        inside = pos < len(out)
-        hit[inside] = out[pos[inside]] == extra[inside]
-        if want_counts:
-            counts[pos[hit]] += extra_counts[hit]
-            counts = np.insert(counts, pos[~hit], extra_counts[~hit])
-        out = np.insert(out, pos[~hit], extra[~hit])
-    return (out, counts) if want_counts else out
-
-
 # a key folded from several columns is re-ranked before it passes this
 _KEY_LIMIT = 2 ** 63
 
@@ -283,143 +229,135 @@ def _as_run(keys: np.ndarray):
 
 
 def _rectangles(v: CountMatrix, wt: CountMatrix, lo: int, hi: int,
-                block: np.ndarray, triangle: bool) -> list:
+                triangle: bool) -> list:
     """What block lo..hi-1 of V @ W^T stands for in the product, as (row
-    keys, col keys, counts) rectangles: the block, and in a triangle the
-    mirror of its part right of its square on the diagonal (the square is
-    computed whole). No two blocks' rectangles share an entry."""
+    keys, col keys, first column, transposed) rectangles of the block: the
+    block, and in a triangle the mirror of its part right of its square on
+    the diagonal (the square is computed whole), that part transposed. No
+    two blocks' rectangles share an entry."""
     rows, cols = v.row_keys, wt.col_keys
-    rects = [(rows[lo:hi], cols[lo if triangle else 0:], block)]
+    rects = [(rows[lo:hi], cols[lo if triangle else 0:], 0, False)]
     if triangle and hi < len(rows):
-        rects.append((rows[hi:], cols[lo:hi],
-                      np.ascontiguousarray(block[:, hi - lo:].T)))
+        rects.append((rows[hi:], cols[lo:hi], hi - lo, True))
     return rects
 
 
 def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
           dim: int = 1, floor: int = 1, counted: bool = False):
     """The emit that runs on each block of V @ W^T, on the thread that
-    computed it, and gives one part per rectangle of the block. The dense
-    emit adds each rectangle into `view` (the output buffer as two
-    dimensions) at its keys, and gives its nonzero entries. The codes emit
-    keeps a rectangle's entries counted at least `floor` times as codes
-    row_key * dim + col_key, and gives (codes, counts or None without
-    `counted`, each row's codes, each row's first code had it kept every
-    entry, nonzero entries); every row's codes are one run, in order."""
+    computed it, and gives its rectangles' nonzero entries and a list of
+    parts, one per rectangle. The dense emit adds each rectangle into
+    `view` (the output buffer as two dimensions) at its keys, and gives no
+    parts. The codes emit compares the block with `floor` once and keeps a
+    rectangle's entries counted at least that many times as codes row_key *
+    dim + col_key, giving (codes, counts or None without `counted`, each
+    row's codes, each row's first code had it kept every entry); every
+    row's codes are one run, in order."""
     def emit(lo, hi, block):
-        parts = []
-        for keys, cols, m in _rectangles(v, wt, lo, hi, block, triangle):
-            if view is not None:  # by slices where the keys are runs
+        nonzero, parts = 0, []
+        if view is not None:  # by slices where the keys are runs
+            for keys, cols, off, flip in _rectangles(v, wt, lo, hi, triangle):
+                m = block[:, off:].T if flip else block
                 at = _as_run(keys), _as_run(cols)
                 if all(isinstance(x, np.ndarray) for x in at):
                     at = np.ix_(*at)
                 view[at] += m.astype(np.int64)
-                parts.append(np.count_nonzero(m > 0))
-                continue
-            keep = m >= floor
-            kept = np.count_nonzero(keep)
+                nonzero += np.count_nonzero(m > 0)
+            return nonzero, parts
+        keep = block >= floor
+        for keys, cols, off, flip in _rectangles(v, wt, lo, hi, triangle):
+            m, k = ((block[:, off:].T, keep[:, off:].T) if flip
+                    else (block, keep))
+            kept = np.count_nonzero(k)
+            nonzero += kept if floor <= 1 else np.count_nonzero(m > 0)
             rows = keys * dim
-            if 10 * kept < 9 * keep.size:  # not nearly all: by position
-                at = np.flatnonzero(keep)
+            if 10 * kept < 9 * k.size:  # not nearly all: by position
+                at = np.flatnonzero(k)
                 i = at // len(cols)
-                codes = rows[i] + cols[at - i * len(cols)]
-                counts = m.ravel()[at]
-                lens = np.diff(np.searchsorted(
-                    at, np.arange(len(rows) + 1) * len(cols)))
+                j = at - i * len(cols)
+                codes = rows[i] + cols[j]
+                # the counts gathered at their places in the block
+                place = j * block.shape[1] + off + i if flip else at
+                counts = block.ravel()[place] if counted else None
+                lens = np.bincount(i, minlength=len(rows))
             else:
-                codes, counts = np.add.outer(rows, cols).ravel(), m.ravel()
-                lens = keep.sum(axis=1)
-                if kept < keep.size:
-                    flat = keep.ravel()
-                    codes, counts = codes[flat], counts[flat]
-            parts.append((codes, counts.astype(np.int64) if counted else None,
-                          lens, rows + cols[0], kept if floor <= 1
-                          else np.count_nonzero(m > 0)))
-        return parts
+                codes = np.add.outer(rows, cols).ravel()
+                counts = m.ravel() if counted else None
+                lens = k.sum(axis=1)
+                if kept < k.size:
+                    flat = k.ravel()
+                    codes = codes[flat]
+                    counts = None if counts is None else counts[flat]
+            parts.append((codes, None if counts is None
+                          else counts.astype(np.int64), lens, rows + cols[0]))
+        return nonzero, parts
 
     return emit
 
 
-def _dedup_output(codes: np.ndarray, dims: Sequence[int],
+def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
                   want_counts: bool = False, factors=(),
                   triangle: bool = False, floor: int = 1) -> OutputSet:
     """The distinct `codes` of the two-dimensional space `dims` and the
     products V @ W^T of `factors` ((V, W^T) pairs over keys no two share;
     entry (i, j) counts code row_keys[i] * dims[1] + col_keys[j]), counted
     at least `floor` times, with their counts if want_counts. With
-    `triangle` every V is its W. The stats name the products' nonzero
-    entries before the floor (`heavy_pairs`, both orientations of a
-    self-join's), their `blocks`, the most threads one ran on (`workers`)
-    and the widest exact_type they ran in (`tier`).
+    `triangle` every V is its W.
 
-    While the space is small next to the codes the codes emit touches
-    (optimizer.counts_densely), one bincount over it holds every light
-    count and the dense emit adds each block in. Otherwise the codes emit
+    `dense` is the emit its caller priced (optimizer.counts_densely). The
+    dense emit holds every light count in one bincount over the space, adds
+    each block in, and reads the codes at the floor off it. The codes emit
     keeps each block's codes that reach the floor (1 beside light codes:
-    the floor applies once merged), runs go in the order of their first
-    codes, and one sort and a binary search merge the light codes in.
+    the floor applies once merged), puts the runs in the order of their
+    first codes, and merges the light codes in by one sort and a binary
+    search. The stats name the `emit` (None with neither light codes nor
+    products), the products' nonzero entries before the floor
+    (`heavy_pairs`, both orientations of a self-join's), their `blocks`,
+    the most threads one ran on (`workers`) and the widest exact_type they
+    ran in (`tier`), as multiply_counts reports them.
     """
-    space = math.prod(dims)
-    workers = _matmul.worker_count()
+    emit = (("dense" if dense else "codes") if len(codes) or factors
+            else None)
     low = 1 if len(codes) else floor
     counted = want_counts or floor > low
-    dense = counts_densely(space, len(codes),
-                           sum(v.rows * wt.cols for v, wt in factors), floor)
-    buf = np.bincount(codes, minlength=space) if dense else None
-    blocks = []
-    for v, wt in factors:
-        emit = _emit(v, wt, triangle, None if buf is None else
-                     buf.reshape(dims), dims[1], low, counted)
-        blocks += multiply_counts(v, wt, emit, triangle, workers)
-    runs = [run for block in blocks for run in block]
-    stats = {"heavy_pairs": int(sum(r if dense else r[4] for r in runs)),
-             "blocks": len(blocks), "tier": None, "workers": max(
-                 (_matmul.block_plan(v.rows, v.cols, wt.cols, workers,
-                                     triangle)[0] for v, wt in factors),
-                 default=1)}
-    if factors:
-        stats["tier"] = _matmul.exact_type(max(
-            v.cols * v.top * wt.top for v, wt in factors)).__name__
-    if dense:
-        out = _DenseOutputSet(buf, dims, want_counts)
-    else:
-        extra = None
-        if runs:
-            extra = [np.concatenate([r[0] for r in runs]), np.concatenate(
-                [r[1] for r in runs]) if counted else None]
-            lens = np.concatenate([r[2] for r in runs])
-            first = np.concatenate([r[3] for r in runs])
-            if (np.diff(first) < 0).any():
-                # the runs in the order of their first codes
-                order = np.argsort(first)
-                starts = (np.cumsum(lens) - lens)[order]
-                lens = lens[order]
-                at = (np.repeat(starts - (np.cumsum(lens) - lens), lens)
-                      + np.arange(len(extra[0])))
-                extra = [x if x is None else x[at] for x in extra]
-        if counted:
-            out, counts = _dedup(codes, True, extra)
-        else:
-            out, counts = _dedup(codes, sorted_extra=extra), None
-        out = OutputSet(out, dims, counts)
-    # where no light code is beside them, the blocks kept the floor
-    out = _floored(out, floor if len(codes) else 1, want_counts)
-    out.stats = stats
-    return out
-
-
-def _floored(out: OutputSet, floor: int, want_counts: bool) -> OutputSet:
-    """`out` (counted) without the codes counted fewer than `floor` times,
-    with its counts only if `want_counts`."""
-    if floor <= 1:
-        return out
-    if out.buffer is not None:
-        codes = np.flatnonzero(out.buffer >= floor)
-        counts = out.buffer[codes]
-    else:
-        over = out.counts >= floor
-        codes, counts = out.codes[over], out.counts[over]
-    return OutputSet(codes, out.dims, counts if want_counts else None)
+    buf = (np.bincount(codes, minlength=math.prod(dims)) if emit == "dense"
+           else None)
+    workers = _matmul.worker_count()
+    products = [multiply_counts(v, wt, _emit(
+        v, wt, triangle, None if buf is None else buf.reshape(dims), dims[1],
+        low, counted), triangle, workers) for v, wt in factors]
+    blocks = [block for p in products for block in p.parts]
+    tier = max((p.tier for p in products), key=_matmul.TIERS.index,
+               default=None)
+    stats = {"emit": emit, "heavy_pairs": int(sum(n for n, _ in blocks)),
+             "blocks": len(blocks), "tier": tier and tier.__name__,
+             "workers": max((p.threads for p in products), default=1)}
+    if buf is not None:
+        codes = np.flatnonzero(buf >= floor if floor > 1 else buf)
+        return OutputSet(codes, dims, buf[codes] if want_counts else None,
+                         stats)
+    runs = [run for _, parts in blocks for run in parts]
+    extra = None
+    if runs:
+        extra = [np.concatenate([r[0] for r in runs]), np.concatenate(
+            [r[1] for r in runs]) if counted else None]
+        lens = np.concatenate([r[2] for r in runs])
+        first = np.concatenate([r[3] for r in runs])
+        if (np.diff(first) < 0).any():
+            # the runs in the order of their first codes
+            order = np.argsort(first)
+            starts = (np.cumsum(lens) - lens)[order]
+            lens = lens[order]
+            at = (np.repeat(starts - (np.cumsum(lens) - lens), lens)
+                  + np.arange(len(extra[0])))
+            extra = [x if x is None else x[at] for x in extra]
+    if not counted:
+        return OutputSet(_dedup(codes, sorted_extra=extra), dims, None, stats)
+    codes, counts = _dedup(codes, True, extra)
+    if floor > low:  # light codes beside the products: the floor, merged
+        over = counts >= floor
+        codes, counts = codes[over], counts[over]
+    return OutputSet(codes, dims, counts if want_counts else None, stats)
 
 
 # A join allocates at most this many array entries across its light codes,
@@ -467,33 +405,17 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     k = len(rels)
     dims = [ri.rel.dom_left for ri in rels]
     _check_code_space(dims)
-    deg = np.stack([ri.right_deg for ri in rels])
-    # heavy[i, y]: tuples of relation i at y with a heavy left value; at a
-    # light y, none: all of them are taken as light
-    heavy = deg - np.stack([
-        np.bincount(ri.rel.pairs[ll[ri.rel.pairs[:, 0]], 1],
-                    minlength=len(light_y))
-        for ri, ll in zip(rels, light_left)])
-    heavy[:, light_y] = 0
-    light = deg - heavy
-
+    # the facts the planner prices, for this one split: heavy[i, y] is the
+    # tuples of relation i at y with a heavy left value (none at a light y:
+    # all of them are taken as light), sizes[j, y] the codes of witness y
+    # whose first light position is j
+    split = size_splits(rels, light_in, np.array([plan.delta1]),
+                        np.array([plan.delta2]))
+    planned, heavy = split.sizes, split.heavy[0]
+    light = split.deg - heavy
     heavy_left = [np.flatnonzero(~ll) for ll in light_left]
     heavy_y = np.flatnonzero(~light_y)
     half = (k + 1) // 2
-    # the heavy part is one product per component of the witnesses, if it
-    # has heavy witnesses and heavy left values at all
-    comp = (witness_components(rels)
-            if len(heavy_y) and all(len(h) for h in heavy_left)
-            else np.zeros(len(light_y), dtype=np.int64))
-    n_comp = int(comp.max(initial=-1)) + 1
-    comp_left = [left_components(ri, comp) for ri in rels]
-    # sizes[j, y]: codes of witness y whose first light position is j
-    sizes = piece_sizes(deg, heavy)
-    # the sizes the planner prices, for this one split
-    planned = join_sizes(deg, ~light_y[None], sizes[None],
-                         np.array([[np.bincount(cl[h], minlength=n_comp)
-                                    for cl, h in zip(comp_left, heavy_left)]]),
-                         comp)
     n_light = int(planned.light[0, 0])
     triangle = self_join(rels)
     space = math.prod(dims)
@@ -502,13 +424,14 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     n_heavy = int(planned.factor_entries[0, 0] + _matmul.block_plan(
         planned.rows[0, run], planned.inner[0, run], planned.cols[0, run],
         _matmul.worker_count(), triangle)[2].sum())
-    n_buffer = space if counts_densely(
-        space, n_light, planned.product_entries[0, 0], floor) else 0
+    dense = counts_densely(space, n_light, planned.product_entries[0, 0],
+                           floor)
+    n_buffer = space if dense else 0
     _within_budget(n_light + n_heavy + n_buffer,
                    f"light codes, heavy matrix entries and buffer slots "
                    f"({n_light} + {n_heavy} + {n_buffer})")
 
-    sizes = sizes.astype(np.int64)
+    sizes = split.pieces[0].astype(np.int64)
     pos_j, pos_y = np.nonzero(sizes)
     codes = np.empty(int(sizes.sum()), dtype=np.int64)
     if len(codes):
@@ -531,12 +454,14 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
                                              for xs, lo, hi in pieces[j]])
             at += n
 
-    factors = (heavy_matrices(rels, heavy_left, heavy_y, comp, comp_left)
+    factors = (heavy_matrices(rels, heavy_left, heavy_y, split.comp,
+                              split.comp_left)
                if planned.blocks[0, 0] else [])
     # the output space viewed as two dimensions, V's keys by W's; a code is
     # the same integer in both views
     dims2 = (math.prod(dims[:half]), math.prod(dims[half:]))
-    out = _dedup_output(codes, dims2, want_counts, factors, triangle, floor)
+    out = _dedup_output(codes, dims2, dense, want_counts, factors, triangle,
+                        floor)
     out.dims = tuple(int(d) for d in dims)
     out.stats.update(light_intermediate=len(codes), plan=plan)
     return out

@@ -12,8 +12,9 @@ matrices the operators pass have a bound equal to their inner dimension, so
 they run in float32. It cuts V's rows into blocks (row_cuts), of the upper
 triangle only where W is V (a self-join's Gram matrix), and runs them on
 one thread per CPU the process may use (worker_count, run_shared), each
-block handed to the caller's emit on the thread that computed it. Every
-BLAS call stays on the one thread mmjoin/__init__.py gives BLAS.
+block handed to the caller's emit on the thread that computed it, and
+reports the tier and threads it ran with (Blocks). Every BLAS call stays on
+the one thread mmjoin/__init__.py gives BLAS.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from ..errors import DataError
 _SINGLE_EXACT_BOUND = 2 ** 24
 _DOUBLE_EXACT_BOUND = 2 ** 53
 _INT64_MAX = np.iinfo(np.int64).max
+# exact_type's ladder, narrowest first
+TIERS = (np.float32, np.float64, np.int64)
 
 # environment() in perfbench/run.py records both names on every run; the
 # int64 tier is plain numpy and there is no compiled kernel
@@ -219,6 +222,14 @@ def run_shared(fn, tasks: Sequence, workers: int) -> list:
     return results
 
 
+class Blocks(NamedTuple):
+    """A product run through an emit: the emits' results in block order, the
+    exact_type the blocks ran in and the threads they ran on."""
+    parts: list
+    tier: type
+    threads: int
+
+
 def multiply_counts(v: CountMatrix, wt: CountMatrix, emit=None,
                     triangle: bool = False, workers: Optional[int] = None):
     """The exact product V @ W^T of V (u x v) and W^T (v x w), by row blocks.
@@ -247,7 +258,8 @@ def multiply_counts(v: CountMatrix, wt: CountMatrix, emit=None,
 
         multiply_counts(v, wt, emit, triangle, workers)
         return CountMatrix(whole, row_keys=v.row_keys, col_keys=wt.col_keys)
-    kind = exact_type(v.cols * v.top * wt.top)
+    top = v.top
+    kind = exact_type(v.cols * top * (top if triangle else wt.top))
     wide = v.data.astype(kind)
     wide_t = wide.T if triangle else wt.data.astype(kind)
     if workers is None:
@@ -259,4 +271,5 @@ def multiply_counts(v: CountMatrix, wt: CountMatrix, emit=None,
         lo, hi = task
         return emit(lo, hi, wide[lo:hi] @ wide_t[:, lo if triangle else 0:])
 
-    return run_shared(block, list(zip(cuts, cuts[1:])), threads)
+    return Blocks(run_shared(block, list(zip(cuts, cuts[1:])), threads), kind,
+                  threads)

@@ -2,10 +2,13 @@
 light/heavy rule (witness_key, light_split), the exact sizes of the join at
 every threshold pair of a grid, priced by measured per-operation costs, and
 the output-size estimate. The grid runs from the all-heavy corner
-(thresholds 0, the pure product) to the all-light one (the full join). Every
-product is priced as matmul.multiply_counts runs it: by row blocks on the
-threads it gets, the upper triangle only for a self-join, and one of
-joinproject's two emits (counts_densely)."""
+(thresholds 0, the pure product) to the all-light one (the full join).
+size_splits is the one place a split is sized: price_plan sizes its grid
+with it, and joinproject._partitioned the one split it runs, so a join
+allocates what was priced and counts with the emit priced for it
+(counts_densely, one of joinproject's two). Every product is priced as
+matmul.multiply_counts runs it: by row blocks on the threads it gets, the
+upper triangle only for a self-join."""
 
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import numpy as np
 
 from .matmul import CalibrationError, CalibrationTable
 from .matmul import core as _matmul
-from .relation import IndexedRelation, left_components, witness_components
+from .relation import (IndexedRelation, _dedup, left_components,
+                       witness_components)
 
 FULL_JOIN = "fulljoin"
 PARTITIONED = "partitioned"
@@ -287,8 +291,8 @@ def gram_kept_estimate(idx: IndexedRelation, comp: np.ndarray,
                       1) ** 2)
     size, has = idx.left_deg, idx.left_deg > 0
     top = int(size.max(initial=0)) + 1
-    groups, count = np.unique(left_components(idx, comp)[has] * top
-                              + size[has], return_counts=True)
+    groups, count = _dedup(left_components(idx, comp)[has] * top + size[has],
+                           True)
     g_comp, g_size = np.divmod(groups, top)
     per = np.bincount(g_comp, minlength=n_comp)
     if per @ per > _ESTIMATE_PAIRS:
@@ -307,25 +311,70 @@ def gram_kept_estimate(idx: IndexedRelation, comp: np.ndarray,
     return float(count[i] @ (count[j] * np.clip(1 - below, 0, 1)))
 
 
-def _heavy_by_split(idx: IndexedRelation, delta2s: np.ndarray,
-                    comp_left: np.ndarray, n_comp: int):
-    """For each left split delta2s[g]: idx's tuples at each witness whose
-    left value has degree past it, (G2, Y), and the number of such left
-    values per component, (G2, C). One bincount each over (splits below the
-    left degree, witness or component)."""
-    g, dom_y = len(delta2s), idx.rel.dom_right
-    below = np.searchsorted(delta2s, idx.left_deg)
-    # the forward index's tuples, keyed by their left value's splits below
-    # and their witness
-    keys = np.repeat(below * dom_y, idx.left_deg) + idx.fwd_indices
-    tuples = np.bincount(keys, minlength=(g + 1) * dom_y).reshape(g + 1, dom_y)
-    # past split g are the left values with more than g splits below; a
-    # value without tuples has none, and no component
-    has = idx.left_deg > 0
-    lefts = np.bincount(below[has] * n_comp + comp_left[has],
-                        minlength=(g + 1) * n_comp).reshape(g + 1, n_comp)
-    return (tuples[:0:-1].cumsum(axis=0)[::-1],
-            lefts[:0:-1].cumsum(axis=0)[::-1])
+@dataclass
+class Splits:
+    """What size_splits finds for G1 witness splits by G2 left-value splits
+    of k relations, all that price_plan prices and joinproject._partitioned
+    runs: the thresholds, each relation's degree at each witness `deg`
+    (k, Y), the witnesses' components `comp` (Y,) and each relation's left
+    values' `comp_left`, and per left split the tuples at each witness whose
+    left value is heavy `heavy` (G2, k, Y; 0 at a witness light in every
+    witness split), their piece_sizes `pieces` (G2, k, Y) and the `sizes`."""
+    delta1s: np.ndarray
+    delta2s: np.ndarray
+    deg: np.ndarray
+    comp: np.ndarray
+    comp_left: list
+    heavy: np.ndarray
+    pieces: np.ndarray
+    sizes: JoinSizes
+
+
+def size_splits(rels: Sequence[IndexedRelation], light_in: int,
+                delta1s: Optional[np.ndarray] = None,
+                delta2s: Optional[np.ndarray] = None) -> Splits:
+    """The Splits of `rels` under light_split with `light_in` at every
+    candidate of the ascending `delta1s` by `delta2s`; by default, 0 and the
+    powers of two up to the first past every witness key and left degree
+    (the full join). Where no candidate has heavy witnesses and heavy left
+    values in every relation, nothing is multiplied, and every witness is
+    taken as in one component."""
+    if not all(rels[0].shares_right_dict(o) for o in rels[1:]):
+        raise ValueError("relations do not share a right dictionary; "
+                         "run semi_join_reduce first")
+    key = witness_key(rels, light_in)
+    if delta1s is None:
+        delta1s = _split_grid(key.max(initial=0))
+    if delta2s is None:
+        delta2s = _split_grid(max(ri.left_deg.max(initial=0) for ri in rels))
+    deg = np.array([ri.right_deg for ri in rels])
+    heavy_y = key > delta1s[:, None]
+    comp = (witness_components(rels) if heavy_y.any() and all(
+        (ri.left_deg > delta2s[0]).any() for ri in rels)
+        else np.zeros(len(key), dtype=np.int64))
+    g, dom_y, n_comp = len(delta2s), len(key), int(comp.max(initial=-1)) + 1
+    comp_left, heavy, heavy_left = {}, {}, {}
+    for ri in {id(ri): ri for ri in rels}.values():  # a self-join's once
+        # per left split, the tuples at each witness whose left value has
+        # degree past it and such left values per component: one bincount
+        # each over (left splits below the degree, witness or component)
+        i, has = id(ri), ri.left_deg > 0
+        below = np.searchsorted(delta2s, ri.left_deg)
+        comp_left[i] = left_components(ri, comp)
+        heavy[i] = np.bincount(np.repeat(below * dom_y, ri.left_deg)
+                               + ri.fwd_indices, minlength=(g + 1) * dom_y)
+        heavy_left[i] = np.bincount(below[has] * n_comp + comp_left[i][has],
+                                    minlength=(g + 1) * n_comp)
+    # past split g are the values with more than g splits below, (G2, k, Y)
+    # and (G2, k, C); a value without tuples has none, and no component
+    heavy, heavy_left = (np.stack([x[id(ri)].reshape(g + 1, -1)[:0:-1].cumsum(
+        axis=0)[::-1] for ri in rels], axis=1) for x in (heavy, heavy_left))
+    # at a witness light in every witness split every tuple is light
+    heavy = heavy * heavy_y.any(axis=0)
+    pieces = piece_sizes(deg, heavy)
+    return Splits(np.asarray(delta1s), np.asarray(delta2s), deg, comp,
+                  [comp_left[id(ri)] for ri in rels], heavy, pieces,
+                  join_sizes(deg, heavy_y, pieces, heavy_left, comp))
 
 
 @dataclass
@@ -334,12 +383,14 @@ class PlanGrid:
     modeled nanos. On the default grid the first delta1 and delta2 are 0:
     that corner is all heavy, the pure product. The last delta1 is past
     every witness key and the last delta2 past every left degree: that
-    corner is all light, the full join."""
+    corner is all light, the full join. `dense`: where the emit priced is
+    the dense one (counts_densely)."""
     delta1s: np.ndarray
     delta2s: np.ndarray
     sizes: JoinSizes
     light_cost: np.ndarray
     heavy_cost: np.ndarray
+    dense: np.ndarray
 
     @property
     def cost(self) -> np.ndarray:
@@ -405,11 +456,9 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
                delta1s: Optional[np.ndarray] = None,
                delta2s: Optional[np.ndarray] = None,
                floor: int = 1) -> PlanGrid:
-    """Price every candidate (delta1, delta2) of the ascending `delta1s` by
-    `delta2s` on the exact sizes joinproject._partitioned would allocate for
-    `rels` under light_split with `light_in`, keeping the codes counted at
-    least `floor` times; by default, 0 and the powers of two up to the
-    first past every witness key and left degree (the full join).
+    """Price every candidate of size_splits(rels, light_in, delta1s,
+    delta2s), the sizes joinproject._partitioned allocates, keeping the
+    codes counted at least `floor` times.
 
     The light cost is per piece, per light code and their dedup by the emit
     counts_densely picks (slots and counted codes, or the codes sorted).
@@ -421,26 +470,8 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     `floor` of the full join's, and a two-path self-join prices
     gram_kept_estimate's codes when lower.
     """
-    if not all(rels[0].shares_right_dict(o) for o in rels[1:]):
-        raise ValueError("relations do not share a right dictionary; "
-                         "run semi_join_reduce first")
-    key = witness_key(rels, light_in)
-    if delta1s is None:
-        delta1s = _split_grid(key.max(initial=0))
-    if delta2s is None:
-        delta2s = _split_grid(max(ri.left_deg.max(initial=0) for ri in rels))
-    deg = np.array([ri.right_deg for ri in rels])
-    comp = witness_components(rels)
-    n_comp = int(comp.max(initial=-1)) + 1
-    # per distinct relation: a relation given again (a self-join) counts once
-    distinct = {id(ri): ri for ri in rels}
-    split = {i: _heavy_by_split(ri, delta2s, left_components(ri, comp),
-                                n_comp) for i, ri in distinct.items()}
-    heavy, heavy_left = (np.array([split[id(ri)][i] for ri in rels])
-                         .swapaxes(0, 1) for i in (0, 1))
-    sizes = join_sizes(deg, key > delta1s[:, None], piece_sizes(deg, heavy),
-                       heavy_left, comp)
-
+    split = size_splits(rels, light_in, delta1s, delta2s)
+    sizes = split.sizes
     light, product = sizes.light, sizes.product_entries
     space = math.prod(ri.rel.dom_left for ri in rels)
     dense = counts_densely(space, light, product, floor)
@@ -458,7 +489,7 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     per_kept = np.where(dense, 0.0,
                         np.where(light > 0, _NS_PER_MERGED, _NS_PER_KEPT))
     floored = (light == 0) & (floor > 1)
-    kept = np.where(floored, np.minimum(product, deg.prod(
+    kept = np.where(floored, np.minimum(product, split.deg.prod(
         axis=0, dtype=np.float64).sum() / floor), product)
     # at floor 1 the bounds are near the count: a sparse family's pairs
     # share about one witness each, a dense one keeps nearly all rows^2;
@@ -467,11 +498,11 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     cost = light_cost + heavy_cost
     if (len(rels) == 2 and triangle and floored.any() and cost[floored].min()
             < (cost + per_kept * kept)[~floored].min(initial=math.inf)):
-        estimate = gram_kept_estimate(rels[0], comp, floor)
+        estimate = gram_kept_estimate(rels[0], split.comp, floor)
         if estimate is not None:
             kept = np.where(floored, np.minimum(kept, estimate), kept)
-    return PlanGrid(np.asarray(delta1s), np.asarray(delta2s), sizes,
-                    light_cost, heavy_cost + per_kept * kept)
+    return PlanGrid(split.delta1s, split.delta2s, sizes, light_cost,
+                    heavy_cost + per_kept * kept, dense)
 
 
 def default_plan(r: IndexedRelation, s: IndexedRelation,

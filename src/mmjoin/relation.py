@@ -116,6 +116,36 @@ def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, new, np.minimum.reduceat(order, np.flatnonzero(new))
 
 
+def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
+    """Sorted distinct `codes`, by one sort and an adjacent-difference mask
+    (np.unique without counts hashes in numpy 2, which is far slower here).
+
+    With want_counts, returns (codes, counts) where counts[i] is the number
+    of occurrences of codes[i]. `sorted_extra`, a (codes, counts) pair that
+    is already sorted and distinct, is merged in by binary search; its counts
+    add to those of equal codes and are ignored without want_counts.
+    """
+    if sorted_extra is not None and not len(codes):
+        return sorted_extra if want_counts else sorted_extra[0]
+    s = np.sort(codes)
+    first = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    out = s[first]
+    counts = (np.diff(np.flatnonzero(np.append(first, True)))
+              if want_counts else None)
+    if sorted_extra is not None:
+        extra, extra_counts = sorted_extra
+        pos = np.searchsorted(out, extra)
+        hit = np.zeros(len(extra), dtype=bool)
+        inside = pos < len(out)
+        hit[inside] = out[pos[inside]] == extra[inside]
+        if want_counts:
+            counts[pos[hit]] += extra_counts[hit]
+            counts = np.insert(counts, pos[~hit], extra_counts[~hit])
+        out = np.insert(out, pos[~hit], extra[~hit])
+    return (out, counts) if want_counts else out
+
+
 def _first_seen_unique(keys: np.ndarray) -> np.ndarray:
     """Positions of the first occurrence of each distinct key, in order."""
     first = _key_groups(keys)[2]
@@ -324,10 +354,8 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
         text, keys[1::2], long[1::2], starts[1::2], ends[1::2])
     # one sort of the pair codes dedups the pairs and orders them
     dom_right = len(right_values)
-    codes = np.sort(lcodes * dom_right + rcodes)
-    new = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=new[1:])
-    pairs = np.column_stack(np.divmod(codes[new], max(dom_right, 1)))
+    pairs = np.column_stack(np.divmod(_dedup(lcodes * dom_right + rcodes),
+                                      max(dom_right, 1)))
     left_first = np.empty_like(first)
     left_first[np.argsort(first)] = np.arange(len(first))
     return Relation(name, pairs, left_values, left_ids, right_values,

@@ -112,10 +112,10 @@ def test_a_block_past_2_24_runs_in_float64(monkeypatch):
                         lambda bound: tiers.append(exact(bound)) or tiers[-1])
     monkeypatch.setattr(core, "_BLOCK_MADDS", 1)
     product = v.data @ v.data.T
-    blocks = core.multiply_counts(
+    blocks, tier, threads = core.multiply_counts(
         v, CountMatrix(v.data.T), lambda lo, hi, block: (lo, hi, block),
         triangle=True, workers=2)
-    assert tiers == [np.float64]
+    assert tiers == [np.float64] and tier is np.float64 and threads == 2
     assert len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == 50
     for (lo, hi, block), (nxt, _, _) in zip(blocks,
                                             blocks[1:] + [(50, 0, 0)]):
@@ -331,10 +331,11 @@ def test_the_dense_emit_loses_no_update_on_many_threads(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = jp._dedup_output(codes, (90, 90), True,
+        out = jp._dedup_output(codes, (90, 90), True, True,
                                [(v, CountMatrix(v.data.T, col_keys=keys))],
                                triangle=True)
     finally:
         sys.setswitchinterval(interval)
-    assert out.buffer is not None and out.stats["workers"] == 8
-    assert np.array_equal(out.buffer.reshape(90, 90), want)
+    assert out.stats["emit"] == "dense" and out.stats["workers"] == 8
+    assert np.array_equal(out.codes, np.flatnonzero(want))
+    assert np.array_equal(out.counts, want.ravel()[out.codes])

@@ -32,6 +32,7 @@ from mmjoin.matmul import CountMatrix, core, multiply_counts
 from mmjoin.optimizer import FULL_JOIN, PARTITIONED, ThresholdPlan
 from mmjoin.relation import (
     Relation,
+    _dedup,
     build_indexed,
     build_indexes,
     generate_community_graph,
@@ -169,10 +170,10 @@ def _unique_oracle(codes, counts=False):
 ])
 def test_dedup_matches_np_unique(codes):
     codes = np.asarray(codes, dtype=np.int64)
-    got = jp._dedup(codes)
+    got = _dedup(codes)
     assert got.dtype == np.int64
     assert np.array_equal(got, _unique_oracle(codes))
-    got_u, got_c = jp._dedup(codes, True)
+    got_u, got_c = _dedup(codes, True)
     want_u, want_c = _unique_oracle(codes, True)
     assert np.array_equal(got_u, want_u)
     assert np.array_equal(got_c, want_c)
@@ -186,17 +187,17 @@ def test_dedup_merges_sorted_extra():
     want = Counter(light.tolist())
     for code, cnt in zip(extra.tolist(), extra_counts.tolist()):
         want[code] += cnt
-    codes, counts = jp._dedup(light, True, (extra, extra_counts))
+    codes, counts = _dedup(light, True, (extra, extra_counts))
     assert codes.tolist() == sorted(want)
     assert counts.tolist() == [want[c] for c in sorted(want)]
-    assert jp._dedup(light, sorted_extra=(extra, extra_counts)).tolist() \
+    assert _dedup(light, sorted_extra=(extra, extra_counts)).tolist() \
         == sorted(want)
     # either side empty
     empty = np.empty(0, dtype=np.int64)
-    codes, counts = jp._dedup(empty, True, (extra, extra_counts))
+    codes, counts = _dedup(empty, True, (extra, extra_counts))
     assert codes.tolist() == extra.tolist()
     assert counts.tolist() == extra_counts.tolist()
-    codes, counts = jp._dedup(light, True, (empty, empty))
+    codes, counts = _dedup(light, True, (empty, empty))
     want_u, want_c = _unique_oracle(light, True)
     assert np.array_equal(codes, want_u) and np.array_equal(counts, want_c)
 
@@ -217,15 +218,13 @@ def _size_rule(value):
 
 def _on_path(dense, codes, dims, want_counts, factors, triangle=False,
              floor=1):
-    """_dedup_output with the size rule forced to the dense or the codes
-    emit."""
-    with _size_rule(_ALWAYS if dense else 0.0):
-        out = jp._dedup_output(codes, dims, want_counts, factors, triangle,
-                               floor)
-    # with nothing to place the codes emit runs either way; a floored
-    # result keeps no buffer
+    """_dedup_output on the dense or the codes emit, which it reports in
+    its stats (None with nothing to count)."""
+    out = jp._dedup_output(codes, dims, dense, want_counts, factors, triangle,
+                           floor)
     placed = len(codes) > 0 or len(factors) > 0
-    assert (out.buffer is not None) == (dense and placed and floor == 1)
+    assert out.stats["emit"] == (("dense" if dense else "codes") if placed
+                                 else None)
     return out
 
 
@@ -333,22 +332,23 @@ def _check_dedup_output(codes, dims, factors, triangle, floor):
         assert np.array_equal(plain.codes, dense.codes)
 
 
-def test_dedup_output_size_rule():
+def test_counts_densely_size_rule():
     # without a product the codes touch each light code once; with one,
     # each code and product entry once more
-    codes = np.arange(40, dtype=np.int64) % 30
-    assert jp._dedup_output(codes, (6, 10)).buffer is not None      # 60 <= 60
-    assert jp._dedup_output(codes, (61, 1)).buffer is None
-    block = _factor(np.ones((2, 2)), [0, 3], [1, 2])
+    assert opt.counts_densely(60, 40, 0)                    # 60 <= 1.5 * 40
+    assert not opt.counts_densely(61, 40, 0)
     # 1.5 * (40 + 40 + 4) = 126
-    assert jp._dedup_output(codes, (9, 14), factors=[block]).buffer is not None
-    assert jp._dedup_output(codes, (9, 15), factors=[block]).buffer is None
+    assert opt.counts_densely(126, 40, 4)
+    assert not opt.counts_densely(135, 40, 4)
     # with no light codes a floor is kept in the blocks: no buffer
-    block = _factor(np.ones((2, 2)), [0, 1], [0, 1])
-    assert jp._dedup_output(codes[:0], (2, 2), factors=[block]).buffer \
-        is not None
-    assert jp._dedup_output(codes[:0], (2, 2), factors=[block],
-                            floor=2).buffer is None
+    assert opt.counts_densely(4, 0, 4)
+    assert not opt.counts_densely(4, 0, 4, floor=2)
+    assert opt.counts_densely(60, 40, 0, floor=2)
+    # nothing to count: no buffer
+    assert not opt.counts_densely(1, 0, 0)
+    # elementwise over a grid
+    assert opt.counts_densely(126, np.array([40, 0, 40]), np.array([4, 4, 0]),
+                              2).tolist() == [True, False, False]
 
 
 def test_two_path_join_counts_on_either_path():
@@ -363,8 +363,52 @@ def test_two_path_join_counts_on_either_path():
         for rule in (_ALWAYS, 0.0):
             with _size_rule(rule):
                 res = jp.two_path_join(r, s, plan=plan, want_counts=True)
-            assert (res.buffer is not None) == (rule == _ALWAYS)
+            assert res.stats["emit"] == ("dense" if rule == _ALWAYS
+                                         else "codes")
             assert decode_two_path_counts(res, r, s) == dict(want)
+
+
+@st.composite
+def _planned_join(draw):
+    """(join, relations, light_in, floor) over small random relations: a
+    two-path self-join, a two-path join of two relations, a k=3 star, or
+    SSJ's join (a two-path self-join keeping the pairs of overlap 3 or
+    more)."""
+    kind = draw(st.sampled_from(["self", "join", "star", "ssj"]))
+    pair = st.tuples(st.integers(0, 7), st.integers(0, 5))
+    rel_pairs = [sorted(draw(st.sets(pair, min_size=1, max_size=30)))
+                 for _ in range(3)]
+    if kind == "star":
+        rels = build_indexes(semi_join_reduce_many(
+            [Relation.from_raw_pairs(f"R{i}", p)
+             for i, p in enumerate(rel_pairs)]))
+        return (lambda d1, d2: jp.star_join(rels, d1, d2)), rels, 2, 1
+    if kind == "join":
+        rels = list(reduced_indexed(*rel_pairs[:2]))
+    else:
+        rels = [build_indexed(Relation.from_raw_pairs("R", rel_pairs[0]))] * 2
+    floor = 3 if kind == "ssj" else 1
+    return (lambda d1, d2: jp.two_path_join(
+        *rels, ThresholdPlan(PARTITIONED, d1, d2), want_counts=True,
+        floor=floor)), rels, 2, floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planned_join(), st.sampled_from([0.2, 1.5, 6.0]))
+def test_every_grid_candidate_runs_the_emit_it_was_priced_with(case, rule):
+    """At every candidate of price_plan's grid the join counts its output
+    with the emit the candidate was priced with (None with nothing to
+    count), under size rules that make either emit win."""
+    join, rels, light_in, floor = case
+    with _size_rule(rule):
+        grid = opt.price_plan(rels, light_in, floor=floor)
+        for i, d1 in enumerate(grid.delta1s.tolist()):
+            for j, d2 in enumerate(grid.delta2s.tolist()):
+                placed = (grid.sizes.light[i, j] > 0
+                          or grid.sizes.product_entries[i, j] > 0)
+                priced = "dense" if grid.dense[i, j] else "codes"
+                assert join(d1, d2).stats["emit"] == (priced if placed
+                                                      else None)
 
 
 def test_output_stats_counts_are_python_ints():
@@ -381,11 +425,12 @@ def test_output_stats_counts_are_python_ints():
     assert any(res.stats["heavy_pairs"] > 0 for res in results[1:])
     for res in results:
         counts = {k: v for k, v in res.stats.items()
-                  if k not in ("plan", "tier")}
+                  if k not in ("plan", "tier", "emit")}
         assert counts and all(type(v) is int for v in counts.values()), counts
         # the widest exact tier a product ran in; none for the full join
         assert res.stats["tier"] == (
             "float32" if res.stats["blocks"] else None)
+        assert res.stats["emit"] in ("dense", "codes")
 
 
 def test_star_fixture_heavy_matrix_rows():
