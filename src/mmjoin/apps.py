@@ -362,7 +362,11 @@ def bsi_batch_size(rate: float, n: int) -> int:
     """Latency-optimal batch size ceil((B*N)^(3/5))."""
     if not rate > 0 or n < 1:
         raise ValueError("rate must be > 0 and n >= 1")
-    return math.ceil((rate * n) ** 0.6)
+    product = rate * n
+    # past the float range the product is inf, and its 3/5 power is not
+    root = (product ** 0.6 if math.isfinite(product)
+            else rate ** 0.6 * n ** 0.6)
+    return math.ceil(root)
 
 
 def bsi_answer_batch(r: IndexedRelation, s: IndexedRelation,

@@ -1,11 +1,8 @@
-"""Command-line front end: dataset generation, query execution, calibration,
-benchmarks, and oracle cross-checks."""
+"""Command-line front end: dataset generation, query execution, calibration
+and oracle cross-checks."""
 
 from __future__ import annotations
 
-import csv
-import functools
-import io
 import math
 import os
 import sys
@@ -25,27 +22,10 @@ from .relation import (
     build_indexes,
     generate_community_graph,
     parse_edge_list,
-    read_source,
     semi_join_reduce_many,
 )
 
-CSV_HEADER = ["dataset", "query", "method", "wall_nanos", "output_size",
-              "delta1", "delta2", "strategy"]
-
 CALIBRATION_ENV = "MMJOIN_CALIBRATION"
-
-
-def _timed(fn, runs: int = 5):
-    """Average of the middle runs after dropping min and max; nanos."""
-    samples = []
-    result = None
-    for _ in range(runs):
-        t0 = time.perf_counter_ns()
-        result = fn()
-        samples.append(time.perf_counter_ns() - t0)
-    samples.sort()
-    kept = samples[1:-1] if len(samples) > 2 else samples
-    return result, sum(kept) // len(kept)
 
 
 def _load_calibration(path: Optional[str]) -> Optional[matmul.CalibrationTable]:
@@ -340,7 +320,7 @@ def _probe_dims(ctx, param, value):
 # what a command raises on bad input or input past the join budget: the
 # project's own data errors (ParseError, the budget error, CalibrationError,
 # MatrixOverflowError) and the file and codec errors of reading its input
-_DATA_ERRORS = (DataError, OSError, UnicodeDecodeError, csv.Error)
+_DATA_ERRORS = (DataError, OSError, UnicodeDecodeError)
 
 # sysexits.h's EX_SOFTWARE: an internal software error
 _BUG_EXIT = 70
@@ -412,7 +392,8 @@ def _community_graph(nodes, communities, prob, seed) -> Relation:
               show_default=True)
 @click.option("--max-size", type=click.IntRange(min=1), default=20,
               show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7,
+              show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, out):
     """Generate a synthetic edge list or set family."""
@@ -547,7 +528,8 @@ def cmd_bsi(left, right, workload, rate, batch_size):
 @main.command("calibrate")
 @click.option("--dims", default=",".join(map(str, matmul.DEFAULT_PROBE_DIMS)),
               show_default=True, callback=_probe_dims)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help=f"defaults to ${CALIBRATION_ENV} or ./calibration.tsv")
 def cmd_calibrate(dims, seed, out):
@@ -557,101 +539,6 @@ def cmd_calibrate(dims, seed, out):
     table = matmul.calibrate(dims, seed=seed)
     table.save(out)
     click.echo(f"wrote {len(table)} entries to {out}")
-
-
-@main.command("bench")
-@click.argument("query", type=click.Choice(["twopath"]))
-@click.option("--dataset", type=click.Choice(["community"]), default="community",
-              show_default=True)
-@click.option("--n", "n_edges",
-              type=click.FloatRange(0, math.inf, max_open=True), default=1e5,
-              show_default=True)
-@click.option("--methods", default="mmjoin,fulljoin", show_default=True)
-@click.option("--csv", "csv_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--calibration", type=click.Path())
-def cmd_bench(query, dataset, n_edges, methods, csv_path, seed, calibration):
-    """Benchmark methods on a synthetic dataset; emits CSV rows."""
-    if math.isnan(n_edges):  # passes every range check
-        raise click.BadParameter("nan is not a size", param_hint="'--n'")
-    # an unwritable path fails here, before any work; a run that fails
-    # later leaves the path as it was (a file it created is removed)
-    existed = os.path.lexists(csv_path)
-    open(csv_path, "a", encoding="utf-8").close()
-    try:
-        click.echo(f"seed={seed}")
-        records = _bench_records(query, dataset, n_edges, methods, seed,
-                                 _load_calibration(calibration))
-    except BaseException:
-        if not existed:
-            os.remove(csv_path)
-        raise
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        w.writerows(records)
-    click.echo(f"wrote {len(records)} records to {csv_path}")
-
-
-def _bench_records(query, dataset, n_edges, methods, seed, table) -> list:
-    """One CSV_HEADER row per method of `methods` (comma-separated), each
-    timed on the community graph of about `n_edges` edges."""
-    # three communities of edge probability 0.9 with about n edges
-    nodes = max(3, 3 * math.ceil(math.sqrt(int(n_edges) / 3 / 0.9)))
-    idx = build_indexed(_community_graph(nodes, 3, 0.9, seed))
-    # the mmjoin row runs the cheapest plan with a heavy part
-    use = optimizer.price_plan([idx, idx], 2, table).plan(partitioned=True)
-    records = []
-    for method in methods.split(","):
-        if method == "mmjoin":
-            join = functools.partial(joinproject.two_path_join, idx, idx,
-                                     plan=use)
-            d1, d2, strat = use.delta1, use.delta2, use.strategy
-        elif method == "fulljoin":
-            join = functools.partial(joinproject.full_join_dedup, idx, idx)
-            d1 = d2 = idx.n
-            strat = optimizer.FULL_JOIN
-        else:
-            raise click.ClickException(f"unknown method {method!r}")
-        res, nanos = _timed(join)
-        records.append([dataset, query, method, nanos, len(res), d1, d2, strat])
-    sizes = {r[4] for r in records}
-    if len(sizes) > 1:
-        raise click.ClickException(f"output sizes disagree across methods: {sizes}")
-    return records
-
-
-@main.command("report")
-@click.option("--csv", "csv_path", required=True, type=click.Path(exists=True))
-def cmd_report(csv_path):
-    """Summarize a bench CSV as fulljoin/mmjoin speedup ratios."""
-    with open(csv_path, newline="", encoding="utf-8") as f:
-        text, _ = read_source(f)  # names the file and line of a bad byte
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    rows = [(reader.line_num, row) for row in reader]
-    if not rows:
-        click.echo("no records")
-        return
-    if set(rows[0][1]) != set(CSV_HEADER):
-        raise click.ClickException("malformed CSV: unexpected columns")
-    by_query: dict = {}
-    for line, row in rows:
-        try:
-            nanos = int(row["wall_nanos"])
-        except (TypeError, ValueError):
-            raise click.ClickException(
-                f"{csv_path}, line {line}: wall_nanos "
-                f"{row['wall_nanos']!r} is not an integer")
-        key = (row["dataset"], row["query"])
-        by_query.setdefault(key, {})[row["method"]] = (nanos, line)
-    for (dataset, query), times in sorted(by_query.items()):
-        base = times.get("fulljoin", times.get("mmjoin"))
-        mm = times.get("mmjoin", base)
-        if mm[0] == 0:
-            raise click.ClickException(
-                f"{csv_path}, line {mm[1]}: wall_nanos 0 leaves no speedup")
-        click.echo(f"{dataset}/{query}: speedup={base[0] / mm[0]:.2f} "
-                   f"(fulljoin={base[0]}ns mmjoin={mm[0]}ns)")
 
 
 def _random_instance(rng, n, dom_x, dom_y, name="R"):
@@ -678,7 +565,8 @@ def cmd_check():
 
 
 @cmd_check.command("twopath")
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7,
+              show_default=True)
 @click.option("--n", type=click.IntRange(min=0), default=2000,
               show_default=True)
 def check_twopath(seed, n):
@@ -700,7 +588,8 @@ def check_twopath(seed, n):
 
 
 @cmd_check.command("ssj")
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7,
+              show_default=True)
 @click.option("--c", "threshold", type=click.IntRange(min=1), default=2,
               show_default=True)
 def check_ssj(seed, threshold):

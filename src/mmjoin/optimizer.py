@@ -396,26 +396,20 @@ class PlanGrid:
     def cost(self) -> np.ndarray:
         return self.light_cost + self.heavy_cost
 
-    def plan(self, partitioned: bool = False) -> ThresholdPlan:
+    def plan(self) -> ThresholdPlan:
         """The cheapest candidate, the all-light corner (labelled the full
-        join) on a tie, and a threshold of 1 over 0; with `partitioned`,
-        the cheapest one with heavy witnesses and heavy left values, if the
-        grid has one."""
+        join) on a tie, and a threshold of 1 over 0."""
         cost = self.cost
         g1, g2 = cost.shape
-        if partitioned and min(cost.shape) > 1:
-            # past every witness or every left degree, everything is light
-            g1, g2 = g1 - 1, g2 - 1
         # thresholds of 0 (first, if there) go last: where no degree is 1,
         # 0 and 1 run the same join
         r, c = int(self.delta1s[0] == 0), int(self.delta2s[0] == 0)
-        at = np.unravel_index(np.argmin(np.roll(cost[:g1, :g2], (-r, -c),
-                                                (0, 1))), (g1, g2))
+        at = np.unravel_index(np.argmin(np.roll(cost, (-r, -c), (0, 1))),
+                              cost.shape)
         i, j = (at[0] + r) % g1, (at[1] + c) % g2
         strategy = PARTITIONED
-        if (not partitioned and not self.sizes.inner[-1].any()
-                and cost[-1, -1] <= cost[i, j]):
-            strategy, i, j = FULL_JOIN, len(cost) - 1, cost.shape[1] - 1
+        if not self.sizes.inner[-1].any() and cost[-1, -1] <= cost[i, j]:
+            strategy, i, j = FULL_JOIN, g1 - 1, g2 - 1
         return ThresholdPlan(strategy, int(self.delta1s[i]),
                              int(self.delta2s[j]),
                              float(self.light_cost[i, j]),

@@ -403,6 +403,14 @@ def test_bsi_batch_size():
         apps.bsi_batch_size(0, 10)
 
 
+def test_bsi_batch_size_past_the_float_range():
+    """rate * N past the largest float still has its 3/5 power, and the
+    size keeps growing with the rate."""
+    size = apps.bsi_batch_size(1e308, 2)
+    assert math.isclose(math.log10(size), 0.6 * (308 + math.log10(2)))
+    assert apps.bsi_batch_size(1e307, 2) < size
+
+
 def test_bsi_answer_batch_oracle_and_markers():
     rng = np.random.default_rng(33)
     r_pairs = random_pairs(rng, 200, 30, 25)

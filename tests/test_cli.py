@@ -1,4 +1,3 @@
-import csv
 import shutil
 from unittest import mock
 
@@ -17,7 +16,7 @@ from conftest import (
     random_pairs,
 )
 from mmjoin import apps, cli, joinproject, matmul
-from mmjoin.cli import CSV_HEADER, _result_lines, main
+from mmjoin.cli import _result_lines, main
 from mmjoin.relation import (
     generate_community_graph,
     parse_edge_list,
@@ -191,23 +190,8 @@ def test_sizeaware_over_budget_is_a_one_line_data_error(tmp_path, runner,
     assert line.startswith("Error:") and "budget of 10" in line
 
 
-def test_bench_over_budget_is_a_data_error(tmp_path, runner, monkeypatch):
-    # the graph's 11,166 bounds and draws fit; both joins need more
-    monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", 20000)
-    out = tmp_path / "out.csv"
-    for methods in ("mmjoin,fulljoin", "fulljoin"):
-        res = runner.invoke(main, ["bench", "twopath", "--n", "1e4",
-                                   "--methods", methods, "--csv", str(out)])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        assert "Error:" in res.output and "budget of 20000" in res.output
-        assert "matrix entries" in res.output
-        assert not out.exists()
-
-
 @pytest.mark.parametrize("argv, draws", [
     (["gen", "--kind", "community", "--nodes", "30", "--out", "{out}"], 303),
-    (["bench", "twopath", "--n", "1e4", "--csv", "{out}"], 11166),
 ])
 def test_graph_past_the_budget_is_refused_before_it_is_drawn(
         tmp_path, runner, monkeypatch, argv, draws):
@@ -226,7 +210,7 @@ def test_graph_past_the_budget_is_refused_before_it_is_drawn(
     assert line == (f"Error: {draws} community bounds and edge draws are "
                     f"over the budget of {draws - 1}")
     assert not (tmp_path / "out").exists()
-    # at the bound the graph is drawn (bench's join is then past it)
+    # at the bound the graph is drawn
     monkeypatch.undo()
     monkeypatch.setattr(joinproject, "_ENTRY_BUDGET", draws)
     assert "edge draws" not in runner.invoke(main, argv).output
@@ -763,6 +747,19 @@ def test_bsi_out_of_range_options_are_usage_errors(tmp_path, runner, option):
     assert res.output.startswith("batch_size=1\n")
 
 
+def test_bsi_rate_past_the_float_range_sizes_one_batch(tmp_path, runner):
+    """rate * N overflows a float; the default batch size does not."""
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3 2\n")
+    wl = tmp_path / "wl.txt"
+    wl.write_text("1 3 0\n")
+    res = runner.invoke(main, ["bsi", "--left", str(graph), "--right",
+                               str(graph), "--workload", str(wl),
+                               "--rate", "1e308"])
+    assert res.exit_code == 0, res.output
+    assert "batches=1" in res.output.splitlines()
+
+
 @pytest.mark.parametrize("option", [
     ["--delta1", "5"], ["--delta2", "5"], ["--calibration", "nope.tsv"],
     ["--delta1", "5", "--delta2", "5", "--calibration", "nope.tsv"]])
@@ -862,19 +859,15 @@ _HEADER = "# mmjoin-calibration v1\n"
     (_HEADER + "16\t1\t-5\n", "line 2: negative nanos"),
 ], ids=["bad-header", "header-only", "non-integer", "two-fields", "dim-0",
         "negative-nanos"])
-@pytest.mark.parametrize("command", ["twopath", "bench"])
+@pytest.mark.parametrize("command", ["twopath"])
 def test_calibration_error_exit_code(tmp_path, runner, text, message, command):
     cal = tmp_path / "cal.tsv"
     cal.write_text(text)
-    if command == "twopath":
-        graph = tmp_path / "g.txt"
-        _write_pairs(graph, generate_community_graph(120, 3, 0.9, 7).raw_pairs())
-        argv = ["twopath", "--left", str(graph), "--right", str(graph),
-                "--auto-plan"]
-    else:
-        argv = ["bench", "twopath", "--n", "1e4",
-                "--csv", str(tmp_path / "out.csv")]
-    res = runner.invoke(main, argv + ["--calibration", str(cal)])
+    graph = tmp_path / "g.txt"
+    _write_pairs(graph, generate_community_graph(120, 3, 0.9, 7).raw_pairs())
+    res = runner.invoke(main, [command, "--left", str(graph), "--right",
+                               str(graph), "--auto-plan",
+                               "--calibration", str(cal)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert message in res.output
@@ -907,11 +900,6 @@ def test_missing_calibration_is_a_data_error(tmp_path, runner, monkeypatch,
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert str(missing) in res.output
-    res = runner.invoke(main, ["bench", "twopath", "--n", "1e4",
-                               "--csv", str(tmp_path / "out.csv")])
-    assert res.exit_code == 1
-    assert str(missing) in res.output
-    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -939,95 +927,6 @@ def test_unreadable_calibration_exit_code(tmp_path, runner):
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert message in res.output
-
-
-def test_bench_and_report(tmp_path, runner):
-    out_csv = tmp_path / "out.csv"
-    res = runner.invoke(main, ["bench", "twopath", "--n", "1e4",
-                               "--csv", str(out_csv), "--seed", "7"])
-    assert res.exit_code == 0, res.output
-    with open(out_csv, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == CSV_HEADER
-    methods = {row[2] for row in rows[1:]}
-    assert methods == {"mmjoin", "fulljoin"}
-    # equal output sizes across methods
-    assert len({row[4] for row in rows[1:]}) == 1
-    res = runner.invoke(main, ["report", "--csv", str(out_csv)])
-    assert res.exit_code == 0
-    assert "speedup=" in res.output
-
-
-def test_bench_checks_its_csv_before_any_work(tmp_path, runner,
-                                              monkeypatch):
-    """An unwritable --csv fails before the graph is built, and a run that
-    fails after the check leaves a CSV that was there as it was."""
-    def build(*args):
-        raise joinproject.StarResourceError("the graph was built")
-
-    monkeypatch.setattr(cli, "_community_graph", build)
-    old = tmp_path / "old.csv"
-    old.write_text("earlier rows\n")
-    missing = tmp_path / "missing" / "o.csv"
-    for out, message in ((missing, f"No such file or directory: '{missing}'"),
-                         (old, "the graph was built")):
-        res = runner.invoke(main, ["bench", "twopath", "--n", "1000",
-                                   "--csv", str(out)])
-        assert res.exit_code == 1
-        assert isinstance(res.exception, SystemExit)
-        [line] = [line for line in res.output.splitlines()
-                  if line.startswith("Error:")]
-        assert message in line
-    assert old.read_text() == "earlier rows\n"
-
-
-def test_report_empty_csv(tmp_path, runner):
-    empty = tmp_path / "empty.csv"
-    empty.write_text(",".join(CSV_HEADER) + "\n")
-    res = runner.invoke(main, ["report", "--csv", str(empty)])
-    assert res.exit_code == 0
-    assert "no records" in res.output
-
-
-def test_report_malformed_csv(tmp_path, runner):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("just,some,columns\n1,2,3\n")
-    res = runner.invoke(main, ["report", "--csv", str(bad)])
-    assert res.exit_code == 1
-
-
-def _report_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_HEADER)
-        w.writerows(rows)
-
-
-@pytest.mark.parametrize("nanos, message", [
-    ("12.5", "line 3: wall_nanos '12.5' is not an integer"),
-    ("fast", "line 3: wall_nanos 'fast' is not an integer"),
-    ("0", "line 3: wall_nanos 0 leaves no speedup"),
-])
-def test_report_bad_wall_nanos_is_a_data_error(tmp_path, runner, nanos,
-                                               message):
-    path = tmp_path / "bench.csv"
-    _report_csv(path, [
-        ["community", "twopath", "fulljoin", "900", "10", "9", "9", "fulljoin"],
-        ["community", "twopath", "mmjoin", nanos, "10", "1", "1",
-         "partitioned"]])
-    res = runner.invoke(main, ["report", "--csv", str(path)])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)
-    assert f"Error: {path}, {message}" in res.output
-
-
-def test_report_short_row_is_a_data_error(tmp_path, runner):
-    path = tmp_path / "bench.csv"
-    _report_csv(path, [["community", "twopath", "mmjoin"]])
-    res = runner.invoke(main, ["report", "--csv", str(path)])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)
-    assert f"{path}, line 2: wall_nanos None is not an integer" in res.output
 
 
 def test_usage_error_exit_code(runner):
@@ -1068,18 +967,12 @@ def _data_error_case(tmp_path, case):
     bad8.write_bytes(b"1 2\n3 \xff\n")
     wl = tmp_path / "wl.txt"
     wl.write_text("1 3 5\n# arrivals in micros\n1 3 2\n")
-    bad_csv = tmp_path / "bench.csv"
-    bad_csv.write_bytes(",".join(CSV_HEADER).encode() + b"\ncommunity,\xff\n")
     return {
         "gen": (["gen", "--kind", "sets", "--out", f"{missing}/x.txt"],
                 "No such file or directory"),
         "gen-community": (["gen", "--kind", "community", "--nodes", "30",
                            "--out", f"{missing}/x.txt"],
                           "No such file or directory"),
-        "bench": (["bench", "twopath", "--n", "1000",
-                   "--csv", f"{missing}/o.csv"], "No such file or directory"),
-        "report": (["report", "--csv", str(bad_csv)],
-                   f"{bad_csv}, line 2: byte 0xff is not utf-8"),
         "calibrate": (["calibrate", "--dims", "16",
                        "--out", f"{missing}/cal.tsv"], f"{missing}/cal.tsv"),
         "twopath": (["twopath", "--left", str(ok), "--right", str(bad)],
@@ -1100,10 +993,10 @@ def _data_error_case(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [
-    "gen", "gen-community", "bench", "report", "calibrate", "twopath",
-    "twopath-utf8", "star", "ssj", "scj", "bsi", "bsi-left"])
+    "gen", "gen-community", "calibrate", "twopath", "twopath-utf8", "star",
+    "ssj", "scj", "bsi", "bsi-left"])
 def test_data_errors_print_one_error_line(tmp_path, runner, case):
-    """Each command's data errors, the unwritable outputs and the CSV that
+    """Each command's data errors, the unwritable outputs and the input that
     is not UTF-8 included, exit 1 with one `Error:` line naming the file."""
     argv, message = _data_error_case(tmp_path, case)
     res = runner.invoke(main, argv)
@@ -1183,23 +1076,24 @@ def test_the_error_boundary_passes_other_exits(tmp_path, runner,
     ["gen", "--kind", "sets", "--universe", "-3"],
     ["gen", "--kind", "sets", "--sets", "-3"],
     ["gen", "--kind", "community", "--nodes", "-3"],
-    ["bench", "twopath", "--n", "-5"],
-    ["bench", "twopath", "--n", "nan"],
     ["star", "--input", "{g}"],
     ["star"] + ["--input", "{g}"] * 5,
+    ["gen", "--kind", "sets", "--seed", "-1"],
+    ["gen", "--kind", "community", "--seed", "-1"],
+    ["check", "twopath", "--seed", "-1"],
+    ["check", "ssj", "--seed", "-1"],
+    ["calibrate", "--seed", "-40", "--dims", "16"],
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, runner, argv):
     graph = tmp_path / "g.txt"
     graph.write_text("1 2\n3 2\n")
     out = {"gen": ["--out", str(tmp_path / "out.txt")],
-           "bench": ["--csv", str(tmp_path / "out.csv")],
-           "star": []}[argv[0]]
+           "calibrate": ["--out", str(tmp_path / "out.txt")]}.get(argv[0], [])
     res = runner.invoke(main, [arg.format(g=graph) for arg in argv] + out)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "Usage:" in res.output
     assert not (tmp_path / "out.txt").exists()
-    assert not (tmp_path / "out.csv").exists()
 
 
 def test_check_twopath_with_few_pairs_per_domain(runner):

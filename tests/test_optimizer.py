@@ -187,7 +187,6 @@ def test_all_light_row_has_no_heavy_cost():
     assert (grid.heavy_cost[-1] == 0.0).all()
     assert (grid.sizes.light[-1] == r.out_join_with(s)).all()
     assert (grid.light_cost[-1] > 0).all()
-    assert grid.plan(partitioned=True).strategy == opt.PARTITIONED
 
 
 def test_default_plan():
