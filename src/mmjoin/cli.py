@@ -369,13 +369,13 @@ def main():
     """Join-project query engine with count-matrix multiplication."""
 
 
-def _community_graph(nodes, communities, prob, seed) -> Relation:
-    """generate_community_graph after counting against the join budget a
-    bound and up to ceil(nodes / communities)^2 edge draws per community."""
-    m = -(-nodes // communities)
-    joinproject._within_budget(communities * (1 + m * m),
-                               "community bounds and edge draws")
-    return generate_community_graph(nodes, communities, prob, seed)
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would, changing no file: it is
+    opened for appending, and removed if that made it."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 @main.command("gen")
@@ -401,9 +401,16 @@ def cmd_gen(kind, nodes, communities, prob, n_sets, universe, max_size, seed, ou
         raise click.BadParameter("nan is not a probability",
                                  param_hint="'--prob'")
     click.echo(f"seed={seed}")
+    if kind == "community":
+        # what the generator allocates: a bound and up to
+        # ceil(nodes / communities)^2 edge draws per community
+        m = -(-nodes // communities)
+        joinproject._within_budget(communities * (1 + m * m),
+                                   "community bounds and edge draws")
+    _check_writable(out)
     lines = []
     if kind == "community":
-        rel = _community_graph(nodes, communities, prob, seed)
+        rel = generate_community_graph(nodes, communities, prob, seed)
         lines = [f"{a} {b}" for a, b in rel.raw_pairs()]
     else:
         rng = np.random.default_rng(seed)
@@ -536,6 +543,7 @@ def cmd_calibrate(dims, seed, out):
     """Measure the multiply cost table and write calibration.tsv."""
     click.echo(f"seed={seed}")
     out = out or os.environ.get(CALIBRATION_ENV) or "calibration.tsv"
+    _check_writable(out)
     table = matmul.calibrate(dims, seed=seed)
     table.save(out)
     click.echo(f"wrote {len(table)} entries to {out}")
@@ -545,7 +553,7 @@ def _random_instance(rng, n, dom_x, dom_y, name="R"):
     pairs = set()
     while len(pairs) < n:
         pairs.add((int(rng.integers(dom_x)), int(rng.integers(dom_y))))
-    return Relation.from_raw_pairs(name, sorted(pairs))
+    return Relation.from_raw_pairs(name, pairs)
 
 
 def _oracle_twopath(r: Relation, s: Relation) -> set:
@@ -601,10 +609,11 @@ def check_ssj(seed, threshold):
     mm = apps.ssj_mmjoin(fam, threshold)
     sa = apps.ssj_size_aware(fam, threshold)
     pp, _ = apps.ssj_size_aware_pp(fam, threshold)
-    # the ids number the sets in input order, so a pair (a, b) has a < b
+    # a pair (a, b) has a the set that appears first in the input
     n = len(fam)
-    oracle = [a * n + b for a in range(n) for b in range(a + 1, n)
-              if len(np.intersect1d(fam.sets[a], fam.sets[b])) >= threshold]
+    oracle = [a * n + b for a in range(n) for b in range(n)
+              if fam.first_seen(a, b)
+              and len(np.intersect1d(fam.sets[a], fam.sets[b])) >= threshold]
     if not all(np.array_equal(res.codes, oracle) for res in (mm, sa, pp)):
         click.echo("MISMATCH between ssj methods and oracle")
         sys.exit(1)

@@ -43,31 +43,31 @@ def read_source(source: TextIO) -> tuple[str, Optional[str]]:
 class Relation:
     """A deduplicated binary relation over dense value ids.
 
-    `left_first[a]` is the rank of left value a in the order the left values
-    first appear in the input; it defaults to the ids themselves, for ids
-    numbered by first appearance. SSJ orients its pairs by it.
+    Ids rank each column's values, and pairs are sorted by (left, right).
+    `left_first[a]` ranks left value a by first appearance in the input;
+    SSJ orients its pairs by it.
     """
 
     def __init__(self, name: str, pairs: np.ndarray,
                  left_values: list, left_ids: dict,
                  right_values: list, right_ids: dict,
-                 left_first: Optional[np.ndarray] = None):
+                 left_first: np.ndarray):
         self.name = name
         self.pairs = pairs
         self.left_values = left_values
         self.left_ids = left_ids
         self.right_values = right_values
         self.right_ids = right_ids
-        self.left_first = (np.arange(len(left_values)) if left_first is None
-                           else left_first)
+        self.left_first = left_first
 
     @classmethod
     def from_raw_pairs(cls, name: str, raw_pairs: Iterable[tuple]) -> "Relation":
-        """Encode raw (left, right) pairs. Duplicates are dropped; ids number
-        the values by first appearance, and tuples keep that order."""
+        """Encode raw (left, right) pairs as parse_edge_list encodes a file's
+        tokens, the values ranked in _rank_values's order (the parser's
+        when all are strings); duplicates are dropped."""
         raw = [tuple(p) for p in raw_pairs]
-        return _from_encoded_columns(name, _encode_column([a for a, _ in raw]),
-                                     _encode_column([b for _, b in raw]))
+        return _relation(name, _rank_values([a for a, _ in raw]),
+                         _rank_values([b for _, b in raw]))
 
     @classmethod
     def from_encoded(cls, name: str, pairs: np.ndarray, like: "Relation") -> "Relation":
@@ -93,15 +93,6 @@ class Relation:
 
     def __repr__(self):
         return f"Relation({self.name!r}, n={self.n}, dom={self.dom_left}x{self.dom_right})"
-
-
-def _encode_column(column: list) -> tuple[np.ndarray, list, dict]:
-    """(ids, values, value -> id) with ids numbered by first appearance."""
-    values = list(dict.fromkeys(column))
-    ids = {v: i for i, v in enumerate(values)}
-    codes = np.fromiter(map(ids.__getitem__, column), dtype=np.int64,
-                        count=len(column))
-    return codes, values, ids
 
 
 def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,41 +137,46 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
     return (out, counts) if want_counts else out
 
 
-def _first_seen_unique(keys: np.ndarray) -> np.ndarray:
-    """Positions of the first occurrence of each distinct key, in order."""
-    first = _key_groups(keys)[2]
-    first.sort()
-    return first
+def _rank_values(column: list):
+    """(ids, values, value -> id, first) of a column of Python values: the
+    ids rank the distinct values, numbers numerically and then strings in
+    code-point order (values equal under ==, as 1 and 1.0, are one, the
+    first seen), and `first[i]` ranks value i by first appearance."""
+    seen = list(dict.fromkeys(column))
+    first = sorted(range(len(seen)),
+                   key=lambda i: (isinstance(seen[i], str), seen[i]))
+    values = [seen[i] for i in first]
+    ids = {v: i for i, v in enumerate(values)}
+    codes = np.fromiter(map(ids.__getitem__, column), dtype=np.int64,
+                        count=len(column))
+    return codes, values, ids, np.array(first, dtype=np.int64)
 
 
-def _first_seen_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, first): `ids` numbers each key by its first appearance, and
-    `first[i]` is the position where id i first appears."""
-    order, new, first = _key_groups(keys)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    ids = np.empty_like(order)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids, first[by_first]
+def _rank_ints(column: np.ndarray):
+    """(ids, values, value -> id, first) of an int array: the ids rank the
+    distinct values, which are Python ints, and `first[i]` is the position
+    where value i first appears."""
+    distinct = _dedup(column)
+    codes = np.searchsorted(distinct, column)
+    first = np.full(len(distinct), len(column))
+    np.minimum.at(first, codes, np.arange(len(column)))
+    values = distinct.tolist()
+    return codes, values, {v: i for i, v in enumerate(values)}, first
 
 
-def _encode_ints(column: np.ndarray) -> tuple[np.ndarray, list, dict]:
-    """(ids, values, value -> id) of an int array by first appearance; the
-    values are Python ints."""
-    ids, first = _first_seen_ids(column)
-    values = column[first].tolist()
-    return ids, values, {v: i for i, v in enumerate(values)}
-
-
-def _from_encoded_columns(name: str, left: tuple, right: tuple) -> Relation:
-    """A Relation from two equal-length `(ids, values, value -> id)` columns;
-    duplicate pairs are dropped, keeping first-seen order."""
-    lcodes, left_values, left_ids = left
-    rcodes, right_values, right_ids = right
-    keep = _first_seen_unique(lcodes * len(right_values) + rcodes)
-    pairs = np.column_stack((lcodes[keep], rcodes[keep]))
-    return Relation(name, pairs, left_values, left_ids, right_values, right_ids)
+def _relation(name: str, left: tuple, right: tuple) -> Relation:
+    """A Relation from two equal-length `(ids, values, value -> id, first)`
+    columns, the left one's `first` ordering its ids by first appearance:
+    one sort of the pair codes dedups the pairs and orders them."""
+    lcodes, left_values, left_ids, first = left
+    rcodes, right_values, right_ids, _ = right
+    dom_right = len(right_values)
+    pairs = np.column_stack(np.divmod(_dedup(lcodes * dom_right + rcodes),
+                                      max(dom_right, 1)))
+    left_first = np.empty_like(first)
+    left_first[np.argsort(first)] = np.arange(len(first))
+    return Relation(name, pairs, left_values, left_ids, right_values,
+                    right_ids, left_first)
 
 
 # str.isspace() of every code point up to U+3000, the largest whitespace
@@ -348,18 +344,10 @@ def parse_edge_list(source: TextIO, name: str = "R") -> Relation:
     if keep is not None:
         starts, ends = starts[keep], ends[keep]
         keys, long = keys[keep], long[keep]
-    lcodes, left_values, left_ids, first = _encode_tokens(
-        text, keys[0::2], long[0::2], starts[0::2], ends[0::2])
-    rcodes, right_values, right_ids, _ = _encode_tokens(
-        text, keys[1::2], long[1::2], starts[1::2], ends[1::2])
-    # one sort of the pair codes dedups the pairs and orders them
-    dom_right = len(right_values)
-    pairs = np.column_stack(np.divmod(_dedup(lcodes * dom_right + rcodes),
-                                      max(dom_right, 1)))
-    left_first = np.empty_like(first)
-    left_first[np.argsort(first)] = np.arange(len(first))
-    return Relation(name, pairs, left_values, left_ids, right_values,
-                    right_ids, left_first)
+    return _relation(
+        name,
+        _encode_tokens(text, keys[0::2], long[0::2], starts[0::2], ends[0::2]),
+        _encode_tokens(text, keys[1::2], long[1::2], starts[1::2], ends[1::2]))
 
 
 def semi_join_reduce_many(relations: list) -> list:
@@ -367,8 +355,8 @@ def semi_join_reduce_many(relations: list) -> list:
 
     The returned relations share one right dictionary (identical objects), the
     precondition for joining at the id level: the first relation's values
-    that every other dictionary holds, in the first relation's order, so the
-    first relation's tuples keep their order. Each relation keeps its left
+    that every other dictionary holds, in value order, so every relation's
+    tuples stay sorted by (left, right). Each relation keeps its left
     ids, left dictionary and `left_first`; a left value whose every tuple is
     dropped stays, with degree 0. Idempotent. An input object given more
     than once is reduced once, and every repeat gets the same reduced
@@ -404,8 +392,8 @@ def semi_join_reduce(r: Relation, s: Relation) -> tuple[Relation, Relation]:
 def _csr(keys: np.ndarray, vals: np.ndarray, dom: int,
          dom_vals: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR over distinct (key, val) pairs, keys < dom and vals < dom_vals;
-    each row's values ascend. Pairs already sorted by (key, val), as a
-    parsed relation's are, are not sorted again."""
+    each row's values ascend. Pairs already sorted by (key, val), as every
+    relation's are, are not sorted again."""
     codes = keys * dom_vals + vals
     if (codes[1:] < codes[:-1]).any():
         # the pairs are distinct, so the codes are too and one sort of them
@@ -605,5 +593,5 @@ def generate_community_graph(num_nodes: int, num_communities: int,
                         axis=-1).reshape(-1, 2)
         pairs.append(grid[mask])
     edges = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-    return _from_encoded_columns("community", _encode_ints(edges[:, 0]),
-                                 _encode_ints(edges[:, 1]))
+    return _relation("community", _rank_ints(edges[:, 0]),
+                     _rank_ints(edges[:, 1]))

@@ -122,31 +122,33 @@ def oracle_size_boundary(family, c):
 
 
 def oracle_encode(name, raw_pairs):
-    """Relation from raw pairs by a per-tuple dict loop: duplicates dropped,
-    ids by first appearance."""
-    right_values, right_ids = [], {}
-    left_values, left_ids = [], {}
-    seen = dict.fromkeys(tuple(p) for p in raw_pairs)
-    enc = np.empty((len(seen), 2), dtype=np.int64)
-    for i, (a, b) in enumerate(seen):
-        ai = left_ids.get(a)
-        if ai is None:
-            ai = left_ids[a] = len(left_values)
-            left_values.append(a)
-        bi = right_ids.get(b)
-        if bi is None:
-            bi = right_ids[b] = len(right_values)
-            right_values.append(b)
-        enc[i, 0] = ai
-        enc[i, 1] = bi
-    return Relation(name, enc, left_values, left_ids, right_values, right_ids)
-
-
-def oracle_parse_edge_list(source, name="R"):
-    """Edge-list parse by iterating the source line by line. Each column's
-    ids are the ranks of its distinct values in Python's str order (code
-    point order), the pairs are distinct and sorted by (left, right), and
+    """Relation from raw pairs by per-tuple loops. Each column's ids rank its
+    distinct values, numbers numerically and then strings in Python's str
+    order (code point order), a value equal under == to one seen before
+    being that one; the pairs are distinct and sorted by (left, right), and
     `left_first` ranks the left values by first appearance."""
+    pairs = [tuple(p) for p in raw_pairs]
+    seen = ([], [])  # each column's distinct values, in first-seen order
+    for pair in pairs:
+        for column, v in zip(seen, pair):
+            if v not in column:  # list membership compares with ==
+                column.append(v)
+    left_values, right_values = (
+        sorted(v for v in column if not isinstance(v, str))
+        + sorted(v for v in column if isinstance(v, str)) for column in seen)
+    left_ids = {v: i for i, v in enumerate(left_values)}
+    right_ids = {v: i for i, v in enumerate(right_values)}
+    enc = sorted({(left_ids[a], right_ids[b]) for a, b in pairs})
+    return Relation(name, np.array(enc, dtype=np.int64).reshape(-1, 2),
+                    left_values, left_ids, right_values, right_ids,
+                    np.array([seen[0].index(v) for v in left_values],
+                             dtype=np.int64))
+
+
+def oracle_edge_pairs(source):
+    """The (left, right) token pairs of an edge list's lines, in order, by
+    iterating the source line by line; `#` comments and blank lines are
+    skipped, and any other line without two tokens raises ParseError."""
     pairs = []
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
@@ -156,15 +158,13 @@ def oracle_parse_edge_list(source, name="R"):
         if len(toks) != 2:
             raise ParseError(line_no, f"expected 2 tokens, got {len(toks)}")
         pairs.append((toks[0], toks[1]))
-    left_values = sorted({a for a, _ in pairs})
-    right_values = sorted({b for _, b in pairs})
-    left_ids = {v: i for i, v in enumerate(left_values)}
-    right_ids = {v: i for i, v in enumerate(right_values)}
-    enc = sorted({(left_ids[a], right_ids[b]) for a, b in pairs})
-    seen = {v: i for i, v in enumerate(dict.fromkeys(a for a, _ in pairs))}
-    return Relation(name, np.array(enc, dtype=np.int64).reshape(-1, 2),
-                    left_values, left_ids, right_values, right_ids,
-                    np.array([seen[v] for v in left_values], dtype=np.int64))
+    return pairs
+
+
+def oracle_parse_edge_list(source, name="R"):
+    """Edge-list parse: the lines' token pairs (oracle_edge_pairs), encoded
+    by oracle_encode."""
+    return oracle_encode(name, oracle_edge_pairs(source))
 
 
 def oracle_semi_join_reduce_many(relations):

@@ -839,6 +839,31 @@ def test_calibrate_failure_is_a_data_error(tmp_path, runner, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "community", "--nodes", "30"],
+    ["gen", "--kind", "sets"],
+    ["calibrate", "--dims", "16"],
+])
+def test_unwritable_out_fails_before_any_work(tmp_path, runner, monkeypatch,
+                                              argv):
+    """An --out in a missing directory is one error line naming it, before
+    a graph or family is drawn or a probe is timed."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the work ran before --out was opened")
+
+    monkeypatch.setattr(cli, "generate_community_graph", fail)
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    monkeypatch.setattr(matmul, "calibrate", fail)
+    out = tmp_path / "missing" / "out.txt"
+    res = runner.invoke(main, argv + ["--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    seed, line = res.output.splitlines()
+    assert seed.startswith("seed=")
+    assert line.startswith("Error:") and str(out) in line
+    assert not out.parent.exists()
+
+
 def test_calibrate_dims_default_is_the_probe_dims(runner):
     res = runner.invoke(main, ["calibrate", "--help"])
     assert res.exit_code == 0

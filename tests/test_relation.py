@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     EXAMPLE_R,
+    oracle_edge_pairs,
     oracle_encode,
     oracle_parse_edge_list,
     oracle_semi_join_reduce_many,
@@ -146,6 +147,8 @@ def _sources(text):
 # a token led by NUL next to a long token, whose key's slot 0 is empty
 @example(f"\x00 {_LONG}\n{_LONG} \x00\n")
 def test_parse_edge_list_matches_line_oracle(text):
+    """The parse matches the line oracle, and the lines' string pairs
+    encoded by Relation.from_raw_pairs match the parse."""
     for source in _sources(text):
         try:
             want = oracle_parse_edge_list(source(), name="E")
@@ -154,7 +157,11 @@ def test_parse_edge_list_matches_line_oracle(text):
                 parse_edge_list(source(), name="E")
             assert got.value.line_no == exc.line_no
         else:
-            assert_same_relation(parse_edge_list(source(), name="E"), want)
+            got = parse_edge_list(source(), name="E")
+            assert_same_relation(got, want)
+            assert_same_relation(
+                Relation.from_raw_pairs("E", oracle_edge_pairs(source())),
+                got)
 
 
 def test_parse_edge_list_lone_surrogate():
@@ -234,12 +241,26 @@ def test_semi_join_reduce_many_keeps_repeated_objects():
     assert set(x.raw_pairs()) == {(1, 10)}
 
 
-def test_relation_encoding_first_seen_order():
-    rel = Relation.from_raw_pairs("R", [("x", 1), ("y", 2), ("x", 2)])
+def test_relation_encoding_ranks_values():
+    """Ids rank each column's values, numbers numerically and then strings
+    in code-point order, a value equal under == to one seen before being
+    that one; the pairs come distinct and sorted, and `left_first` ranks the
+    left values by first appearance."""
+    rel = Relation.from_raw_pairs("R", [("y", 2), ("x", 1), ("y", 2),
+                                        ("x", 2)])
     assert rel.left_values == ["x", "y"]
     assert rel.right_values == [1, 2]
     assert rel.left_ids == {"x": 0, "y": 1}
-    assert set(rel.raw_pairs()) == {("x", 1), ("y", 2), ("x", 2)}
+    assert rel.pairs.tolist() == [[0, 0], [0, 1], [1, 1]]
+    assert rel.left_first.tolist() == [1, 0]
+    rel = Relation.from_raw_pairs("M", [
+        ("b", 2.5), (10, "1"), (1.0, 0), (1, 2.5), ("10", 1), ("B", "1"),
+        (-3, 1.0)])
+    assert _typed(rel.left_values) == _typed([-3, 1.0, 10, "10", "B", "b"])
+    assert _typed(rel.right_values) == _typed([0, 1, 2.5, "1"])
+    assert rel.pairs.tolist() == [[0, 1], [1, 0], [1, 2], [2, 3], [3, 1],
+                                  [4, 3], [5, 2]]
+    assert rel.left_first.tolist() == [5, 2, 1, 3, 4, 0]
 
 
 def test_semi_join_reduce_filters_and_shares_dict():
@@ -351,7 +372,8 @@ def test_has_tuples_of_unsorted_repeated_probes_matches_set_membership(
 @pytest.mark.parametrize("dom_left", [0, 3])
 def test_has_tuples_of_a_relation_without_tuples(dom_left):
     rel = Relation("R", np.empty((0, 2), dtype=np.int64),
-                   list(range(dom_left)), {}, list(range(4)), {})
+                   list(range(dom_left)), {}, list(range(4)), {},
+                   np.arange(dom_left))
     idx = build_indexed(rel)
     ids = np.arange(dom_left, dtype=np.int64)
     assert not idx.has_tuples(ids, ids).any()
