@@ -6,8 +6,10 @@ allocations and picks its emit (optimizer.counts_densely), as the planner
 priced them. Its heavy part is one blocked product per component
 (matmul.multiply_counts, the upper triangle only for a self-join), each
 block handed to that emit: added into a dense buffer over the output space,
-or kept as codes over the floor. The products report the tier and threads
-they ran with.
+or kept as codes over the floor, in the narrow code_type of that space. A
+two-path self-join may keep each pair once (two_path_join's `upper`, which
+SSJ uses): its triangles then have no mirror. The products report the tier
+and threads they ran with.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -228,35 +230,49 @@ def _as_run(keys: np.ndarray):
     return keys
 
 
-def _rectangles(v: CountMatrix, wt: CountMatrix, lo: int, hi: int,
-                triangle: bool) -> list:
-    """What block lo..hi-1 of V @ W^T stands for in the product, as (row
-    keys, col keys, first column, transposed) rectangles of the block: the
-    block, and in a triangle the mirror of its part right of its square on
-    the diagonal (the square is computed whole), that part transposed. No
-    two blocks' rectangles share an entry."""
-    rows, cols = v.row_keys, wt.col_keys
+def _rectangles(rows: np.ndarray, cols: np.ndarray, lo: int, hi: int,
+                triangle: bool, upper: bool = False) -> list:
+    """What block lo..hi-1 of V @ W^T stands for in the product, as (rows,
+    cols, first column, transposed) rectangles of the block, the rows and
+    cols slices of `rows` and `cols` (one key, or key as a code, per row of
+    V and column of W^T): the block, and in a triangle the mirror of its
+    part right of its square on the diagonal (the square is computed
+    whole), that part transposed. In one orientation (`upper`) a triangle
+    has no mirror. No two blocks' rectangles share an entry."""
     rects = [(rows[lo:hi], cols[lo if triangle else 0:], 0, False)]
-    if triangle and hi < len(rows):
+    if triangle and not upper and hi < len(rows):
         rects.append((rows[hi:], cols[lo:hi], hi - lo, True))
     return rects
 
 
 def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
-          dim: int = 1, floor: int = 1, counted: bool = False):
+          dim: int = 1, floor: int = 1, counted: bool = False,
+          upper: bool = False, code=np.int64):
     """The emit that runs on each block of V @ W^T, on the thread that
     computed it, and gives its rectangles' nonzero entries and a list of
-    parts, one per rectangle. The dense emit adds each rectangle into
-    `view` (the output buffer as two dimensions) at its keys, and gives no
-    parts. The codes emit compares the block with `floor` once and keeps a
-    rectangle's entries counted at least that many times as codes row_key *
-    dim + col_key, giving (codes, counts or None without `counted`, each
-    row's codes, each row's first code had it kept every entry); every
-    row's codes are one run, in order."""
+    parts, one per rectangle. In one orientation (`upper`: a triangle's
+    pairs a < b only) the block's diagonal square keeps only its strict
+    upper triangle. The dense emit adds each rectangle into `view` (the
+    output buffer as two dimensions) at its keys, and gives no parts. The
+    codes emit compares the block with `floor` once and keeps a rectangle's
+    entries counted at least that many times as codes row_key * dim +
+    col_key of type `code` (matmul.core.code_type of the output space),
+    giving (codes, counts in the block's exact type or None without
+    `counted`, each row's codes, each row's first code had it kept every
+    entry); every row's codes are one run, in order."""
+    if view is None:  # the keys as codes, once a product
+        row_keys = (v.row_keys * dim).astype(code)
+        col_keys = wt.col_keys.astype(code)
+    else:
+        row_keys, col_keys = v.row_keys, wt.col_keys
+
     def emit(lo, hi, block):
+        if upper:  # nothing on or below the diagonal
+            block[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0
         nonzero, parts = 0, []
+        rects = _rectangles(row_keys, col_keys, lo, hi, triangle, upper)
         if view is not None:  # by slices where the keys are runs
-            for keys, cols, off, flip in _rectangles(v, wt, lo, hi, triangle):
+            for keys, cols, off, flip in rects:
                 m = block[:, off:].T if flip else block
                 at = _as_run(keys), _as_run(cols)
                 if all(isinstance(x, np.ndarray) for x in at):
@@ -265,12 +281,11 @@ def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
                 nonzero += np.count_nonzero(m > 0)
             return nonzero, parts
         keep = block >= floor
-        for keys, cols, off, flip in _rectangles(v, wt, lo, hi, triangle):
+        for rows, cols, off, flip in rects:
             m, k = ((block[:, off:].T, keep[:, off:].T) if flip
                     else (block, keep))
             kept = np.count_nonzero(k)
             nonzero += kept if floor <= 1 else np.count_nonzero(m > 0)
-            rows = keys * dim
             if 10 * kept < 9 * k.size:  # not nearly all: by position
                 at = np.flatnonzero(k)
                 i = at // len(cols)
@@ -288,8 +303,7 @@ def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
                     flat = k.ravel()
                     codes = codes[flat]
                     counts = None if counts is None else counts[flat]
-            parts.append((codes, None if counts is None
-                          else counts.astype(np.int64), lens, rows + cols[0]))
+            parts.append((codes, counts, lens, rows + cols[0]))
         return nonzero, parts
 
     return emit
@@ -297,24 +311,30 @@ def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
 
 def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
                   want_counts: bool = False, factors=(),
-                  triangle: bool = False, floor: int = 1) -> OutputSet:
+                  triangle: bool = False, floor: int = 1,
+                  upper: bool = False) -> OutputSet:
     """The distinct `codes` of the two-dimensional space `dims` and the
     products V @ W^T of `factors` ((V, W^T) pairs over keys no two share;
     entry (i, j) counts code row_keys[i] * dims[1] + col_keys[j]), counted
     at least `floor` times, with their counts if want_counts. With
-    `triangle` every V is its W.
+    `triangle` every V is its W, and with `upper` only its entries i < j
+    count (one orientation: the caller's codes are of those pairs too).
 
     `dense` is the emit its caller priced (optimizer.counts_densely). The
     dense emit holds every light count in one bincount over the space, adds
     each block in, and reads the codes at the floor off it. The codes emit
     keeps each block's codes that reach the floor (1 beside light codes:
-    the floor applies once merged), puts the runs in the order of their
-    first codes, and merges the light codes in by one sort and a binary
-    search. The stats name the `emit` (None with neither light codes nor
-    products), the products' nonzero entries before the floor
-    (`heavy_pairs`, both orientations of a self-join's), their `blocks`,
-    the most threads one ran on (`workers`) and the widest exact_type they
-    ran in (`tier`), as multiply_counts reports them.
+    the floor applies once merged) in the narrow code_type of the space,
+    widens them to int64 once, as it joins the runs, and merges the light
+    codes in by one sort and a binary search. The runs come in the order of
+    their first codes where the blocks give them so (one product without
+    mirrors: a rectangle, or a triangle in one orientation), and are put in
+    that order otherwise. The stats name the `emit` (None with neither
+    light codes nor products), the products' nonzero entries before the
+    floor (`heavy_pairs`: both orientations of a self-join's, one with
+    `upper`), their `blocks`, the most threads one ran on (`workers`) and
+    the widest exact_type they ran in (`tier`), as multiply_counts reports
+    them.
     """
     emit = (("dense" if dense else "codes") if len(codes) or factors
             else None)
@@ -323,9 +343,10 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
     buf = (np.bincount(codes, minlength=math.prod(dims)) if emit == "dense"
            else None)
     workers = _matmul.worker_count()
+    code = _matmul.code_type(math.prod(dims))
     products = [multiply_counts(v, wt, _emit(
         v, wt, triangle, None if buf is None else buf.reshape(dims), dims[1],
-        low, counted), triangle, workers) for v, wt in factors]
+        low, counted, upper, code), triangle, workers) for v, wt in factors]
     blocks = [block for p in products for block in p.parts]
     tier = max((p.tier for p in products), key=_matmul.TIERS.index,
                default=None)
@@ -339,11 +360,14 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
     runs = [run for _, parts in blocks for run in parts]
     extra = None
     if runs:
-        extra = [np.concatenate([r[0] for r in runs]), np.concatenate(
-            [r[1] for r in runs]) if counted else None]
+        # the counts are whole numbers in their block's exact type, so the
+        # cast from a float type (numpy's "unsafe") is exact
+        extra = [np.concatenate([r[0] for r in runs], dtype=np.int64),
+                 np.concatenate([r[1] for r in runs], dtype=np.int64,
+                                casting="unsafe") if counted else None]
         lens = np.concatenate([r[2] for r in runs])
         first = np.concatenate([r[3] for r in runs])
-        if (np.diff(first) < 0).any():
+        if (first[1:] < first[:-1]).any():
             # the runs in the order of their first codes
             order = np.argsort(first)
             starts = (np.cumsum(lens) - lens)[order]
@@ -382,9 +406,26 @@ def _runs(values: np.ndarray, lens: np.ndarray):
     return values, (ends - lens).tolist(), ends.tolist()
 
 
+def _below_diagonal(codes: np.ndarray, d: int,
+                    step: int = 1 << 16) -> np.ndarray:
+    """The codes x * d + z of `codes` with x < z, in their order. They are
+    moved slice by slice to the front of `codes`, which they overwrite, and
+    copied out: no temporary is as large as `codes`, where one vectorized
+    pass held two arrays of its size (14.65 against 12.95 traced MiB for
+    SSJ on one worker, tests/test_gram.py)."""
+    at = 0
+    for lo in range(0, len(codes), step):
+        part = codes[lo:lo + step]
+        # x * (d + 1) < x * d + z iff x < z
+        part = part[part // d * (d + 1) < part]
+        codes[at:at + len(part)] = part
+        at += len(part)
+    return codes[:at].copy()
+
+
 def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
                  plan: ThresholdPlan, want_counts: bool,
-                 floor: int = 1) -> OutputSet:
+                 floor: int = 1, upper: bool = False) -> OutputSet:
     """pi_{x1..xk} of relations sharing their right column y, split by
     light_split at `plan`'s thresholds, each witness (a y and one left value
     per relation) handled exactly once, so counts add up without a recount;
@@ -397,8 +438,11 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     of heavy_matrices, one per component of the witnesses, which
     _dedup_output multiplies and merges with the light codes; a self-join's
     (optimizer.self_join) are Gram matrices, of which only the upper
-    triangles are computed. The stats add the light codes
-    (`light_intermediate`) and the plan to _dedup_output's.
+    triangles are computed. `upper` keeps a two-path self-join in one
+    orientation, the tuples (x, z) with x < z only: the light codes are
+    written in both and halved in place (_below_diagonal) before they are
+    counted. The stats add the light codes kept (`light_intermediate`) and
+    the plan to _dedup_output's.
     """
     light_y, light_left = light_split(rels, light_in, plan.delta1,
                                       plan.delta2)
@@ -453,6 +497,8 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
             codes[at:at + n] = _cross_codes([xs[lo[y]:hi[y]]
                                              for xs, lo, hi in pieces[j]])
             at += n
+        if upper:
+            codes = _below_diagonal(codes, dims[1])
 
     factors = (heavy_matrices(rels, heavy_left, heavy_y, split.comp,
                               split.comp_left)
@@ -461,7 +507,7 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     # the same integer in both views
     dims2 = (math.prod(dims[:half]), math.prod(dims[half:]))
     out = _dedup_output(codes, dims2, dense, want_counts, factors, triangle,
-                        floor)
+                        floor, upper)
     out.dims = tuple(int(d) for d in dims)
     out.stats.update(light_intermediate=len(codes), plan=plan)
     return out
@@ -469,17 +515,23 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
 
 def two_path_join(r: IndexedRelation, s: IndexedRelation,
                   plan: Optional[ThresholdPlan] = None,
-                  want_counts: bool = False, floor: int = 1) -> OutputSet:
+                  want_counts: bool = False, floor: int = 1,
+                  upper: bool = False) -> OutputSet:
     """pi_{x,z}(R(x,y) join S(z,y)) by _partitioned under `plan`,
     default_plan's by default: a witness is light iff its degree is <=
     delta1 in both relations. Only the pairs (x, z) joined by at least
-    `floor` witnesses are kept. A self-join keeps both (x, z) and (z, x)."""
+    `floor` witnesses are kept. A self-join keeps both (x, z) and (z, x),
+    or with `upper` (r is s) only x < z: each product then keeps the strict
+    upper triangle of its Gram matrix, with no mirror, and the light codes
+    their pairs x < z."""
     if floor < 1:
         raise ValueError("floor must be >= 1")
+    if upper and r is not s:
+        raise ValueError("one orientation needs a self-join")
     r, s = _ensure_reduced_many([r, s])
     if plan is None:
         plan = default_plan(r, s, floor)
-    return _partitioned([r, s], 2, plan, want_counts, floor)
+    return _partitioned([r, s], 2, plan, want_counts, floor, upper)
 
 
 def full_join_dedup(r: IndexedRelation, s: IndexedRelation,

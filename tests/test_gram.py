@@ -339,3 +339,121 @@ def test_the_dense_emit_loses_no_update_on_many_threads(monkeypatch):
     assert out.stats["emit"] == "dense" and out.stats["workers"] == 8
     assert np.array_equal(out.codes, np.flatnonzero(want))
     assert np.array_equal(out.counts, want.ravel()[out.codes])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_families(), st.integers(1, 4), st.sampled_from([1, 3]))
+@example({"s0": [], "s1": [0, 1], "s2": [0, 1], "s3": [0, 1, 2]}, 2, 3)
+@example({"s0": [0, 1, 2, 3], "s1": [1, 2, 3], "s2": [1, 2, 3]}, 3, 1)
+def test_one_orientation_is_the_pairs_a_below_b(raw, floor, workers):
+    """At every candidate of price_plan's grid (all light, mixed and all
+    heavy), under size rules that make either emit win, on 1 and 3 workers
+    with blocks of one multiply-add, the self-join in one orientation gives
+    the both-orientation join's pairs a < b and their counts, and SSJ the
+    oracle; the families hold empty sets, duplicate sets and a set of every
+    element."""
+    fam = apps.SetFamily.from_dict(raw)
+    idx, n = fam.indexed, len(fam)
+    want = oracle_ssj(raw, floor)
+    with mock.patch.object(core, "worker_count", lambda: workers), \
+            mock.patch.object(core, "_BLOCK_MADDS", 1):
+        for rule in (0.0, 1e18):  # the codes emit, the dense one
+            with mock.patch.object(opt, "_DENSE_SPACE_PER_CODE", rule):
+                grid = opt.price_plan([idx, idx], 2, floor=floor)
+                for d1, d2 in product(grid.delta1s.tolist(),
+                                      grid.delta2s.tolist()):
+                    plan = ThresholdPlan(PARTITIONED, d1, d2)
+                    both = jp.two_path_join(idx, idx, plan, True, floor)
+                    below = both.codes // n < both.codes % n
+                    for want_counts in (False, True):
+                        one = jp.two_path_join(idx, idx, plan, want_counts,
+                                               floor, upper=True)
+                        assert one.stats["emit"] in (both.stats["emit"],
+                                                     None)
+                        assert one.codes.dtype == np.int64
+                        assert np.array_equal(one.codes, both.codes[below])
+                        if want_counts:
+                            assert np.array_equal(one.counts,
+                                                  both.counts[below])
+                        else:
+                            assert one.counts is None
+                    res = apps.ssj_mmjoin(fam, floor, plan)
+                    assert {canon_pair(*raw_pair(fam, a, b)): cnt
+                            for (a, b), cnt in pair_counts(res).items()} \
+                        == want
+
+
+def test_one_orientation_needs_a_self_join():
+    fam = _family_of_400()
+    other = build_indexed(fam.relation)
+    with pytest.raises(ValueError, match="self-join"):
+        jp.two_path_join(fam.indexed, other, CORNER, upper=True)
+
+
+@pytest.mark.parametrize("c", [3, 4])
+def test_ssj_without_two_sets_of_c_elements_joins_nothing(monkeypatch, c):
+    """Fewer than two sets of c elements or more: SSJ returns no pair
+    without planning or joining; two such sets are joined."""
+    raw = {"s0": [0, 1, 2, 3], "s1": [0, 1, 2], "s2": [0, 1], "s3": [2]}
+    fam = apps.SetFamily.from_dict(raw)
+    joined = mock.Mock(wraps=apps.two_path_join)
+    monkeypatch.setattr(apps, "two_path_join", joined)
+    res = apps.ssj_mmjoin(fam, c)
+    assert joined.called == (c == 3)
+    assert res.dims == (4, 4)
+    assert res.codes.dtype == res.counts.dtype == np.int64
+    assert {canon_pair(*raw_pair(fam, a, b)): cnt
+            for (a, b), cnt in pair_counts(res).items()} == oracle_ssj(raw, c)
+
+
+@pytest.mark.parametrize("workers,bound", [(1, 14.5), (2, 5.3)])
+def test_ssj_peak_memory(workers, bound):
+    """SSJ at c = 3 on a benchmark-shaped family (1000 sets of 1-40 over
+    500 elements) peaks at most at `bound` traced MiB. On one worker it
+    runs the full join, whose light codes are kept x < z slice by slice:
+    12.95 MiB in every run, where halving them in one pass took 14.65 and
+    keeping both orientations, as the join did before, 16.61. On two it
+    runs all heavy, and which blocks are in flight at once varies: 4.45-4.86
+    over 22 processes, against 5.40-6.23 over 32 before. Each bound sits
+    between the two, 9-12% above the change."""
+    fam = apps.SetFamily.from_dict(
+        random_family(np.random.default_rng(1), 1000, 500, 40))
+    with mock.patch.object(core, "worker_count", lambda: workers):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = apps.ssj_mmjoin(fam, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert (res.stats["light_intermediate"] > 0) == (workers == 1)
+    assert res.stats["blocks"] == 0 if workers == 1 else res.stats["blocks"] > 1
+    assert peak <= bound * 2 ** 20, peak / 2 ** 20
+
+
+def test_one_orientation_emits_one_rectangle_per_block(monkeypatch):
+    """Each block of a self-join in one orientation is one rectangle, with
+    no mirror; in both orientations every block but the last has one."""
+    monkeypatch.setattr(core, "worker_count", lambda: 2)
+    idx = _family_of_400().indexed
+    rectangles = jp._rectangles
+    for upper in (True, False):
+        made = []
+        monkeypatch.setattr(jp, "_rectangles", lambda *args: made.append(
+            rectangles(*args)) or made[-1])
+        res = jp.two_path_join(idx, idx, CORNER, True, 2, upper=upper)
+        assert len(made) == res.stats["blocks"] > 1
+        assert [len(r) for r in made].count(2) == (0 if upper
+                                                   else len(made) - 1)
+
+
+def test_ssj_turns_each_pair_by_input_order():
+    """SSJ's pairs are the oracle's, each with the set first in the input
+    first, in code order, on a family listed out of id order."""
+    raw = random_family(np.random.default_rng(8), 120, 40, 12)
+    fam = apps.SetFamily.from_dict(dict(reversed(list(raw.items()))))
+    res = apps.ssj_mmjoin(fam, 2)
+    assert (np.diff(res.codes) > 0).all()
+    assert all(fam.first_seen(a, b) for a, b in pair_counts(res))
+    assert {canon_pair(*raw_pair(fam, a, b)): cnt
+            for (a, b), cnt in pair_counts(res).items()} == oracle_ssj(raw, 2)
