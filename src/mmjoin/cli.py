@@ -242,7 +242,7 @@ def _result_lines(res: joinproject.OutputSet, values: list, counts: bool,
     (the last one without). When every field's ids are in that order, as a
     parsed relation's are, the codes, which ascend, are the rows in text
     order; otherwise each row is recoded over its fields' ranks in that
-    order (one divmod and one gather per field) and the codes are sorted.
+    order (one division and one gather per field) and the codes are sorted.
     A code's leading digit is then its row's lead rank and the rest its
     suffix key. Rows that share their lead make a run, and runs that print
     the same rest of line share its text (`_shared_runs`): names, suffixes
@@ -257,7 +257,10 @@ def _result_lines(res: joinproject.OutputSet, values: list, counts: bool,
     if any(rank is not None for _, rank in named):
         rem, codes, stride = codes, 0, 1
         for dim, (names, rank) in zip(res.dims[::-1], named[::-1]):
-            rem, ids = np.divmod(rem, dim)
+            # `//` by a scalar runs several times faster than np.divmod
+            quotient = rem // dim
+            ids = rem - quotient * dim
+            rem = quotient
             codes = codes + stride * (ids if rank is None else rank[ids])
             stride *= len(names)
         if ascending and np.any(codes[1:] < codes[:-1]):

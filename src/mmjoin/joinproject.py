@@ -3,13 +3,16 @@ full-join baseline, all three through one witness-disjoint partitioned join
 (_partitioned) and one dedup (_dedup_output). A join sizes its split once,
 by the planner's optimizer.size_splits, and from those sizes budgets its
 allocations and picks its emit (optimizer.counts_densely), as the planner
-priced them. Its heavy part is one blocked product per component
-(matmul.multiply_counts, the upper triangle only for a self-join), each
-block handed to that emit: added into a dense buffer over the output space,
-or kept as codes over the floor, in the narrow code_type of that space. A
-two-path self-join may keep each pair once (two_path_join's `upper`, which
-SSJ uses): its triangles then have no mirror. The products report the tier
-and threads they ran with.
+priced them. Its light codes are written by ranges of the first
+relation's left values (_light_ranges), one vectorized expansion a range,
+and each range is counted by that emit before the next is written. Its
+heavy part is one blocked product per component (matmul.multiply_counts,
+the upper triangle only for a self-join), each block handed to that emit:
+added into a dense buffer over the output space, or kept as codes over the
+floor, in the narrow code_type of that space. A two-path self-join may keep
+each pair once (two_path_join's `upper`, which SSJ uses): its triangles
+then have no mirror, and its light codes are written in that orientation
+at the source. The products report the tier and threads they ran with.
 
 Output tuples are kept as mixed-radix int64 codes over the left domains of
 the participating relations; OutputSet decodes on demand.
@@ -32,16 +35,20 @@ from .optimizer import (
     ThresholdPlan,
     counts_densely,
     default_plan,
+    light_ranges,
     light_split,
     price_plan,
+    range_width,
     self_join,
     size_splits,
 )
 from .relation import (
     IndexedRelation,
     _dedup,
+    _merge,
     build_indexes,
     gather_ranges,
+    range_index,
     semi_join_reduce_many,
 )
 
@@ -74,8 +81,12 @@ class OutputSet:
     def tuples(self) -> np.ndarray:
         out = np.empty((len(self.codes), self.arity), dtype=np.int64)
         rem = self.codes
-        for i in range(self.arity - 1, -1, -1):
-            rem, out[:, i] = np.divmod(rem, self.dims[i])
+        # `//` by a scalar runs several times faster than np.divmod
+        for i in range(self.arity - 1, 0, -1):
+            quotient = rem // self.dims[i]
+            out[:, i] = rem - quotient * self.dims[i]
+            rem = quotient
+        out[:, 0] = rem
         return out
 
 
@@ -309,39 +320,69 @@ def _emit(v: CountMatrix, wt: CountMatrix, triangle: bool, view=None,
     return emit
 
 
-def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
+def _dedup_output(light, dims: Sequence[int], dense: bool,
                   want_counts: bool = False, factors=(),
                   triangle: bool = False, floor: int = 1,
                   upper: bool = False) -> OutputSet:
-    """The distinct `codes` of the two-dimensional space `dims` and the
-    products V @ W^T of `factors` ((V, W^T) pairs over keys no two share;
-    entry (i, j) counts code row_keys[i] * dims[1] + col_keys[j]), counted
-    at least `floor` times, with their counts if want_counts. With
-    `triangle` every V is its W, and with `upper` only its entries i < j
-    count (one orientation: the caller's codes are of those pairs too).
+    """The distinct codes of the two-dimensional space `dims` that the
+    light ranges `light` ((first code, end code, the range's codes less its
+    first) in ascending order, no two overlapping) and the products
+    V @ W^T of `factors` ((V, W^T) pairs over keys no two share; entry
+    (i, j) counts code row_keys[i] * dims[1] + col_keys[j]) count at least
+    `floor` times, with their counts if want_counts. With `triangle` every V
+    is its W, and with `upper` only its entries i < j count (one
+    orientation: the light codes are of those pairs too).
 
-    `dense` is the emit its caller priced (optimizer.counts_densely). The
-    dense emit holds every light count in one bincount over the space, adds
-    each block in, and reads the codes at the floor off it. The codes emit
-    keeps each block's codes that reach the floor (1 beside light codes:
-    the floor applies once merged) in the narrow code_type of the space,
-    widens them to int64 once, as it joins the runs, and merges the light
-    codes in by one sort and a binary search. The runs come in the order of
-    their first codes where the blocks give them so (one product without
-    mirrors: a rectangle, or a triangle in one orientation), and are put in
-    that order otherwise. The stats name the `emit` (None with neither
-    light codes nor products), the products' nonzero entries before the
-    floor (`heavy_pairs`: both orientations of a self-join's, one with
+    `dense` is the emit its caller priced (optimizer.counts_densely). Each
+    range is counted on its own, before any product runs, and its codes
+    dropped: the dense emit by a bincount over the range's slots, the codes
+    emit by a sort (_dedup); the counted ranges come out ascending and are
+    joined in order. With no product beside them each range keeps its own
+    codes at the floor. Beside products the dense emit writes each range's
+    counts into one buffer over the space, adds each block in and reads the
+    codes at the floor off it; the codes emit keeps each block's codes
+    counted at least once in the narrow code_type of the space, widens them
+    to int64 once, as it joins the runs, and merges them into the light
+    codes by binary search (_merge), the floor taken once merged. The runs
+    come in the order of their first codes where the blocks give them so
+    (one product without mirrors: a rectangle, or a triangle in one
+    orientation), and are put in that order otherwise. The stats name the
+    `emit` (None with neither light codes nor products), the light codes
+    counted (`light_intermediate`), the products' nonzero entries before
+    the floor (`heavy_pairs`: both orientations of a self-join's, one with
     `upper`), their `blocks`, the most threads one ran on (`workers`) and
     the widest exact_type they ran in (`tier`), as multiply_counts reports
     them.
     """
-    emit = (("dense" if dense else "codes") if len(codes) or factors
-            else None)
-    low = 1 if len(codes) else floor
-    counted = want_counts or floor > low
-    buf = (np.bincount(codes, minlength=math.prod(dims)) if emit == "dense"
+    counted = want_counts or floor > 1
+    buf = (np.zeros(math.prod(dims), dtype=np.int64) if dense and factors
            else None)
+    alone = 1 if factors else floor  # the floor a range takes itself
+    parts, written = [], 0
+    for lo, hi, codes in light:
+        written += len(codes)
+        if not len(codes):
+            continue
+        if buf is not None:
+            buf[lo:hi] = np.bincount(codes, minlength=hi - lo)
+            continue
+        if dense:
+            # numpy's nonzero of a bool mask runs ~5x as fast as of int64
+            n = np.bincount(codes, minlength=hi - lo)
+            at = np.flatnonzero(n >= alone)
+            n = n[at] if counted else None
+        else:
+            at, n = _dedup(codes, True) if counted else (_dedup(codes), None)
+            if alone > 1:
+                over = n >= alone
+                at, n = at[over], n[over]
+        parts.append((np.add(at, lo, dtype=np.int64), n))
+    codes = np.concatenate([p[0] for p in parts] + [np.empty(0, np.int64)])
+    counts = (np.concatenate([p[1] for p in parts] + [np.empty(0, np.int64)])
+              if counted else None)
+    del parts
+    emit = ("dense" if dense else "codes") if written or factors else None
+    low = 1 if written else floor
     workers = _matmul.worker_count()
     code = _matmul.code_type(math.prod(dims))
     products = [multiply_counts(v, wt, _emit(
@@ -350,15 +391,15 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
     blocks = [block for p in products for block in p.parts]
     tier = max((p.tier for p in products), key=_matmul.TIERS.index,
                default=None)
-    stats = {"emit": emit, "heavy_pairs": int(sum(n for n, _ in blocks)),
+    stats = {"emit": emit, "light_intermediate": written,
+             "heavy_pairs": int(sum(n for n, _ in blocks)),
              "blocks": len(blocks), "tier": tier and tier.__name__,
              "workers": max((p.threads for p in products), default=1)}
     if buf is not None:
-        codes = np.flatnonzero(buf >= floor if floor > 1 else buf)
+        codes = np.flatnonzero(buf >= floor)
         return OutputSet(codes, dims, buf[codes] if want_counts else None,
                          stats)
     runs = [run for _, parts in blocks for run in parts]
-    extra = None
     if runs:
         # the counts are whole numbers in their block's exact type, so the
         # cast from a float type (numpy's "unsafe") is exact
@@ -375,10 +416,8 @@ def _dedup_output(codes: np.ndarray, dims: Sequence[int], dense: bool,
             at = (np.repeat(starts - (np.cumsum(lens) - lens), lens)
                   + np.arange(len(extra[0])))
             extra = [x if x is None else x[at] for x in extra]
-    if not counted:
-        return OutputSet(_dedup(codes, sorted_extra=extra), dims, None, stats)
-    codes, counts = _dedup(codes, True, extra)
-    if floor > low:  # light codes beside the products: the floor, merged
+        codes, counts = _merge(codes, counts, *extra)
+    if factors and floor > low:  # light codes beside products: the floor
         over = counts >= floor
         codes, counts = codes[over], counts[over]
     return OutputSet(codes, dims, counts if want_counts else None, stats)
@@ -399,28 +438,104 @@ def _within_budget(entries: int, what: str) -> None:
             f"{entries} {what} are over the budget of {_ENTRY_BUDGET}")
 
 
-def _runs(values: np.ndarray, lens: np.ndarray):
-    """`values` cut into consecutive runs of lengths `lens`, as (values,
-    starts, ends) with the bounds as Python lists."""
-    ends = np.cumsum(lens)
-    return values, (ends - lens).tolist(), ends.tolist()
+def _light_ranges(rels: Sequence[IndexedRelation], light_y: np.ndarray,
+                  light_left: list, heavy: np.ndarray, dims: Sequence[int],
+                  upper: bool, dense: bool):
+    """The light codes of a split (light_split's masks, and `heavy` (k, Y)
+    the tuples with a heavy left value at each witness) by ranges of the
+    first relation's left values, as an iterator of (first code, end code,
+    the range's codes less its first code, in the narrow code_type of the
+    space): optimizer.light_ranges' ranges for the emit (`dense`), each
+    written when the one before it has been used, in order.
 
+    Each tuple (x1, y) of the first relation starts the pieces of x1 with
+    what the others join at y. Taken as light (y or x1 light), one piece:
+    the full lists at y. Else one for each later position j: the heavy
+    lists before j, the light list at j and the full lists after it. So
+    every witness is written once, and only where some left value or y is
+    light. In one orientation (`upper`, a two-path self-join) x1's piece
+    keeps only the tail z > x1 of its list. A range's codes are one repeat
+    and one gather per later position over its pieces' lists.
+    """
+    k, n_y = len(rels), len(light_y)
+    strides = _strides(dims)
+    code = _matmul.code_type(math.prod(dims))
+    # per later relation, its left values by witness times their stride,
+    # in one array: the heavy ones, the ones taken as light, then all of
+    # them; and each list's length and start in it, flat over (kind, y)
+    vals, starts, lens, taken = [], [], [], []
+    for ri, ll, stride, h in zip(rels[1:], light_left[1:], strides[1:],
+                                 heavy[1:]):
+        taken.append(ll[ri.rev_indices] | np.repeat(light_y, ri.right_deg))
+        xs = (ri.rev_indices * stride).astype(code)
+        vals.append(np.concatenate([xs[~taken[-1]], xs[taken[-1]], xs]))
+        lens.append(np.concatenate([h, ri.right_deg - h, ri.right_deg]))
+        starts.append(np.cumsum(lens[-1]) - lens[-1])
+    first = rels[0]
+    x1 = np.repeat(np.arange(dims[0]), first.left_deg)
+    y = first.fwd_indices
+    # each tuple's pieces (j the later position of the first light list, 0
+    # where the tuple is taken as light), in tuple order
+    j = ~(light_left[0][x1] | light_y[y])
+    if k > 2:
+        per = 1 + j * (k - 2)
+        at = np.repeat(np.arange(len(y)), per)
+        j = (np.arange(len(at)) + 1 - np.repeat(np.cumsum(per) - per, per)
+             ) * j[at]
+        x1, y = x1[at], y[at]
+    piece_starts, piece_lens = [], []
+    for i in range(1, k):
+        # the heavy list before j, the light list at j, the full one after
+        at = (2 * ((j == 0) | (j < i)) + (j == i)) * n_y + y
+        piece_starts.append(starts[i - 1][at])
+        piece_lens.append(lens[i - 1][at])
+    if upper:  # k = 2, rels[1] is rels[0]
+        n = first.n
+        # each tuple's place in the reverse index, which orders the tuples
+        # by y as a stable sort does; numpy radix-sorts 16-bit keys, 12
+        # times as fast as its int64 stable sort on 20k tuples
+        narrow = y.astype(np.uint16) if n_y <= 1 << 16 else y
+        place = np.empty(n, dtype=np.int64)
+        place[np.argsort(narrow, kind="stable")] = np.arange(n)
+        ends = piece_starts[0] + piece_lens[0]
+        # past x1's place in the full list (which follows the n heavy and
+        # light values), past the light values up to it in the light list
+        piece_starts[0] = np.where(
+            j, starts[0][n_y] + np.cumsum(taken[0])[place], n + place + 1)
+        piece_lens[0] = ends - piece_starts[0]
+    # the ranges' first values, then the end of the last
+    written = np.cumsum(np.prod(piece_lens, axis=0))
+    n_ranges = int(light_ranges(dims, written[-1], dense))
+    if dense:
+        cuts = np.minimum(np.arange(n_ranges + 1) * range_width(dims),
+                          dims[0])
+    else:  # where the codes before a value first reach each share
+        before = np.append(0, written)[np.searchsorted(
+            x1, np.arange(dims[0] + 1))]
+        cuts = np.append(np.searchsorted(
+            before, np.arange(n_ranges) * (written[-1] / n_ranges)),
+            dims[0])
+        cuts[0] = 0
+    bounds = np.searchsorted(x1, cuts).tolist()
+    cuts = cuts.tolist()
 
-def _below_diagonal(codes: np.ndarray, d: int,
-                    step: int = 1 << 16) -> np.ndarray:
-    """The codes x * d + z of `codes` with x < z, in their order. They are
-    moved slice by slice to the front of `codes`, which they overwrite, and
-    copied out: no temporary is as large as `codes`, where one vectorized
-    pass held two arrays of its size (14.65 against 12.95 traced MiB for
-    SSJ on one worker, tests/test_gram.py)."""
-    at = 0
-    for lo in range(0, len(codes), step):
-        part = codes[lo:lo + step]
-        # x * (d + 1) < x * d + z iff x < z
-        part = part[part // d * (d + 1) < part]
-        codes[at:at + len(part)] = part
-        at += len(part)
-    return codes[:at].copy()
+    def ranges():
+        for r in range(n_ranges):
+            a, b = bounds[r], bounds[r + 1]
+            codes = ((x1[a:b] - cuts[r]) * strides[0]).astype(code)
+            of = None  # each code's piece, while more positions follow
+            for i in range(k - 1):
+                at, size = piece_starts[i][a:b], piece_lens[i][a:b]
+                if of is not None:
+                    at, size = at[of], size[of]
+                if i < k - 2:
+                    of = np.repeat(np.arange(b - a) if of is None else of,
+                                   size)
+                codes = (np.repeat(codes, size)
+                         + vals[i][range_index(at, size)])
+            yield cuts[r] * strides[0], cuts[r + 1] * strides[0], codes
+
+    return ranges()
 
 
 def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
@@ -431,18 +546,15 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     per relation) handled exactly once, so counts add up without a recount;
     only the tuples counted at least `floor` times are kept.
 
-    A light y enumerates its full cross product. A heavy y enumerates, for
-    each position j, the combinations whose first light left value is at j:
-    heavy lists before j, the light list at j and full lists after it. The
-    rest, heavy left values at a heavy y in every relation, is the products
-    of heavy_matrices, one per component of the witnesses, which
-    _dedup_output multiplies and merges with the light codes; a self-join's
-    (optimizer.self_join) are Gram matrices, of which only the upper
-    triangles are computed. `upper` keeps a two-path self-join in one
-    orientation, the tuples (x, z) with x < z only: the light codes are
-    written in both and halved in place (_below_diagonal) before they are
-    counted. The stats add the light codes kept (`light_intermediate`) and
-    the plan to _dedup_output's.
+    The light witnesses, those with a light y or some light left value, are
+    written by ranges of the first relation's left values (_light_ranges)
+    and counted range by range. The rest, heavy left values at a heavy y in
+    every relation, is the products of heavy_matrices, one per component of
+    the witnesses, which _dedup_output multiplies and merges with the light
+    codes; a self-join's (optimizer.self_join) are Gram matrices, of which
+    only the upper triangles are computed. `upper` keeps a two-path
+    self-join in one orientation, the tuples (x, z) with x < z only, light
+    codes included. The stats add the plan to _dedup_output's.
     """
     light_y, light_left = light_split(rels, light_in, plan.delta1,
                                       plan.delta2)
@@ -451,12 +563,10 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
     _check_code_space(dims)
     # the facts the planner prices, for this one split: heavy[i, y] is the
     # tuples of relation i at y with a heavy left value (none at a light y:
-    # all of them are taken as light), sizes[j, y] the codes of witness y
-    # whose first light position is j
+    # all of them are taken as light)
     split = size_splits(rels, light_in, np.array([plan.delta1]),
-                        np.array([plan.delta2]))
-    planned, heavy = split.sizes, split.heavy[0]
-    light = split.deg - heavy
+                        np.array([plan.delta2]), upper)
+    planned = split.sizes
     heavy_left = [np.flatnonzero(~ll) for ll in light_left]
     heavy_y = np.flatnonzero(~light_y)
     half = (k + 1) // 2
@@ -470,46 +580,29 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
         _matmul.worker_count(), triangle)[2].sum())
     dense = counts_densely(space, n_light, planned.product_entries[0, 0],
                            floor)
-    n_buffer = space if dense else 0
-    _within_budget(n_light + n_heavy + n_buffer,
-                   f"light codes, heavy matrix entries and buffer slots "
-                   f"({n_light} + {n_heavy} + {n_buffer})")
-
-    sizes = split.pieces[0].astype(np.int64)
-    pos_j, pos_y = np.nonzero(sizes)
-    codes = np.empty(int(sizes.sum()), dtype=np.int64)
-    if len(codes):
-        # per relation, its left values by witness: the heavy ones, the ones
-        # taken as light, and all of them
-        runs = []
-        for ri, ll, stride, lens_light, lens_heavy in zip(
-                rels, light_left, _strides(dims), light, heavy):
-            taken = ll[ri.rev_indices] | np.repeat(light_y, ri.right_deg)
-            xs = ri.rev_indices * stride
-            runs.append((_runs(xs[~taken], lens_heavy),
-                         _runs(xs[taken], lens_light), _runs(xs, ri.right_deg)))
-        # piece j: heavy lists before j, the light list at j, full after j
-        pieces = [[runs[i][0 if i < j else 1 if i == j else 2]
-                   for i in range(k)] for j in range(k)]
-        at = 0
-        for j, y, n in zip(pos_j.tolist(), pos_y.tolist(),
-                           sizes[pos_j, pos_y].tolist()):
-            codes[at:at + n] = _cross_codes([xs[lo[y]:hi[y]]
-                                             for xs, lo, hi in pieces[j]])
-            at += n
-        if upper:
-            codes = _below_diagonal(codes, dims[1])
+    # the light side keeps at most a code and a count per light code, and
+    # counts in one range's slots, or beside products in the whole space
+    counted = want_counts or floor > 1
+    n_kept = n_light * (1 + counted)
+    n_buffer = ((space if planned.blocks[0, 0] else range_width(dims)
+                 * _strides(dims)[0]) if dense else 0)
+    _within_budget(n_kept + n_heavy + n_buffer,
+                   f"light codes{' and counts' if counted else ''}, heavy "
+                   f"matrix entries and buffer slots "
+                   f"({n_kept} + {n_heavy} + {n_buffer})")
 
     factors = (heavy_matrices(rels, heavy_left, heavy_y, split.comp,
                               split.comp_left)
                if planned.blocks[0, 0] else [])
+    light = (_light_ranges(rels, light_y, light_left, split.heavy[0], dims,
+                           upper, dense) if n_light else ())
     # the output space viewed as two dimensions, V's keys by W's; a code is
     # the same integer in both views
     dims2 = (math.prod(dims[:half]), math.prod(dims[half:]))
-    out = _dedup_output(codes, dims2, dense, want_counts, factors, triangle,
+    out = _dedup_output(light, dims2, dense, want_counts, factors, triangle,
                         floor, upper)
     out.dims = tuple(int(d) for d in dims)
-    out.stats.update(light_intermediate=len(codes), plan=plan)
+    out.stats.update(plan=plan)
     return out
 
 
@@ -530,7 +623,7 @@ def two_path_join(r: IndexedRelation, s: IndexedRelation,
         raise ValueError("one orientation needs a self-join")
     r, s = _ensure_reduced_many([r, s])
     if plan is None:
-        plan = default_plan(r, s, floor)
+        plan = default_plan(r, s, floor, upper)
     return _partitioned([r, s], 2, plan, want_counts, floor, upper)
 
 

@@ -6,7 +6,10 @@ the output-size estimate. The grid runs from the all-heavy corner
 size_splits is the one place a split is sized: price_plan sizes its grid
 with it, and joinproject._partitioned the one split it runs, so a join
 allocates what was priced and counts with the emit priced for it
-(counts_densely, one of joinproject's two). Every product is priced as
+(counts_densely, one of joinproject's two). The light codes are priced as
+they are written and counted, by ranges of the first field's values
+(light_ranges), in one orientation where the join keeps one (a two-path
+self-join's pairs x < z). Every product is priced as
 matmul.multiply_counts runs it: by row blocks on the threads it gets, the
 upper triangle only for a self-join."""
 
@@ -98,30 +101,38 @@ def estimate_output_size(dom_x: int, out_join: int, n: int) -> int:
 
 # Counting in a buffer over the whole code space beats the sort path while
 # the space is at most this many times the codes that path touches (see
-# counts_densely); measured break-even.
+# counts_densely); measured break-even. Light codes with no product beside
+# them are counted range by range (light_ranges), each range's buffer in
+# cache: a bincount over a range's 2^16 slots and a read of its codes at
+# the floor took as long as a sort of 10k-11k of its codes in uint32 and
+# the same read (84-92 against 89-98 us at 11k, one core of a 2-vCPU VM),
+# so there the break-even is the second.
 _DENSE_SPACE_PER_CODE = 1.5
+_RANGE_SPACE_PER_CODE = 6.0
 
 
 def counts_densely(space, light, product, floor=1):
     """Whether joinproject._dedup_output counts `light` codes and products
-    of `product` entries (0 for none) in a buffer over the whole `space`
-    (the dense emit) rather than as sorted codes (the codes emit), which
-    touch every light code once and, when products merge in, every code and
+    of `product` entries (0 for none) in buffers over the `space` (the
+    dense emit) rather than as sorted codes (the codes emit), which touch
+    every light code once and, when products merge in, every code and
     product entry once more. A floor over 1 with no light codes is kept in
     the blocks, never in a buffer. Takes scalars or arrays that broadcast."""
     touched = light + (product > 0) * (light + product)
-    return ((space <= _DENSE_SPACE_PER_CODE * touched)
-            & ((floor <= 1) | (light > 0)))
+    per_code = np.where(product > 0, _DENSE_SPACE_PER_CODE,
+                        _RANGE_SPACE_PER_CODE)
+    return (space <= per_code * touched) & ((floor <= 1) | (light > 0))
 
 
 def piece_sizes(deg: np.ndarray, heavy: np.ndarray) -> np.ndarray:
-    """Codes of the light pieces of a partitioned join, in float64 (a size
-    past 2^53 is over any entry budget anyway).
+    """Light codes of a partitioned join by the first position of a light
+    left value in them, in float64 (a size past 2^53 is over any entry
+    budget anyway).
 
     `deg[i, y]` is relation i's degree at witness y and `heavy[..., i, y]`
     its tuples at y whose left value is heavy (0 at a light witness). The
-    piece (j, y) holds the combinations whose first light left value is at
-    position j: sizes[..., j, y] = prod_{i<j} heavy_i(y) * light_j(y) *
+    combinations at y whose first light left value is at position j number
+    sizes[..., j, y] = prod_{i<j} heavy_i(y) * light_j(y) *
     prod_{i>j} deg_i(y). At a light witness that is its full cross product
     at j = 0 and nothing after.
     """
@@ -136,25 +147,59 @@ def piece_sizes(deg: np.ndarray, heavy: np.ndarray) -> np.ndarray:
     return sizes
 
 
+def _pairs(n: np.ndarray) -> np.ndarray:
+    """n choose 2, in float64."""
+    n = np.asarray(n, dtype=np.float64)
+    return n * (n - 1) / 2
+
+
+# The light codes are written and counted by ranges of the first field's
+# values, each range's buffer within about this many entries: the dense
+# emit's over the range's slots (values times the other fields' product,
+# at least one value), the codes emit's its codes (about the light codes
+# over the ranges). A range's codes and its count then stay within a few
+# MiB, in cache; see light_ranges. Of 2^12 to 2^17 entries, 2^16 ran the
+# four full joins of the cost measurements below fastest on the dense
+# emit, and on the codes emit within 13% of the fastest (one series each,
+# on one core of a 2-vCPU VM).
+_RANGE_ENTRIES = 1 << 16
+
+
+def range_width(dims: Sequence[int]) -> int:
+    """Values of the first of the output's `dims` in a range of the dense
+    emit: as many as fit _RANGE_ENTRIES slots, at least one."""
+    return max(1, _RANGE_ENTRIES // max(math.prod(dims[1:]), 1))
+
+
+def light_ranges(dims: Sequence[int], light, dense):
+    """The ranges joinproject._partitioned writes and counts `light` codes
+    in, elementwise over the emit (`dense`): range_width's values each for
+    the dense emit, ceil(light / _RANGE_ENTRIES) for the codes emit, which
+    cuts the first field where the codes pass each share; none without
+    light codes."""
+    light = np.asarray(light, dtype=np.float64)
+    return np.where(light > 0, np.where(
+        dense, -(-int(dims[0]) // range_width(dims)),
+        np.ceil(light / _RANGE_ENTRIES)), 0)
+
+
 def _positive(dims: np.ndarray) -> np.ndarray:
     return (dims > 0).astype(np.float64)
 
 
 @dataclass
 class JoinSizes:
-    """What joinproject._partitioned allocates and loops over, per candidate
-    split: G1 witness splits by G2 left-value splits.
+    """What joinproject._partitioned allocates, per candidate split: G1
+    witness splits by G2 left-value splits.
 
-    `light` (G1, G2) is the light codes and `pieces` (G1, G2) the iterations
-    of the loop over (witness, first light position). The heavy part is one
-    product V @ W^T per component of the witnesses
-    (relation.witness_components) with heavy witnesses and heavy left values
-    in every relation: `rows` (G2, C) and `cols` (G2, C) are the dims u and w
-    of V (u x v) and W^T (v x w) per component and `inner` (G1, C) their v.
-    The properties sum over the components whose product runs.
+    `light` (G1, G2) is the light codes. The heavy part is one product
+    V @ W^T per component of the witnesses (relation.witness_components)
+    with heavy witnesses and heavy left values in every relation: `rows`
+    (G2, C) and `cols` (G2, C) are the dims u and w of V (u x v) and W^T
+    (v x w) per component and `inner` (G1, C) their v. The properties sum
+    over the components whose product runs.
     """
     light: np.ndarray
-    pieces: np.ndarray
     rows: np.ndarray
     inner: np.ndarray
     cols: np.ndarray
@@ -176,52 +221,51 @@ class JoinSizes:
                              * _positive(self.rows * self.cols)).T
 
 
-def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
+def join_sizes(full: np.ndarray, at_heavy: np.ndarray, heavy_y: np.ndarray,
                heavy_left: np.ndarray, comp: np.ndarray) -> JoinSizes:
     """Exact sizes of the partitioned join of k relations for G1 witness
     splits by G2 left-value splits.
 
-    `deg` (k, Y) holds each relation's degree at each witness, `heavy_y`
-    (G1, Y) each witness split's heavy witnesses, `pieces` (G2, k, Y) each
-    left split's piece_sizes, `heavy_left` (G2, k, C) each left split's heavy
-    left values per relation and component and `comp` (Y,) each witness's
-    component. A light witness enumerates its full cross product; a heavy
-    one its pieces. V's rows are the heavy left combinations of the first
-    ceil(k/2) relations within a component and W's of the rest.
+    `full` (Y,) holds each witness's light codes where it is light (all its
+    combinations) and `at_heavy` (G2, Y) where it is heavy, under each left
+    split; `heavy_y` (G1, Y) each witness split's heavy witnesses,
+    `heavy_left` (G2, k, C) each left split's heavy left values per
+    relation and component and `comp` (Y,) each witness's component. V's
+    rows are the heavy left combinations of the first ceil(k/2) relations
+    within a component and W's of the rest.
     """
-    k, g1, g2 = len(deg), len(heavy_y), len(pieces)
+    g1, k = len(heavy_y), heavy_left.shape[1]
     half = (k + 1) // 2
-    full = np.asarray(deg, dtype=np.float64).prod(axis=0)
     # every total is a sum over the witnesses, so one matrix product gives
-    # them for every pair of splits: each witness's full cross product,
-    # changed at a heavy witness into its pieces
-    at_heavy = np.asarray(heavy_y, dtype=np.float64)
-    per = at_heavy @ np.concatenate([pieces.sum(axis=1) - full,
-                                     np.count_nonzero(pieces, axis=1)
-                                     - (full > 0)]).T
+    # them for every pair of splits: each witness's light codes as light,
+    # changed at a heavy witness into those it has as heavy
+    at_heavy_y = np.asarray(heavy_y, dtype=np.float64)
+    light = at_heavy_y @ (at_heavy - full).T + full.sum()
     n_comp = heavy_left.shape[-1]
     inner = np.bincount((np.arange(g1)[:, None] * n_comp + comp).ravel(),
-                        weights=at_heavy.ravel(),
+                        weights=at_heavy_y.ravel(),
                         minlength=g1 * n_comp).reshape(g1, n_comp)
     heavy_left = np.asarray(heavy_left, dtype=np.float64)
-    return JoinSizes(per[:, :g2] + full.sum(),
-                     per[:, g2:] + np.count_nonzero(full),
-                     heavy_left[:, :half].prod(axis=1), inner,
+    return JoinSizes(light, heavy_left[:, :half].prod(axis=1), inner,
                      heavy_left[:, half:].prod(axis=1))
 
 
 # Nanos per unit of work of a two-path join, measured on one core of a
 # 2-vCPU x86-64 VM (numpy 2.4, OpenBLAS on one thread), each the median of
 # 21 timings of one joinproject step in isolation over its count:
-# - _NS_PER_PIECE: the light loop over 2,000 pieces of 2 codes;
-# - _NS_PER_CODE: the loop writing 10^6 codes in pieces of 20 x 20 to
-#   40 x 40 (2.0-2.9, less the per-piece part);
-# - _NS_PER_SLOT, _NS_PER_COUNTED: np.bincount over a 10^6-slot space, per
-#   slot with 100 codes and per code with the 840k codes of a 1000-set
-#   family's full join;
-# - _NS_PER_SORTED, _NS_PER_MERGED: the codes emit's sort of the light
-#   codes (11-28 from 10^4 to 10^6 random codes) and per entry of a product
-#   merged into them (87-124 for squares of 100 to 1000 entries a side);
+# - _NS_PER_RANGE, _NS_PER_CODE: the light codes written by ranges
+#   (_light_ranges, its setup included) per range and per code, from the
+#   full joins of four inputs at 2^12 to 2^17 entries a range: the
+#   benchmark sets family in one orientation (414k codes) and in both
+#   (906k), a k=3 star of random relations (18.5M) and 800 nodes in 8
+#   communities (2.0M); 3.3-6.5 a code, 13-33 us a range;
+# - _NS_PER_SLOT, _NS_PER_COUNTED: the dense emit's count of the same
+#   ranges at floor 1, least squares over the four (3.9-9.3 ms for the
+#   sets, 198 ms for the star), the reads of the kept codes included;
+# - _NS_PER_SORTED, _NS_PER_MERGED: the codes emit's sort of each range
+#   (16-19 a code on the sets and the star, 8.5 on the graph, whose codes
+#   repeat) and per entry of a product merged into the light codes (87-124
+#   for squares of 100 to 1000 entries a side);
 # - _NS_PER_TUPLE, _NS_PER_ENTRY: heavy_matrices per tuple of both
 #   relations (12.1 on the 108k-tuple benchmark community graph and on an
 #   8-community one, less the other two parts) and np.zeros per uint8
@@ -244,16 +288,26 @@ def join_sizes(deg: np.ndarray, heavy_y: np.ndarray, pieces: np.ndarray,
 #   compared with the floor and per code kept and put in order (2-5 an
 #   entry on the same products where ~15% reach the floor, 5-10 where all
 #   do).
-# With them the modeled cost of 493 grid candidates on eight inputs (the
-# benchmark community and star files, the sets file at floors 1 and 3, a
-# 200-set family, 800 nodes in 8 and in 200 communities, a random graph)
-# was 0.84 of the measured join time in the median, 0.59 to 1.08 from the
-# 10th to the 90th percentile, on two busy vCPUs.
-_NS_PER_PIECE = 5000.0
-_NS_PER_CODE = 2.5
-_NS_PER_SLOT = 0.35
-_NS_PER_COUNTED = 4.2
-_NS_PER_SORTED = 20.0
+# _THREAD_GAIN: what each thread past the first adds to a product's
+# blocks: the sets family's one-orientation Gram at c = 3 (954 x 500) ran
+# 1.74 and 1.89 times as fast on two workers as on one (13.5 -> 7.7 and
+# 12.8 -> 6.7 ms, medians of two series of 30 alternating pairs), where
+# its blocks' work divided over two whole threads would run 2.4 times as
+# fast (two threads cut it into more blocks, which hold less of V V^T):
+# a gain of 0.5 and 0.6. At 0.6 the two-orientation join of the same
+# family at floor 1 plans 1/16, which ran in 12.3 ms against the full
+# join's 8.8 (60 alternating pairs); at 0.5 it plans the full join.
+# With them the modeled cost of 96 grid candidates on eight inputs (the
+# benchmark community and star graphs, the sets family at floors 1 and 3
+# in one orientation, a 200-set family at 2, 800 nodes in 8 and in 200
+# communities, a random graph; up to 12 candidates each) was 0.74 of the
+# measured join time in the median, 0.34 to 1.03 from the 10th to the 90th
+# percentile, on two vCPUs.
+_NS_PER_RANGE = 20000.0
+_NS_PER_CODE = 5.0
+_NS_PER_SLOT = 2.0
+_NS_PER_COUNTED = 4.0
+_NS_PER_SORTED = 17.0
 _NS_PER_MERGED = 95.0
 _NS_PER_TUPLE = 12.0
 _NS_PER_ENTRY = 0.05
@@ -262,6 +316,7 @@ _NS_PER_BLOCK = 45000.0
 _NS_PER_WRITTEN = 13.0
 _NS_PER_SCANNED = 2.0
 _NS_PER_KEPT = 10.0
+_THREAD_GAIN = 0.5
 # gram_kept_estimate gives up past this many pairs of left-value groups,
 # and sums at most this many terms of a Poisson tail
 _ESTIMATE_PAIRS = 1 << 16
@@ -319,26 +374,29 @@ class Splits:
     (k, Y), the witnesses' components `comp` (Y,) and each relation's left
     values' `comp_left`, and per left split the tuples at each witness whose
     left value is heavy `heavy` (G2, k, Y; 0 at a witness light in every
-    witness split), their piece_sizes `pieces` (G2, k, Y) and the `sizes`."""
+    witness split), and the `sizes`."""
     delta1s: np.ndarray
     delta2s: np.ndarray
     deg: np.ndarray
     comp: np.ndarray
     comp_left: list
     heavy: np.ndarray
-    pieces: np.ndarray
     sizes: JoinSizes
 
 
 def size_splits(rels: Sequence[IndexedRelation], light_in: int,
                 delta1s: Optional[np.ndarray] = None,
-                delta2s: Optional[np.ndarray] = None) -> Splits:
+                delta2s: Optional[np.ndarray] = None,
+                upper: bool = False) -> Splits:
     """The Splits of `rels` under light_split with `light_in` at every
     candidate of the ascending `delta1s` by `delta2s`; by default, 0 and the
     powers of two up to the first past every witness key and left degree
     (the full join). Where no candidate has heavy witnesses and heavy left
     values in every relation, nothing is multiplied, and every witness is
-    taken as in one component."""
+    taken as in one component. With `upper` (a two-path self-join kept in
+    one orientation) a witness of degree d, h of them heavy, has the light
+    codes of its pairs x < z: C(d, 2) where it is light, C(d, 2) - C(h, 2)
+    where it is heavy."""
     if not all(rels[0].shares_right_dict(o) for o in rels[1:]):
         raise ValueError("relations do not share a right dictionary; "
                          "run semi_join_reduce first")
@@ -371,10 +429,15 @@ def size_splits(rels: Sequence[IndexedRelation], light_in: int,
         axis=0)[::-1] for ri in rels], axis=1) for x in (heavy, heavy_left))
     # at a witness light in every witness split every tuple is light
     heavy = heavy * heavy_y.any(axis=0)
-    pieces = piece_sizes(deg, heavy)
+    if upper:
+        full = _pairs(deg[0])
+        at_heavy = full - _pairs(heavy[:, 0])
+    else:
+        full = deg.prod(axis=0, dtype=np.float64)
+        at_heavy = piece_sizes(deg, heavy).sum(axis=1)
     return Splits(np.asarray(delta1s), np.asarray(delta2s), deg, comp,
-                  [comp_left[id(ri)] for ri in rels], heavy, pieces,
-                  join_sizes(deg, heavy_y, pieces, heavy_left, comp))
+                  [comp_left[id(ri)] for ri in rels], heavy,
+                  join_sizes(full, at_heavy, heavy_y, heavy_left, comp))
 
 
 @dataclass
@@ -427,7 +490,8 @@ def _block_nanos(sizes: JoinSizes, triangle: bool, workers: int,
     """The nanos of each candidate's products as matmul.multiply_counts
     runs them (block_plan): _NS_PER_BLOCK per block, `ns_per_madd` per
     multiply-add and `per_entry` (per candidate) per product entry emitted,
-    each product's over the threads it runs on. `triangle`: every V is its
+    each product's over the threads it runs on, each thread past the first
+    adding _THREAD_GAIN of one's speed. `triangle`: every V is its
     W, and its blocks multiply only about half of V @ V^T."""
     nanos = np.zeros(sizes.light.shape)
     per_entry = np.broadcast_to(per_entry, nanos.shape)[..., None]
@@ -441,7 +505,7 @@ def _block_nanos(sizes: JoinSizes, triangle: bool, workers: int,
         nanos[part] = ((rows * inner * cols > 0)
                        * (_NS_PER_BLOCK * blocks + ns_per_madd * inner * held
                           + per_entry[part] * rows * cols)
-                       / threads).sum(axis=-1)
+                       / (1 + _THREAD_GAIN * (threads - 1))).sum(axis=-1)
     return nanos
 
 
@@ -449,13 +513,15 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
                table: Optional[CalibrationTable] = None,
                delta1s: Optional[np.ndarray] = None,
                delta2s: Optional[np.ndarray] = None,
-               floor: int = 1) -> PlanGrid:
+               floor: int = 1, upper: bool = False) -> PlanGrid:
     """Price every candidate of size_splits(rels, light_in, delta1s,
-    delta2s), the sizes joinproject._partitioned allocates, keeping the
-    codes counted at least `floor` times.
+    delta2s, upper), the sizes joinproject._partitioned allocates, keeping
+    the codes counted at least `floor` times, in one orientation with
+    `upper`.
 
-    The light cost is per piece, per light code and their dedup by the emit
-    counts_densely picks (slots and counted codes, or the codes sorted).
+    The light cost is per range of light_ranges, per light code and their
+    count by the emit counts_densely picks (slots and counted codes, or the
+    codes sorted).
     The heavy cost is the heavy build (tuples scanned, V's and W's
     entries), the blocks (_block_nanos; multiply-adds at `table`'s
     ns_per_madd when given, else at _NS_PER_MADD) and the codes kept: every
@@ -464,12 +530,14 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
     `floor` of the full join's, and a two-path self-join prices
     gram_kept_estimate's codes when lower.
     """
-    split = size_splits(rels, light_in, delta1s, delta2s)
+    split = size_splits(rels, light_in, delta1s, delta2s, upper)
     sizes = split.sizes
     light, product = sizes.light, sizes.product_entries
-    space = math.prod(ri.rel.dom_left for ri in rels)
+    dims = [ri.rel.dom_left for ri in rels]
+    space = math.prod(dims)
     dense = counts_densely(space, light, product, floor)
-    light_cost = (_NS_PER_PIECE * sizes.pieces + _NS_PER_CODE * light
+    ranges = light_ranges(dims, light, dense)
+    light_cost = (_NS_PER_RANGE * ranges + _NS_PER_CODE * light
                   + np.where(dense, _NS_PER_SLOT * space + _NS_PER_COUNTED
                              * light, _NS_PER_SORTED * light))
     triangle = self_join(rels)
@@ -500,11 +568,11 @@ def price_plan(rels: Sequence[IndexedRelation], light_in: int,
 
 
 def default_plan(r: IndexedRelation, s: IndexedRelation,
-                 floor: int = 1) -> ThresholdPlan:
+                 floor: int = 1, upper: bool = False) -> ThresholdPlan:
     """The cheapest two-path plan of price_plan keeping the codes counted at
-    least `floor` times, the multiply priced at _NS_PER_MADD per
-    multiply-add."""
-    return price_plan([r, s], 2, floor=floor).plan()
+    least `floor` times, in one orientation with `upper`, the multiply
+    priced at _NS_PER_MADD per multiply-add."""
+    return price_plan([r, s], 2, floor=floor, upper=upper).plan()
 
 
 def optimize_thresholds(r: IndexedRelation, s: IndexedRelation,

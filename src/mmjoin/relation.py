@@ -138,8 +138,8 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
 
     With want_counts, returns (codes, counts) where counts[i] is the number
     of occurrences of codes[i]. `sorted_extra`, a (codes, counts) pair that
-    is already sorted and distinct, is merged in by binary search; its counts
-    add to those of equal codes and are ignored without want_counts.
+    is already sorted and distinct, is merged in (_merge); its counts add to
+    those of equal codes and are ignored without want_counts.
     """
     if sorted_extra is not None and not len(codes):
         return sorted_extra if want_counts else sorted_extra[0]
@@ -150,16 +150,25 @@ def _dedup(codes: np.ndarray, want_counts: bool = False, sorted_extra=None):
     counts = (np.diff(np.flatnonzero(np.append(first, True)))
               if want_counts else None)
     if sorted_extra is not None:
-        extra, extra_counts = sorted_extra
-        pos = np.searchsorted(out, extra)
-        hit = np.zeros(len(extra), dtype=bool)
-        inside = pos < len(out)
-        hit[inside] = out[pos[inside]] == extra[inside]
-        if want_counts:
-            counts[pos[hit]] += extra_counts[hit]
-            counts = np.insert(counts, pos[~hit], extra_counts[~hit])
-        out = np.insert(out, pos[~hit], extra[~hit])
+        out, counts = _merge(out, counts, *sorted_extra)
     return (out, counts) if want_counts else out
+
+
+def _merge(codes: np.ndarray, counts: Optional[np.ndarray],
+           extra: np.ndarray, extra_counts: Optional[np.ndarray]):
+    """Two sorted distinct code lists merged by binary search, as (codes,
+    counts): the counts of equal codes add into `counts`; None without
+    it."""
+    if not len(codes):
+        return extra, None if counts is None else extra_counts
+    pos = np.searchsorted(codes, extra)
+    hit = np.zeros(len(extra), dtype=bool)
+    inside = pos < len(codes)
+    hit[inside] = codes[pos[inside]] == extra[inside]
+    if counts is not None:
+        counts[pos[hit]] += extra_counts[hit]
+        counts = np.insert(counts, pos[~hit], extra_counts[~hit])
+    return np.insert(codes, pos[~hit], extra[~hit]), counts
 
 
 def _rank_values(column: list):
@@ -202,15 +211,18 @@ def _pair_codes(keys: np.ndarray, vals: np.ndarray, dom: int,
 def _relation(name: str, left: tuple, right: tuple) -> Relation:
     """A Relation from two equal-length `(ids, values, value -> id, first)`
     columns, the left one's `first` ordering its ids by first appearance:
-    one sort of the _pair_codes dedups the pairs and orders them, and one
-    divmod writes them back as the int64 pairs."""
+    one sort of the _pair_codes dedups the pairs and orders them, and a
+    floor division and a subtraction write them back as the int64 pairs
+    (numpy divides by a scalar far faster than it takes its divmod)."""
     lcodes, left_values, left_ids, first = left
     rcodes, right_values, right_ids, _ = right
     dom_right = len(right_values)
     codes = _dedup(_pair_codes(lcodes, rcodes, len(left_values), dom_right))
     pairs = np.empty((len(codes), 2), dtype=np.int64)
-    np.divmod(codes, max(dom_right, 1), out=(pairs[:, 0], pairs[:, 1]))
-    del codes
+    quotient = codes // max(dom_right, 1)
+    pairs[:, 0] = quotient
+    pairs[:, 1] = codes - quotient * dom_right
+    del codes, quotient
     left_first = np.empty_like(first)
     left_first[np.argsort(first)] = np.arange(len(first))
     return Relation(name, pairs, left_values, left_ids, right_values,
@@ -689,18 +701,21 @@ def left_components(idx: IndexedRelation, comp: np.ndarray) -> np.ndarray:
     return np.where(idx.left_deg > 0, comp[first], 0)
 
 
+def range_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions starts[i], ..., starts[i] + lens[i] - 1 for every i,
+    concatenated in order."""
+    total = int(lens.sum())
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(total, dtype=np.int64)
+
+
 def gather_ranges(indptr: np.ndarray, indices: np.ndarray,
                   keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate CSR ranges for `keys`; returns (values, lengths)."""
     keys = np.asarray(keys, dtype=np.int64)
     starts = indptr[keys]
     lens = indptr[keys + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype), lens
-    seg_off = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    idx = np.repeat(starts - seg_off, lens) + np.arange(total, dtype=np.int64)
-    return indices[idx], lens
+    return indices[range_index(starts, lens)], lens
 
 
 def generate_community_graph(num_nodes: int, num_communities: int,

@@ -1197,16 +1197,16 @@ def test_an_unexpected_exception_is_one_line_with_its_own_status(
 
 def test_an_error_in_a_join_worker_ends_the_command_as_itself(
         tmp_path, runner, monkeypatch):
-    # the benchmark-shaped family plans its Gram corner at c = 3 on two
-    # workers; a task that fails on the second thread ends the command
-    # with that exception's own name
-    sets = tmp_path / "sets.txt"
-    res = runner.invoke(main, ["gen", "--kind", "sets", "--sets", "1000",
-                               "--universe", "500", "--max-size", "40",
-                               "--out", str(sets)])
+    # the k=3 star of CI's 200-node community graph at 20/20 multiplies
+    # on two workers; a task that fails on the second thread ends the
+    # command with that exception's own name
+    g = str(tmp_path / "g.txt")
+    res = runner.invoke(main, ["gen", "--kind", "community", "--nodes", "200",
+                               "--seed", "7", "--out", g])
     assert res.exit_code == 0
     fail_off_the_main_thread(monkeypatch)
-    res = runner.invoke(main, ["ssj", "--sets", str(sets), "--c", "3"])
+    res = runner.invoke(main, ["star", "--input", g, "--input", g, "--input",
+                               g, "--delta1", "20", "--delta2", "20"])
     assert res.exit_code == 70
     assert res.output.splitlines() == [
         "Internal error: WorkerBoom: raised in a worker"]

@@ -331,7 +331,7 @@ def test_the_dense_emit_loses_no_update_on_many_threads(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = jp._dedup_output(codes, (90, 90), True, True,
+        out = jp._dedup_output([(0, 90 * 90, codes)], (90, 90), True, True,
                                [(v, CountMatrix(v.data.T, col_keys=keys))],
                                triangle=True)
     finally:
@@ -358,18 +358,24 @@ def test_one_orientation_is_the_pairs_a_below_b(raw, floor, workers):
     with mock.patch.object(core, "worker_count", lambda: workers), \
             mock.patch.object(core, "_BLOCK_MADDS", 1):
         for rule in (0.0, 1e18):  # the codes emit, the dense one
-            with mock.patch.object(opt, "_DENSE_SPACE_PER_CODE", rule):
-                grid = opt.price_plan([idx, idx], 2, floor=floor)
-                for d1, d2 in product(grid.delta1s.tolist(),
-                                      grid.delta2s.tolist()):
+            with mock.patch.object(opt, "_DENSE_SPACE_PER_CODE", rule), \
+                    mock.patch.object(opt, "_RANGE_SPACE_PER_CODE", rule):
+                grid = opt.price_plan([idx, idx], 2, floor=floor,
+                                      upper=True)
+                for (i, d1), (j, d2) in product(
+                        enumerate(grid.delta1s.tolist()),
+                        enumerate(grid.delta2s.tolist())):
                     plan = ThresholdPlan(PARTITIONED, d1, d2)
                     both = jp.two_path_join(idx, idx, plan, True, floor)
                     below = both.codes // n < both.codes % n
                     for want_counts in (False, True):
                         one = jp.two_path_join(idx, idx, plan, want_counts,
                                                floor, upper=True)
-                        assert one.stats["emit"] in (both.stats["emit"],
-                                                     None)
+                        # the emit priced for the pairs a < b
+                        assert one.stats["emit"] in (
+                            "dense" if grid.dense[i, j] else "codes", None)
+                        assert (one.stats["light_intermediate"]
+                                == grid.sizes.light[i, j])
                         assert one.codes.dtype == np.int64
                         assert np.array_equal(one.codes, both.codes[below])
                         if want_counts:
@@ -406,16 +412,15 @@ def test_ssj_without_two_sets_of_c_elements_joins_nothing(monkeypatch, c):
             for (a, b), cnt in pair_counts(res).items()} == oracle_ssj(raw, c)
 
 
-@pytest.mark.parametrize("workers,bound", [(1, 14.5), (2, 5.3)])
-def test_ssj_peak_memory(workers, bound):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ssj_peak_memory(workers):
     """SSJ at c = 3 on a benchmark-shaped family (1000 sets of 1-40 over
-    500 elements) peaks at most at `bound` traced MiB. On one worker it
-    runs the full join, whose light codes are kept x < z slice by slice:
-    12.95 MiB in every run, where halving them in one pass took 14.65 and
-    keeping both orientations, as the join did before, 16.61. On two it
-    runs all heavy, and which blocks are in flight at once varies: 4.45-4.86
-    over 22 processes, against 5.40-6.23 over 32 before. Each bound sits
-    between the two, 9-12% above the change."""
+    500 elements) peaks at most at 3.8 traced MiB. On one worker and on two
+    it runs the full join, whose light codes are written only as x < z
+    and counted range by range: 3.47 MiB in every run on both. Before, the
+    full join wrote all its light codes at once, then kept x < z (12.95 on
+    one worker), and two workers ran the all-heavy Gram (4.45-4.86). The
+    bound sits 10% above the change."""
     fam = apps.SetFamily.from_dict(
         random_family(np.random.default_rng(1), 1000, 500, 40))
     with mock.patch.object(core, "worker_count", lambda: workers):
@@ -426,9 +431,8 @@ def test_ssj_peak_memory(workers, bound):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    assert (res.stats["light_intermediate"] > 0) == (workers == 1)
-    assert res.stats["blocks"] == 0 if workers == 1 else res.stats["blocks"] > 1
-    assert peak <= bound * 2 ** 20, peak / 2 ** 20
+    assert res.stats["light_intermediate"] > 0 and res.stats["blocks"] == 0
+    assert peak <= 3.8 * 2 ** 20, peak / 2 ** 20
 
 
 def test_one_orientation_emits_one_rectangle_per_block(monkeypatch):

@@ -208,23 +208,33 @@ _ALWAYS = 1e18
 
 @contextmanager
 def _size_rule(value):
-    saved = opt._DENSE_SPACE_PER_CODE
-    opt._DENSE_SPACE_PER_CODE = value
-    try:
+    """Both size rules of counts_densely (beside products and without) at
+    `value`."""
+    with mock.patch.object(opt, "_DENSE_SPACE_PER_CODE", value), \
+            mock.patch.object(opt, "_RANGE_SPACE_PER_CODE", value):
         yield
-    finally:
-        opt._DENSE_SPACE_PER_CODE = saved
+
+
+def _light(codes, dims, rows=1):
+    """`codes` as _dedup_output's light ranges, each of `rows` rows of the
+    two-dimensional space `dims`, empty ones included."""
+    step, space = rows * dims[1], math.prod(dims)
+    return [(lo, min(lo + step, space),
+             codes[(codes >= lo) & (codes < lo + step)] - lo)
+            for lo in range(0, space, step)]
 
 
 def _on_path(dense, codes, dims, want_counts, factors, triangle=False,
-             floor=1):
+             floor=1, rows=1):
     """_dedup_output on the dense or the codes emit, which it reports in
-    its stats (None with nothing to count)."""
-    out = jp._dedup_output(codes, dims, dense, want_counts, factors, triangle,
-                           floor)
+    its stats (None with nothing to count), of `codes` in ranges of `rows`
+    rows."""
+    out = jp._dedup_output(_light(codes, dims, rows), dims, dense,
+                           want_counts, factors, triangle, floor)
     placed = len(codes) > 0 or len(factors) > 0
     assert out.stats["emit"] == (("dense" if dense else "codes") if placed
                                  else None)
+    assert out.stats["light_intermediate"] == len(codes)
     return out
 
 
@@ -287,26 +297,27 @@ _TWO_BLOCKS = [_factor([[1, 0]], [2], [1, 3]),
 
 
 @settings(max_examples=200, deadline=None)
-@given(_coded(), st.sampled_from([1, 2, 3]), st.integers(1, 3))
-@example((np.empty(0, dtype=np.int64), (3, 4), [], False), 1, 2)   # empty
-@example((np.empty(0, dtype=np.int64), (1, 1), [], False), 1, 1)   # D = 1
-@example((np.zeros(5, dtype=np.int64), (1, 1), [], False), 1, 1)   # D = 1
-@example((np.array([0, 11, 11, 0, 5]), (3, 4), [], False), 2, 1)   # 0, D - 1
-@example((np.full(7, 4, dtype=np.int64), (3, 4), [], False), 3, 1)  # repeats
-@example((np.array([5, 0, 5]), (2, 3), _FULL_BLOCK, False), 1, 2)  # = space
-@example((np.empty(0, dtype=np.int64), (2, 3), _FULL_BLOCK, False), 2, 1)
-@example((np.empty(0, dtype=np.int64), (3, 4), _TWO_BLOCKS, False), 1, 2)
-@example((np.array([1, 11, 4]), (3, 4), _TWO_BLOCKS, False), 2, 3)  # and codes
-def test_dedup_output_dense_and_sort_paths_agree(case, floor, workers):
+@given(_coded(), st.sampled_from([1, 2, 3]), st.integers(1, 3),
+       st.integers(1, 4))
+@example((np.empty(0, dtype=np.int64), (3, 4), [], False), 1, 2, 1)  # empty
+@example((np.empty(0, dtype=np.int64), (1, 1), [], False), 1, 1, 1)  # D = 1
+@example((np.zeros(5, dtype=np.int64), (1, 1), [], False), 1, 1, 1)  # D = 1
+@example((np.array([0, 11, 11, 0, 5]), (3, 4), [], False), 2, 1, 1)  # 0, D-1
+@example((np.full(7, 4, dtype=np.int64), (3, 4), [], False), 3, 1, 2)
+@example((np.array([5, 0, 5]), (2, 3), _FULL_BLOCK, False), 1, 2, 1)  # space
+@example((np.empty(0, dtype=np.int64), (2, 3), _FULL_BLOCK, False), 2, 1, 1)
+@example((np.empty(0, dtype=np.int64), (3, 4), _TWO_BLOCKS, False), 1, 2, 2)
+@example((np.array([1, 11, 4]), (3, 4), _TWO_BLOCKS, False), 2, 3, 1)
+def test_dedup_output_dense_and_sort_paths_agree(case, floor, workers, rows):
     """Either emit, on 1-3 workers with blocks of one multiply-add, counts
-    what the codes and the products count, and keeps the codes counted at
-    least `floor` times."""
+    what the light ranges of `rows` rows each and the products count, and
+    keeps the codes counted at least `floor` times."""
     with mock.patch.object(core, "_BLOCK_MADDS", 1), \
             mock.patch.object(core, "worker_count", lambda: workers):
-        _check_dedup_output(*case, floor)
+        _check_dedup_output(*case, floor, rows)
 
 
-def _check_dedup_output(codes, dims, factors, triangle, floor):
+def _check_dedup_output(codes, dims, factors, triangle, floor, rows):
     want = Counter(codes.tolist())
     for v, wt in factors:
         product = v.data @ wt.data
@@ -315,8 +326,8 @@ def _check_dedup_output(codes, dims, factors, triangle, floor):
                 if product[i, j]:
                     want[a * dims[1] + b] += int(product[i, j])
     want = {code: n for code, n in want.items() if n >= floor}
-    dense = _on_path(True, codes, dims, True, factors, triangle, floor)
-    sort = _on_path(False, codes, dims, True, factors, triangle, floor)
+    dense = _on_path(True, codes, dims, True, factors, triangle, floor, rows)
+    sort = _on_path(False, codes, dims, True, factors, triangle, floor, rows)
     for out in (dense, sort):
         assert out.codes.dtype == np.int64 and out.counts.dtype == np.int64
         assert out.codes.tolist() == sorted(want)
@@ -327,28 +338,28 @@ def _check_dedup_output(codes, dims, factors, triangle, floor):
             int(np.count_nonzero(v.data @ wt.data)) for v, wt in factors)
     for dense_first in (True, False):
         plain = _on_path(dense_first, codes, dims, False, factors, triangle,
-                         floor)
+                         floor, rows)
         assert plain.counts is None
         assert np.array_equal(plain.codes, dense.codes)
 
 
 def test_counts_densely_size_rule():
-    # without a product the codes touch each light code once; with one,
-    # each code and product entry once more
-    assert opt.counts_densely(60, 40, 0)                    # 60 <= 1.5 * 40
-    assert not opt.counts_densely(61, 40, 0)
+    # without a product the codes touch each light code once, counted
+    # range by range; with one, each code and product entry once more
+    assert opt.counts_densely(240, 40, 0)                   # 240 <= 6 * 40
+    assert not opt.counts_densely(241, 40, 0)
     # 1.5 * (40 + 40 + 4) = 126
     assert opt.counts_densely(126, 40, 4)
     assert not opt.counts_densely(135, 40, 4)
     # with no light codes a floor is kept in the blocks: no buffer
     assert opt.counts_densely(4, 0, 4)
     assert not opt.counts_densely(4, 0, 4, floor=2)
-    assert opt.counts_densely(60, 40, 0, floor=2)
+    assert opt.counts_densely(240, 40, 0, floor=2)
     # nothing to count: no buffer
     assert not opt.counts_densely(1, 0, 0)
     # elementwise over a grid
     assert opt.counts_densely(126, np.array([40, 0, 40]), np.array([4, 4, 0]),
-                              2).tolist() == [True, False, False]
+                              2).tolist() == [True, False, True]
 
 
 def test_two_path_join_counts_on_either_path():
@@ -693,9 +704,10 @@ def test_star_counts_each_witness_once(case, rule):
     enumerated = []
     dedup_output = jp._dedup_output
 
-    def spy(codes, *args):
-        enumerated.append(len(codes))
-        return dedup_output(codes, *args)
+    def spy(light, *args):
+        out = dedup_output(light, *args)
+        enumerated.append(out.stats["light_intermediate"])
+        return out
 
     with _size_rule(rule), mock.patch.object(jp, "_dedup_output", spy):
         res = jp.star_join(idxs, d1, d2, want_counts=True)
@@ -735,11 +747,10 @@ _TWO_SQUARES = [(x, y) for x in range(2) for y in range(2)] + [
 def test_join_sizes_are_what_partitioned_allocates(case):
     r_pairs, s_pairs, d1, d2 = case
     r, s = reduced_indexed(r_pairs, s_pairs)
-    planned = opt.price_plan([r, s], 2, None, np.array([d1]),
-                             np.array([d2])).sizes
+    grid = opt.price_plan([r, s], 2, None, np.array([d1]), np.array([d2]))
     factors = _assert_allocates_what_was_priced(
         lambda: jp.two_path_join(r, s, plan=ThresholdPlan(PARTITIONED, d1, d2)),
-        planned)
+        grid, (r.rel.dom_left, s.rel.dom_left))
     if r_pairs == _TWO_SQUARES:
         assert len(factors) == 2
 
@@ -757,35 +768,94 @@ def test_star_grid_sizes_are_what_star_join_allocates(case):
         made.setdefault(tuple(p), Relation.from_raw_pairs("R", p))
         for p in rel_pairs])
     idxs = build_indexes(rels)
-    planned = opt.price_plan(idxs, len(idxs) - 1, None, np.array([d1]),
-                             np.array([d2])).sizes
+    grid = opt.price_plan(idxs, len(idxs) - 1, None, np.array([d1]),
+                          np.array([d2]))
     _assert_allocates_what_was_priced(lambda: jp.star_join(idxs, d1, d2),
-                                      planned)
+                                      grid, [idx.rel.dom_left for idx in idxs])
 
 
-def _assert_allocates_what_was_priced(join, planned):
-    """Run `join`, checking that it writes the light codes, loops over the
-    light pieces and builds the heavy factors that `planned`, the JoinSizes
-    of its one candidate, counts; returns the factors."""
-    factors, crossed = [], []
-    heavy_matrices, cross_codes = jp.heavy_matrices, jp._cross_codes
+@st.composite
+def _ranged_case(draw):
+    """k = 2..4 relations over small domains, a k = 2 one sometimes a
+    self-join kept in one orientation or in both, a floor of 1-3 and a
+    range size in entries, 1 to cut a range at every value."""
+    k = draw(st.integers(2, 4))
+    pair = st.tuples(st.integers(0, 6), st.integers(0, 4))
+    rel_pairs = [sorted(draw(st.sets(pair, min_size=1, max_size=25)))
+                 for _ in range(k)]
+    self_join = k == 2 and draw(st.booleans())
+    if self_join:
+        rel_pairs[1] = rel_pairs[0]
+    upper = self_join and draw(st.booleans())
+    return (rel_pairs, upper, draw(st.integers(1, 3)),
+            draw(st.sampled_from([1, 2, 7, opt._RANGE_ENTRIES])))
 
-    def spy_factors(*args):
-        factors.extend(heavy_matrices(*args))
-        return factors
 
-    def spy_cross(parts):
-        crossed.append(len(parts))
-        return cross_codes(parts)
+@settings(max_examples=150, deadline=None)
+@given(_ranged_case(), st.sampled_from([_ALWAYS, 0.0]))
+@example(([_DENSE, _DENSE], True, 2, 1), _ALWAYS)        # cut at each value
+@example(([_DENSE, _DENSE], True, 1, 1), 0.0)
+@example(([_HUB, _DENSE, _HUB, _DENSE], False, 1, 1), 0.0)
+def test_light_ranges_give_the_oracle_at_every_corner(case, rule):
+    """Light codes written and counted by ranges, down to a value a range
+    (whose cuts split every witness's lists) and, for the codes emit, to
+    one code a range, give the oracle's tuples counted at least `floor`
+    times at every corner of the grid (all heavy, all light, each
+    threshold alone) and at 1/1, on either emit, in one orientation (pairs
+    a < b) and in both."""
+    rel_pairs, upper, floor, entries = case
+    made = {}
+    idxs = build_indexes(semi_join_reduce_many([
+        made.setdefault(tuple(p), Relation.from_raw_pairs(f"R{len(made)}", p))
+        for p in rel_pairs]))
+    k, top = len(idxs), max(idx.n for idx in idxs) + 1
+    ids = [idx.rel.left_ids for idx in idxs]
+    want = {tuple(i[v] for i, v in zip(ids, t)): c
+            for t, c in oracle_star(rel_pairs).items()
+            if c >= floor and (not upper or ids[0][t[0]] < ids[1][t[1]])}
+    with _size_rule(rule), mock.patch.object(opt, "_RANGE_ENTRIES", entries):
+        for d1, d2 in [(0, 0), (top, top), (0, top), (top, 0), (1, 1)]:
+            plan = ThresholdPlan(PARTITIONED, d1, d2)
+            for want_counts in (True, False):
+                res = (jp.two_path_join(*idxs, plan, want_counts, floor, upper)
+                       if k == 2 else
+                       jp._partitioned(idxs, k - 1, plan, want_counts, floor))
+                assert (np.diff(res.codes) > 0).all()
+                if want_counts:
+                    assert dict(zip(map(tuple, res.tuples().tolist()),
+                                    res.counts.tolist())) == want
+                else:
+                    assert set(map(tuple, res.tuples().tolist())) == set(want)
 
-    with mock.patch.object(jp, "heavy_matrices", spy_factors), \
-            mock.patch.object(jp, "_cross_codes", spy_cross):
-        res = join()
-    assert res.stats["light_intermediate"] == planned.light[0, 0]
+
+def _assert_allocates_what_was_priced(join, grid, dims):
+    """Run `join`, checking that it writes the light codes, runs the light
+    ranges (optimizer.light_ranges of the output's `dims` for its emit;
+    with ranges of the default entries and of one) and builds the heavy
+    factors that `grid`, the PlanGrid of its one candidate, counts; returns
+    the factors."""
+    planned = grid.sizes
+    heavy_matrices, dedup_output = jp.heavy_matrices, jp._dedup_output
+    for entries in (opt._RANGE_ENTRIES, 1):
+        factors, ranges = [], []
+
+        def spy_factors(*args):
+            factors.extend(heavy_matrices(*args))
+            return factors
+
+        def spy_output(light, *args):
+            return dedup_output((ranges.append(r) or r for r in light), *args)
+
+        with mock.patch.object(jp, "heavy_matrices", spy_factors), \
+                mock.patch.object(jp, "_dedup_output", spy_output), \
+                mock.patch.object(opt, "_RANGE_ENTRIES", entries):
+            res = join()
+            priced = opt.light_ranges(dims, planned.light[0, 0],
+                                      grid.dense[0, 0])
+        assert res.stats["light_intermediate"] == planned.light[0, 0]
+        assert len(ranges) == priced
     # one product per component with heavy witnesses and left values
     assert len(factors) == planned.blocks[0, 0]
-    # one _cross_codes per light piece, and one per factor for its row keys
-    assert len(crossed) - 2 * len(factors) == planned.pieces[0, 0]
     runs = np.flatnonzero(planned.inner[0] * planned.rows[0]
                           * planned.cols[0] > 0)
     for (v, wt), c in zip(factors, runs):

@@ -89,6 +89,25 @@ def test_sets_family_plans_its_gram_corner_on_two_workers(monkeypatch,
     assert opt.default_plan(idx, idx).strategy == opt.FULL_JOIN
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ssj_plans_the_full_join_in_one_orientation(monkeypatch, workers):
+    """SSJ's join of the benchmark-shaped family at c = 3 keeps each pair
+    once: priced so, the full join is the cheapest plan on one worker and
+    on two, and its light codes, C(d, 2) a witness of degree d, are the
+    ones the join writes; in both orientations too, where they are the
+    squares of the degrees."""
+    idx = _sets_family(1000, 500, 40, 7)
+    monkeypatch.setattr(matmul_core, "worker_count", lambda: workers)
+    plan = opt.default_plan(idx, idx, floor=3, upper=True)
+    assert plan.strategy == opt.FULL_JOIN
+    deg = idx.right_deg
+    for upper, light in ((True, deg * (deg - 1) // 2), (False, deg * deg)):
+        grid = opt.price_plan([idx, idx], 2, floor=3, upper=upper)
+        res = two_path_join(idx, idx, plan, floor=3, upper=upper)
+        assert (grid.sizes.light[-1, -1] == res.stats["light_intermediate"]
+                == light.sum())
+
+
 def test_a_whole_space_product_prices_its_write(monkeypatch):
     """A self-join of 200 sets at 1/0 has no light codes and one product
     over the whole pair space, which the dense emit adds into the buffer:
@@ -228,7 +247,7 @@ def test_table_prices_the_multiply_per_madd(monkeypatch):
     """With a table, the heavy cost is the built-in parts plus the table's
     ns_per_madd times each candidate's multiply-adds as its blocks run
     them: a self-join's about half of each V V^T, and each product's over
-    the threads it gets."""
+    the threads it gets, each past the first adding _THREAD_GAIN of one."""
     idx = build_indexed(generate_community_graph(210, 3, 0.85, seed=4))
     table = CalibrationTable({32: 9_000, 64: 40_000, 128: 90_000})
     monkeypatch.setattr(opt, "_NS_PER_MADD", 0.0)
@@ -240,7 +259,8 @@ def test_table_prices_the_multiply_per_madd(monkeypatch):
     rows, cols = sizes.rows[None], sizes.cols[None]
     inner = sizes.inner[:, None]
     threads, blocks, held = matmul_core.block_plan(rows, inner, cols, 2, True)
-    madds = ((rows * inner * cols > 0) * inner * held / threads).sum(axis=-1)
+    madds = ((rows * inner * cols > 0) * inner * held
+             / (1 + opt._THREAD_GAIN * (threads - 1))).sum(axis=-1)
     whole = sizes.inner @ (sizes.rows * sizes.cols).T
     assert (madds > 0).any() and (madds <= whole).all()
     assert (threads == 2).any() and (blocks > 2).any()
