@@ -78,34 +78,28 @@ def _oriented(family: SetFamily, pairs: np.ndarray) -> OutputSet:
 
 
 def _subfamily(family: SetFamily, name: str, mask: np.ndarray) -> IndexedRelation:
-    """The family's rows of the sets where `mask` holds, keeping its ids.
-    The rows come by set, so the mask repeats by set size; `compress` takes
-    them ~8x as fast as a boolean index of the (n, 2) rows."""
-    keep = np.repeat(mask, family.indexed.left_deg)
+    """The family's rows of the sets where `mask` holds, keeping its ids."""
+    pairs = family.relation.pairs
     return build_indexed(Relation.from_encoded(
-        name, family.relation.pairs.compress(keep, axis=0), family.relation))
+        name, pairs[mask[pairs[:, 0]]], family.relation))
 
 
 def ssj_mmjoin(family: SetFamily, c: int,
                plan: Optional[ThresholdPlan] = None) -> OutputSet:
     """The pairs of sets (a, b) with |a n b| >= c, a appearing before b in
     the input, with their exact overlaps as counts, as an OutputSet over
-    (n, n). A pair's overlap is at most its smaller set, so only the sets
-    of c elements or more are joined (_subfamily), by the counted two-path
-    self-join under `plan`, which keeps each pair once, as ids a < b over
-    the floor c (two_path_join's `upper`); one swap turns each so that its
-    first set comes first in the input, and one _key_groups sort puts them
-    in order. With fewer than two such sets nothing can pass the floor, and
-    nothing is planned or multiplied."""
+    (n, n). The counted two-path self-join under `plan` keeps each pair
+    once, as ids a < b over the floor c (two_path_join's `upper`); one swap
+    turns each so that its first set comes first in the input, and one
+    _key_groups sort puts them in order. With fewer than two sets of c
+    elements or more nothing can pass the floor, and nothing is planned or
+    multiplied."""
     if c < 1:
         raise ValueError("c must be >= 1")
     idx, n = family.indexed, len(family)
-    large = idx.left_deg >= c
-    if np.count_nonzero(large) < 2:
+    if np.count_nonzero(idx.left_deg >= c) < 2:
         none = np.empty(0, dtype=np.int64)
         return OutputSet(none, (n, n), none.copy())
-    if not large.all():
-        idx = _subfamily(family, "sets", large)
     res = two_path_join(idx, idx, plan=plan, want_counts=True, floor=c,
                         upper=True)
     # `//` by a scalar runs several times faster than np.divmod

@@ -580,16 +580,15 @@ def _partitioned(rels: Sequence[IndexedRelation], light_in: int,
         _matmul.worker_count(), triangle)[2].sum())
     dense = counts_densely(space, n_light, planned.product_entries[0, 0],
                            floor)
-    # the light side keeps at most a code and a count per light code, and
-    # counts in one range's slots, or beside products in the whole space
-    counted = want_counts or floor > 1
-    n_kept = n_light * (1 + counted)
+    # the light codes in both orientations (a self-join in one orientation
+    # writes half of them); the light side counts in one range's slots, or
+    # beside products in the whole space
+    n_codes = n_light * (2 if upper else 1)
     n_buffer = ((space if planned.blocks[0, 0] else range_width(dims)
                  * _strides(dims)[0]) if dense else 0)
-    _within_budget(n_kept + n_heavy + n_buffer,
-                   f"light codes{' and counts' if counted else ''}, heavy "
-                   f"matrix entries and buffer slots "
-                   f"({n_kept} + {n_heavy} + {n_buffer})")
+    _within_budget(n_codes + n_heavy + n_buffer,
+                   f"light codes, heavy matrix entries and buffer slots "
+                   f"({n_codes} + {n_heavy} + {n_buffer})")
 
     factors = (heavy_matrices(rels, heavy_left, heavy_y, split.comp,
                               split.comp_left)
